@@ -100,6 +100,9 @@ def _cmd_hpf_dump(args) -> int:
     )
     print(f"wrote {args.out / 'field.pgm'} and {args.out / 'path.json'} "
           f"(path length {path.total_length:.3f} m)")
+    effort = raster.effort
+    print(f"solver: levels={effort.levels} cycles={effort.cycles} sweeps={effort.sweeps} "
+          f"smoothing_finish={'yes' if effort.smoothing_finish else 'no'}")
     return 0
 
 

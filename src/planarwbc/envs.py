@@ -194,28 +194,16 @@ class GenerationError(RuntimeError):
 def _base_cell_near_goal_reachable(
     world: WorldGeometry, robot: RobotConfig, spawn_xy, goal_xy, approach: float
 ) -> bool:
-    """BFS on the base-radius-inflated grid: spawn connects to the goal area."""
+    """Flood fill on the base-radius-inflated grid: spawn connects to the goal area."""
     try:
         raster = rasterize_world(world, GRID_CELL, inflate=robot.base_radius, goal=spawn_xy)
     except pathfield.FieldError:
         return False
     start = raster.cell_of(spawn_xy)
-    h, w = raster.shape
     if raster.kind[start[0], start[1]] == pathfield.OBSTACLE:
         return False
-    seen = np.zeros((h, w), dtype=bool)
-    seen[start[0], start[1]] = True
-    stack = [start]
-    while stack:
-        r, c = stack.pop()
-        for nr, nc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            if 0 <= nr < h and 0 <= nc < w and not seen[nr, nc] \
-                    and raster.kind[nr, nc] != pathfield.OBSTACLE:
-                seen[nr, nc] = True
-                stack.append((nr, nc))
-    rows, cols = np.nonzero(seen)
-    if rows.size == 0:
-        return False
+    rows, cols = np.nonzero(pathfield.connected_component(raster.kind != pathfield.OBSTACLE,
+                                                          start))
     cx = raster.origin[0] + (cols + 0.5) * raster.cell_size
     cy = raster.origin[1] + (rows + 0.5) * raster.cell_size
     d2 = (cx - goal_xy[0]) ** 2 + (cy - goal_xy[1]) ** 2
@@ -223,7 +211,7 @@ def _base_cell_near_goal_reachable(
 
 
 def _ee_path_exists(world: WorldGeometry, robot: RobotConfig, ee_xy, goal_xy) -> bool:
-    """BFS connectivity on the capsule-inflated grid from EE start to goal."""
+    """4-connectivity on the capsule-inflated grid from EE start to goal."""
     try:
         raster = rasterize_world(world, GRID_CELL, inflate=robot.link_capsule_radius, goal=goal_xy)
     except pathfield.FieldError:

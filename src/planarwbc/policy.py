@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -326,7 +327,32 @@ def save_params(path, config: PolicyConfig, params: np.ndarray) -> None:
         + struct.pack("<Q", params.size)
         + params.astype("<f8").tobytes()
     )
-    Path(path).write_bytes(blob)
+    write_bytes_atomic(path, blob)
+
+
+def write_bytes_atomic(path, data: bytes) -> None:
+    """Replace the file at path with data; a crash leaves the old or the new file.
+
+    The bytes go to a temporary file in the same directory, are flushed to
+    disk and renamed over path; the directory is then flushed so the rename
+    itself survives a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_params(path, config: PolicyConfig) -> np.ndarray:

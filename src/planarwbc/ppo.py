@@ -20,7 +20,14 @@ import numpy as np
 from . import adr as adr_mod
 from . import autodiff as ad
 from .envs import Episode, env_step, episode_from_dict, episode_to_dict, new_episode
-from .policy import Policy, config_hash, param_count, sample_action, save_params
+from .policy import (
+    Policy,
+    config_hash,
+    param_count,
+    sample_action,
+    save_params,
+    write_bytes_atomic,
+)
 
 TRAIN_MAGIC = b"PWBCTRN1"
 TRAIN_VERSION = 1
@@ -385,7 +392,7 @@ def save_train_checkpoint(path, run, trainer: TrainerState) -> None:
         + struct.pack("<Q", len(blob))
         + blob
     )
-    Path(path).write_bytes(out)
+    write_bytes_atomic(path, out)
 
 
 def load_train_checkpoint(path, run) -> TrainerState:

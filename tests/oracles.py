@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from planarwbc.geometry import point_box_distance, point_segment_distance
+from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
 from planarwbc.robot import forward_kinematics
 
 
@@ -127,8 +128,6 @@ def gae_double_sum(rewards, values, dones, bootstrap, gamma, lam):
 
 def dense_laplace_solve(field):
     """Direct dense solve of the 5-point Dirichlet system on a grid field."""
-    from planarwbc.pathfield import FREE
-
     h, w = field.shape
     free = field.kind == FREE
     idx = -np.ones((h, w), dtype=int)
@@ -154,3 +153,217 @@ def dense_laplace_solve(field):
     out = boundary.copy()
     out[rows, cols] = x
     return out
+
+
+def sor_relax(log_values, free, omega, tol, max_iters, check_every=4):
+    """Red-black SOR sweeps in the log domain until residuals drop below tol.
+
+    The linear fixed point w = mean(neighbor w) with w = exp(-v) becomes
+    v = min_nb + ln 4 - ln(sum exp(min_nb - v_nb)), evaluated with the usual
+    max-shift so exponents stay non-positive. Convergence requires both the
+    stencil residual of u = 1 - exp(-v) and the relative v update to fall
+    below tol.
+
+    Over-relaxation of this soft-min update is only conditionally stable:
+    where neighbor values differ sharply (narrow passages, enclosed pockets)
+    omega > 1 can limit-cycle. Progress is therefore monitored, and on a
+    stall or oscillation the solve deterministically restarts from the same
+    initial state at a lower omega, ending at plain Gauss-Seidel, which is
+    monotone convergent here from the v = 0 initialization. Free cells must
+    be enclosed by a non-free ring (rasterize_world adds one) so the stencil
+    can be evaluated with plain array slices.
+    """
+    if not free.any():
+        return 0
+    if free[0, :].any() or free[-1, :].any() or free[:, 0].any() or free[:, -1].any():
+        raise FieldError("free cells on the grid border; expected an obstacle ring")
+    h, w = log_values.shape
+    parity = np.add.outer(np.arange(h), np.arange(w)) % 2
+    red = free & (parity == 0)
+    black = free & (parity == 1)
+    nb = log_values.copy()
+    ln4 = math.log(4.0)
+
+    def stencil():
+        n = log_values[:-2, 1:-1]
+        s = log_values[2:, 1:-1]
+        wv = log_values[1:-1, :-2]
+        e = log_values[1:-1, 2:]
+        m = np.minimum(np.minimum(n, s), np.minimum(wv, e))
+        # The min-achieving term is exp(0) = 1, so clamping exponents at -50
+        # perturbs the sum by < 3e-22 relative while keeping every exp() out
+        # of the (pathologically slow) subnormal range.
+        total = (
+            np.exp(np.maximum(m - n, -50.0))
+            + np.exp(np.maximum(m - s, -50.0))
+            + np.exp(np.maximum(m - wv, -50.0))
+            + np.exp(np.maximum(m - e, -50.0))
+        )
+        nb[1:-1, 1:-1] = m + ln4 - np.log(total)
+        return nb
+
+    def residuals():
+        delta = stencil() - log_values
+        rel = float(np.max(np.abs(delta) / (1.0 + np.abs(log_values)), initial=0.0,
+                           where=free))
+        # Exactly |u_new - u| = exp(-v) * |expm1(-(v_new - v))|; the clamps
+        # (avoiding subnormals again) only overestimate far-cell terms, which
+        # sit many orders below tol either way.
+        w_cur = np.exp(np.maximum(-log_values, -50.0))
+        u_res = float(np.max(np.abs(np.expm1(-np.clip(delta, -50.0, 50.0))) * w_cur,
+                             initial=0.0, where=free))
+        return rel, u_res
+
+    init = log_values.copy()
+    ladder = [omega] + [o for o in (1.5, 1.25, 1.0) if o < omega - 1e-9]
+    # A cold start needs about (h + w) / 2 sweeps just to propagate values
+    # across the grid before residuals can fall, so the stall window scales
+    # with the grid diameter.
+    stall_window = max(10, (h + w) // check_every)
+    total_sweeps = 0
+    for attempt, om in enumerate(ladder):
+        if attempt > 0:
+            np.copyto(log_values, init)
+        best = math.inf
+        best_check = 0
+        check = 0
+        oscillating = 0
+        while total_sweeps < max_iters:
+            # Over-relaxed iterates are projected back into the physical
+            # range [0, LOG_OBSTACLE] (w in [exp(-LOG_OBSTACLE), 1]); without
+            # the projection omega > 1 overshoots unboundedly.
+            np.copyto(
+                log_values,
+                np.clip(log_values + om * (stencil() - log_values), 0.0, LOG_OBSTACLE),
+                where=red,
+            )
+            np.copyto(
+                log_values,
+                np.clip(log_values + om * (stencil() - log_values), 0.0, LOG_OBSTACLE),
+                where=black,
+            )
+            total_sweeps += 1
+            if total_sweeps % check_every == 0 or total_sweeps == max_iters:
+                rel, u_res = residuals()
+                if rel < tol and u_res < tol:
+                    return total_sweeps
+                check += 1
+                score = max(rel, u_res)
+                if score < 0.95 * best:
+                    best = score
+                    best_check = check
+                # Residuals bouncing well above the best seen mean a limit
+                # cycle, not slow convergence; drop omega without waiting out
+                # the stall window. The tol floor keeps noise-level wobble
+                # near convergence from triggering a pointless restart.
+                oscillating = oscillating + 1 if score > max(2.0 * best, 100.0 * tol) else 0
+                last = attempt + 1 == len(ladder)
+                if not last and (oscillating >= 3 or check - best_check >= stall_window):
+                    break
+    raise FieldError(f"SOR did not converge below {tol} in {max_iters} iterations")
+
+
+def reference_solve_harmonic(
+    field: GridField,
+    omega: float = 1.8,
+    tol: float = 1e-10,
+    max_iters: int = 200_000,
+    warm_start: bool = True,
+) -> GridField:
+    """Relax Laplace's equation over the free cells (obstacle=1, goal=0).
+
+    Omega-ladder SOR from a one-way coarse warm start: an independent
+    reference for planarwbc.pathfield.solve_harmonic, which must reach the
+    same fine-level convergence test. Iterates in the log domain (see
+    planarwbc.pathfield.LOG_OBSTACLE) and stores both the raw potential in
+    .values and the log potential in .log_values. warm_start seeds the fine
+    grid from a coarsened solve cascade, which cuts the sweep count on large
+    grids; the convergence criterion at the full resolution is unchanged.
+    """
+    gr, gc = field.goal_cell
+    h, w = field.shape
+    adjacent_free = False
+    for nr, nc in ((gr - 1, gc), (gr + 1, gc), (gr, gc - 1), (gr, gc + 1)):
+        if 0 <= nr < h and 0 <= nc < w and field.kind[nr, nc] == FREE:
+            adjacent_free = True
+    if not adjacent_free:
+        raise FieldError("no free cell adjacent to the goal cell")
+
+    free = field.kind == FREE
+    log_values = np.full((h, w), LOG_OBSTACLE)
+    log_values[free] = 0.0
+    log_values[gr, gc] = 0.0
+
+    if warm_start and min(h, w) >= 16:
+        coarse = _reference_coarse_solution(field, omega, tol, max_iters)
+        if coarse is not None:
+            log_values[free] = coarse[free]
+    sor_relax(log_values, free, omega, tol, max_iters)
+    field.log_values = log_values
+    field.values = -np.expm1(-log_values)
+    return field
+
+
+def _reference_coarse_solution(field: GridField, omega, tol, max_iters):
+    """Solve a 2x-coarsened copy and prolong its log potential, or None.
+
+    Each level runs its own omega ladder: conservative coarsening can close
+    passages and create pockets that destabilize an omega the finer level
+    tolerates, so stability does not transfer between levels.
+    """
+    h, w = field.shape
+    ch, cw = (h + 1) // 2, (w + 1) // 2
+    kind = field.kind
+    coarse_kind = np.full((ch, cw), FREE, dtype=np.uint8)
+    # Conservative coarsening: obstacle if any child cell is obstacle.
+    for dr in (0, 1):
+        for dc in (0, 1):
+            block = kind[dr::2, dc::2]
+            coarse_kind[: block.shape[0], : block.shape[1]] = np.where(
+                block == OBSTACLE, OBSTACLE, coarse_kind[: block.shape[0], : block.shape[1]]
+            )
+    gr, gc = field.goal_cell
+    cgr, cgc = gr // 2, gc // 2
+    if coarse_kind[cgr, cgc] == OBSTACLE:
+        return None
+    coarse_kind[cgr, cgc] = GOAL
+    coarse = GridField(
+        origin=field.origin,
+        cell_size=field.cell_size * 2.0,
+        kind=coarse_kind,
+        values=np.zeros((ch, cw)),
+        goal_cell=(cgr, cgc),
+    )
+    try:
+        reference_solve_harmonic(coarse, omega=omega, tol=max(tol, 1e-8), max_iters=max_iters,
+                       warm_start=min(ch, cw) >= 16)
+    except FieldError:
+        return None
+    # Prolong by sampling the coarse bilinear log surface at fine centers.
+    out = np.full((h, w), LOG_OBSTACLE)
+    rows, cols = np.nonzero(kind != OBSTACLE)
+    px = field.origin[0] + (cols + 0.5) * field.cell_size
+    py = field.origin[1] + (rows + 0.5) * field.cell_size
+    out[rows, cols] = np.clip(
+        _bilinear_many(coarse, coarse.log_values, px, py), 0.0, LOG_OBSTACLE
+    )
+    out[gr, gc] = 0.0
+    return out
+
+
+def _bilinear_many(field: GridField, arr, px, py):
+    gx = (px - field.origin[0]) / field.cell_size - 0.5
+    gy = (py - field.origin[1]) / field.cell_size - 0.5
+    h, w = field.shape
+    gx = np.clip(gx, 0.0, w - 1.000001)
+    gy = np.clip(gy, 0.0, h - 1.000001)
+    ix = np.floor(gx).astype(int)
+    iy = np.floor(gy).astype(int)
+    fx = gx - ix
+    fy = gy - iy
+    return (
+        arr[iy, ix] * (1 - fx) * (1 - fy)
+        + arr[iy, ix + 1] * fx * (1 - fy)
+        + arr[iy + 1, ix] * (1 - fx) * fy
+        + arr[iy + 1, ix + 1] * fx * fy
+    )

@@ -7,6 +7,7 @@ reports and traces.
 """
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_cli_inspect_env(cli_config, tmp_path, capsys):
     assert "path_length=" in out
 
 
-def test_cli_hpf_dump(cli_config, tmp_path):
+def test_cli_hpf_dump(cli_config, tmp_path, capsys):
     out = tmp_path / "dump"
     code = main(["hpf-dump", "--config", str(cli_config), "--seed", "1",
                  "--cell-size", "0.1", "--out", str(out)])
@@ -205,6 +206,10 @@ def test_cli_hpf_dump(cli_config, tmp_path):
     payload = json.loads((out / "path.json").read_text())
     assert payload["total_length"] > 0
     assert len(payload["points"]) >= 2
+    # Planner effort goes to stdout only, never into the written files.
+    assert sorted(payload) == ["points", "total_length"]
+    assert re.search(r"solver: levels=\d+ cycles=\d+ sweeps=\d+ smoothing_finish=(yes|no)",
+                     capsys.readouterr().out)
 
 
 def test_cli_eval_then_render_trace(cli_config, tmp_path, capsys):

@@ -129,10 +129,14 @@ def test_ray_segment_hits_against_marching():
         t = float(np.min(ts))
 
         def blocked(pts):
+            # point_segment_distance, evaluated for all sample points at once.
             d = np.full(len(pts), np.inf)
-            for seg in segments:
-                d = np.minimum(d, [point_segment_distance(p, seg) for p in pts])
-            return np.asarray(d) < 5e-5
+            for x0, y0, x1, y1 in segments:
+                dx, dy = x1 - x0, y1 - y0
+                t = np.clip(((pts[:, 0] - x0) * dx + (pts[:, 1] - y0) * dy)
+                            / (dx * dx + dy * dy), 0.0, 1.0)
+                d = np.minimum(d, np.hypot(pts[:, 0] - (x0 + t * dx), pts[:, 1] - (y0 + t * dy)))
+            return d < 5e-5
 
         ref = march_ray(origin, direction, blocked)
         if math.isinf(ref):

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_laplace_solve
+from oracles import dense_laplace_solve, reference_solve_harmonic
+from planarwbc.config import default_config
+from planarwbc.envs import EnvSpec, generate_scene
 from planarwbc.pathfield import (
     FREE,
     GOAL,
@@ -21,6 +23,7 @@ from planarwbc.pathfield import (
     rasterize_world,
     solve_harmonic,
 )
+from planarwbc.robot import forward_kinematics
 from planarwbc.world import WorldGeometry
 
 
@@ -138,6 +141,104 @@ def test_solve_matches_dense_oracle():
         err = np.max(np.abs(field.values[free] - dense[free]))
         assert err < 1e-6
         checked += 1
+
+
+def ring_grid(h, w):
+    kind = np.full((h, w), FREE, dtype=np.uint8)
+    kind[0, :] = kind[-1, :] = OBSTACLE
+    kind[:, 0] = kind[:, -1] = OBSTACLE
+    return kind
+
+
+def grid_field(kind, goal):
+    kind = kind.copy()
+    kind[goal] = GOAL
+    return GridField(origin=(0.0, 0.0), cell_size=0.1, kind=kind,
+                     values=np.zeros(kind.shape), goal_cell=goal)
+
+
+def slot_grid():
+    # A three-cell-thick wall pierced by a one-cell slot on an odd row: a
+    # coarse cell is open if any child is, so the coarse grids keep the slot
+    # open, and closed faces keep the rest of the wall shut.
+    kind = ring_grid(40, 40)
+    kind[1:-1, 19:22] = OBSTACLE
+    kind[23, 19:22] = FREE
+    return grid_field(kind, (30, 32))
+
+
+def border_goal_grid():
+    kind = ring_grid(30, 34)
+    kind[10:20, 12:14] = OBSTACLE
+    return grid_field(kind, (1, 17))
+
+
+def odd_grid():
+    kind = ring_grid(37, 23)
+    kind[8:25, 9] = OBSTACLE
+    kind[20, 3:16] = OBSTACLE
+    return grid_field(kind, (5, 17))
+
+
+def pocket_grid():
+    # A walled room in the middle holds free cells no path reaches; their
+    # exact potential is u = 1.
+    kind = ring_grid(32, 32)
+    kind[10:22, 10] = kind[10:22, 21] = OBSTACLE
+    kind[10, 10:22] = kind[21, 10:22] = OBSTACLE
+    return grid_field(kind, (3, 28))
+
+
+def small_grid():
+    # Interior too small to coarsen: plain smoothing solves it alone.
+    kind = ring_grid(8, 12)
+    kind[3:6, 5] = OBSTACLE
+    return grid_field(kind, (4, 9))
+
+
+@pytest.mark.parametrize("make", [slot_grid, border_goal_grid, odd_grid, pocket_grid, small_grid])
+def test_multigrid_hard_cases_match_dense_oracle(make):
+    field = make()
+    solve_harmonic(field)
+    free = field.kind == FREE
+    assert np.max(np.abs(field.values[free] - dense_laplace_solve(field)[free])) < 1e-6
+    effort = field.effort
+    if make is small_grid:
+        assert effort.levels == 1 and effort.cycles == 0 and effort.smoothing_finish
+    else:
+        # A coarse grid that misjudges the fine problem still converges, just
+        # in many more cycles, so the cycle count is part of the contract.
+        assert effort.levels > 1 and 0 < effort.cycles <= 14 and not effort.smoothing_finish
+    assert effort.sweeps > 0
+
+
+def hausdorff(a, b):
+    d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    return max(d.min(axis=0).max(), d.min(axis=1).max())
+
+
+@pytest.mark.parametrize("spec", [EnvSpec(kind="corridor"), EnvSpec.gap_train(),
+                                  EnvSpec.gap_test()], ids=lambda spec: spec.kind)
+def test_solve_agrees_with_reference_solver(spec):
+    # The multigrid solve against the SOR reference on generated scenes:
+    # both stop at the same fine-level test, so fields agree far below the
+    # grid's resolution and the reference paths coincide.
+    run = default_config()
+    cell = run.episode.grid_cell
+    for seed in (1000, 1001):
+        world, start, goal_pose = generate_scene(spec, run.robot, np.random.default_rng(seed))
+        field = rasterize_world(world, cell, inflate=run.robot.link_capsule_radius,
+                                goal=goal_pose[:2])
+        reference = reference_solve_harmonic(rasterize_world(
+            world, cell, inflate=run.robot.link_capsule_radius, goal=goal_pose[:2]))
+        solve_harmonic(field)
+        assert field.effort.cycles <= 16 and not field.effort.smoothing_finish
+        free = field.kind == FREE
+        assert np.max(np.abs(field.log_values - reference.log_values)[free]) < 1e-5
+        ee_xy = forward_kinematics(run.robot, start)[-1][:2]
+        path = extract_path(field, ee_xy, goal=goal_pose[:2])
+        reference_path = extract_path(reference, ee_xy, goal=goal_pose[:2])
+        assert hausdorff(path.points, reference_path.points) < 0.1 * cell
 
 
 def test_converged_stencil_fixed_point():

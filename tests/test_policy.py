@@ -5,6 +5,7 @@ re-implementation that walks the same parameter views layer by layer.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -242,3 +243,20 @@ def test_checkpoint_rejects_mismatches(tmp_path):
     bumped.write_bytes(raw[:8] + (99).to_bytes(4, "little") + raw[12:])
     with pytest.raises(ValueError, match="version"):
         load_params(bumped, SMALL)
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "policy.bin"
+    save_params(path, SMALL, small_policy(seed=3).params)
+    before = path.read_bytes()
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    # The new bytes are written but never reach the disk: the save must fail
+    # without touching the previous checkpoint or leaving a temporary file.
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_params(path, SMALL, small_policy(seed=4).params)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["policy.bin"]

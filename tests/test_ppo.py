@@ -7,7 +7,9 @@ trajectories must be bit-identical).
 """
 
 import math
+import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from planarwbc.ppo import (
     init_trainer,
     load_train_checkpoint,
     ppo_loss,
+    save_train_checkpoint,
     ppo_update,
     train_loop,
 )
@@ -348,6 +351,27 @@ def test_checkpoint_rejects_other_run_config(tmp_path):
         load_train_checkpoint(result["checkpoint"], other)
     # A larger step budget alone must stay loadable (resumable runs).
     load_train_checkpoint(result["checkpoint"], smoke_run(total_steps=200_000))
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    run = smoke_run()
+    result = train_loop(run, tmp_path / "run")
+    path = result["checkpoint"]
+    before = Path(path).read_bytes()
+    trainer = load_train_checkpoint(path, run)
+    trainer.global_step += 1
+
+    def fail(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_train_checkpoint(path, run, trainer)
+    assert Path(path).read_bytes() == before
+    assert not [p for p in (tmp_path / "run").iterdir() if p.name.endswith(".tmp")]
+    monkeypatch.undo()
+    save_train_checkpoint(path, run, trainer)
+    assert load_train_checkpoint(path, run).global_step == trainer.global_step
 
 
 def test_ppo_update_requires_gae():
