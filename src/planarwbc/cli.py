@@ -18,7 +18,7 @@ import numpy as np
 from .config import ConfigError, default_config, load_config, save_config
 from .envs import generate_scene, make_episode, new_episode
 from .evaluate import eval_success_rate
-from .pathfield import extract_path, field_to_pgm, rasterize_world, solve_harmonic
+from .pathfield import field_to_pgm
 from .ppo import train_loop
 from .render import render_scene
 from .robot import forward_kinematics
@@ -85,13 +85,9 @@ def _cmd_inspect_env(args) -> int:
 def _cmd_hpf_dump(args) -> int:
     run = _load_run(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    world, start, goal_pose = generate_scene(run.env, run.robot, rng)
-    raster = rasterize_world(world, args.cell_size,
-                             inflate=run.robot.link_capsule_radius,
-                             goal=goal_pose[:2])
-    solve_harmonic(raster)
-    ee_xy = forward_kinematics(run.robot, start)[-1][:2]
-    path = extract_path(raster, ee_xy, goal=goal_pose[:2])
+    episode = make_episode(run.robot, run.reward, run.episode,
+                           *generate_scene(run.env, run.robot, rng), cell_size=args.cell_size)
+    raster, path = episode.path_field, episode.path
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "field.pgm").write_bytes(field_to_pgm(raster))
     (args.out / "path.json").write_text(

@@ -10,7 +10,7 @@ single termination reason per episode.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -129,7 +129,11 @@ class EpisodeConfig:
 
 @dataclass
 class Observation:
-    """Per-step agent inputs; scans normalized by the LIDAR max range."""
+    """Per-step agent inputs; scans normalized by the LIDAR max range.
+
+    The field order is the order of the flat vector; observation_layout
+    gives each field's length and input scale.
+    """
 
     front_scan: np.ndarray
     rear_scan: np.ndarray
@@ -139,16 +143,29 @@ class Observation:
     goal_in_ee: np.ndarray
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.front_scan,
-                self.rear_scan,
-                self.joint_pos,
-                self.joint_vel,
-                self.base_vel,
-                self.goal_in_ee,
-            ]
-        )
+        return np.concatenate([getattr(self, f.name) for f in fields(self)])
+
+
+def observation_layout(robot: RobotConfig) -> list[tuple[str, tuple[float, ...]]]:
+    """(field, per-element input scale) in vector order.
+
+    The scale tuple's length is the field's length. The scales bring every
+    input into roughly [-1, 1]; the policy applies them (PolicyConfig.obs_scale).
+    """
+    k = robot.num_joints
+    scales = {
+        "front_scan": (1.0,) * robot.lidar.beams,
+        "rear_scan": (1.0,) * robot.lidar.beams,
+        "joint_pos": tuple(1.0 / max(abs(lo), abs(hi), 1e-9) for lo, hi in robot.joint_limits),
+        "joint_vel": (1.0 / robot.max_joint_vel,) * k,
+        "base_vel": tuple(1.0 / v for v in robot.max_base_vel),
+        "goal_in_ee": (1.0 / robot.lidar.max_range,) * 2 + (1.0 / math.pi,),
+    }
+    return [(f.name, scales[f.name]) for f in fields(Observation)]
+
+
+def observation_size(robot: RobotConfig) -> int:
+    return sum(len(scale) for _, scale in observation_layout(robot))
 
 
 @dataclass
@@ -177,10 +194,6 @@ def build_observation(
         base_vel=state.base_vel.copy(),
         goal_in_ee=goal_in_ee,
     )
-
-
-def observation_size(config: RobotConfig) -> int:
-    return 2 * config.lidar.beams + 2 * config.num_joints + 3 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -373,52 +386,6 @@ def generate_scene(
     return generate_gap(spec, robot, rng)
 
 
-def passage_width_along_path(
-    world: WorldGeometry,
-    path: PathPolyline,
-    spacing: float = 0.05,
-    lateral_span: float = 1.5,
-    lateral_step: float = 0.02,
-) -> float:
-    """Minimum free-passage width probed along a path.
-
-    At probe points every `spacing` of arc, the passage is twice the best
-    obstacle clearance found on the lateral line through the point, i.e. the
-    widest disk that fits in the cross-section the path threads. Probes
-    outside the world bounds are skipped: space beyond the boundary walls is
-    not passage even though it is far from every obstacle surface.
-    """
-    n = max(2, int(math.ceil(path.total_length / spacing)) + 1)
-    arcs = np.linspace(0.0, path.total_length, n)
-    points = np.empty((n, 2))
-    idx = np.clip(np.searchsorted(path.cumlen, arcs, side="right") - 1, 0, len(path.points) - 2)
-    seg_len = path.cumlen[idx + 1] - path.cumlen[idx]
-    t = np.where(seg_len > 0, (arcs - path.cumlen[idx]) / np.where(seg_len > 0, seg_len, 1.0), 0.0)
-    points = path.points[idx] + t[:, None] * (path.points[idx + 1] - path.points[idx])
-
-    directions = np.zeros((n, 2))
-    directions[:-1] = path.points[idx + 1][:-1] - path.points[idx][:-1]
-    directions[-1] = directions[-2]
-    norms = np.linalg.norm(directions, axis=1)
-    directions = directions / np.where(norms > 0, norms, 1.0)[:, None]
-    normals = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
-
-    offsets = np.arange(-lateral_span, lateral_span + lateral_step / 2, lateral_step)
-    xmin, ymin, xmax, ymax = world.bounds
-    worst = math.inf
-    for p, nrm in zip(points, normals):
-        probes = p[None, :] + offsets[:, None] * nrm[None, :]
-        inside = (
-            (probes[:, 0] >= xmin)
-            & (probes[:, 0] <= xmax)
-            & (probes[:, 1] >= ymin)
-            & (probes[:, 1] <= ymax)
-        )
-        best = max((min_clearance_point(world, q) for q in probes[inside]), default=0.0)
-        worst = min(worst, 2.0 * best)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Episode state machine
 # ---------------------------------------------------------------------------
@@ -442,7 +409,6 @@ class Episode:
     required_hold_steps: int
     max_steps: int
     step_count: int = 0
-    hold_steps: int = 0
     terminated: str | None = None
 
     def observation(self) -> Observation:
@@ -499,7 +465,7 @@ def make_episode(
         path_field=raster,
         path_length_init=path_length_init,
         initial_progress=initial_progress,
-        reward_state=reward_mod.reset_state(config.tolerance, path_state),
+        reward_state=reward_mod.reset_state(config.tolerance),
         path_state=path_state,
         required_hold_steps=int(math.ceil(config.hold_time / config.timestep - 1e-9)),
         max_steps=int(math.ceil(config.time_limit / config.timestep - 1e-9)),
@@ -540,16 +506,15 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     collided = collision_check(episode.robot, new_state, episode.world)
     ee_x, ee_y, _ = end_effector_pose(episode.robot, new_state)
     d_goal = float(np.hypot(ee_x - episode.goal_pose[0], ee_y - episode.goal_pose[1]))
-    episode.hold_steps = episode.hold_steps + 1 if d_goal <= cfg.tolerance else 0
 
     d_dev, d_prog, episode.path_state = path_metrics(
         episode.path, episode.path_state, (ee_x, ee_y), ratchet=cfg.progress_ratchet
     )
+    observation = build_observation(episode.robot, new_state, episode.world, episode.goal_pose)
     clearance = math.inf
     if cfg.variant == "baseline":
-        obs_probe = build_observation(episode.robot, new_state, episode.world, episode.goal_pose)
         scan_min = float(
-            min(obs_probe.front_scan.min(), obs_probe.rear_scan.min())
+            min(observation.front_scan.min(), observation.rear_scan.min())
         ) * episode.robot.lidar.max_range
         clearance = min(scan_min, body_obstacle_clearance(episode.robot, new_state, episode.world))
     step_reward, episode.reward_state, breakdown = reward_mod.compute_step_reward(
@@ -569,7 +534,7 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
         terminated = "timeout"
     elif limit_hit and cfg.variant == "baseline":
         terminated = "joint_limit"
-    elif episode.hold_steps >= episode.required_hold_steps:
+    elif episode.reward_state.hold_steps >= episode.required_hold_steps:
         terminated = "success"
     if terminated is not None:
         step_reward += reward_mod.terminal_reward(episode.params, terminated)
@@ -577,7 +542,7 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
 
     info = {
         "goal_distance": d_goal,
-        "hold_time": episode.hold_steps * cfg.timestep,
+        "hold_time": episode.reward_state.hold_steps * cfg.timestep,
         "path_deviation": episode.path_state.prev_deviation,
         "path_progress_fraction": (
             (episode.path_state.prev_progress - episode.initial_progress)
@@ -585,12 +550,8 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
         ),
         "reward_terms": breakdown,
     }
-    return StepOutcome(
-        observation=episode.observation(),
-        reward=step_reward,
-        terminated=terminated,
-        info=info,
-    )
+    return StepOutcome(observation=observation, reward=step_reward, terminated=terminated,
+                       info=info)
 
 
 # ---------------------------------------------------------------------------
@@ -613,60 +574,38 @@ def episode_to_dict(episode: Episode) -> dict:
         },
         "goal_pose": episode.goal_pose.tolist(),
         "config": asdict(episode.config),
-        "state": {
-            "base_pose": st.base_pose.tolist(),
-            "base_vel": st.base_vel.tolist(),
-            "joint_pos": st.joint_pos.tolist(),
-            "joint_vel": st.joint_vel.tolist(),
-        },
+        "state": {f.name: getattr(st, f.name).tolist() for f in fields(st)},
         "plan_start": episode.path.points[0].tolist(),
-        "path_state": {
-            "prev_deviation": episode.path_state.prev_deviation,
-            "prev_progress": episode.path_state.prev_progress,
-            "max_progress": episode.path_state.max_progress,
-        },
+        "path_state": asdict(episode.path_state),
         "reward_state": {
             "hold_accumulator": episode.reward_state.hold_accumulator,
-            "inside_tolerance": episode.reward_state.inside_tolerance,
+            "inside_tolerance": episode.reward_state.hold_steps > 0,
         },
         "step_count": episode.step_count,
-        "hold_steps": episode.hold_steps,
+        "hold_steps": episode.reward_state.hold_steps,
         "terminated": episode.terminated,
     }
 
 
 def episode_from_dict(robot: RobotConfig, params: RewardParams, data: dict) -> Episode:
     """Rebuild a mid-episode snapshot written by episode_to_dict."""
-    world = WorldGeometry(
-        segments=np.asarray(data["world"]["segments"], dtype=float).reshape(-1, 4),
-        boxes=np.asarray(data["world"]["boxes"], dtype=float).reshape(-1, 4),
-        bounds=tuple(data["world"]["bounds"]),
-    )
+    w = data["world"]
+    world = WorldGeometry(segments=w["segments"], boxes=w["boxes"], bounds=tuple(w["bounds"]))
     config = EpisodeConfig(**data["config"])
-    st = RobotState(
-        base_pose=np.asarray(data["state"]["base_pose"], dtype=float),
-        base_vel=np.asarray(data["state"]["base_vel"], dtype=float),
-        joint_pos=np.asarray(data["state"]["joint_pos"], dtype=float),
-        joint_vel=np.asarray(data["state"]["joint_vel"], dtype=float),
-    )
+    st = RobotState(**{k: np.asarray(v, dtype=float) for k, v in data["state"].items()})
     episode = make_episode(
         robot, params, config, world, st, np.asarray(data["goal_pose"], dtype=float),
         plan_from=data["plan_start"],
     )
-    ps = data["path_state"]
-    episode.path_state = PathMetricsState(
-        prev_deviation=ps["prev_deviation"],
-        prev_progress=ps["prev_progress"],
-        max_progress=ps["max_progress"],
-    )
+    episode.path_state = PathMetricsState(**data["path_state"])
     rs = data["reward_state"]
+    if rs["inside_tolerance"] != (data["hold_steps"] > 0):
+        raise ValueError("snapshot's inside_tolerance disagrees with its hold_steps")
     episode.reward_state = RewardState(
         goal_tolerance=config.tolerance,
         hold_accumulator=rs["hold_accumulator"],
-        inside_tolerance=rs["inside_tolerance"],
-        path_state=episode.path_state,
+        hold_steps=data["hold_steps"],
     )
     episode.step_count = data["step_count"]
-    episode.hold_steps = data["hold_steps"]
     episode.terminated = data["terminated"]
     return episode

@@ -8,7 +8,7 @@ so identical inputs produce byte-identical report files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,19 +35,7 @@ class EvalReport:
     mean_length: float
 
     def to_json(self) -> str:
-        payload = {
-            "env_kind": self.env_kind,
-            "tolerance": self.tolerance,
-            "episodes": self.episodes,
-            "seed": self.seed,
-            "success_rate": self.success_rate,
-            "termination_percent": self.termination_percent,
-            "termination_counts": self.termination_counts,
-            "mean_final_distance": self.mean_final_distance,
-            "mean_return": self.mean_return,
-            "mean_length": self.mean_length,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def format_table(self) -> str:
         rows = [
@@ -101,7 +89,7 @@ def run_controller(
     counts = {reason: 0 for reason in TERMINATIONS}
     returns = []
     lengths = []
-    failure_distances = []
+    failures = []
     trace_fh = Path(trace_path).open("w") if trace_path is not None else None
     try:
         for i in range(episodes):
@@ -122,11 +110,10 @@ def run_controller(
             returns.append(total)
             lengths.append(episode.step_count)
             if episode.terminated != "success":
-                failure_distances.append(outcome.info["goal_distance"])
+                failures.append(outcome.info["goal_distance"])
     finally:
         if trace_fh is not None:
             trace_fh.close()
-    failures = [d for d in failure_distances]
     return EvalReport(
         env_kind=spec.kind,
         tolerance=cfg.tolerance,

@@ -24,26 +24,11 @@ def rot2d(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def pose_matrix(pose) -> np.ndarray:
-    """3x3 homogeneous transform for a planar pose (x, y, theta)."""
-    x, y, theta = pose
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
-
-
 def transform_point(pose, p) -> np.ndarray:
     """Map a point from the pose's local frame into the world frame."""
     x, y, theta = pose
     c, s = math.cos(theta), math.sin(theta)
     return np.array([x + c * p[0] - s * p[1], y + s * p[0] + c * p[1]])
-
-
-def inverse_transform_point(pose, p) -> np.ndarray:
-    """Map a world point into the pose's local frame."""
-    x, y, theta = pose
-    dx, dy = p[0] - x, p[1] - y
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c * dx + s * dy, -s * dx + c * dy])
 
 
 def point_segment_distance(p, seg) -> float:
@@ -157,11 +142,6 @@ def rays_segments_hits(origin, directions: np.ndarray, segments: np.ndarray) -> 
     return np.where(valid, t, np.inf)
 
 
-def ray_segments_hits(origin, direction, segments: np.ndarray) -> np.ndarray:
-    """Single-ray variant of rays_segments_hits, returning shape (N,)."""
-    return rays_segments_hits(origin, np.asarray([direction], dtype=float), segments)[0]
-
-
 def rays_boxes_hits(origin, directions: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Ray parameters t >= 0 of first boundary hit, one (B, N) entry per ray/box.
 
@@ -194,8 +174,3 @@ def rays_boxes_hits(origin, directions: np.ndarray, boxes: np.ndarray) -> np.nda
     hit = (tmax >= tmin) & (tmax >= 0.0) & ~np.isnan(tmin)
     t = np.where(tmin >= 0.0, tmin, tmax)
     return np.where(hit, t, np.inf)
-
-
-def ray_boxes_hits(origin, direction, boxes: np.ndarray) -> np.ndarray:
-    """Single-ray variant of rays_boxes_hits, returning shape (N,)."""
-    return rays_boxes_hits(origin, np.asarray([direction], dtype=float), boxes)[0]

@@ -27,15 +27,19 @@ LOG_OBSTACLE = 750.0
 
 @dataclass
 class GridField:
-    """Discretized potential: values[row, col] with row ~ y, col ~ x."""
+    """Discretized potential: log_values[row, col] with row ~ y, col ~ x."""
 
     origin: tuple[float, float]
     cell_size: float
     kind: np.ndarray  # uint8 (H, W)
-    values: np.ndarray  # float (H, W), u in [0, 1]
+    log_values: np.ndarray  # float (H, W), v = -ln(1 - u)
     goal_cell: tuple[int, int]  # (row, col)
-    log_values: np.ndarray | None = None  # float (H, W), v = -ln(1 - u)
     effort: SolverEffort | None = None  # set by solve_harmonic
+
+    @property
+    def values(self) -> np.ndarray:
+        """The raw potential u = 1 - exp(-v) in [0, 1]."""
+        return -np.expm1(-self.log_values)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,8 +100,8 @@ def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal
 
     kind = np.where(obstacle, OBSTACLE, FREE).astype(np.uint8)
     field = GridField(
-        origin=(xmin, ymin), cell_size=cell_size, kind=kind, values=np.zeros((h, w)),
-        goal_cell=(-1, -1),
+        origin=(xmin, ymin), cell_size=cell_size, kind=kind,
+        log_values=np.full((h, w), LOG_OBSTACLE), goal_cell=(-1, -1),
     )
     grow, gcol = field.cell_of(goal)
     if not (0 <= grow < h and 0 <= gcol < w):
@@ -106,8 +110,7 @@ def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal
         raise FieldError("goal inside an obstacle cell")
     kind[grow, gcol] = GOAL
     field.goal_cell = (grow, gcol)
-    field.values = np.ones((h, w))
-    field.values[grow, gcol] = 0.0
+    field.log_values[grow, gcol] = 0.0
     return field
 
 
@@ -474,9 +477,9 @@ def solve_harmonic(field: GridField, tol: float = 1e-10, max_iters: int = 200_00
     FAS V-cycles with Anderson mixing until both the relative stencil update
     of v and the update of u fall below tol on the full-resolution grid. If
     cycles stop lowering that score, plain red-black sweeps finish the solve;
-    max_iters caps the full-resolution sweeps. Stores the raw potential in
-    .values, the log potential in .log_values and the work in .effort. Free
-    cells cut off from the goal get u = 1.
+    max_iters caps the full-resolution sweeps. Stores the log potential in
+    .log_values and the work in .effort. Free cells cut off from the goal
+    get u = 1.
     """
     gr, gc = field.goal_cell
     h, w = field.shape
@@ -521,7 +524,6 @@ def solve_harmonic(field: GridField, tol: float = 1e-10, max_iters: int = 200_00
         if len(history) > 1:
             v[fine.free] = np.clip(_anderson_mix(history), 0.0, LOG_OBSTACLE)
     field.log_values = v
-    field.values = -np.expm1(-v)
     field.effort = effort
     return field
 
@@ -571,16 +573,14 @@ def extract_path(field: GridField, start, goal=None) -> PathPolyline:
 
     Steps of half a cell down the bilinear potential until the goal cell is
     entered; the exact goal point (when given) is appended as the final
-    vertex. Descent runs on the log potential when the field carries one,
-    whose streamlines match the raw potential's but whose gradients stay
-    resolvable far from the goal. Raises FieldError on a stalled gradient or
-    an over-long path.
+    vertex. Descent runs on the log potential, whose streamlines match the
+    raw potential's but whose gradients stay resolvable far from the goal.
+    Raises FieldError on a stalled gradient or an over-long path.
     """
     row, col = field.cell_of(start)
     h, w = field.shape
     if not (0 <= row < h and 0 <= col < w) or field.kind[row, col] == OBSTACLE:
         raise FieldError("path start is not in a free cell")
-    surface = field.log_values if field.log_values is not None else field.values
     step = field.cell_size / 2.0
     span_x = w * field.cell_size
     span_y = h * field.cell_size
@@ -592,7 +592,7 @@ def extract_path(field: GridField, start, goal=None) -> PathPolyline:
             if goal is not None:
                 points.append(np.array([float(goal[0]), float(goal[1])]))
             return PathPolyline.from_points(points)
-        _, dx, dy = _bilinear_with_gradient(field, p, surface)
+        _, dx, dy = _bilinear_with_gradient(field, p, field.log_values)
         norm = math.hypot(dx, dy)
         if norm < 1e-12:
             raise FieldError("descent stalled; re-solve the field at a tighter tolerance")

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .envs import observation_layout
 from .robot import Action, RobotConfig
 
 CHECKPOINT_MAGIC = b"PWBCNET1"
@@ -45,19 +46,13 @@ class PolicyConfig:
 
     @classmethod
     def for_robot(cls, robot: RobotConfig, **overrides) -> "PolicyConfig":
-        """Sizes and input scaling derived from the robot description."""
-        k = robot.num_joints
-        scale = []
-        scale += [1.0] * (2 * robot.lidar.beams)
-        scale += [1.0 / max(abs(lo), abs(hi), 1e-9) for lo, hi in robot.joint_limits]
-        scale += [1.0 / robot.max_joint_vel] * k
-        scale += [1.0 / v for v in robot.max_base_vel]
-        scale += [1.0 / robot.lidar.max_range] * 2 + [1.0 / np.pi]
+        """Sizes and input scaling derived from the robot's observation layout."""
+        scale = tuple(s for _, field_scale in observation_layout(robot) for s in field_scale)
         defaults = dict(
             scan_beams=robot.lidar.beams,
-            proprio_size=2 * k + 3 + 3,
-            action_dims=3 + k,
-            obs_scale=tuple(scale),
+            proprio_size=len(scale) - 2 * robot.lidar.beams,
+            action_dims=3 + robot.num_joints,
+            obs_scale=scale,
         )
         defaults.update(overrides)
         return cls(**defaults)
@@ -163,6 +158,28 @@ def _scaled(config: PolicyConfig, obs: np.ndarray) -> np.ndarray:
     return obs
 
 
+def _network(cfg: PolicyConfig, views, x, leaf, matmul, tanh, concat):
+    """The architecture, written once over an op set.
+
+    views maps layout names to weights, x is the scaled (N, obs) batch and
+    leaf wraps an input slice: numpy ops give the fast forward, autodiff ops
+    the taped one, with the same arithmetic. Returns the per-dimension head
+    logits, each (N, bins), and the (N, 1) value.
+    """
+    def dense(h, layer, suffix=""):
+        return matmul(h, views[f"{layer}.w{suffix}"]) + views[f"{layer}.b{suffix}"]
+
+    nb = cfg.scan_beams
+    scans = [
+        tanh(dense(tanh(dense(leaf(x[:, lo : lo + nb]), layer, "0")), layer, "1"))
+        for layer, lo in (("scan_front", 0), ("scan_rear", nb))
+    ]
+    h = tanh(dense(concat(scans + [leaf(x[:, 2 * nb :])], axis=1), "trunk", "0"))
+    h = tanh(dense(h, "trunk", "1"))
+    heads = [dense(h, f"head{d}") for d in range(cfg.action_dims)]
+    return heads, dense(h, "value")
+
+
 class Policy:
     """Flat parameter array bound to a config, with fast and taped forwards."""
 
@@ -174,8 +191,6 @@ class Policy:
         self.params = np.ascontiguousarray(params, dtype=np.float64)
         self.views = param_views(config, self.params)
 
-    # -- fast numpy forward --------------------------------------------------
-
     def forward_batch(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, obs) -> logits (N, dims, bins) and values (N,)."""
         cfg = self.config
@@ -183,31 +198,13 @@ class Policy:
             raise ValueError(
                 f"expected observations of shape (N, {cfg.observation_size}), got {obs.shape}"
             )
-        v = self.views
-        x = _scaled(cfg, obs)
-        nb = cfg.scan_beams
-        front, rear, prop = x[:, :nb], x[:, nb : 2 * nb], x[:, 2 * nb :]
-        ef = np.tanh(
-            np.tanh(front @ v["scan_front.w0"] + v["scan_front.b0"]) @ v["scan_front.w1"]
-            + v["scan_front.b1"]
-        )
-        er = np.tanh(
-            np.tanh(rear @ v["scan_rear.w0"] + v["scan_rear.b0"]) @ v["scan_rear.w1"]
-            + v["scan_rear.b1"]
-        )
-        h = np.tanh(np.concatenate([ef, er, prop], axis=1) @ v["trunk.w0"] + v["trunk.b0"])
-        h = np.tanh(h @ v["trunk.w1"] + v["trunk.b1"])
-        logits = np.stack(
-            [h @ v[f"head{d}.w"] + v[f"head{d}.b"] for d in range(cfg.action_dims)], axis=1
-        )
-        values = (h @ v["value.w"] + v["value.b"])[:, 0]
-        return logits, values
+        heads, value = _network(cfg, self.views, _scaled(cfg, obs), lambda a: a,
+                                np.matmul, np.tanh, np.concatenate)
+        return np.stack(heads, axis=1), value[:, 0]
 
     def forward(self, obs: np.ndarray) -> PolicyOutput:
         logits, values = self.forward_batch(obs.reshape(1, -1))
         return PolicyOutput(logits=logits[0], value=float(values[0]))
-
-    # -- taped forward for training ------------------------------------------
 
     def graph_forward(self, obs: np.ndarray):
         """Taped batch forward.
@@ -215,28 +212,10 @@ class Policy:
         Returns (logits tensors per action dimension, value tensor (N,),
         parameter tensors by layout name) for loss assembly and backward().
         """
-        cfg = self.config
         v = {name: ad.Tensor(view) for name, view in self.views.items()}
-        x = _scaled(cfg, obs)
-        nb = cfg.scan_beams
-        front = ad.Tensor(x[:, :nb])
-        rear = ad.Tensor(x[:, nb : 2 * nb])
-        prop = ad.Tensor(x[:, 2 * nb :])
-        ef = ad.tanh(
-            ad.matmul(ad.tanh(ad.matmul(front, v["scan_front.w0"]) + v["scan_front.b0"]),
-                      v["scan_front.w1"]) + v["scan_front.b1"]
-        )
-        er = ad.tanh(
-            ad.matmul(ad.tanh(ad.matmul(rear, v["scan_rear.w0"]) + v["scan_rear.b0"]),
-                      v["scan_rear.w1"]) + v["scan_rear.b1"]
-        )
-        h = ad.tanh(ad.matmul(ad.concat([ef, er, prop], axis=1), v["trunk.w0"]) + v["trunk.b0"])
-        h = ad.tanh(ad.matmul(h, v["trunk.w1"]) + v["trunk.b1"])
-        logits = [
-            ad.matmul(h, v[f"head{d}.w"]) + v[f"head{d}.b"] for d in range(cfg.action_dims)
-        ]
-        value = ad.matmul(h, v["value.w"]) + v["value.b"]
-        return logits, value.reshape(-1), v
+        heads, value = _network(self.config, v, _scaled(self.config, obs), ad.Tensor,
+                                ad.matmul, ad.tanh, ad.concat)
+        return heads, value.reshape(-1), v
 
     def gradient_from(self, param_tensors: dict[str, ad.Tensor]) -> np.ndarray:
         """Flat gradient in layout order after backward() has run."""
@@ -302,11 +281,6 @@ def sample_action(
     """(Action, bins, log_prob, entropy) sampled from the policy output."""
     bins, log_prob, entropy = sample_bins(output, rng)
     return bins_to_action(robot, bins, output.logits.shape[-1]), bins, log_prob, entropy
-
-
-def greedy_action(robot: RobotConfig, output: PolicyOutput) -> tuple[Action, np.ndarray]:
-    bins = greedy_bins(output)
-    return bins_to_action(robot, bins, output.logits.shape[-1]), bins
 
 
 # -- checkpointing -------------------------------------------------------------

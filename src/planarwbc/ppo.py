@@ -31,6 +31,7 @@ from .policy import (
 
 TRAIN_MAGIC = b"PWBCTRN1"
 TRAIN_VERSION = 1
+METRICS_HEADER = "global_step,worker,episode_return,episode_length,termination,tolerance\n"
 
 
 @dataclass(frozen=True)
@@ -260,20 +261,10 @@ def ppo_loss(
     """
     logits, value, params = policy.graph_forward(obs)
     n, dims = bins.shape
-    n_bins = policy.config.bins
-    log_prob_terms = []
-    entropy_terms = []
-    for d in range(dims):
-        logp = ad.log_softmax(logits[d], axis=1)
-        onehot = np.zeros((n, n_bins))
-        onehot[np.arange(n), bins[:, d]] = 1.0
-        log_prob_terms.append((logp * ad.Tensor(onehot)).sum(axis=1))
-        entropy_terms.append((ad.exp(logp) * logp).sum(axis=1) * -1.0)
-    new_log_prob = log_prob_terms[0]
-    entropy = entropy_terms[0]
-    for d in range(1, dims):
-        new_log_prob = new_log_prob + log_prob_terms[d]
-        entropy = entropy + entropy_terms[d]
+    logp = ad.log_softmax(ad.concat(logits, axis=1).reshape(n, dims, -1), axis=2)
+    onehot = ad.Tensor(np.eye(policy.config.bins)[bins])
+    new_log_prob = (logp * onehot).sum(axis=2).sum(axis=1)
+    entropy = (ad.exp(logp) * logp).sum(axis=2).sum(axis=1) * -1.0
 
     ratio = ad.exp(new_log_prob - ad.Tensor(old_log_probs))
     adv = ad.Tensor(advantages)
@@ -484,6 +475,27 @@ def init_trainer(run) -> TrainerState:
     )
 
 
+def _cut_logs(out_dir: Path, global_step: int, update_count: int) -> None:
+    """Drop log rows past (global_step, update_count); write headers where missing.
+
+    A fresh run cuts to (0, 0). A resumed run cuts to its checkpoint: later
+    rows, and a line cut short by a crash, come from work the checkpoint does
+    not hold and the run is about to redo.
+    """
+    def by_step(line):
+        return int(line.split(",", 1)[0]) <= global_step
+
+    for name, header, keep in (
+        ("metrics.csv", METRICS_HEADER, by_step),
+        ("updates.jsonl", "", lambda line: json.loads(line)["update"] <= update_count),
+        ("adr.csv", "global_step,tolerance\n", by_step),
+    ):
+        path = out_dir / name
+        rows = path.read_text().splitlines(keepends=True) if path.exists() else []
+        rows = rows[1:] if header else rows
+        path.write_text(header + "".join(r for r in rows if r.endswith("\n") and keep(r)))
+
+
 def train_loop(run, out_dir, resume: str | None = None, log_every: int = 1) -> dict:
     """Alternate collection and updates until the step budget is spent.
 
@@ -500,15 +512,8 @@ def train_loop(run, out_dir, resume: str | None = None, log_every: int = 1) -> d
     updates_path = out_dir / "updates.jsonl"
     adr_path = out_dir / "adr.csv"
 
-    if resume is not None:
-        trainer = load_train_checkpoint(resume, run)
-    else:
-        trainer = init_trainer(run)
-        metrics_path.write_text(
-            "global_step,worker,episode_return,episode_length,termination,tolerance\n"
-        )
-        updates_path.write_text("")
-        adr_path.write_text("global_step,tolerance\n")
+    trainer = load_train_checkpoint(resume, run) if resume is not None else init_trainer(run)
+    _cut_logs(out_dir, trainer.global_step, trainer.update_count)
 
     tc: TrainConfig = run.train
     last_tolerance = adr_mod.current_tolerance(trainer.adr_state)

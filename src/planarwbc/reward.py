@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .pathfield import PathMetricsState
-
 VARIANTS = ("clamping", "baseline")
 TERMINATIONS = ("collision", "timeout", "joint_limit", "success")
 
@@ -63,20 +61,20 @@ class RewardState:
 
     hold_accumulator is the running sum of holding bonuses granted since the
     last entry into tolerance; it is non-negative and drops back to zero the
-    moment an exit refunds it.
+    moment an exit refunds it. hold_steps counts the consecutive steps inside
+    tolerance up to now (0 when outside); the episode's success test reads it.
     """
 
     goal_tolerance: float
     hold_accumulator: float = 0.0
-    inside_tolerance: bool = False
-    path_state: PathMetricsState | None = None
+    hold_steps: int = 0
 
 
-def reset_state(goal_tolerance: float, path_state: PathMetricsState | None = None) -> RewardState:
+def reset_state(goal_tolerance: float) -> RewardState:
     """Fresh per-episode state for a given tolerance-sphere radius."""
     if not 0.05 <= goal_tolerance <= 0.5:
         raise ValueError(f"goal_tolerance {goal_tolerance} outside [0.05, 0.5]")
-    return RewardState(goal_tolerance=goal_tolerance, path_state=path_state)
+    return RewardState(goal_tolerance=goal_tolerance)
 
 
 def compute_step_reward(
@@ -121,7 +119,7 @@ def compute_step_reward(
         accumulator += hold_term
 
     refund = 0.0
-    if state.inside_tolerance and not inside:
+    if state.hold_steps > 0 and not inside:
         refund = accumulator
         accumulator = 0.0
 
@@ -132,7 +130,7 @@ def compute_step_reward(
 
     reward = time_term + deviation_term + progress_term + hold_term - refund + safety_term
     new_state = replace(
-        state, hold_accumulator=accumulator, inside_tolerance=inside
+        state, hold_accumulator=accumulator, hold_steps=state.hold_steps + 1 if inside else 0
     )
     breakdown = {
         "time": time_term,

@@ -10,7 +10,69 @@ import numpy as np
 
 from planarwbc.geometry import point_box_distance, point_segment_distance
 from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
+from planarwbc.policy import bins_to_action, greedy_bins
 from planarwbc.robot import forward_kinematics
+from planarwbc.world import min_clearance_point
+
+
+def pose_matrix(pose) -> np.ndarray:
+    """3x3 homogeneous transform for a planar pose (x, y, theta)."""
+    x, y, theta = pose
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
+
+
+def inverse_transform_point(pose, p) -> np.ndarray:
+    """Map a world point into the pose's local frame."""
+    x, y, theta = pose
+    dx, dy = p[0] - x, p[1] - y
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([c * dx + s * dy, -s * dx + c * dy])
+
+
+def greedy_action(robot, output):
+    """(Action, bins) of the most likely bin per action dimension."""
+    bins = greedy_bins(output)
+    return bins_to_action(robot, bins, output.logits.shape[-1]), bins
+
+
+def passage_width_along_path(world, path, spacing=0.05, lateral_span=1.5, lateral_step=0.02):
+    """Minimum free-passage width probed along a path.
+
+    At probe points every `spacing` of arc, the passage is twice the best
+    obstacle clearance found on the lateral line through the point, i.e. the
+    widest disk that fits in the cross-section the path threads. Probes
+    outside the world bounds are skipped: space beyond the boundary walls is
+    not passage even though it is far from every obstacle surface.
+    """
+    n = max(2, int(math.ceil(path.total_length / spacing)) + 1)
+    arcs = np.linspace(0.0, path.total_length, n)
+    idx = np.clip(np.searchsorted(path.cumlen, arcs, side="right") - 1, 0, len(path.points) - 2)
+    seg_len = path.cumlen[idx + 1] - path.cumlen[idx]
+    t = np.where(seg_len > 0, (arcs - path.cumlen[idx]) / np.where(seg_len > 0, seg_len, 1.0), 0.0)
+    points = path.points[idx] + t[:, None] * (path.points[idx + 1] - path.points[idx])
+
+    directions = np.zeros((n, 2))
+    directions[:-1] = path.points[idx + 1][:-1] - path.points[idx][:-1]
+    directions[-1] = directions[-2]
+    norms = np.linalg.norm(directions, axis=1)
+    directions = directions / np.where(norms > 0, norms, 1.0)[:, None]
+    normals = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
+
+    offsets = np.arange(-lateral_span, lateral_span + lateral_step / 2, lateral_step)
+    xmin, ymin, xmax, ymax = world.bounds
+    worst = math.inf
+    for p, nrm in zip(points, normals):
+        probes = p[None, :] + offsets[:, None] * nrm[None, :]
+        inside = (
+            (probes[:, 0] >= xmin)
+            & (probes[:, 0] <= xmax)
+            & (probes[:, 1] >= ymin)
+            & (probes[:, 1] <= ymax)
+        )
+        best = max((min_clearance_point(world, q) for q in probes[inside]), default=0.0)
+        worst = min(worst, 2.0 * best)
+    return worst
 
 
 def boxes_ray_march(origin, angle, boxes, max_range, step=1e-4):
@@ -276,7 +338,7 @@ def reference_solve_harmonic(
     reference for planarwbc.pathfield.solve_harmonic, which must reach the
     same fine-level convergence test. Iterates in the log domain (see
     planarwbc.pathfield.LOG_OBSTACLE) and stores both the raw potential in
-    .values and the log potential in .log_values. warm_start seeds the fine
+    .log_values. warm_start seeds the fine
     grid from a coarsened solve cascade, which cuts the sweep count on large
     grids; the convergence criterion at the full resolution is unchanged.
     """
@@ -300,7 +362,6 @@ def reference_solve_harmonic(
             log_values[free] = coarse[free]
     sor_relax(log_values, free, omega, tol, max_iters)
     field.log_values = log_values
-    field.values = -np.expm1(-log_values)
     return field
 
 
@@ -331,7 +392,7 @@ def _reference_coarse_solution(field: GridField, omega, tol, max_iters):
         origin=field.origin,
         cell_size=field.cell_size * 2.0,
         kind=coarse_kind,
-        values=np.zeros((ch, cw)),
+        log_values=np.zeros((ch, cw)),
         goal_cell=(cgr, cgc),
     )
     try:

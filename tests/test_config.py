@@ -13,7 +13,7 @@ from planarwbc.config import (
     load_config,
     save_config,
 )
-from planarwbc.policy import PolicyConfig
+from planarwbc.policy import PolicyConfig, config_hash
 
 
 def test_empty_document_yields_valid_defaults():
@@ -130,6 +130,10 @@ def test_obs_scale_derivation_matches_robot():
     assert np.all(scale[:128] == 1.0)  # normalized scans pass through
     assert scale[128] == pytest.approx(1.0 / 2.0)  # joint position limit
     assert scale[-1] == pytest.approx(1.0 / np.pi)  # goal heading
+    # The scale is part of the policy's config hash, which checkpoints carry.
+    assert config_hash(config.policy).hex() == (
+        "c2f25b30d339a999acf50ce7b7259f1f2ca78eac20a59cb2804901f832648079"
+    )
 
     tweaked = config_from_dict({"robot": {"max_joint_vel": 3.0}})
     derived = PolicyConfig.for_robot(tweaked.robot)

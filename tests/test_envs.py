@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import passage_width_along_path
+from planarwbc import envs as envs_mod
 from planarwbc.envs import (
     EnvSpec,
     EpisodeConfig,
@@ -22,7 +24,6 @@ from planarwbc.envs import (
     generate_scene,
     make_episode,
     new_episode,
-    passage_width_along_path,
 )
 from planarwbc.reward import RewardParams
 from planarwbc.robot import (
@@ -247,6 +248,31 @@ def test_observation_vector_layout():
     assert np.array_equal(vec[-3:], obs.goal_in_ee)
     assert np.all((obs.front_scan >= 0) & (obs.front_scan <= 1))
     assert np.all((obs.rear_scan >= 0) & (obs.rear_scan <= 1))
+    # The layout names every field in vector order with its length.
+    layout = envs_mod.observation_layout(ROBOT)
+    assert np.array_equal(vec, np.concatenate([getattr(obs, name) for name, _ in layout]))
+    assert [len(getattr(obs, name)) for name, _ in layout] == [len(s) for _, s in layout]
+    assert envs_mod.observation_size(ROBOT) == len(vec)
+
+
+def test_baseline_step_builds_one_observation(monkeypatch):
+    # The safety margin and the returned observation share one scan per
+    # sensor, and that observation is the episode's post-step observation.
+    episode = room_episode(EpisodeConfig(variant="baseline"), goal_offset=(2.0, 0.0))
+    casts = collections.Counter()
+    cast_lidar = envs_mod.cast_lidar
+
+    def counting_cast(config, state, world, sensor):
+        casts[sensor] += 1
+        return cast_lidar(config, state, world, sensor)
+
+    monkeypatch.setattr(envs_mod, "cast_lidar", counting_cast)
+    for _ in range(5):
+        casts.clear()
+        outcome = env_step(episode, base_only_action(0.5))
+        assert dict(casts) == {"front": 1, "rear": 1}
+        assert np.array_equal(outcome.observation.to_vector(),
+                              episode.observation().to_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +514,7 @@ def test_episode_snapshot_round_trip():
     )
     assert np.array_equal(restored.path.points, episode.path.points)
     assert restored.step_count == episode.step_count
-    assert restored.hold_steps == episode.hold_steps
+    assert restored.reward_state.hold_steps == episode.reward_state.hold_steps
     assert restored.reward_state.hold_accumulator == episode.reward_state.hold_accumulator
     assert np.array_equal(
         restored.observation().to_vector(), episode.observation().to_vector()
@@ -503,3 +529,20 @@ def test_episode_snapshot_round_trip():
         assert b.info["path_deviation"] == a.info["path_deviation"]
         if a.terminated is not None:
             break
+
+
+def test_snapshot_rejects_contradictory_hold_state():
+    # The snapshot stores the in-tolerance flag beside the hold counter; a
+    # flag that disagrees with hold_steps > 0 marks a corrupt snapshot.
+    episode = room_episode(EpisodeConfig(tolerance=0.3))
+    env_step(episode, base_only_action(0.0))
+    assert episode.reward_state.hold_steps == 1
+    for hold_steps, inside in ((1, False), (0, True)):
+        snapshot = json.loads(json.dumps(episode_to_dict(episode)))
+        snapshot["hold_steps"] = hold_steps
+        snapshot["reward_state"]["inside_tolerance"] = inside
+        with pytest.raises(ValueError, match="inside_tolerance"):
+            episode_from_dict(ROBOT, PARAMS, snapshot)
+    snapshot = episode_to_dict(episode)
+    assert snapshot["reward_state"]["inside_tolerance"] is True
+    assert episode_from_dict(ROBOT, PARAMS, snapshot).reward_state.hold_steps == 1

@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import inverse_transform_point, pose_matrix
 from planarwbc.geometry import (
-    inverse_transform_point,
     point_box_distance,
     point_in_box,
     point_segment_distance,
-    pose_matrix,
-    ray_boxes_hits,
-    ray_segments_hits,
     rays_boxes_hits,
     rays_segments_hits,
     rot2d,
@@ -125,7 +122,7 @@ def test_ray_segment_hits_against_marching():
         origin = rng.uniform(-1, 1, 2)
         ang = rng.uniform(-math.pi, math.pi)
         direction = np.array([math.cos(ang), math.sin(ang)])
-        ts = ray_segments_hits(origin, direction, segments)
+        ts = rays_segments_hits(origin, direction[None, :], segments)[0]
         t = float(np.min(ts))
 
         def blocked(pts):
@@ -147,19 +144,19 @@ def test_ray_segment_hits_against_marching():
 
 def test_ray_box_hits_cases():
     boxes = np.array([[1.0, -1.0, 2.0, 1.0]])
-    t = ray_boxes_hits((0.0, 0.0), (1.0, 0.0), boxes)
+    t = rays_boxes_hits((0.0, 0.0), [(1.0, 0.0)], boxes)[0]
     assert t[0] == pytest.approx(1.0)
     # Starting inside reports the exit.
-    t = ray_boxes_hits((1.5, 0.0), (1.0, 0.0), boxes)
+    t = rays_boxes_hits((1.5, 0.0), [(1.0, 0.0)], boxes)[0]
     assert t[0] == pytest.approx(0.5)
     # Pointing away misses.
-    t = ray_boxes_hits((0.0, 2.0), (0.0, 1.0), boxes)
+    t = rays_boxes_hits((0.0, 2.0), [(0.0, 1.0)], boxes)[0]
     assert math.isinf(t[0])
     # Axis-parallel ray sliding past (outside the slab).
-    t = ray_boxes_hits((0.0, 1.5), (1.0, 0.0), boxes)
+    t = rays_boxes_hits((0.0, 1.5), [(1.0, 0.0)], boxes)[0]
     assert math.isinf(t[0])
     # Vertical ray (dx = 0) into the box.
-    t = ray_boxes_hits((1.5, -3.0), (0.0, 1.0), boxes)
+    t = rays_boxes_hits((1.5, -3.0), [(0.0, 1.0)], boxes)[0]
     assert t[0] == pytest.approx(2.0)
 
 
@@ -174,5 +171,6 @@ def test_batched_rays_match_single():
     batch_seg = rays_segments_hits(origin, dirs, segments)
     batch_box = rays_boxes_hits(origin, dirs, boxes)
     for i in range(32):
-        np.testing.assert_array_equal(batch_seg[i], ray_segments_hits(origin, dirs[i], segments))
-        np.testing.assert_array_equal(batch_box[i], ray_boxes_hits(origin, dirs[i], boxes))
+        one_ray = dirs[i : i + 1]
+        np.testing.assert_array_equal(batch_seg[i], rays_segments_hits(origin, one_ray, segments)[0])
+        np.testing.assert_array_equal(batch_box[i], rays_boxes_hits(origin, one_ray, boxes)[0])

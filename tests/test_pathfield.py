@@ -55,7 +55,7 @@ def random_grid_field(rng, n=20, p_obstacle=0.25):
         return None
     kind[gr, gc] = GOAL
     field = GridField(origin=(0.0, 0.0), cell_size=0.1, kind=kind,
-                      values=np.zeros((n, n)), goal_cell=(int(gr), int(gc)))
+                      log_values=np.zeros((n, n)), goal_cell=(int(gr), int(gc)))
     return field
 
 
@@ -115,7 +115,7 @@ def test_solve_strip_monotone():
     kind[1, 1:-1] = FREE
     kind[1, 1] = GOAL
     field = GridField(origin=(0, 0), cell_size=0.1, kind=kind,
-                      values=np.zeros((3, n)), goal_cell=(1, 1))
+                      log_values=np.zeros((3, n)), goal_cell=(1, 1))
     solve_harmonic(field)
     row = field.values[1, 1:-1]
     assert np.all(np.diff(row) > 0.0)
@@ -154,7 +154,7 @@ def grid_field(kind, goal):
     kind = kind.copy()
     kind[goal] = GOAL
     return GridField(origin=(0.0, 0.0), cell_size=0.1, kind=kind,
-                     values=np.zeros(kind.shape), goal_cell=goal)
+                     log_values=np.zeros(kind.shape), goal_cell=goal)
 
 
 def slot_grid():

@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from oracles import greedy_action
 from planarwbc import autodiff as ad
 from planarwbc.policy import (
     Policy,
@@ -18,7 +19,6 @@ from planarwbc.policy import (
     acceleration_limits,
     bins_to_action,
     distribution_stats,
-    greedy_action,
     greedy_bins,
     init_params,
     layout,
@@ -89,8 +89,8 @@ def test_graph_forward_matches_fast_forward():
     fast_logits, fast_values = policy.forward_batch(obs)
     taped_logits, taped_value, _ = policy.graph_forward(obs)
     for d, t in enumerate(taped_logits):
-        assert np.allclose(t.data, fast_logits[:, d, :], atol=1e-12)
-    assert np.allclose(taped_value.data, fast_values, atol=1e-12)
+        assert np.array_equal(t.data, fast_logits[:, d, :])
+    assert np.array_equal(taped_value.data, fast_values)
 
 
 def test_taped_gradient_spot_checked_by_finite_differences():

@@ -8,6 +8,7 @@ trajectories must be bit-identical).
 
 import math
 import os
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,6 +218,27 @@ def test_loss_gradient_matches_finite_differences(clip_range_vf):
     assert worst < 1e-4
 
 
+def test_batched_head_terms_match_per_dimension_reference():
+    # ppo_loss takes one log-softmax over (N, dims, bins). Per sample, its
+    # log-prob (the log of the ratio against a zero old log-prob) and its
+    # entropy must equal distribution_stats, which works dimension by dimension.
+    config = replace(TINY, action_dims=6, bins=7)
+    policy = Policy(config, init_params(config, np.random.default_rng(15)))
+    for d in range(config.action_dims):
+        policy.views[f"head{d}.w"][...] *= 300.0  # logits far from uniform
+    n = 6
+    obs, bins, _, values = self_consistent_batch(policy, n, seed=16)
+    logits, _ = policy.forward_batch(obs)
+    for i in range(n):
+        one = slice(i, i + 1)
+        _, _, stats = ppo_loss(policy, obs[one], bins[one], np.zeros(1), np.zeros(1),
+                               values[one], values[one], TrainConfig())
+        log_prob, entropy = distribution_stats(logits[i], bins[i])
+        assert log_prob < -1.0
+        assert math.log(stats["ratio_mean"]) == pytest.approx(log_prob, abs=1e-12)
+        assert stats["entropy"] == pytest.approx(entropy, abs=1e-12)
+
+
 def test_entropy_term_pushes_toward_uniform():
     # With only the entropy bonus active, ascending it must raise entropy.
     policy = tiny_policy(seed=11)
@@ -341,6 +363,37 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert np.array_equal(res_state.policy.params, full_state.policy.params)
     assert np.array_equal(res_state.adam_m, full_state.adam_m)
     assert res_state.update_rng.bit_generator.state == full_state.update_rng.bit_generator.state
+
+
+def test_resumed_logs_match_uninterrupted_run(tmp_path):
+    # A 48-step run resumed to 96 steps in its own directory leaves the log
+    # bytes of one 96-step run, also when the resume starts from a checkpoint
+    # older than the directory's logs.
+    def logs(out):
+        return {name: (out / name).read_bytes()
+                for name in ("metrics.csv", "updates.jsonl", "adr.csv")}
+
+    train_loop(smoke_run(total_steps=96), tmp_path / "full")
+    expected = logs(tmp_path / "full")
+    out = tmp_path / "run"
+    half = train_loop(smoke_run(total_steps=48), out)
+    older = tmp_path / "half.ckpt"
+    shutil.copy(half["checkpoint"], older)
+    train_loop(smoke_run(total_steps=96), out, resume=half["checkpoint"])
+    assert logs(out) == expected
+    train_loop(smoke_run(total_steps=96), out, resume=older)
+    assert logs(out) == expected
+
+    # Into a new directory: every log gets its header and the rows after
+    # the checkpoint.
+    fresh = tmp_path / "fresh"
+    train_loop(smoke_run(total_steps=96), fresh, resume=older)
+    header, *rows = expected["metrics.csv"].splitlines(keepends=True)
+    assert logs(fresh) == {
+        "metrics.csv": header + b"".join(r for r in rows if int(r.split(b",")[0]) > 48),
+        "updates.jsonl": expected["updates.jsonl"].splitlines(keepends=True)[1],
+        "adr.csv": b"global_step,tolerance\n",
+    }
 
 
 def test_checkpoint_rejects_other_run_config(tmp_path):

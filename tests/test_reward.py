@@ -37,7 +37,7 @@ def test_inside_tolerance_vector():
     assert r == pytest.approx(1.59, abs=1e-9)
     assert terms["hold"] == pytest.approx(1.6, abs=1e-9)
     assert state.hold_accumulator == pytest.approx(1.6, abs=1e-9)
-    assert state.inside_tolerance
+    assert state.hold_steps == 1
 
 
 def test_hold_bonus_bounds():
@@ -152,7 +152,7 @@ def test_reset_state_contract():
     a = reset_state(0.3)
     b = reset_state(0.3)
     assert a == b
-    assert a.hold_accumulator == 0.0 and not a.inside_tolerance
+    assert a.hold_accumulator == 0.0 and a.hold_steps == 0
     for bad in (0.04, 0.51, 0.6, -0.1):
         with pytest.raises(ValueError):
             reset_state(bad)
