@@ -157,11 +157,6 @@ class Tensor:
         return self.sum() * (1.0 / self.data.size)
 
 
-def constant(value) -> Tensor:
-    """Leaf with no gradient accumulation of interest (still a valid leaf)."""
-    return Tensor(value)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ValueError("matmul supports 2-D operands only")

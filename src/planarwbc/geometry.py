@@ -3,6 +3,13 @@
 Conventions: points are (x, y) float pairs or numpy arrays, segments are
 (x0, y0, x1, y1), axis-aligned boxes are (xmin, ymin, xmax, ymax), poses are
 (x, y, theta). All lengths in meters, angles in radians.
+
+The distance functions broadcast. Each argument is an array whose last axis
+holds the coordinates above; its leading axes broadcast against the other
+argument's by numpy rules, and the result has the broadcast leading shape.
+Plain pairs and 4-tuples give a numpy float. Segments that cross or touch,
+and points or segment endpoints inside a box, are exactly 0.0 apart; a point
+on a segment may come out a rounding error above 0.
 """
 from __future__ import annotations
 
@@ -31,91 +38,78 @@ def transform_point(pose, p) -> np.ndarray:
     return np.array([x + c * p[0] - s * p[1], y + s * p[0] + c * p[1]])
 
 
-def point_segment_distance(p, seg) -> float:
-    """Distance from point p to the segment (x0, y0, x1, y1)."""
-    px, py = p[0], p[1]
-    x0, y0, x1, y1 = seg
-    dx, dy = x1 - x0, y1 - y0
+def point_segment_distance(p, seg):
+    """Distance from points p to segments seg."""
+    return _point_segment(np.asarray(p, dtype=float), np.asarray(seg, dtype=float))[0]
+
+
+def point_box_distance(p, box):
+    """Distance from points p to solid boxes; exactly 0 inside or on the boundary."""
+    p = np.asarray(p, dtype=float)
+    box = np.asarray(box, dtype=float)
+    dx = np.maximum(np.maximum(box[..., 0] - p[..., 0], 0.0), p[..., 0] - box[..., 2])
+    dy = np.maximum(np.maximum(box[..., 1] - p[..., 1], 0.0), p[..., 1] - box[..., 3])
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def segment_segment_distance(a, b):
+    """Minimum distance between segments; exactly 0 where they cross or touch."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    # Each endpoint against the other segment, as one batch of four.
+    segs = np.empty((4, *shape))
+    segs[0:2] = b
+    segs[2:4] = a
+    points = np.empty((4, *shape[:-1], 2))
+    points[0], points[1] = segs[2, ..., 0:2], segs[2, ..., 2:4]
+    points[2], points[3] = segs[0, ..., 0:2], segs[0, ..., 2:4]
+    dist, side = _point_segment(points, segs)
+    sign = np.sign(side)
+    proper = (sign[0] * sign[1] < 0.0) & (sign[2] * sign[3] < 0.0)
+    # An endpoint exactly on the other segment's line touches it when it also
+    # lies in that segment's bounding box (collinear overlap, T-touch).
+    lo = np.minimum(segs[..., 0:2], segs[..., 2:4])
+    hi = np.maximum(segs[..., 0:2], segs[..., 2:4])
+    on = (side == 0.0) & ((lo <= points) & (points <= hi)).all(axis=-1)
+    return np.where(proper | on.any(axis=0), 0.0, dist.min(axis=0))[()]
+
+
+def segment_box_distance(seg, box):
+    """Minimum distance between segments and solid boxes; exactly 0 on overlap."""
+    seg = np.asarray(seg, dtype=float)
+    box = np.asarray(box, dtype=float)
+    ends = seg.reshape(*seg.shape[:-1], 2, 2)
+    inside = (point_box_distance(ends, box[..., None, :]) == 0.0).any(axis=-1)
+    edges = segment_segment_distance(seg[..., None, :], box_edges(box))
+    return np.where(inside, 0.0, edges.min(axis=-1))[()]
+
+
+def box_edges(box) -> np.ndarray:
+    """The four boundary segments of each box, (..., 4) -> (..., 4, 4)."""
+    return box[..., _BOX_EDGE_INDEX]
+
+
+# (xmin, ymin) -> (xmax, ymin) -> (xmax, ymax) -> (xmin, ymax) -> back.
+_BOX_EDGE_INDEX = np.array([[0, 1, 2, 1], [2, 1, 2, 3], [2, 3, 0, 3], [0, 3, 0, 1]])
+
+
+def _point_segment(p, seg):
+    """(distance, side) of points p (..., 2) against segments seg (..., 4).
+
+    side is the cross product of the segment direction with p - start:
+    positive left of the segment's line, negative right, exactly 0 on it.
+    A zero-length segment is its start point.
+    """
+    px, py = p[..., 0], p[..., 1]
+    x0, y0 = seg[..., 0], seg[..., 1]
+    dx, dy = seg[..., 2] - x0, seg[..., 3] - y0
+    rx, ry = px - x0, py - y0
     den = dx * dx + dy * dy
-    if den == 0.0:
-        return math.hypot(px - x0, py - y0)
-    t = ((px - x0) * dx + (py - y0) * dy) / den
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
-
-
-def point_box_distance(p, box) -> float:
-    """Distance from point p to the solid box; 0 inside."""
-    xmin, ymin, xmax, ymax = box
-    dx = max(xmin - p[0], 0.0, p[0] - xmax)
-    dy = max(ymin - p[1], 0.0, p[1] - ymax)
-    return math.hypot(dx, dy)
-
-
-def point_in_box(p, box) -> bool:
-    xmin, ymin, xmax, ymax = box
-    return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
-
-
-def segments_cross(a, b) -> bool:
-    """True if segments a and b properly intersect or touch."""
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-
-    def orient(ox, oy, px, py, qx, qy):
-        return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
-
-    d1 = orient(bx0, by0, bx1, by1, ax0, ay0)
-    d2 = orient(bx0, by0, bx1, by1, ax1, ay1)
-    d3 = orient(ax0, ay0, ax1, ay1, bx0, by0)
-    d4 = orient(ax0, ay0, ax1, ay1, bx1, by1)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    # Collinear / touching cases fall through to distance checks.
-    if d1 == 0 and _on_segment(bx0, by0, bx1, by1, ax0, ay0):
-        return True
-    if d2 == 0 and _on_segment(bx0, by0, bx1, by1, ax1, ay1):
-        return True
-    if d3 == 0 and _on_segment(ax0, ay0, ax1, ay1, bx0, by0):
-        return True
-    if d4 == 0 and _on_segment(ax0, ay0, ax1, ay1, bx1, by1):
-        return True
-    return False
-
-
-def _on_segment(x0, y0, x1, y1, px, py) -> bool:
-    return min(x0, x1) <= px <= max(x0, x1) and min(y0, y1) <= py <= max(y0, y1)
-
-
-def segment_segment_distance(a, b) -> float:
-    """Minimum distance between two segments; 0 if they intersect."""
-    if segments_cross(a, b):
-        return 0.0
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    return min(
-        point_segment_distance((ax0, ay0), b),
-        point_segment_distance((ax1, ay1), b),
-        point_segment_distance((bx0, by0), a),
-        point_segment_distance((bx1, by1), a),
-    )
-
-
-def segment_box_distance(seg, box) -> float:
-    """Minimum distance between a segment and a solid box; 0 on overlap."""
-    x0, y0, x1, y1 = seg
-    if point_in_box((x0, y0), box) or point_in_box((x1, y1), box):
-        return 0.0
-    xmin, ymin, xmax, ymax = box
-    edges = (
-        (xmin, ymin, xmax, ymin),
-        (xmax, ymin, xmax, ymax),
-        (xmax, ymax, xmin, ymax),
-        (xmin, ymax, xmin, ymin),
-    )
-    return min(segment_segment_distance(seg, e) for e in edges)
+    num = rx * dx + ry * dy
+    t = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    ex, ey = px - (x0 + t * dx), py - (y0 + t * dy)
+    dist = np.sqrt(ex * ex + ey * ey)
+    return dist, dx * ry - dy * rx
 
 
 def rays_segments_hits(origin, directions: np.ndarray, segments: np.ndarray) -> np.ndarray:

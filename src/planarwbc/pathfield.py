@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import point_box_distance, point_segment_distance
 from .world import WorldGeometry
 
 FREE, OBSTACLE, GOAL = 0, 1, 2
@@ -77,26 +78,17 @@ def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal
     h = max(3, int(math.ceil((ymax - ymin) / cell_size)))
     xs = xmin + (np.arange(w) + 0.5) * cell_size
     ys = ymin + (np.arange(h) + 0.5) * cell_size
-    cx, cy = np.meshgrid(xs, ys)  # (H, W)
+    # (H, W, 2) with each coordinate plane contiguous, which keeps the
+    # per-obstacle kernels on fast unit-stride loops.
+    centers = np.moveaxis(np.array(np.meshgrid(xs, ys)), 0, -1)
 
     obstacle = np.zeros((h, w), dtype=bool)
     obstacle[0, :] = obstacle[-1, :] = True
     obstacle[:, 0] = obstacle[:, -1] = True
-
-    for x0, y0, x1, y1 in world.segments:
-        ex, ey = x1 - x0, y1 - y0
-        den = ex * ex + ey * ey
-        if den == 0.0:
-            d2 = (cx - x0) ** 2 + (cy - y0) ** 2
-        else:
-            t = np.clip(((cx - x0) * ex + (cy - y0) * ey) / den, 0.0, 1.0)
-            d2 = (cx - (x0 + t * ex)) ** 2 + (cy - (y0 + t * ey)) ** 2
-        obstacle |= d2 <= inflate * inflate
-
-    for bxmin, bymin, bxmax, bymax in world.boxes:
-        dx = np.maximum(np.maximum(bxmin - cx, 0.0), cx - bxmax)
-        dy = np.maximum(np.maximum(bymin - cy, 0.0), cy - bymax)
-        obstacle |= dx * dx + dy * dy <= inflate * inflate
+    for seg in world.segments:
+        obstacle |= point_segment_distance(centers, seg) <= inflate
+    for box in world.boxes:
+        obstacle |= point_box_distance(centers, box) <= inflate
 
     kind = np.where(obstacle, OBSTACLE, FREE).astype(np.uint8)
     field = GridField(

@@ -238,7 +238,10 @@ def log_softmax_np(logits: np.ndarray) -> np.ndarray:
 def distribution_stats(logits: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(log_prob, entropy) of chosen bins under logits (..., dims, bins)."""
     logp = log_softmax_np(logits)
-    probs = np.exp(logp)
+    return _chosen_stats(logp, np.exp(logp), bins)
+
+
+def _chosen_stats(logp, probs, bins):
     taken = np.take_along_axis(logp, bins[..., None], axis=-1)[..., 0]
     entropy = -(probs * logp).sum(axis=-1)
     return taken.sum(axis=-1), entropy.sum(axis=-1)
@@ -253,7 +256,7 @@ def sample_bins(output: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndar
     bins = np.minimum(
         (u[:, None] > cum).sum(axis=-1), probs.shape[-1] - 1
     ).astype(np.int64)
-    log_prob, entropy = distribution_stats(output.logits, bins)
+    log_prob, entropy = _chosen_stats(logp, probs, bins)
     return bins, float(log_prob), float(entropy)
 
 
@@ -293,15 +296,7 @@ def config_hash(config) -> bytes:
 
 def save_params(path, config: PolicyConfig, params: np.ndarray) -> None:
     """Versioned binary checkpoint: header, config hash, flat float64 params."""
-    params = np.ascontiguousarray(params, dtype=np.float64)
-    blob = (
-        CHECKPOINT_MAGIC
-        + struct.pack("<I", CHECKPOINT_VERSION)
-        + config_hash(config)
-        + struct.pack("<Q", params.size)
-        + params.astype("<f8").tobytes()
-    )
-    write_bytes_atomic(path, blob)
+    write_bytes_atomic(path, pack_checkpoint(POLICY_CHECKPOINT, config_hash(config), [params]))
 
 
 def write_bytes_atomic(path, data: bytes) -> None:
@@ -330,18 +325,69 @@ def write_bytes_atomic(path, data: bytes) -> None:
 
 
 def load_params(path, config: PolicyConfig) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:8] != CHECKPOINT_MAGIC:
-        raise ValueError("not a policy checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 8)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    digest = raw[12:44]
-    if digest != config_hash(config):
-        raise ValueError("checkpoint was written for a different policy config")
-    (count,) = struct.unpack_from("<Q", raw, 44)
-    expected = param_count(config)
-    if count != expected:
-        raise ValueError(f"checkpoint holds {count} params, config needs {expected}")
-    params = np.frombuffer(raw, dtype="<f8", count=count, offset=52).astype(np.float64)
-    return np.ascontiguousarray(params)
+    (params,), _ = unpack_checkpoint(POLICY_CHECKPOINT, Path(path).read_bytes(),
+                                     config_hash(config), param_count(config))
+    return params
+
+
+@dataclass(frozen=True)
+class CheckpointFormat:
+    """One checkpoint kind in the shared framing.
+
+    A file is the magic, <I version, the 32-byte config digest, <Q element
+    count, then `arrays` float64 arrays of that many elements each as <f8,
+    then, with `meta`, a <Q length and that many bytes of metadata.
+    """
+
+    kind: str  # names the file kind in error messages
+    config: str  # names the config the digest hashes, likewise
+    magic: bytes
+    version: int
+    arrays: int
+    meta: bool
+
+
+POLICY_CHECKPOINT = CheckpointFormat("policy", "policy", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                                     arrays=1, meta=False)
+
+
+def pack_checkpoint(fmt: CheckpointFormat, digest: bytes, arrays, meta: bytes | None = None
+                    ) -> bytes:
+    """The bytes of one checkpoint file in fmt."""
+    parts = [fmt.magic, struct.pack("<I", fmt.version), digest,
+             struct.pack("<Q", np.asarray(arrays[0]).size)]
+    parts += [np.asarray(a, dtype=np.float64).astype("<f8").tobytes() for a in arrays]
+    if fmt.meta:
+        parts += [struct.pack("<Q", len(meta)), meta]
+    return b"".join(parts)
+
+
+def unpack_checkpoint(fmt: CheckpointFormat, raw: bytes, digest: bytes, count: int):
+    """(float64 arrays, metadata bytes or None) of a checkpoint file in fmt.
+
+    Raises ValueError for a wrong magic, version, config digest or element
+    count, and for a file shorter or longer than its framing says.
+    """
+    header = len(fmt.magic) + 4 + 32 + 8
+    if raw[: len(fmt.magic)] != fmt.magic[: len(raw)]:
+        raise ValueError(f"not a {fmt.kind} checkpoint (bad magic)")
+    if len(raw) < header:
+        raise ValueError(f"{fmt.kind} checkpoint is truncated: {len(raw)} bytes")
+    (version,) = struct.unpack_from("<I", raw, len(fmt.magic))
+    if version != fmt.version:
+        raise ValueError(f"unsupported {fmt.kind} checkpoint version {version}")
+    if raw[len(fmt.magic) + 4 : header - 8] != digest:
+        raise ValueError(f"{fmt.kind} checkpoint was written for a different {fmt.config} config")
+    (got,) = struct.unpack_from("<Q", raw, header - 8)
+    if got != count:
+        raise ValueError(f"checkpoint holds {got} params, config needs {count}")
+    body = header + 8 * count * fmt.arrays
+    end = body + 8 if fmt.meta else body
+    if fmt.meta and len(raw) >= end:
+        end += struct.unpack_from("<Q", raw, body)[0]
+    if len(raw) != end:
+        problem = "is truncated" if len(raw) < end else "has extra bytes"
+        raise ValueError(f"{fmt.kind} checkpoint {problem}: {len(raw)} bytes, expected {end}")
+    arrays = [np.frombuffer(raw, dtype="<f8", count=count, offset=header + 8 * count * k)
+              .astype(np.float64) for k in range(fmt.arrays)]
+    return arrays, (raw[body + 8 :] if fmt.meta else None)

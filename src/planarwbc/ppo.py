@@ -11,7 +11,6 @@ reproduces the uninterrupted parameter trajectory exactly.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,16 +20,18 @@ from . import adr as adr_mod
 from . import autodiff as ad
 from .envs import Episode, env_step, episode_from_dict, episode_to_dict, new_episode
 from .policy import (
+    CheckpointFormat,
     Policy,
     config_hash,
+    pack_checkpoint,
     param_count,
     sample_action,
     save_params,
+    unpack_checkpoint,
     write_bytes_atomic,
 )
 
-TRAIN_MAGIC = b"PWBCTRN1"
-TRAIN_VERSION = 1
+TRAIN_CHECKPOINT = CheckpointFormat("training", "run", b"PWBCTRN1", 1, arrays=3, meta=True)
 METRICS_HEADER = "global_step,worker,episode_return,episode_length,termination,tolerance\n"
 
 
@@ -354,7 +355,6 @@ def _run_hash(run) -> bytes:
 
 def save_train_checkpoint(path, run, trainer: TrainerState) -> None:
     """One-file snapshot: params, Adam moments, curriculum, RNGs, episodes."""
-    params = trainer.policy.params
     meta = {
         "adam_t": trainer.adam_t,
         "global_step": trainer.global_step,
@@ -372,43 +372,14 @@ def save_train_checkpoint(path, run, trainer: TrainerState) -> None:
         ],
     }
     blob = json.dumps(meta, sort_keys=True).encode()
-    out = (
-        TRAIN_MAGIC
-        + struct.pack("<I", TRAIN_VERSION)
-        + _run_hash(run)
-        + struct.pack("<Q", params.size)
-        + params.astype("<f8").tobytes()
-        + trainer.adam_m.astype("<f8").tobytes()
-        + trainer.adam_v.astype("<f8").tobytes()
-        + struct.pack("<Q", len(blob))
-        + blob
-    )
-    write_bytes_atomic(path, out)
+    arrays = [trainer.policy.params, trainer.adam_m, trainer.adam_v]
+    write_bytes_atomic(path, pack_checkpoint(TRAIN_CHECKPOINT, _run_hash(run), arrays, blob))
 
 
 def load_train_checkpoint(path, run) -> TrainerState:
-    raw = Path(path).read_bytes()
-    if raw[:8] != TRAIN_MAGIC:
-        raise ValueError("not a training checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 8)
-    if version != TRAIN_VERSION:
-        raise ValueError(f"unsupported training checkpoint version {version}")
-    if raw[12:44] != _run_hash(run):
-        raise ValueError("training checkpoint was written for a different run config")
-    (count,) = struct.unpack_from("<Q", raw, 44)
-    expected = param_count(run.policy)
-    if count != expected:
-        raise ValueError(f"checkpoint holds {count} params, config needs {expected}")
-    offset = 52
-    arrays = []
-    for _ in range(3):
-        arrays.append(
-            np.frombuffer(raw, dtype="<f8", count=count, offset=offset).astype(np.float64)
-        )
-        offset += 8 * count
-    (blob_len,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    meta = json.loads(raw[offset : offset + blob_len].decode())
+    arrays, blob = unpack_checkpoint(TRAIN_CHECKPOINT, Path(path).read_bytes(), _run_hash(run),
+                                     param_count(run.policy))
+    meta = json.loads(blob.decode())
 
     policy = Policy(run.policy, arrays[0])
     update_rng = np.random.default_rng()

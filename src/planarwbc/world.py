@@ -1,17 +1,18 @@
 """World geometry, capsule collision checks, and raycast LIDAR."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
+    box_edges,
     point_box_distance,
     point_segment_distance,
     rays_boxes_hits,
     rays_segments_hits,
-    segment_box_distance,
     segment_segment_distance,
     transform_point,
 )
@@ -33,6 +34,9 @@ class WorldGeometry:
     def __post_init__(self):
         self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 4)
         self.boxes = np.asarray(self.boxes, dtype=float).reshape(-1, 4)
+        # Wall segments plus box edges: every boundary a segment can be
+        # nearest to outside the boxes.
+        self.outlines = np.concatenate([self.segments, box_edges(self.boxes).reshape(-1, 4)])
 
 
 @dataclass
@@ -42,24 +46,37 @@ class LidarScan:
     ranges: np.ndarray
 
 
-def min_clearance_point(world: WorldGeometry, p) -> float:
-    """Distance from a point to the nearest wall segment or box."""
-    d = math.inf
-    for seg in world.segments:
-        d = min(d, point_segment_distance(p, seg))
-    for box in world.boxes:
-        d = min(d, point_box_distance(p, box))
-    return d
+def min_clearance_point(world: WorldGeometry, p):
+    """Distance from points p (..., 2) to the nearest wall segment or box."""
+    p = np.asarray(p, dtype=float)[..., None, :]
+    return np.minimum(point_segment_distance(p, world.segments).min(axis=-1, initial=np.inf),
+                      point_box_distance(p, world.boxes).min(axis=-1, initial=np.inf))
 
 
-def min_clearance_segment(world: WorldGeometry, seg) -> float:
-    """Distance from a segment to the nearest wall segment or box."""
-    d = math.inf
-    for wseg in world.segments:
-        d = min(d, segment_segment_distance(seg, wseg))
-    for box in world.boxes:
-        d = min(d, segment_box_distance(seg, box))
-    return d
+def min_clearance_segment(world: WorldGeometry, seg):
+    """Distance from segments seg (..., 4) to the nearest wall segment or box."""
+    seg = np.asarray(seg, dtype=float)
+    ends = seg.reshape(*seg.shape[:-1], 2, 1, 2)
+    inside = (point_box_distance(ends, world.boxes) == 0.0).any(axis=(-2, -1))
+    outside = segment_segment_distance(seg[..., None, :], world.outlines).min(axis=-1,
+                                                                               initial=np.inf)
+    return np.where(inside, 0.0, outside)[()]
+
+
+@functools.cache
+def _self_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with j >= i + 2 over a chain of n capsules."""
+    return np.triu_indices(n, 2)
+
+
+def _body_spines(config: RobotConfig, state: RobotState) -> tuple[np.ndarray, np.ndarray]:
+    """Capsule spines (K+1, 4) and radii: the base disk as a zero-length
+    spine at its center, then the K links."""
+    base = np.concatenate([state.base_pose[:2], state.base_pose[:2]])
+    spines = np.concatenate([base[None, :], link_segments(config, state)])
+    radii = np.full(len(spines), config.link_capsule_radius)
+    radii[0] = config.base_radius
+    return spines, radii
 
 
 def body_obstacle_clearance(
@@ -69,39 +86,23 @@ def body_obstacle_clearance(
 
     Negative values indicate penetration depth.
     """
-    base_c = state.base_pose[:2]
-    d = min_clearance_point(world, base_c) - config.base_radius
-    for seg in link_segments(config, state):
-        d = min(d, min_clearance_segment(world, seg) - config.link_capsule_radius)
-    return d
+    spines, radii = _body_spines(config, state)
+    return float(np.min(min_clearance_segment(world, spines) - radii))
 
 
 def collision_check(config: RobotConfig, state: RobotState, world: WorldGeometry) -> bool:
     """True iff the robot intersects the world or itself.
 
-    Checks (a) base disk vs walls/boxes, (b) every link capsule vs
-    walls/boxes, (c) self-collision: link capsules from the second link
-    outward vs the base disk, and pairs of non-adjacent link capsules.
+    Checks every capsule (base disk included) vs walls/boxes, then capsule
+    pairs at least two apart in the chain base, link 1, ..., link K: link
+    capsules from the second link outward vs the base disk (the first link
+    starts at the mount inside it), and pairs of non-adjacent links.
     """
-    base_c = state.base_pose[:2]
-    if min_clearance_point(world, base_c) <= config.base_radius:
+    spines, radii = _body_spines(config, state)
+    if np.any(min_clearance_segment(world, spines) <= radii):
         return True
-    links = link_segments(config, state)
-    r = config.link_capsule_radius
-    for seg in links:
-        if min_clearance_segment(world, seg) <= r:
-            return True
-    # The first link starts at the mount inside the base disk, so only the
-    # second link onward (index >= 2 counting from the base) is checked
-    # against the base.
-    for i in range(1, len(links)):
-        if point_segment_distance(base_c, links[i]) <= config.base_radius + r:
-            return True
-    for i in range(len(links)):
-        for j in range(i + 2, len(links)):
-            if segment_segment_distance(links[i], links[j]) <= 2.0 * r:
-                return True
-    return False
+    i, j = _self_pairs(len(spines))
+    return bool(np.any(segment_segment_distance(spines[i], spines[j]) <= radii[i] + radii[j]))
 
 
 def beam_angles(config: RobotConfig, heading: float, sensor: str) -> np.ndarray:

@@ -8,11 +8,10 @@ import math
 
 import numpy as np
 
-from planarwbc.geometry import point_box_distance, point_segment_distance
 from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
 from planarwbc.policy import bins_to_action, greedy_bins
-from planarwbc.robot import forward_kinematics
-from planarwbc.world import min_clearance_point
+from planarwbc.robot import RobotConfig, RobotState, forward_kinematics, link_segments
+from planarwbc.world import WorldGeometry
 
 
 def pose_matrix(pose) -> np.ndarray:
@@ -60,19 +59,17 @@ def passage_width_along_path(world, path, spacing=0.05, lateral_span=1.5, latera
     normals = np.stack([-directions[:, 1], directions[:, 0]], axis=1)
 
     offsets = np.arange(-lateral_span, lateral_span + lateral_step / 2, lateral_step)
+    probes = points[:, None, :] + offsets[None, :, None] * normals[:, None, :]
     xmin, ymin, xmax, ymax = world.bounds
-    worst = math.inf
-    for p, nrm in zip(points, normals):
-        probes = p[None, :] + offsets[:, None] * nrm[None, :]
-        inside = (
-            (probes[:, 0] >= xmin)
-            & (probes[:, 0] <= xmax)
-            & (probes[:, 1] >= ymin)
-            & (probes[:, 1] <= ymax)
-        )
-        best = max((min_clearance_point(world, q) for q in probes[inside]), default=0.0)
-        worst = min(worst, 2.0 * best)
-    return worst
+    inside = (
+        (probes[..., 0] >= xmin)
+        & (probes[..., 0] <= xmax)
+        & (probes[..., 1] >= ymin)
+        & (probes[..., 1] <= ymax)
+    )
+    clearance = oracle_clearances(world, probes.reshape(-1, 2)).reshape(inside.shape)
+    best = np.max(np.where(inside, clearance, 0.0), axis=1)
+    return float(np.min(2.0 * best))
 
 
 def boxes_ray_march(origin, angle, boxes, max_range, step=1e-4):
@@ -123,12 +120,177 @@ def boxes_ray_march_literal(origin, angle, boxes, max_range, step=1e-4):
     return min(float(t[hits[0]]), max_range) if hits.size else max_range
 
 
-def world_min_distance(world, p):
+# -- scalar closest-distance reference ---------------------------------------
+# One pair at a time with Python floats and explicit branches (orientation
+# tests for crossing, Ericson, Real-Time Collision Detection, 2004), and the
+# world and body queries as loops over them: the reference for the batched
+# kernels in planarwbc.geometry and planarwbc.world.
+
+def point_segment_distance(p, seg) -> float:
+    """Distance from point p to the segment (x0, y0, x1, y1)."""
+    px, py = p[0], p[1]
+    x0, y0, x1, y1 = seg
+    dx, dy = x1 - x0, y1 - y0
+    den = dx * dx + dy * dy
+    if den == 0.0:
+        return math.hypot(px - x0, py - y0)
+    t = ((px - x0) * dx + (py - y0) * dy) / den
+    t = min(1.0, max(0.0, t))
+    return math.hypot(px - (x0 + t * dx), py - (y0 + t * dy))
+
+
+def point_box_distance(p, box) -> float:
+    """Distance from point p to the solid box; 0 inside."""
+    xmin, ymin, xmax, ymax = box
+    dx = max(xmin - p[0], 0.0, p[0] - xmax)
+    dy = max(ymin - p[1], 0.0, p[1] - ymax)
+    return math.hypot(dx, dy)
+
+
+def point_in_box(p, box) -> bool:
+    xmin, ymin, xmax, ymax = box
+    return xmin <= p[0] <= xmax and ymin <= p[1] <= ymax
+
+
+def segments_cross(a, b) -> bool:
+    """True if segments a and b properly intersect or touch."""
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+
+    def orient(ox, oy, px, py, qx, qy):
+        return (px - ox) * (qy - oy) - (py - oy) * (qx - ox)
+
+    d1 = orient(bx0, by0, bx1, by1, ax0, ay0)
+    d2 = orient(bx0, by0, bx1, by1, ax1, ay1)
+    d3 = orient(ax0, ay0, ax1, ay1, bx0, by0)
+    d4 = orient(ax0, ay0, ax1, ay1, bx1, by1)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    # Collinear / touching cases fall through to distance checks.
+    if d1 == 0 and _on_segment(bx0, by0, bx1, by1, ax0, ay0):
+        return True
+    if d2 == 0 and _on_segment(bx0, by0, bx1, by1, ax1, ay1):
+        return True
+    if d3 == 0 and _on_segment(ax0, ay0, ax1, ay1, bx0, by0):
+        return True
+    if d4 == 0 and _on_segment(ax0, ay0, ax1, ay1, bx1, by1):
+        return True
+    return False
+
+
+def _on_segment(x0, y0, x1, y1, px, py) -> bool:
+    return min(x0, x1) <= px <= max(x0, x1) and min(y0, y1) <= py <= max(y0, y1)
+
+
+def segment_segment_distance(a, b) -> float:
+    """Minimum distance between two segments; 0 if they intersect."""
+    if segments_cross(a, b):
+        return 0.0
+    ax0, ay0, ax1, ay1 = a
+    bx0, by0, bx1, by1 = b
+    return min(
+        point_segment_distance((ax0, ay0), b),
+        point_segment_distance((ax1, ay1), b),
+        point_segment_distance((bx0, by0), a),
+        point_segment_distance((bx1, by1), a),
+    )
+
+
+def segment_box_distance(seg, box) -> float:
+    """Minimum distance between a segment and a solid box; 0 on overlap."""
+    x0, y0, x1, y1 = seg
+    if point_in_box((x0, y0), box) or point_in_box((x1, y1), box):
+        return 0.0
+    xmin, ymin, xmax, ymax = box
+    edges = (
+        (xmin, ymin, xmax, ymin),
+        (xmax, ymin, xmax, ymax),
+        (xmax, ymax, xmin, ymax),
+        (xmin, ymax, xmin, ymin),
+    )
+    return min(segment_segment_distance(seg, e) for e in edges)
+
+
+def min_clearance_point(world: WorldGeometry, p) -> float:
+    """Distance from a point to the nearest wall segment or box."""
     d = math.inf
     for seg in world.segments:
         d = min(d, point_segment_distance(p, seg))
     for box in world.boxes:
         d = min(d, point_box_distance(p, box))
+    return d
+
+
+def min_clearance_segment(world: WorldGeometry, seg) -> float:
+    """Distance from a segment to the nearest wall segment or box."""
+    d = math.inf
+    for wseg in world.segments:
+        d = min(d, segment_segment_distance(seg, wseg))
+    for box in world.boxes:
+        d = min(d, segment_box_distance(seg, box))
+    return d
+
+
+def body_obstacle_clearance(
+    config: RobotConfig, state: RobotState, world: WorldGeometry
+) -> float:
+    """Minimum surface-to-obstacle distance over base disk and arm capsules.
+
+    Negative values indicate penetration depth.
+    """
+    base_c = state.base_pose[:2]
+    d = min_clearance_point(world, base_c) - config.base_radius
+    for seg in link_segments(config, state):
+        d = min(d, min_clearance_segment(world, seg) - config.link_capsule_radius)
+    return d
+
+
+def collision_check(config: RobotConfig, state: RobotState, world: WorldGeometry) -> bool:
+    """True iff the robot intersects the world or itself.
+
+    Checks (a) base disk vs walls/boxes, (b) every link capsule vs
+    walls/boxes, (c) self-collision: link capsules from the second link
+    outward vs the base disk, and pairs of non-adjacent link capsules.
+    """
+    base_c = state.base_pose[:2]
+    if min_clearance_point(world, base_c) <= config.base_radius:
+        return True
+    links = link_segments(config, state)
+    r = config.link_capsule_radius
+    for seg in links:
+        if min_clearance_segment(world, seg) <= r:
+            return True
+    # The first link starts at the mount inside the base disk, so only the
+    # second link onward (index >= 2 counting from the base) is checked
+    # against the base.
+    for i in range(1, len(links)):
+        if point_segment_distance(base_c, links[i]) <= config.base_radius + r:
+            return True
+    for i in range(len(links)):
+        for j in range(i + 2, len(links)):
+            if segment_segment_distance(links[i], links[j]) <= 2.0 * r:
+                return True
+    return False
+
+
+def oracle_clearances(world, pts):
+    """Distance from each point to the nearest obstacle (0 inside a box);
+    independent vectorized reimplementation of the clearance query."""
+    pts = np.asarray(pts, float)
+    d = np.full(len(pts), np.inf)
+    for x1, y1, x2, y2 in world.segments:
+        a = np.array([x1, y1])
+        ab = np.array([x2 - x1, y2 - y1])
+        denom = float(ab @ ab) or 1.0
+        t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
+        delta = pts - a - t[:, None] * ab
+        d = np.minimum(d, np.hypot(delta[:, 0], delta[:, 1]))
+    for x0, y0, x1, y1 in world.boxes:
+        dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
+        dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)
+        d = np.minimum(d, np.hypot(dx, dy))
     return d
 
 
@@ -139,7 +301,7 @@ def collision_by_sampling(config, state, world, samples=1000):
     capsules (second link onward) vs base disk, non-adjacent capsule pairs.
     """
     base = state.base_pose[:2]
-    if world_min_distance(world, base) <= config.base_radius:
+    if oracle_clearances(world, base[None, :])[0] <= config.base_radius:
         return True
     frames = forward_kinematics(config, state)
     r = config.link_capsule_radius
@@ -149,9 +311,8 @@ def collision_by_sampling(config, state, world, samples=1000):
         a = frames[i + 1][:2]
         b = frames[i + 2][:2]
         spines.append(a + t[:, None] * (b - a))
-    for pts in spines:
-        if min(world_min_distance(world, p) for p in pts) <= r:
-            return True
+    if np.min(oracle_clearances(world, np.concatenate(spines))) <= r:
+        return True
     for pts in spines[1:]:
         if np.min(np.linalg.norm(pts - base, axis=1)) <= config.base_radius + r:
             return True

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import passage_width_along_path
+from oracles import oracle_clearances, passage_width_along_path
 from planarwbc import envs as envs_mod
 from planarwbc.envs import (
     EnvSpec,
@@ -278,25 +278,6 @@ def test_baseline_step_builds_one_observation(monkeypatch):
 # ---------------------------------------------------------------------------
 # Corridor generator
 # ---------------------------------------------------------------------------
-
-
-def oracle_clearances(world, pts):
-    """Distance from each point to the nearest obstacle (0 inside a box);
-    independent vectorized reimplementation of the clearance query."""
-    pts = np.asarray(pts, float)
-    d = np.full(len(pts), np.inf)
-    for x1, y1, x2, y2 in world.segments:
-        a = np.array([x1, y1])
-        ab = np.array([x2 - x1, y2 - y1])
-        denom = float(ab @ ab) or 1.0
-        t = np.clip(((pts - a) @ ab) / denom, 0.0, 1.0)
-        delta = pts - a - t[:, None] * ab
-        d = np.minimum(d, np.hypot(delta[:, 0], delta[:, 1]))
-    for x0, y0, x1, y1 in world.boxes:
-        dx = np.maximum(np.maximum(x0 - pts[:, 0], pts[:, 0] - x1), 0.0)
-        dy = np.maximum(np.maximum(y0 - pts[:, 1], pts[:, 1] - y1), 0.0)
-        d = np.minimum(d, np.hypot(dx, dy))
-    return d
 
 
 def oracle_passage_width(world, points, span=1.5, step=0.02):

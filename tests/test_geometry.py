@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import inverse_transform_point, pose_matrix
 from planarwbc.geometry import (
     point_box_distance,
-    point_in_box,
     point_segment_distance,
     rays_boxes_hits,
     rays_segments_hits,
     rot2d,
     segment_box_distance,
     segment_segment_distance,
-    segments_cross,
     transform_point,
     wrap_angle,
 )
@@ -72,16 +71,16 @@ def test_point_box_distance_cases():
     assert point_box_distance((1.0, 0.5), box) == 0.0
     assert point_box_distance((3.0, 0.5), box) == pytest.approx(1.0)
     assert point_box_distance((-1.0, -1.0), box) == pytest.approx(math.sqrt(2))
-    assert point_in_box((2.0, 1.0), box)
-    assert not point_in_box((2.0001, 1.0), box)
+    assert point_box_distance((2.0, 1.0), box) == 0.0
+    assert point_box_distance((2.0001, 1.0), box) > 0.0
 
 
 def test_segments_cross_cases():
-    assert segments_cross((0, 0, 2, 2), (0, 2, 2, 0))
-    assert segments_cross((0, 0, 2, 0), (1, 0, 1, 5))  # T-touch
-    assert segments_cross((0, 0, 2, 0), (1, 0, 3, 0))  # collinear overlap
-    assert not segments_cross((0, 0, 2, 0), (0, 1, 2, 1))  # parallel apart
-    assert not segments_cross((0, 0, 1, 0), (2, 0, 3, 0))  # collinear apart
+    assert segment_segment_distance((0, 0, 2, 2), (0, 2, 2, 0)) == 0.0
+    assert segment_segment_distance((0, 0, 2, 0), (1, 0, 1, 5)) == 0.0  # T-touch
+    assert segment_segment_distance((0, 0, 2, 0), (1, 0, 3, 0)) == 0.0  # collinear overlap
+    assert segment_segment_distance((0, 0, 2, 0), (0, 1, 2, 1)) > 0.0  # parallel apart
+    assert segment_segment_distance((0, 0, 1, 0), (2, 0, 3, 0)) > 0.0  # collinear apart
 
 
 def test_segment_segment_distance_against_sampling():
@@ -104,6 +103,91 @@ def test_segment_box_distance_cases():
     assert segment_box_distance((1.2, 1.2, 1.8, 1.8), box) == 0.0  # fully inside
     assert segment_box_distance((0.0, 0.0, 0.5, 0.0), box) == pytest.approx(math.hypot(0.5, 1.0))
     assert segment_box_distance((0.0, 1.5, 0.5, 1.5), box) == pytest.approx(0.5)
+
+
+def assert_matches_oracle(got, ref):
+    # Same zero/non-zero verdict (touching is exact), values within 1e-12.
+    got = np.asarray(got)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+def oracle_grid(fn, a, b):
+    # The scalar oracle over every (a, b) pair, shaped like the broadcast call.
+    return np.array([[fn(x, y) for y in b] for x in a])
+
+
+def random_boxes(rng, n):
+    lo = rng.uniform(-2, 1.5, (n, 2))
+    return np.concatenate([lo, lo + rng.uniform(0.0, 1.5, (n, 2))], axis=1)
+
+
+def test_distance_kernels_match_scalar_oracle_on_random_inputs():
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-3, 3, (40, 2))
+    segs = rng.uniform(-2, 2, (30, 4))
+    segs[:5, 2:] = segs[:5, :2]  # zero-length segments
+    boxes = random_boxes(rng, 20)
+    pairs = (
+        (point_segment_distance, oracles.point_segment_distance, points, segs),
+        (point_box_distance, oracles.point_box_distance, points, boxes),
+        (segment_segment_distance, oracles.segment_segment_distance, segs, segs),
+        (segment_box_distance, oracles.segment_box_distance, segs, boxes),
+    )
+    for kernel, oracle, a, b in pairs:
+        ref = oracle_grid(oracle, a, b)
+        assert_matches_oracle(kernel(a[:, None, :], b[None, :, :]), ref)
+        # Scalar arguments still give one value per pair.
+        for i, j in ((0, 0), (3, 7), (len(a) - 1, len(b) - 1)):
+            got = kernel(tuple(a[i]), tuple(b[j]))
+            assert np.ndim(got) == 0
+            assert float(got) == pytest.approx(ref[i, j], abs=1e-12)
+    assert 0 < np.count_nonzero(oracle_grid(oracles.segment_segment_distance, segs, segs) == 0.0)
+
+
+def test_distance_kernels_match_scalar_oracle_on_degenerate_cases():
+    box = (1.0, 1.0, 2.0, 2.0)
+    seg_pairs = [
+        ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)),  # two equal points
+        ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)),  # two distinct points
+        ((1.0, 0.0, 1.0, 0.0), (0.0, 0.0, 2.0, 0.0)),  # point on a segment
+        ((1.0, 0.5, 1.0, 0.5), (0.0, 0.0, 2.0, 0.0)),  # point off a segment
+        ((0.0, 0.0, 2.0, 0.0), (1.0, 0.0, 3.0, 0.0)),  # collinear overlap
+        ((0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 3.0, 0.0)),  # collinear, shared endpoint
+        ((0.0, 0.0, 1.0, 0.0), (2.0, 0.0, 3.0, 0.0)),  # collinear apart
+        ((0.0, 0.0, 2.0, 0.0), (1.0, 0.0, 1.0, 5.0)),  # T-touch
+        ((0.0, 0.0, 2.0, 0.0), (1.0, 1e-9, 1.0, 5.0)),  # near T-touch
+        # Touching where the projected closest point rounds off the line
+        # (point-to-segment distance 7e-15): only the orientation test sees 0.
+        ((0.0, 0.0, 10.0, 90.0), (7.0, 63.0, -2.0, 64.0)),  # T-touch
+        ((0.0, 0.0, 10.0, 90.0), (7.0, 63.0, 20.0, 180.0)),  # collinear overlap
+        ((0.0, 0.0, 2.0, 2.0), (0.0, 2.0, 2.0, 0.0)),  # proper crossing
+        ((0.0, 0.0, 2.0, 0.0), (0.0, 1.0, 2.0, 1.0)),  # parallel apart
+    ]
+    for a, b in seg_pairs:
+        for x, y in ((a, b), (b, a)):
+            assert_matches_oracle(segment_segment_distance(x, y),
+                                  np.array(oracles.segment_segment_distance(x, y)))
+    box_segs = [
+        (1.5, 1.5, 1.5, 1.5),  # zero-length, inside
+        (0.5, 0.5, 0.5, 0.5),  # zero-length, outside
+        (1.2, 1.2, 1.8, 1.8),  # fully inside
+        (0.0, 1.5, 1.0, 1.5),  # endpoint on a face
+        (1.0, 0.0, 1.0, 3.0),  # along a face
+        (0.0, 0.0, 3.0, 3.0),  # through the box
+        (0.0, 1.0, 0.5, 1.0),  # collinear with an edge, apart
+        (2.5, 0.0, 2.5, 3.0),  # parallel to a face
+    ]
+    for seg in box_segs:
+        assert_matches_oracle(segment_box_distance(seg, box),
+                              np.array(oracles.segment_box_distance(seg, box)))
+    for p in ((1.0, 1.5), (2.0, 2.0), (1.5, 1.5), (0.0, 0.0), (1.5, 3.0)):
+        assert_matches_oracle(point_box_distance(p, box),
+                              np.array(oracles.point_box_distance(p, box)))
+        for seg in box_segs:
+            assert_matches_oracle(point_segment_distance(p, seg),
+                                  np.array(oracles.point_segment_distance(p, seg)))
 
 
 def march_ray(origin, direction, is_blocked, max_range=6.0, step=1e-4):

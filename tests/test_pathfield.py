@@ -84,7 +84,7 @@ def test_rasterize_agrees_with_center_tests():
     )
     inflate = 0.15
     field = rasterize_world(world, 0.1, inflate=inflate, goal=(0.35, 2.63))
-    from planarwbc.geometry import point_box_distance, point_segment_distance
+    from oracles import point_box_distance, point_segment_distance
 
     h, w = field.shape
     for _ in range(500):

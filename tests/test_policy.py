@@ -154,6 +154,16 @@ def test_sampling_frequencies_match_probabilities():
         assert abs(counts[k] / n - probs[k]) < 3.0 * sigma, f"bin {k}"
 
 
+def test_sampled_bin_stats_equal_distribution_stats():
+    logits = np.random.default_rng(3).normal(0.0, 3.0, (6, 7))
+    output = PolicyOutput(logits=logits, value=0.0)
+    for seed in range(20):
+        bins, log_prob, entropy = sample_bins(output, np.random.default_rng(seed))
+        ref_log_prob, ref_entropy = distribution_stats(logits, bins)
+        assert log_prob == float(ref_log_prob)
+        assert entropy == float(ref_entropy)
+
+
 def test_bin_acceleration_map_is_affine_with_zero_center():
     robot = RobotConfig()
     limits = acceleration_limits(robot)
@@ -243,6 +253,21 @@ def test_checkpoint_rejects_mismatches(tmp_path):
     bumped.write_bytes(raw[:8] + (99).to_bytes(4, "little") + raw[12:])
     with pytest.raises(ValueError, match="version"):
         load_params(bumped, SMALL)
+
+
+def test_checkpoint_rejects_truncated_or_padded_files(tmp_path):
+    path = tmp_path / "policy.bin"
+    save_params(path, SMALL, small_policy().params)
+    raw = path.read_bytes()
+    # Inside the magic, inside the header, at the end of the header, inside
+    # the parameters.
+    for size in (0, 5, 20, 48, 52, len(raw) - 1):
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="truncated"):
+            load_params(path, SMALL)
+    path.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="extra bytes"):
+        load_params(path, SMALL)
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):

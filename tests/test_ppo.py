@@ -406,6 +406,25 @@ def test_checkpoint_rejects_other_run_config(tmp_path):
     load_train_checkpoint(result["checkpoint"], smoke_run(total_steps=200_000))
 
 
+def test_checkpoint_rejects_truncated_or_padded_files(tmp_path):
+    run = smoke_run()
+    path = tmp_path / "train_state.ckpt"
+    save_train_checkpoint(path, run, init_trainer(run))
+    raw = path.read_bytes()
+    arrays_end = 52 + 3 * 8 * param_count(run.policy)
+    # Inside the header, at its end, inside the arrays, before and inside the
+    # metadata length, inside the metadata.
+    for size in (20, 48, 52, arrays_end - 8, arrays_end, arrays_end + 4, len(raw) - 1):
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError, match="truncated"):
+            load_train_checkpoint(path, run)
+    path.write_bytes(raw + b"{}")
+    with pytest.raises(ValueError, match="extra bytes"):
+        load_train_checkpoint(path, run)
+    path.write_bytes(raw)
+    assert load_train_checkpoint(path, run).global_step == 0
+
+
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     run = smoke_run()
     result = train_loop(run, tmp_path / "run")

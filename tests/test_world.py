@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import boxes_ray_march, boxes_ray_march_literal, collision_by_sampling
+from planarwbc.envs import EnvSpec, generate_scene
 from planarwbc.geometry import rot2d
 from planarwbc.robot import LidarConfig, RobotConfig, RobotState
 from planarwbc.world import (
@@ -159,6 +161,44 @@ def test_collision_matches_sampling_oracle():
         assert got == ref
         agree += 1
     assert agree == 150
+
+
+def test_batched_queries_match_loop_oracle_on_state_corpus():
+    # 2,100 states over scenes of every env kind plus random box worlds: half
+    # jittered around the spawn, half anywhere in the bounds, so both
+    # colliding and free states are common.
+    config = RobotConfig()
+    rng = np.random.default_rng(8)
+    scenes = []
+    for spec in (EnvSpec(kind="corridor"), EnvSpec.gap_train(), EnvSpec.gap_test()):
+        for seed in range(1000, 1003):
+            world, start, _ = generate_scene(spec, config, np.random.default_rng(seed))
+            scenes.append((world, start.base_pose))
+    for _ in range(6):
+        scenes.append((random_box_world(rng), np.array([3.0, 2.5, 0.0])))
+    verdicts = []
+    for world, spawn in scenes:
+        xmin, ymin, xmax, ymax = world.bounds
+        bases = []
+        for k in range(140):
+            if k % 2:
+                pose = np.array([rng.uniform(xmin, xmax), rng.uniform(ymin, ymax),
+                                 rng.uniform(-math.pi, math.pi)])
+            else:
+                pose = spawn + rng.normal(0.0, 0.3, 3)
+            state = RobotState(base_pose=pose, base_vel=np.zeros(3),
+                               joint_pos=rng.uniform(-2.5, 2.5, 3), joint_vel=np.zeros(3))
+            got = collision_check(config, state, world)
+            assert got == oracles.collision_check(config, state, world)
+            verdicts.append(got)
+            assert body_obstacle_clearance(config, state, world) == pytest.approx(
+                oracles.body_obstacle_clearance(config, state, world), abs=1e-12)
+            bases.append(pose[:2])
+        ref = [oracles.min_clearance_point(world, p) for p in bases]
+        np.testing.assert_allclose(min_clearance_point(world, np.array(bases)), ref,
+                                   rtol=0.0, atol=1e-12)
+    assert len(verdicts) == 2100
+    assert 0.2 < np.mean(verdicts) < 0.8
 
 
 def test_self_collision_cases():
