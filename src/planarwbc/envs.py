@@ -29,13 +29,7 @@ from .pathfield import (
 )
 from .reward import RewardParams, RewardState
 from .robot import Action, RobotConfig, RobotState, end_effector_pose, forward_kinematics, step_dynamics
-from .world import (
-    WorldGeometry,
-    body_obstacle_clearance,
-    cast_lidar,
-    collision_check,
-    min_clearance_point,
-)
+from .world import WorldGeometry, body_query, cast_lidars, collision_check, min_clearance_point
 
 ENV_KINDS = ("corridor", "gap_train", "gap_test")
 GRID_CELL = 0.05
@@ -177,18 +171,19 @@ class StepOutcome:
 
 
 def build_observation(
-    config: RobotConfig, state: RobotState, world: WorldGeometry, goal_pose
+    config: RobotConfig, state: RobotState, world: WorldGeometry, goal_pose, ee_pose=None
 ) -> Observation:
-    """Scans plus proprioception plus the goal expressed in the EE frame."""
-    front = cast_lidar(config, state, world, sensor="front")
-    rear = cast_lidar(config, state, world, sensor="rear")
-    max_range = config.lidar.max_range
-    ee_x, ee_y, ee_phi = end_effector_pose(config, state)
+    """Scans plus proprioception plus the goal expressed in the EE frame.
+
+    ee_pose is the end-effector pose of `state` when the caller already has it.
+    """
+    front, rear = np.clip(cast_lidars(config, state, world) / config.lidar.max_range, 0.0, 1.0)
+    ee_x, ee_y, ee_phi = end_effector_pose(config, state) if ee_pose is None else ee_pose
     rel = rot2d(-ee_phi) @ np.array([goal_pose[0] - ee_x, goal_pose[1] - ee_y])
     goal_in_ee = np.array([rel[0], rel[1], wrap_angle(goal_pose[2] - ee_phi)])
     return Observation(
-        front_scan=np.clip(front.ranges / max_range, 0.0, 1.0),
-        rear_scan=np.clip(rear.ranges / max_range, 0.0, 1.0),
+        front_scan=front,
+        rear_scan=rear,
         joint_pos=state.joint_pos.copy(),
         joint_vel=state.joint_vel.copy(),
         base_vel=state.base_vel.copy(),
@@ -503,20 +498,22 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     episode.state = new_state
     episode.step_count += 1
 
-    collided = collision_check(episode.robot, new_state, episode.world)
-    ee_x, ee_y, _ = end_effector_pose(episode.robot, new_state)
+    frames = forward_kinematics(episode.robot, new_state)
+    collided, body_clearance = body_query(episode.robot, frames, episode.world)
+    ee_x, ee_y, _ = frames[-1]
     d_goal = float(np.hypot(ee_x - episode.goal_pose[0], ee_y - episode.goal_pose[1]))
 
     d_dev, d_prog, episode.path_state = path_metrics(
         episode.path, episode.path_state, (ee_x, ee_y), ratchet=cfg.progress_ratchet
     )
-    observation = build_observation(episode.robot, new_state, episode.world, episode.goal_pose)
+    observation = build_observation(episode.robot, new_state, episode.world, episode.goal_pose,
+                                    ee_pose=frames[-1])
     clearance = math.inf
     if cfg.variant == "baseline":
         scan_min = float(
             min(observation.front_scan.min(), observation.rear_scan.min())
         ) * episode.robot.lidar.max_range
-        clearance = min(scan_min, body_obstacle_clearance(episode.robot, new_state, episode.world))
+        clearance = min(scan_min, body_clearance)
     step_reward, episode.reward_state, breakdown = reward_mod.compute_step_reward(
         episode.params,
         episode.reward_state,

@@ -112,16 +112,18 @@ def _point_segment(p, seg):
     return dist, dx * ry - dy * rx
 
 
-def rays_segments_hits(origin, directions: np.ndarray, segments: np.ndarray) -> np.ndarray:
+def rays_segments_hits(origins, directions: np.ndarray, segments: np.ndarray) -> np.ndarray:
     """Ray parameters t >= 0 of intersections, one (B, N) entry per ray/segment.
 
-    All rays share `origin`; directions (B, 2) need not be normalized, t is in
-    units of each direction's length. Misses are inf.
+    origins is one (2,) origin shared by all rays or one (B, 2) row per ray;
+    directions (B, 2) need not be normalized, t is in units of each
+    direction's length. Misses are inf.
     """
     directions = np.asarray(directions, dtype=float)
     if segments.size == 0:
         return np.empty((len(directions), 0))
-    ox, oy = origin
+    origins = np.asarray(origins, dtype=float)
+    ox, oy = origins[..., 0:1], origins[..., 1:2]
     dx = directions[:, 0:1]
     dy = directions[:, 1:2]
     rx = segments[:, 0] - ox
@@ -136,16 +138,18 @@ def rays_segments_hits(origin, directions: np.ndarray, segments: np.ndarray) -> 
     return np.where(valid, t, np.inf)
 
 
-def rays_boxes_hits(origin, directions: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+def rays_boxes_hits(origins, directions: np.ndarray, boxes: np.ndarray) -> np.ndarray:
     """Ray parameters t >= 0 of first boundary hit, one (B, N) entry per ray/box.
 
-    Slab method; a ray starting inside a box reports the exit distance.
-    Axis-parallel rays (zero direction component) are handled explicitly.
+    Origins as in rays_segments_hits. Slab method; a ray starting inside a
+    box reports the exit distance. Axis-parallel rays (zero direction
+    component) are handled explicitly.
     """
     directions = np.asarray(directions, dtype=float)
     if boxes.size == 0:
         return np.empty((len(directions), 0))
-    ox, oy = origin
+    origins = np.asarray(origins, dtype=float)
+    ox, oy = origins[..., 0:1], origins[..., 1:2]
     dx = directions[:, 0:1]
     dy = directions[:, 1:2]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -235,13 +235,29 @@ def adam_step(
     trainer: TrainerState, grad: np.ndarray, lr: float,
     beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
 ) -> None:
-    """In-place adaptive moment update of the policy's flat parameters."""
+    """In-place adaptive moment update of the policy's flat parameters.
+
+    Every temporary lives in one scratch array; the operations are those of
+    m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g and
+    params -= lr*m_hat / (sqrt(v_hat) + eps), in that order.
+    """
     trainer.adam_t += 1
-    trainer.adam_m[...] = beta1 * trainer.adam_m + (1.0 - beta1) * grad
-    trainer.adam_v[...] = beta2 * trainer.adam_v + (1.0 - beta2) * grad * grad
-    m_hat = trainer.adam_m / (1.0 - beta1**trainer.adam_t)
-    v_hat = trainer.adam_v / (1.0 - beta2**trainer.adam_t)
-    trainer.policy.params[...] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    m, v, params = trainer.adam_m, trainer.adam_v, trainer.policy.params
+    a, b = np.empty((2, grad.size))
+    np.multiply(m, beta1, out=m)
+    np.multiply(grad, 1.0 - beta1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(grad, 1.0 - beta2, out=a)
+    np.multiply(a, grad, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, 1.0 - beta1**trainer.adam_t, out=a)
+    np.multiply(a, lr, out=a)
+    np.divide(v, 1.0 - beta2**trainer.adam_t, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, eps, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(params, a, out=params)
 
 
 def ppo_loss(

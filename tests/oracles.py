@@ -313,17 +313,23 @@ def collision_by_sampling(config, state, world, samples=1000):
         spines.append(a + t[:, None] * (b - a))
     if np.min(oracle_clearances(world, np.concatenate(spines))) <= r:
         return True
+    # sqrt of the least squared distance: the same d as the least norm,
+    # since sqrt is monotone, without a sqrt per sample pair.
     for pts in spines[1:]:
-        if np.min(np.linalg.norm(pts - base, axis=1)) <= config.base_radius + r:
+        if _min_distance(pts, base) <= config.base_radius + r:
             return True
     for i in range(len(spines)):
         for j in range(i + 2, len(spines)):
-            d = np.min(
-                np.linalg.norm(spines[i][:, None, :] - spines[j][None, :, :], axis=2)
-            )
-            if d <= 2.0 * r:
+            if _min_distance(spines[i][:, None, :], spines[j][None, :, :]) <= 2.0 * r:
                 return True
     return False
+
+
+def _min_distance(p, q):
+    """Least distance between the broadcast points p and q (..., 2)."""
+    dx = p[..., 0] - q[..., 0]
+    dy = p[..., 1] - q[..., 1]
+    return np.sqrt(np.min(dx * dx + dy * dy))
 
 
 def gae_double_sum(rewards, values, dones, bootstrap, gamma, lam):

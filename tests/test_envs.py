@@ -33,7 +33,7 @@ from planarwbc.robot import (
     end_effector_pose,
     forward_kinematics,
 )
-from planarwbc.world import WorldGeometry, min_clearance_point
+from planarwbc.world import SENSORS, WorldGeometry, min_clearance_point
 
 ROBOT = RobotConfig()
 PARAMS = RewardParams()
@@ -256,21 +256,22 @@ def test_observation_vector_layout():
 
 
 def test_baseline_step_builds_one_observation(monkeypatch):
-    # The safety margin and the returned observation share one scan per
-    # sensor, and that observation is the episode's post-step observation.
+    # The safety margin and the returned observation share one batched cast
+    # covering both sensors, and that observation is the episode's post-step
+    # observation.
     episode = room_episode(EpisodeConfig(variant="baseline"), goal_offset=(2.0, 0.0))
-    casts = collections.Counter()
-    cast_lidar = envs_mod.cast_lidar
+    casts = []
+    cast_lidars = envs_mod.cast_lidars
 
-    def counting_cast(config, state, world, sensor):
-        casts[sensor] += 1
-        return cast_lidar(config, state, world, sensor)
+    def counting_cast(config, state, world, sensors=SENSORS):
+        casts.append(tuple(sensors))
+        return cast_lidars(config, state, world, sensors)
 
-    monkeypatch.setattr(envs_mod, "cast_lidar", counting_cast)
+    monkeypatch.setattr(envs_mod, "cast_lidars", counting_cast)
     for _ in range(5):
         casts.clear()
         outcome = env_step(episode, base_only_action(0.5))
-        assert dict(casts) == {"front": 1, "rear": 1}
+        assert casts == [("front", "rear")]
         assert np.array_equal(outcome.observation.to_vector(),
                               episode.observation().to_vector())
 

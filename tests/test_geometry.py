@@ -258,3 +258,37 @@ def test_batched_rays_match_single():
         one_ray = dirs[i : i + 1]
         np.testing.assert_array_equal(batch_seg[i], rays_segments_hits(origin, one_ray, segments)[0])
         np.testing.assert_array_equal(batch_box[i], rays_boxes_hits(origin, one_ray, boxes)[0])
+
+
+def test_per_ray_origins_match_shared_origin_calls():
+    # Each row of a (B, 2) origin array gives the hits of a shared-origin
+    # call from that origin, axis-parallel rays included: their slab branch
+    # tests each ray's own origin against the box extents.
+    rng = np.random.default_rng(9)
+    segments = np.vstack([rng.uniform(-3, 3, (5, 4)),
+                          [[-2.0, 0.5, 2.0, 0.5], [1.0, -2.0, 1.0, 2.0]]])
+    boxes = np.array([[-1.0, -1.0, 0.5, 0.25], [1.5, -2.5, 2.5, 2.0], [-2.5, 1.0, -1.5, 2.5]])
+    # In the open, inside boxes, and on box edge lines.
+    origins = np.vstack([rng.uniform(-3, 3, (40, 2)), [[0.0, 0.0], [2.0, 0.0], [-1.0, 0.0],
+                                                       [0.0, 0.25], [1.5, 3.0], [2.0, 2.0]]])
+    angles = rng.uniform(-math.pi, math.pi, len(origins))
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    axis_parallel = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (2.0, 0.0),
+                              (0.0, -0.5)])
+    dirs[::2] = axis_parallel[np.arange(len(dirs[::2])) % len(axis_parallel)]
+    seg_hits = rays_segments_hits(origins, dirs, segments)
+    box_hits = rays_boxes_hits(origins, dirs, boxes)
+    assert seg_hits.shape == (len(origins), len(segments))
+    assert box_hits.shape == (len(origins), len(boxes))
+    assert np.isfinite(box_hits[::2]).any() and np.isinf(box_hits[::2]).any()
+    for k, origin in enumerate(origins):
+        one_ray = dirs[k : k + 1]
+        np.testing.assert_array_equal(seg_hits[k],
+                                      rays_segments_hits(origin, one_ray, segments)[0])
+        np.testing.assert_array_equal(box_hits[k], rays_boxes_hits(origin, one_ray, boxes)[0])
+    # One origin repeated per ray is the shared-origin call.
+    repeated = np.tile(origins[0], (len(dirs), 1))
+    np.testing.assert_array_equal(rays_segments_hits(repeated, dirs, segments),
+                                  rays_segments_hits(origins[0], dirs, segments))
+    np.testing.assert_array_equal(rays_boxes_hits(repeated, dirs, boxes),
+                                  rays_boxes_hits(origins[0], dirs, boxes))

@@ -7,15 +7,17 @@ import oracles
 from oracles import boxes_ray_march, boxes_ray_march_literal, collision_by_sampling
 from planarwbc.envs import EnvSpec, generate_scene
 from planarwbc.geometry import rot2d
-from planarwbc.robot import LidarConfig, RobotConfig, RobotState
+from planarwbc.robot import LidarConfig, RobotConfig, RobotState, forward_kinematics
 from planarwbc.world import (
+    SENSORS,
     WorldGeometry,
     beam_angles,
     body_obstacle_clearance,
+    body_query,
     cast_lidar,
+    cast_lidars,
     collision_check,
     min_clearance_point,
-    min_clearance_segment,
 )
 
 
@@ -166,7 +168,10 @@ def test_collision_matches_sampling_oracle():
 def test_batched_queries_match_loop_oracle_on_state_corpus():
     # 2,100 states over scenes of every env kind plus random box worlds: half
     # jittered around the spawn, half anywhere in the bounds, so both
-    # colliding and free states are common.
+    # colliding and free states are common, and so are states that collide
+    # only with the robot's own links. One body_query call gives both the
+    # verdict and the clearance; collision_check and body_obstacle_clearance
+    # are views of it.
     config = RobotConfig()
     rng = np.random.default_rng(8)
     scenes = []
@@ -177,6 +182,7 @@ def test_batched_queries_match_loop_oracle_on_state_corpus():
     for _ in range(6):
         scenes.append((random_box_world(rng), np.array([3.0, 2.5, 0.0])))
     verdicts = []
+    self_only = 0
     for world, spawn in scenes:
         xmin, ymin, xmax, ymax = world.bounds
         bases = []
@@ -188,17 +194,51 @@ def test_batched_queries_match_loop_oracle_on_state_corpus():
                 pose = spawn + rng.normal(0.0, 0.3, 3)
             state = RobotState(base_pose=pose, base_vel=np.zeros(3),
                                joint_pos=rng.uniform(-2.5, 2.5, 3), joint_vel=np.zeros(3))
-            got = collision_check(config, state, world)
-            assert got == oracles.collision_check(config, state, world)
-            verdicts.append(got)
-            assert body_obstacle_clearance(config, state, world) == pytest.approx(
-                oracles.body_obstacle_clearance(config, state, world), abs=1e-12)
+            collided, clearance = body_query(config, forward_kinematics(config, state), world)
+            ref_clearance = oracles.body_obstacle_clearance(config, state, world)
+            assert collided == oracles.collision_check(config, state, world)
+            assert clearance == pytest.approx(ref_clearance, abs=1e-12)
+            assert collision_check(config, state, world) == collided
+            assert body_obstacle_clearance(config, state, world) == clearance
+            verdicts.append(collided)
+            self_only += collided and ref_clearance > 0.0
             bases.append(pose[:2])
         ref = [oracles.min_clearance_point(world, p) for p in bases]
         np.testing.assert_allclose(min_clearance_point(world, np.array(bases)), ref,
                                    rtol=0.0, atol=1e-12)
     assert len(verdicts) == 2100
     assert 0.2 < np.mean(verdicts) < 0.8
+    assert self_only > 100
+
+
+def test_two_sensor_cast_equals_single_sensor_casts():
+    # One batch of both sensors' rays gives each sensor's own cast exactly:
+    # corridor and gap scenes and random box worlds, sensors off the base
+    # center, and headings that make beams axis-parallel (an odd beam count
+    # puts the front center beam, or the rear one at heading -pi, on angle 0).
+    rng = np.random.default_rng(10)
+    config = RobotConfig()
+    worlds = [generate_scene(spec, config, np.random.default_rng(1000))[0]
+              for spec in (EnvSpec(kind="corridor"), EnvSpec.gap_train(), EnvSpec.gap_test())]
+    worlds += [random_box_world(rng) for _ in range(3)]
+    configs = [
+        config,
+        RobotConfig(lidar=LidarConfig(beams=65, front_offset=(0.25, 0.05),
+                                      rear_offset=(-0.25, 0.0))),
+        RobotConfig(lidar=LidarConfig(beams=1, rear_offset=(-0.1, 0.1))),
+    ]
+    assert beam_angles(configs[1], 0.0, "front")[32] == 0.0
+    assert beam_angles(configs[1], -math.pi, "rear")[32] == 0.0
+    for world in worlds:
+        xmin, ymin, xmax, ymax = world.bounds
+        for heading in (0.0, -math.pi, math.pi / 2, *rng.uniform(-math.pi, math.pi, 5)):
+            pose = (rng.uniform(xmin, xmax), rng.uniform(ymin, ymax), heading)
+            for cfg in configs:
+                state = RobotState.zeros(cfg, base_pose=pose)
+                both = cast_lidars(cfg, state, world)
+                assert both.shape == (2, cfg.lidar.beams)
+                for ranges, sensor in zip(both, SENSORS):
+                    assert np.array_equal(ranges, cast_lidar(cfg, state, world, sensor).ranges)
 
 
 def test_self_collision_cases():
@@ -273,7 +313,6 @@ def test_clearance_helpers():
     world = WorldGeometry(segments=np.array([[0.0, 0.0, 4.0, 0.0]]),
                           boxes=np.array([[1.0, 1.0, 2.0, 2.0]]), bounds=(0, 0, 4, 4))
     assert min_clearance_point(world, (0.0, 3.0)) == pytest.approx(math.hypot(1.0, 1.0))
-    assert min_clearance_segment(world, (0.0, 0.5, 4.0, 0.5)) == pytest.approx(0.5)
     config = RobotConfig()
     state = RobotState.zeros(config, base_pose=(3.0, 3.0, math.pi / 2))
     d = body_obstacle_clearance(config, state, world)
