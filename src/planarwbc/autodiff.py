@@ -6,6 +6,21 @@ reverse topological order and accumulates exact gradients into every
 reachable input. The op set is exactly what the policy network and the PPO
 loss need; all arithmetic is plain numpy, so results are deterministic for a
 fixed input stream.
+
+Two rules keep the tape lean:
+
+- requires_grad is fixed when a tensor is built (the rule of PyTorch's
+  autograd, Paszke et al. 2017): a leaf has it when built with
+  requires_grad=True, an op output when any parent has it. Every other
+  tensor is a constant: it records no parents, and no op computes a
+  gradient product for it.
+- The first gradient that reaches a node is stored as given. That array is
+  borrowed: `+` hands one array to both parents, and `sum` hands out a
+  read-only broadcast view, so a borrowed array is never written. A second
+  gradient allocates old + new, which the node owns and adds any further
+  gradients into in place. A stored gradient may thus hold -0.0 where
+  0.0 + -0.0 would give 0.0; a leaf built with a zeroed grad buffer adds
+  into it, so its gradient is the same sum either way.
 """
 from __future__ import annotations
 
@@ -27,15 +42,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    """Node on the differentiation tape."""
+    """Node on the differentiation tape.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    A leaf is a constant unless built with requires_grad=True; grad, for
+    such a leaf, is a zeroed buffer it owns and adds its gradient into. An
+    op output records the parents that require grad, and backward(g) sends
+    the upstream gradient g to them.
+    """
 
-    def __init__(self, data, parents=(), backward=None):
+    __slots__ = ("data", "grad", "requires_grad", "_own", "_parents", "_backward")
+
+    def __init__(self, data, parents=(), backward=None, requires_grad=False, grad=None):
         self.data = _as_array(data)
-        self.grad: np.ndarray | None = None
-        self._parents = tuple(parents)
+        self._parents = tuple(p for p in parents if p.requires_grad)
         self._backward = backward
+        self.requires_grad = requires_grad or bool(self._parents)
+        self.grad: np.ndarray | None = grad
+        self._own = grad
 
     @property
     def shape(self):
@@ -43,8 +66,11 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad
+        elif self.grad is self._own:
+            self.grad += grad
+        else:
+            self.grad = self._own = self.grad + grad
 
     def backward(self) -> None:
         """Accumulate d(self)/d(node) into .grad of every tape ancestor."""
@@ -67,34 +93,34 @@ class Tensor:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if node._parents:
                 node._backward(node.grad)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
 
         def backward(g):
-            self._accumulate(_unbroadcast(g, self.data.shape))
-            other._accumulate(_unbroadcast(g, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g, other.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data + other.data, (self, other), backward)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
 
         def backward(g):
-            self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data * other.data, (self, other), backward)
 
     __rmul__ = __mul__
 
@@ -114,143 +140,121 @@ class Tensor:
         return self * (1.0 / _as_array(other))
 
     def reciprocal(self):
-        out = Tensor(1.0 / self.data, (self,))
-
         def backward(g):
             self._accumulate(-g / (self.data * self.data))
 
-        out._backward = backward
-        return out
+        return Tensor(1.0 / self.data, (self,), backward)
 
     def __pow__(self, exponent: float):
-        out = Tensor(self.data**exponent, (self,))
-
         def backward(g):
             self._accumulate(g * exponent * self.data ** (exponent - 1))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data**exponent, (self,), backward)
 
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
-
         def backward(g):
             self._accumulate(g.reshape(self.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data.reshape(*shape), (self,), backward)
 
     def sum(self, axis=None, keepdims=False):
-        out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def backward(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        out._backward = backward
-        return out
+        return Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self):
         return self.sum() * (1.0 / self.data.size)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul supports 2-D operands only")
-    out = Tensor(a.data @ b.data, (a, b))
+def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
+    """One layer: z = x @ w + b for x (N, K), w (K, M), b (M,), then tanh(z).
+
+    The backward forms g * (1 - z*z) in one scratch array. With a
+    one-column output the input gradient is the outer product gz * w.T, the
+    same single rounding per element as the K=1 matrix product.
+    """
+    z = x.data @ w.data
+    z += b.data
+    if tanh:
+        np.tanh(z, out=z)
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        gz = g
+        if tanh:
+            gz = np.multiply(z, z)
+            np.subtract(1.0, gz, out=gz)
+            np.multiply(g, gz, out=gz)
+        if x.requires_grad:
+            x._accumulate(gz * w.data.T if z.shape[1] == 1 else gz @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ gz)
+        if b.requires_grad:
+            b._accumulate(gz.sum(axis=0))
 
-    out._backward = backward
-    return out
-
-
-def tanh(t: Tensor) -> Tensor:
-    value = np.tanh(t.data)
-    out = Tensor(value, (t,))
-
-    def backward(g):
-        t._accumulate(g * (1.0 - value * value))
-
-    out._backward = backward
-    return out
+    return Tensor(z, (x, w, b), backward)
 
 
 def exp(t: Tensor) -> Tensor:
     value = np.exp(t.data)
-    out = Tensor(value, (t,))
 
     def backward(g):
         t._accumulate(g * value)
 
-    out._backward = backward
-    return out
+    return Tensor(value, (t,), backward)
 
 
 def log(t: Tensor) -> Tensor:
-    out = Tensor(np.log(t.data), (t,))
-
     def backward(g):
         t._accumulate(g / t.data)
 
-    out._backward = backward
-    return out
+    return Tensor(np.log(t.data), (t,), backward)
 
 
 def clip(t: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp with zero gradient outside [lo, hi] (boundary counts as inside)."""
-    out = Tensor(np.clip(t.data, lo, hi), (t,))
     mask = (t.data >= lo) & (t.data <= hi)
 
     def backward(g):
         t._accumulate(g * mask)
 
-    out._backward = backward
-    return out
+    return Tensor(np.clip(t.data, lo, hi), (t,), backward)
+
+
+def _select(a: Tensor, b: Tensor, take_a: np.ndarray, data: np.ndarray) -> Tensor:
+    """Elementwise pick of a where take_a, else b; the gradient follows the pick."""
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * take_a, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * ~take_a, b.data.shape))
+
+    return Tensor(data, (a, b), backward)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise min; on exact ties the gradient routes to `a`."""
-    out = Tensor(np.minimum(a.data, b.data), (a, b))
-    take_a = a.data <= b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g * take_a, a.data.shape))
-        b._accumulate(_unbroadcast(g * ~take_a, b.data.shape))
-
-    out._backward = backward
-    return out
+    return _select(a, b, a.data <= b.data, np.minimum(a.data, b.data))
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; on exact ties the gradient routes to `a`."""
-    out = Tensor(np.maximum(a.data, b.data), (a, b))
-    take_a = a.data >= b.data
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g * take_a, a.data.shape))
-        b._accumulate(_unbroadcast(g * ~take_a, b.data.shape))
-
-    out._backward = backward
-    return out
+    return _select(a, b, a.data >= b.data, np.maximum(a.data, b.data))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t._accumulate(piece)
+            if t.requires_grad:
+                t._accumulate(piece)
 
-    out._backward = backward
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:

@@ -51,14 +51,6 @@ class GridField:
         row = int(math.floor((p[1] - self.origin[1]) / self.cell_size))
         return row, col
 
-    def cell_center(self, row: int, col: int) -> np.ndarray:
-        return np.array(
-            [
-                self.origin[0] + (col + 0.5) * self.cell_size,
-                self.origin[1] + (row + 0.5) * self.cell_size,
-            ]
-        )
-
 
 class FieldError(RuntimeError):
     """Raised for unsolvable rasterizations or failed relaxation/extraction."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -108,13 +109,13 @@ def layout(config: PolicyConfig) -> list[tuple[str, tuple[int, ...], int]]:
     offset = 0
     for name, shape in entries:
         table.append((name, shape, offset))
-        offset += int(np.prod(shape))
+        offset += math.prod(shape)
     return table
 
 
 def param_count(config: PolicyConfig) -> int:
     name, shape, offset = layout(config)[-1]
-    return offset + int(np.prod(shape))
+    return offset + math.prod(shape)
 
 
 def param_views(config: PolicyConfig, params: np.ndarray) -> dict[str, np.ndarray]:
@@ -125,7 +126,7 @@ def param_views(config: PolicyConfig, params: np.ndarray) -> dict[str, np.ndarra
         )
     views = {}
     for name, shape, offset in layout(config):
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views[name] = params[offset : offset + size].reshape(shape)
     return views
 
@@ -152,32 +153,33 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
     return params
 
 
-def _scaled(config: PolicyConfig, obs: np.ndarray) -> np.ndarray:
-    if config.obs_scale:
-        return obs * np.asarray(config.obs_scale)
-    return obs
+def _dense(x, w, b, tanh):
+    z = x @ w
+    z += b
+    return np.tanh(z, out=z) if tanh else z
 
 
-def _network(cfg: PolicyConfig, views, x, leaf, matmul, tanh, concat):
+def _network(cfg: PolicyConfig, views, x, leaf, dense, concat):
     """The architecture, written once over an op set.
 
-    views maps layout names to weights, x is the scaled (N, obs) batch and
-    leaf wraps an input slice: numpy ops give the fast forward, autodiff ops
-    the taped one, with the same arithmetic. Returns the per-dimension head
-    logits, each (N, bins), and the (N, 1) value.
+    views maps layout names to weights, x is the scaled (N, obs) batch, leaf
+    wraps an input slice and dense(h, w, b, tanh) is one layer: numpy ops
+    give the fast forward, autodiff ops the taped one, with the same
+    arithmetic. Returns the per-dimension head logits, each (N, bins), and
+    the (N, 1) value.
     """
-    def dense(h, layer, suffix=""):
-        return matmul(h, views[f"{layer}.w{suffix}"]) + views[f"{layer}.b{suffix}"]
+    def layer(h, name, suffix="", tanh=True):
+        return dense(h, views[f"{name}.w{suffix}"], views[f"{name}.b{suffix}"], tanh)
 
     nb = cfg.scan_beams
     scans = [
-        tanh(dense(tanh(dense(leaf(x[:, lo : lo + nb]), layer, "0")), layer, "1"))
-        for layer, lo in (("scan_front", 0), ("scan_rear", nb))
+        layer(layer(leaf(x[:, lo : lo + nb]), name, "0"), name, "1")
+        for name, lo in (("scan_front", 0), ("scan_rear", nb))
     ]
-    h = tanh(dense(concat(scans + [leaf(x[:, 2 * nb :])], axis=1), "trunk", "0"))
-    h = tanh(dense(h, "trunk", "1"))
-    heads = [dense(h, f"head{d}") for d in range(cfg.action_dims)]
-    return heads, dense(h, "value")
+    h = layer(concat(scans + [leaf(x[:, 2 * nb :])], axis=1), "trunk", "0")
+    h = layer(h, "trunk", "1")
+    heads = [layer(h, f"head{d}", tanh=False) for d in range(cfg.action_dims)]
+    return heads, layer(h, "value", tanh=False)
 
 
 class Policy:
@@ -190,6 +192,8 @@ class Policy:
         self.config = config
         self.params = np.ascontiguousarray(params, dtype=np.float64)
         self.views = param_views(config, self.params)
+        # Multiplying by 1.0 is exact, so a config without a scale needs no branch.
+        self.obs_scale = np.asarray(config.obs_scale or 1.0)
 
     def forward_batch(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, obs) -> logits (N, dims, bins) and values (N,)."""
@@ -198,8 +202,8 @@ class Policy:
             raise ValueError(
                 f"expected observations of shape (N, {cfg.observation_size}), got {obs.shape}"
             )
-        heads, value = _network(cfg, self.views, _scaled(cfg, obs), lambda a: a,
-                                np.matmul, np.tanh, np.concatenate)
+        heads, value = _network(cfg, self.views, obs * self.obs_scale, lambda a: a,
+                                _dense, np.concatenate)
         return np.stack(heads, axis=1), value[:, 0]
 
     def forward(self, obs: np.ndarray) -> PolicyOutput:
@@ -209,23 +213,18 @@ class Policy:
     def graph_forward(self, obs: np.ndarray):
         """Taped batch forward.
 
-        Returns (logits tensors per action dimension, value tensor (N,),
-        parameter tensors by layout name) for loss assembly and backward().
+        Returns (logits tensors per action dimension, value tensor (N,), flat
+        gradient). The flat gradient is zeroed, in layout order: backward()
+        adds each parameter's gradient into its slot, and a slot that no
+        gradient reaches stays 0.
         """
-        v = {name: ad.Tensor(view) for name, view in self.views.items()}
-        heads, value = _network(self.config, v, _scaled(self.config, obs), ad.Tensor,
-                                ad.matmul, ad.tanh, ad.concat)
-        return heads, value.reshape(-1), v
-
-    def gradient_from(self, param_tensors: dict[str, ad.Tensor]) -> np.ndarray:
-        """Flat gradient in layout order after backward() has run."""
         grad = np.zeros_like(self.params)
-        for name, shape, offset in layout(self.config):
-            t = param_tensors[name]
-            size = int(np.prod(shape))
-            if t.grad is not None:
-                grad[offset : offset + size] = t.grad.ravel()
-        return grad
+        slots = param_views(self.config, grad)
+        v = {name: ad.Tensor(view, requires_grad=True, grad=slots[name])
+             for name, view in self.views.items()}
+        heads, value = _network(self.config, v, obs * self.obs_scale, ad.Tensor,
+                                ad.dense, ad.concat)
+        return heads, value.reshape(-1), grad
 
 
 # -- action distribution helpers ---------------------------------------------
@@ -233,12 +232,6 @@ class Policy:
 def log_softmax_np(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def distribution_stats(logits: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log_prob, entropy) of chosen bins under logits (..., dims, bins)."""
-    logp = log_softmax_np(logits)
-    return _chosen_stats(logp, np.exp(logp), bins)
 
 
 def _chosen_stats(logp, probs, bins):

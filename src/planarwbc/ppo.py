@@ -272,11 +272,12 @@ def ppo_loss(
 ):
     """Taped PPO objective on one minibatch.
 
-    Returns (loss tensor, parameter tensors, stats dict). The surrogate uses
+    Returns (loss tensor, flat gradient, stats dict); loss.backward() fills
+    the flat gradient, in policy layout order. The surrogate uses
     the clipped probability ratio; value clipping engages only when
     clip_range_vf is positive.
     """
-    logits, value, params = policy.graph_forward(obs)
+    logits, value, grad = policy.graph_forward(obs)
     n, dims = bins.shape
     logp = ad.log_softmax(ad.concat(logits, axis=1).reshape(n, dims, -1), axis=2)
     onehot = ad.Tensor(np.eye(policy.config.bins)[bins])
@@ -308,7 +309,7 @@ def ppo_loss(
         "ratio_mean": float(ratio_data.mean()),
         "clip_fraction": float(np.mean(np.abs(ratio_data - 1.0) > config.clip_range)),
     }
-    return loss, params, stats
+    return loss, grad, stats
 
 
 def ppo_update(run, trainer: TrainerState, buffer: RolloutBuffer) -> dict:
@@ -333,14 +334,13 @@ def ppo_update(run, trainer: TrainerState, buffer: RolloutBuffer) -> dict:
         perm = trainer.update_rng.permutation(n_total)
         for k in range(tc.minibatches):
             idx = perm[k * mb_size : (k + 1) * mb_size]
-            loss, params, stats = ppo_loss(
+            loss, grad, stats = ppo_loss(
                 trainer.policy, obs[idx], bins[idx], old_log_probs[idx],
                 advantages[idx], returns[idx], old_values[idx], tc,
             )
             if not np.isfinite(loss.data):
                 raise RuntimeError(f"non-finite PPO loss: {stats}")
             loss.backward()
-            grad = trainer.policy.gradient_from(params)
             if tc.max_grad_norm > 0.0:
                 norm = _global_norm(grad)
                 if norm > tc.max_grad_norm:

@@ -35,6 +35,25 @@ def greedy_action(robot, output):
     return bins_to_action(robot, bins, output.logits.shape[-1]), bins
 
 
+def distribution_stats(logits, bins):
+    """(log_prob, entropy) of chosen bins under logits (..., dims, bins).
+
+    The same operations, in the same order, as policy.sample_bins, so the two
+    agree bit for bit.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    taken = np.take_along_axis(logp, bins[..., None], axis=-1)[..., 0]
+    entropy = -(np.exp(logp) * logp).sum(axis=-1)
+    return taken.sum(axis=-1), entropy.sum(axis=-1)
+
+
+def cell_center(field: GridField, row: int, col: int) -> np.ndarray:
+    """World coordinates of the center of grid cell (row, col)."""
+    return np.array([field.origin[0] + (col + 0.5) * field.cell_size,
+                     field.origin[1] + (row + 0.5) * field.cell_size])
+
+
 def passage_width_along_path(world, path, spacing=0.05, lateral_span=1.5, lateral_step=0.02):
     """Minimum free-passage width probed along a path.
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import dense_laplace_solve, reference_solve_harmonic
+from oracles import cell_center, dense_laplace_solve, reference_solve_harmonic
 from planarwbc.config import default_config
 from planarwbc.envs import EnvSpec, generate_scene
 from planarwbc.pathfield import (
@@ -90,7 +90,7 @@ def test_rasterize_agrees_with_center_tests():
     for _ in range(500):
         r = rng.integers(1, h - 1)
         c = rng.integers(1, w - 1)
-        center = field.cell_center(r, c)
+        center = cell_center(field, r, c)
         d = min(
             min(point_segment_distance(center, s) for s in world.segments),
             min(point_box_distance(center, b) for b in world.boxes),
@@ -301,7 +301,7 @@ def test_extract_from_every_free_cell():
     for r, c in free_cells:
         if not cells_connected(field, (int(r), int(c))):
             continue
-        path = extract_path(field, field.cell_center(r, c), goal=goal)
+        path = extract_path(field, cell_center(field, r, c), goal=goal)
         assert np.allclose(path.points[-1], goal)
 
 
@@ -311,7 +311,7 @@ def test_extract_start_adjacent_to_goal():
     field = rasterize_world(world, 0.1, inflate=0.05, goal=goal)
     solve_harmonic(field)
     gr, gc = field.goal_cell
-    start = field.cell_center(gr, gc + 1)
+    start = cell_center(field, gr, gc + 1)
     path = extract_path(field, start, goal=goal)
     assert path.total_length <= 2 * 0.1 * math.sqrt(2.0) + 1e-9
 

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import greedy_action
+from oracles import distribution_stats, greedy_action
 from planarwbc import autodiff as ad
 from planarwbc.policy import (
     Policy,
@@ -18,7 +18,6 @@ from planarwbc.policy import (
     PolicyOutput,
     acceleration_limits,
     bins_to_action,
-    distribution_stats,
     greedy_bins,
     init_params,
     layout,
@@ -104,12 +103,11 @@ def test_taped_gradient_spot_checked_by_finite_differences():
         logits, values = Policy(SMALL, params).forward_batch(obs)
         return float((logits * weights).sum() + (values**2).sum())
 
-    taped_logits, taped_value, tensors = policy.graph_forward(obs)
+    taped_logits, taped_value, grad = policy.graph_forward(obs)
     loss = (taped_value * taped_value).sum()
     for d, t in enumerate(taped_logits):
         loss = loss + (t * ad.Tensor(weights[:, d, :])).sum()
     loss.backward()
-    grad = policy.gradient_from(tensors)
     assert grad.shape == policy.params.shape
 
     rng = np.random.default_rng(5)
@@ -121,6 +119,19 @@ def test_taped_gradient_spot_checked_by_finite_differences():
         lo[idx] -= eps
         fd = (numpy_loss(hi) - numpy_loss(lo)) / (2.0 * eps)
         assert grad[idx] == pytest.approx(fd, abs=1e-5, rel=1e-5)
+
+
+def test_flat_gradient_slots_no_gradient_reaches_stay_zero():
+    policy = small_policy(seed=2)
+    obs = np.random.default_rng(6).uniform(-1, 1, (5, SMALL.observation_size))
+    heads, _, grad = policy.graph_forward(obs)
+    (heads[0] * heads[0]).sum().backward()
+    for name, slot in param_views(SMALL, grad).items():
+        if name.startswith(("head1.", "value.")):
+            assert np.array_equal(slot, np.zeros_like(slot)), name
+            assert not np.signbit(slot).any(), name
+        else:
+            assert np.all(slot != 0.0), name
 
 
 def test_zero_params_give_uniform_policy():

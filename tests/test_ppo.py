@@ -15,13 +15,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import gae_double_sum
+from oracles import distribution_stats, gae_double_sum
 from planarwbc.config import default_config
 from planarwbc.envs import EnvSpec, EpisodeConfig
 from planarwbc.policy import (
     Policy,
     PolicyConfig,
-    distribution_stats,
     init_params,
     param_count,
 )
@@ -160,20 +159,18 @@ def test_clip_blocks_gradient_only_for_profitable_ratios():
 
     # Positive advantages: min(ratio*A, clip(ratio)*A) takes the clipped
     # branch, a constant, so every parameter gradient is exactly zero.
-    loss, params, _ = ppo_loss(
+    loss, grad, _ = ppo_loss(
         policy, obs, bins, shifted, np.ones(4), values.copy(), values, config
     )
     loss.backward()
-    grad = policy.gradient_from(params)
     assert np.array_equal(grad, np.zeros_like(grad))
 
     # Negative advantages at the same ratio keep the unclipped branch (the
     # objective stays pessimal-side sensitive), so gradients flow.
-    loss, params, _ = ppo_loss(
+    loss, grad, _ = ppo_loss(
         policy, obs, bins, shifted, -np.ones(4), values.copy(), values, config
     )
     loss.backward()
-    grad = policy.gradient_from(params)
     assert np.abs(grad).max() > 1e-6
 
 
@@ -193,11 +190,10 @@ def test_loss_gradient_matches_finite_differences(clip_range_vf):
     returns = rng.standard_normal(n)
     config = TrainConfig(entropy_coef=0.01, clip_range_vf=clip_range_vf)
 
-    loss, params, _ = ppo_loss(
+    loss, grad, _ = ppo_loss(
         policy, obs, bins, old_log_probs, advantages, returns, old_values, config
     )
     loss.backward()
-    grad = policy.gradient_from(params)
 
     def loss_at(theta):
         value, _, _ = ppo_loss(
@@ -245,11 +241,10 @@ def test_entropy_term_pushes_toward_uniform():
     obs, bins, old_log_probs, values = self_consistent_batch(policy, 8, seed=12)
     config = TrainConfig(value_coef=0.0, entropy_coef=1.0)
     zero_adv = np.zeros(8)
-    loss, params, before = ppo_loss(
+    loss, grad, before = ppo_loss(
         policy, obs, bins, old_log_probs, zero_adv, values.copy(), values, config
     )
     loss.backward()
-    grad = policy.gradient_from(params)
     policy.params[...] -= 0.05 * grad
     _, _, after = ppo_loss(
         policy, obs, bins, old_log_probs, zero_adv, values.copy(), values, config
