@@ -1,11 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every Tensor wraps a float64 ndarray and remembers how it was produced; a
-single backward() call on a scalar result walks the recorded tape once in
-reverse topological order and accumulates exact gradients into every
-reachable input. The op set is exactly what the policy network and the PPO
-loss need; all arithmetic is plain numpy, so results are deterministic for a
-fixed input stream.
+Every Tensor wraps a float32 or float64 ndarray (other inputs become
+float64) and remembers how it was produced; a single backward() call on a
+scalar result walks the recorded tape once in reverse topological order and
+accumulates exact gradients into every reachable input. The op set is
+exactly what the policy network and the PPO loss need; all arithmetic is
+plain numpy with its type promotion, so results are deterministic for a
+fixed input stream. A float32 network feeds a float64 loss through
+`columns`, which copies into the wider dtype; `dense` computes its gradient
+products in its own dtype.
 
 Two rules keep the tape lean:
 
@@ -28,7 +31,8 @@ import numpy as np
 
 
 def _as_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=np.float64)
+    array = np.asarray(value)
+    return array if array.dtype == np.float32 else array.astype(np.float64, copy=False)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -174,9 +178,10 @@ class Tensor:
 def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
     """One layer: z = x @ w + b for x (N, K), w (K, M), b (M,), then tanh(z).
 
-    The backward forms g * (1 - z*z) in one scratch array. With a
-    one-column output the input gradient is the outer product gz * w.T, the
-    same single rounding per element as the K=1 matrix product.
+    The backward casts the upstream gradient to z's dtype once and forms
+    g * (1 - z*z) in one scratch array. With a one-column output the input
+    gradient is the outer product gz * w.T, the same single rounding per
+    element as the K=1 matrix product.
     """
     z = x.data @ w.data
     z += b.data
@@ -184,6 +189,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
         np.tanh(z, out=z)
 
     def backward(g):
+        g = g.astype(z.dtype, copy=False)
         gz = g
         if tanh:
             gz = np.multiply(z, z)
@@ -255,6 +261,19 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(piece)
 
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+
+
+def columns(t: Tensor, start: int, stop: int, dtype) -> Tensor:
+    """Columns start:stop of a 2-D tensor, copied into dtype.
+
+    The gradient goes back into zeros of t's shape and dtype.
+    """
+    def backward(g):
+        full = np.zeros_like(t.data)
+        full[:, start:stop] = g
+        t._accumulate(full)
+
+    return Tensor(t.data[:, start:stop].astype(dtype), (t,), backward)
 
 
 def logsumexp(t: Tensor, axis: int, keepdims: bool = False) -> Tensor:

@@ -1,12 +1,16 @@
-"""Actor-critic network: scan encoders, shared trunk, discrete action heads.
+"""Actor-critic network: scan encoders, shared trunk, one fused output layer.
 
 Front and rear range scans pass through two independent two-layer encoders;
 their embeddings are concatenated with the proprioceptive/goal inputs and fed
-to a tanh trunk. One categorical head per action dimension produces bin
-logits (an odd bin count keeps zero acceleration representable) and a scalar
-head estimates the value. All parameters live in one flat float64 array with
-a documented (name, shape, offset) layout, which makes checkpoints, optimizer
-state, and gradient checks straightforward.
+to a tanh trunk. One linear `heads` layer gives, per action dimension, the
+logits of a categorical distribution over bins (an odd bin count keeps zero
+acceleration representable), and in its last column the value estimate.
+
+All parameters live in one flat float64 master array with a documented
+(name, shape, offset) layout, which makes checkpoints, optimizer state, and
+gradient checks straightforward. The network arithmetic runs in
+COMPUTE_DTYPE on a copy of that array, which the policy refreshes whenever
+the master changes; the logits and values leave the network as float64.
 """
 from __future__ import annotations
 
@@ -25,7 +29,9 @@ from .envs import observation_layout
 from .robot import Action, RobotConfig
 
 CHECKPOINT_MAGIC = b"PWBCNET1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# dtype of the network arithmetic; parameters, gradients and losses stay float64.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,9 @@ def layout(config: PolicyConfig) -> list[tuple[str, tuple[int, ...], int]]:
         ("trunk.w1", (t1, t2)),
         ("trunk.b1", (t2,)),
     ]
-    for d in range(config.action_dims):
-        entries += [(f"head{d}.w", (t2, config.bins)), (f"head{d}.b", (config.bins,))]
-    entries += [("value.w", (t2, 1)), ("value.b", (1,))]
+    # Columns d*bins:(d+1)*bins are the logits of action dimension d, the last the value.
+    outputs = config.action_dims * config.bins + 1
+    entries += [("heads.w", (t2, outputs)), ("heads.b", (outputs,))]
     table = []
     offset = 0
     for name, shape in entries:
@@ -148,7 +154,7 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
     for name, view in views.items():
         if not name.endswith(".w0") and not name.endswith(".w1") and not name.endswith(".w"):
             continue
-        gain = 0.01 if name.startswith(("head", "value")) else 1.0
+        gain = 0.01 if name.startswith("heads.") else 1.0
         view[...] = _orthogonal(rng, view.shape, gain)
     return params
 
@@ -159,14 +165,19 @@ def _dense(x, w, b, tanh):
     return np.tanh(z, out=z) if tanh else z
 
 
-def _network(cfg: PolicyConfig, views, x, leaf, dense, concat):
+def _columns(a, start, stop, dtype):
+    return a[:, start:stop].astype(dtype)
+
+
+def _network(cfg: PolicyConfig, views, x, leaf, dense, concat, columns):
     """The architecture, written once over an op set.
 
-    views maps layout names to weights, x is the scaled (N, obs) batch, leaf
-    wraps an input slice and dense(h, w, b, tanh) is one layer: numpy ops
-    give the fast forward, autodiff ops the taped one, with the same
-    arithmetic. Returns the per-dimension head logits, each (N, bins), and
-    the (N, 1) value.
+    views maps layout names to weights, x is the scaled (N, obs) batch in
+    their dtype, leaf wraps an input slice, dense(h, w, b, tanh) is one layer
+    and columns(out, start, stop, dtype) a copy of some output columns in
+    dtype: numpy ops give the fast forward, autodiff ops the taped one, with
+    the same arithmetic. Returns the float64 (N, dims, bins) logits and
+    (N,) values.
     """
     def layer(h, name, suffix="", tanh=True):
         return dense(h, views[f"{name}.w{suffix}"], views[f"{name}.b{suffix}"], tanh)
@@ -177,13 +188,18 @@ def _network(cfg: PolicyConfig, views, x, leaf, dense, concat):
         for name, lo in (("scan_front", 0), ("scan_rear", nb))
     ]
     h = layer(concat(scans + [leaf(x[:, 2 * nb :])], axis=1), "trunk", "0")
-    h = layer(h, "trunk", "1")
-    heads = [layer(h, f"head{d}", tanh=False) for d in range(cfg.action_dims)]
-    return heads, layer(h, "value", tanh=False)
+    out = layer(layer(h, "trunk", "1"), "heads", tanh=False)
+    k = cfg.action_dims * cfg.bins
+    logits = columns(out, 0, k, np.float64).reshape(-1, cfg.action_dims, cfg.bins)
+    return logits, columns(out, k, k + 1, np.float64).reshape(-1)
 
 
 class Policy:
-    """Flat parameter array bound to a config, with fast and taped forwards."""
+    """Flat float64 master parameters bound to a config, with fast and taped forwards.
+
+    Both forwards read `compute`, a COMPUTE_DTYPE copy of `params`: whoever
+    writes `params` calls refresh() before the next forward.
+    """
 
     def __init__(self, config: PolicyConfig, params: np.ndarray):
         issues = config.validate()
@@ -192,8 +208,18 @@ class Policy:
         self.config = config
         self.params = np.ascontiguousarray(params, dtype=np.float64)
         self.views = param_views(config, self.params)
+        self.compute = np.empty(self.params.shape, COMPUTE_DTYPE)
+        self.compute_views = param_views(config, self.compute)
         # Multiplying by 1.0 is exact, so a config without a scale needs no branch.
         self.obs_scale = np.asarray(config.obs_scale or 1.0)
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Copy the master parameters into the compute copy the forwards read."""
+        self.compute[...] = self.params
+
+    def _scaled(self, obs: np.ndarray) -> np.ndarray:
+        return (obs * self.obs_scale).astype(self.compute.dtype)
 
     def forward_batch(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, obs) -> logits (N, dims, bins) and values (N,)."""
@@ -202,9 +228,8 @@ class Policy:
             raise ValueError(
                 f"expected observations of shape (N, {cfg.observation_size}), got {obs.shape}"
             )
-        heads, value = _network(cfg, self.views, obs * self.obs_scale, lambda a: a,
-                                _dense, np.concatenate)
-        return np.stack(heads, axis=1), value[:, 0]
+        return _network(cfg, self.compute_views, self._scaled(obs), lambda a: a, _dense,
+                        np.concatenate, _columns)
 
     def forward(self, obs: np.ndarray) -> PolicyOutput:
         logits, values = self.forward_batch(obs.reshape(1, -1))
@@ -213,18 +238,17 @@ class Policy:
     def graph_forward(self, obs: np.ndarray):
         """Taped batch forward.
 
-        Returns (logits tensors per action dimension, value tensor (N,), flat
-        gradient). The flat gradient is zeroed, in layout order: backward()
-        adds each parameter's gradient into its slot, and a slot that no
-        gradient reaches stays 0.
+        Returns (logits tensor (N, dims, bins), value tensor (N,), flat
+        gradient). The flat gradient is float64, zeroed and in layout order:
+        backward() adds each parameter's gradient into its slot.
         """
         grad = np.zeros_like(self.params)
         slots = param_views(self.config, grad)
         v = {name: ad.Tensor(view, requires_grad=True, grad=slots[name])
-             for name, view in self.views.items()}
-        heads, value = _network(self.config, v, obs * self.obs_scale, ad.Tensor,
-                                ad.dense, ad.concat)
-        return heads, value.reshape(-1), grad
+             for name, view in self.compute_views.items()}
+        logits, value = _network(self.config, v, self._scaled(obs), ad.Tensor, ad.dense,
+                                 ad.concat, ad.columns)
+        return logits, value, grad
 
 
 # -- action distribution helpers ---------------------------------------------
@@ -288,7 +312,7 @@ def config_hash(config) -> bytes:
 
 
 def save_params(path, config: PolicyConfig, params: np.ndarray) -> None:
-    """Versioned binary checkpoint: header, config hash, flat float64 params."""
+    """Versioned binary checkpoint: header, config hash, flat float64 params, digest."""
     write_bytes_atomic(path, pack_checkpoint(POLICY_CHECKPOINT, config_hash(config), [params]))
 
 
@@ -329,7 +353,8 @@ class CheckpointFormat:
 
     A file is the magic, <I version, the 32-byte config digest, <Q element
     count, then `arrays` float64 arrays of that many elements each as <f8,
-    then, with `meta`, a <Q length and that many bytes of metadata.
+    then, with `meta`, a <Q length and that many bytes of metadata, and last
+    the SHA-256 digest of all the bytes before it.
     """
 
     kind: str  # names the file kind in error messages
@@ -342,6 +367,7 @@ class CheckpointFormat:
 
 POLICY_CHECKPOINT = CheckpointFormat("policy", "policy", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                      arrays=1, meta=False)
+DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def pack_checkpoint(fmt: CheckpointFormat, digest: bytes, arrays, meta: bytes | None = None
@@ -352,14 +378,16 @@ def pack_checkpoint(fmt: CheckpointFormat, digest: bytes, arrays, meta: bytes | 
     parts += [np.asarray(a, dtype=np.float64).astype("<f8").tobytes() for a in arrays]
     if fmt.meta:
         parts += [struct.pack("<Q", len(meta)), meta]
-    return b"".join(parts)
+    payload = b"".join(parts)
+    return payload + hashlib.sha256(payload).digest()
 
 
 def unpack_checkpoint(fmt: CheckpointFormat, raw: bytes, digest: bytes, count: int):
     """(float64 arrays, metadata bytes or None) of a checkpoint file in fmt.
 
     Raises ValueError for a wrong magic, version, config digest or element
-    count, and for a file shorter or longer than its framing says.
+    count, for a file shorter or longer than its framing says, and for a
+    payload that does not match its digest.
     """
     header = len(fmt.magic) + 4 + 32 + 8
     if raw[: len(fmt.magic)] != fmt.magic[: len(raw)]:
@@ -375,12 +403,15 @@ def unpack_checkpoint(fmt: CheckpointFormat, raw: bytes, digest: bytes, count: i
     if got != count:
         raise ValueError(f"checkpoint holds {got} params, config needs {count}")
     body = header + 8 * count * fmt.arrays
-    end = body + 8 if fmt.meta else body
-    if fmt.meta and len(raw) >= end:
-        end += struct.unpack_from("<Q", raw, body)[0]
+    payload = body + 8 if fmt.meta else body
+    if fmt.meta and len(raw) >= payload:
+        payload += struct.unpack_from("<Q", raw, body)[0]
+    end = payload + DIGEST_SIZE
     if len(raw) != end:
         problem = "is truncated" if len(raw) < end else "has extra bytes"
         raise ValueError(f"{fmt.kind} checkpoint {problem}: {len(raw)} bytes, expected {end}")
+    if hashlib.sha256(raw[:payload]).digest() != raw[payload:]:
+        raise ValueError(f"{fmt.kind} checkpoint is corrupted: payload digest mismatch")
     arrays = [np.frombuffer(raw, dtype="<f8", count=count, offset=header + 8 * count * k)
               .astype(np.float64) for k in range(fmt.arrays)]
-    return arrays, (raw[body + 8 :] if fmt.meta else None)
+    return arrays, (raw[body + 8 : payload] if fmt.meta else None)

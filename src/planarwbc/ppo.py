@@ -31,7 +31,7 @@ from .policy import (
     write_bytes_atomic,
 )
 
-TRAIN_CHECKPOINT = CheckpointFormat("training", "run", b"PWBCTRN1", 1, arrays=3, meta=True)
+TRAIN_CHECKPOINT = CheckpointFormat("training", "run", b"PWBCTRN1", 2, arrays=3, meta=True)
 METRICS_HEADER = "global_step,worker,episode_return,episode_length,termination,tolerance\n"
 
 
@@ -239,7 +239,8 @@ def adam_step(
 
     Every temporary lives in one scratch array; the operations are those of
     m = beta1*m + (1-beta1)*g, v = beta2*v + ((1-beta2)*g)*g and
-    params -= lr*m_hat / (sqrt(v_hat) + eps), in that order.
+    params -= lr*m_hat / (sqrt(v_hat) + eps), in that order. The policy's
+    compute copy is refreshed from the updated parameters.
     """
     trainer.adam_t += 1
     m, v, params = trainer.adam_m, trainer.adam_v, trainer.policy.params
@@ -258,6 +259,7 @@ def adam_step(
     np.add(b, eps, out=b)
     np.divide(a, b, out=a)
     np.subtract(params, a, out=params)
+    trainer.policy.refresh()
 
 
 def ppo_loss(
@@ -278,8 +280,7 @@ def ppo_loss(
     clip_range_vf is positive.
     """
     logits, value, grad = policy.graph_forward(obs)
-    n, dims = bins.shape
-    logp = ad.log_softmax(ad.concat(logits, axis=1).reshape(n, dims, -1), axis=2)
+    logp = ad.log_softmax(logits, axis=2)
     onehot = ad.Tensor(np.eye(policy.config.bins)[bins])
     new_log_prob = (logp * onehot).sum(axis=2).sum(axis=1)
     entropy = (ad.exp(logp) * logp).sum(axis=2).sum(axis=1) * -1.0

@@ -87,6 +87,8 @@ OPS = [
      lambda a, b: np.concatenate([a, b], axis=0), [rand(2, 3), rand(4, 3, seed=8)]),
     ("concat_cols", lambda a, b: ad.concat([a, b], axis=1),
      lambda a, b: np.concatenate([a, b], axis=1), [rand(2, 3), rand(2, 2)]),
+    ("columns", lambda a: ad.columns(a, 1, 3, np.float64), lambda a: a[:, 1:3],
+     [rand(3, 4)]),
     ("logsumexp", lambda a: ad.logsumexp(a, axis=1),
      lambda a: np.max(a, 1) + np.log(np.exp(a - np.max(a, 1, keepdims=True)).sum(1)),
      [rand(3, 5, lo=-3.0, hi=3.0)]),
@@ -229,3 +231,27 @@ def test_dense_is_bitwise_the_composed_numpy_expressions(n, k, m, tanh):
     assert np.array_equal(w.grad, xd.T @ gz)
     assert np.array_equal(b.grad, gz.sum(axis=0))
     assert np.array_equal(x.grad, gz @ wd.T)  # m == 1 takes the outer product
+
+
+@pytest.mark.parametrize("through_columns", [True, False])
+def test_float32_layer_keeps_its_dtype_under_a_float64_loss(through_columns):
+    # A float32 layer feeding a float64 loss, through columns (whose gradient
+    # comes back in float32) or straight (dense casts the float64 gradient).
+    rng = np.random.default_rng(21)
+    xd, wd, bd = (rng.standard_normal(s).astype(np.float32) for s in ((5, 3), (3, 4), (4,)))
+    x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+    out = ad.dense(x, w, b, True)
+    assert out.data.dtype == np.float32
+    proj = np.zeros((5, 4))
+    proj[:, 1:3] = rng.standard_normal((5, 2))
+    if through_columns:
+        wide = ad.columns(out, 1, 3, np.float64)
+        assert wide.data.dtype == np.float64
+        assert np.array_equal(wide.data, out.data[:, 1:3])
+        (wide * Tensor(proj[:, 1:3])).sum().backward()
+    else:
+        (out * Tensor(proj)).sum().backward()
+    gz = proj.astype(np.float32) * (1.0 - out.data * out.data)
+    for leaf, expected in ((x, gz @ wd.T), (w, xd.T @ gz), (b, gz.sum(axis=0))):
+        assert leaf.grad.dtype == np.float32
+        assert np.array_equal(leaf.grad, expected)

@@ -57,8 +57,9 @@ def naive_forward(policy, obs_row):
     h = np.concatenate([parts["front"], parts["rear"], x[2 * nb :]])
     h = np.tanh(h @ v["trunk.w0"] + v["trunk.b0"])
     h = np.tanh(h @ v["trunk.w1"] + v["trunk.b1"])
-    logits = np.stack([h @ v[f"head{d}.w"] + v[f"head{d}.b"] for d in range(cfg.action_dims)])
-    return logits, float((h @ v["value.w"] + v["value.b"])[0])
+    out = h @ v["heads.w"] + v["heads.b"]
+    k = cfg.action_dims * cfg.bins
+    return out[:k].reshape(cfg.action_dims, cfg.bins), float(out[k])
 
 
 def test_default_robot_policy_size():
@@ -68,7 +69,7 @@ def test_default_robot_policy_size():
     assert config.validate() == []
 
 
-def test_forward_matches_naive_oracle():
+def test_forward_matches_naive_oracle(float64_network):
     policy = small_policy()
     obs = np.random.default_rng(1).uniform(-1, 1, (6, SMALL.observation_size))
     logits, values = policy.forward_batch(obs)
@@ -87,12 +88,13 @@ def test_graph_forward_matches_fast_forward():
     obs = np.random.default_rng(2).uniform(-1, 1, (5, SMALL.observation_size))
     fast_logits, fast_values = policy.forward_batch(obs)
     taped_logits, taped_value, _ = policy.graph_forward(obs)
-    for d, t in enumerate(taped_logits):
-        assert np.array_equal(t.data, fast_logits[:, d, :])
+    assert policy.compute.dtype == np.float32
+    assert fast_logits.dtype == taped_logits.data.dtype == np.float64
+    assert np.array_equal(taped_logits.data, fast_logits)
     assert np.array_equal(taped_value.data, fast_values)
 
 
-def test_taped_gradient_spot_checked_by_finite_differences():
+def test_taped_gradient_spot_checked_by_finite_differences(float64_network):
     policy = small_policy(seed=7)
     obs = np.random.default_rng(3).uniform(-1, 1, (4, SMALL.observation_size))
     weights = np.random.default_rng(4).standard_normal(
@@ -104,9 +106,7 @@ def test_taped_gradient_spot_checked_by_finite_differences():
         return float((logits * weights).sum() + (values**2).sum())
 
     taped_logits, taped_value, grad = policy.graph_forward(obs)
-    loss = (taped_value * taped_value).sum()
-    for d, t in enumerate(taped_logits):
-        loss = loss + (t * ad.Tensor(weights[:, d, :])).sum()
+    loss = (taped_value * taped_value).sum() + (taped_logits * ad.Tensor(weights)).sum()
     loss.backward()
     assert grad.shape == policy.params.shape
 
@@ -124,14 +124,18 @@ def test_taped_gradient_spot_checked_by_finite_differences():
 def test_flat_gradient_slots_no_gradient_reaches_stay_zero():
     policy = small_policy(seed=2)
     obs = np.random.default_rng(6).uniform(-1, 1, (5, SMALL.observation_size))
-    heads, _, grad = policy.graph_forward(obs)
-    (heads[0] * heads[0]).sum().backward()
+    logits, _, grad = policy.graph_forward(obs)
+    head0 = np.zeros(logits.shape)
+    head0[:, 0] = np.random.default_rng(7).standard_normal(head0[:, 0].shape)
+    (logits * ad.Tensor(head0)).sum().backward()
+    # The heads columns of head 1 and of the value get only zero products.
+    unreached = np.arange(SMALL.action_dims * SMALL.bins + 1) >= SMALL.bins
     for name, slot in param_views(SMALL, grad).items():
-        if name.startswith(("head1.", "value.")):
-            assert np.array_equal(slot, np.zeros_like(slot)), name
-            assert not np.signbit(slot).any(), name
-        else:
-            assert np.all(slot != 0.0), name
+        if name.startswith("heads."):
+            assert np.array_equal(slot[..., unreached], np.zeros_like(slot[..., unreached])), name
+            assert not np.signbit(slot[..., unreached]).any(), name
+            slot = slot[..., ~unreached]
+        assert np.all(slot != 0.0), name
 
 
 def test_zero_params_give_uniform_policy():
@@ -215,7 +219,7 @@ def test_init_params_deterministic_and_orthogonal():
     w = views["trunk.w0"]
     gram = w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T
     assert np.allclose(gram, np.eye(len(gram)), atol=1e-10)
-    head = views["head0.w"]
+    head = views["heads.w"]
     gram = head @ head.T if head.shape[0] <= head.shape[1] else head.T @ head
     assert np.allclose(gram, 0.01**2 * np.eye(len(gram)), atol=1e-10)
 
@@ -279,6 +283,27 @@ def test_checkpoint_rejects_truncated_or_padded_files(tmp_path):
     path.write_bytes(raw + b"\0")
     with pytest.raises(ValueError, match="extra bytes"):
         load_params(path, SMALL)
+
+
+def test_checkpoint_rejects_previous_version_and_flipped_bits(tmp_path):
+    path = tmp_path / "policy.bin"
+    save_params(path, SMALL, small_policy().params)
+    raw = path.read_bytes()
+    # Version 1 framed the same header and parameters, without the digest.
+    path.write_bytes(raw[:8] + (1).to_bytes(4, "little") + raw[12:-32])
+    with pytest.raises(ValueError, match="version 1"):
+        load_params(path, SMALL)
+    # One low mantissa bit of the first, a middle and the last parameter, and
+    # one bit of the digest.
+    count = param_count(SMALL)
+    for offset in (52, 52 + 8 * (count // 2), 52 + 8 * count - 8, len(raw) - 1):
+        flipped = bytearray(raw)
+        flipped[offset] ^= 1
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match="payload digest"):
+            load_params(path, SMALL)
+    path.write_bytes(raw)
+    assert np.array_equal(load_params(path, SMALL), small_policy().params)
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):

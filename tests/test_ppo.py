@@ -16,14 +16,19 @@ import numpy as np
 import pytest
 
 from oracles import distribution_stats, gae_double_sum
+from planarwbc import policy as policy_mod
 from planarwbc.config import default_config
 from planarwbc.envs import EnvSpec, EpisodeConfig
 from planarwbc.policy import (
     Policy,
     PolicyConfig,
     init_params,
+    load_params,
     param_count,
+    param_views,
+    save_params,
 )
+from planarwbc.robot import RobotConfig
 from planarwbc.ppo import (
     RolloutBuffer,
     TrainConfig,
@@ -175,7 +180,7 @@ def test_clip_blocks_gradient_only_for_profitable_ratios():
 
 
 @pytest.mark.parametrize("clip_range_vf", [-1.0, 0.3])
-def test_loss_gradient_matches_finite_differences(clip_range_vf):
+def test_loss_gradient_matches_finite_differences(clip_range_vf, float64_network):
     policy = tiny_policy(seed=8)
     assert param_count(TINY) < 200
     n = 5
@@ -220,8 +225,8 @@ def test_batched_head_terms_match_per_dimension_reference():
     # entropy must equal distribution_stats, which works dimension by dimension.
     config = replace(TINY, action_dims=6, bins=7)
     policy = Policy(config, init_params(config, np.random.default_rng(15)))
-    for d in range(config.action_dims):
-        policy.views[f"head{d}.w"][...] *= 300.0  # logits far from uniform
+    policy.views["heads.w"][:, :-1] *= 300.0  # logits far from uniform
+    policy.refresh()
     n = 6
     obs, bins, _, values = self_consistent_batch(policy, n, seed=16)
     logits, _ = policy.forward_batch(obs)
@@ -246,6 +251,7 @@ def test_entropy_term_pushes_toward_uniform():
     )
     loss.backward()
     policy.params[...] -= 0.05 * grad
+    policy.refresh()
     _, _, after = ppo_loss(
         policy, obs, bins, old_log_probs, zero_adv, values.copy(), values, config
     )
@@ -420,6 +426,27 @@ def test_checkpoint_rejects_truncated_or_padded_files(tmp_path):
     assert load_train_checkpoint(path, run).global_step == 0
 
 
+def test_checkpoint_rejects_previous_version_and_flipped_bits(tmp_path):
+    run = smoke_run()
+    path = tmp_path / "train_state.ckpt"
+    save_train_checkpoint(path, run, init_trainer(run))
+    raw = path.read_bytes()
+    # Version 1 framed the same header, arrays and metadata, without the digest.
+    path.write_bytes(raw[:8] + (1).to_bytes(4, "little") + raw[12:-32])
+    with pytest.raises(ValueError, match="version 1"):
+        load_train_checkpoint(path, run)
+    # One bit in the middle of the parameters, each Adam moment and the metadata.
+    size = 8 * param_count(run.policy)
+    meta_start = 52 + 3 * size + 8
+    for offset in (52 + size // 2, 52 + size + size // 2, 52 + 2 * size + size // 2,
+                   (meta_start + len(raw) - 32) // 2):
+        flipped = bytearray(raw)
+        flipped[offset] ^= 1
+        path.write_bytes(bytes(flipped))
+        with pytest.raises(ValueError, match="payload digest"):
+            load_train_checkpoint(path, run)
+
+
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     run = smoke_run()
     result = train_loop(run, tmp_path / "run")
@@ -447,3 +474,96 @@ def test_ppo_update_requires_gae():
     buffer, _ = collect_rollouts(run, trainer)
     with pytest.raises(ValueError, match="compute_gae"):
         ppo_update(run, trainer, buffer)
+
+
+# ---------------------------------------------------------------------------
+# Float32 network arithmetic over float64 master parameters
+# ---------------------------------------------------------------------------
+
+
+def assert_compute_copy_fresh(policy, obs):
+    """The forward equals, bit for bit, that of a policy built from its params now."""
+    logits, values = policy.forward_batch(obs)
+    fresh_logits, fresh_values = Policy(policy.config, policy.params.copy()).forward_batch(obs)
+    assert np.array_equal(logits, fresh_logits)
+    assert np.array_equal(values, fresh_values)
+
+
+def test_compute_copy_follows_every_parameter_change(tmp_path):
+    run = smoke_run()
+    trainer = init_trainer(run)
+    obs = np.random.default_rng(30).uniform(-1, 1, (4, run.policy.observation_size))
+    before = trainer.policy.params.copy()
+    adam_step(trainer, np.random.default_rng(31).standard_normal(before.size), lr=1e-3)
+    assert not np.array_equal(trainer.policy.params, before)
+    assert_compute_copy_fresh(trainer.policy, obs)
+
+    buffer, _ = collect_rollouts(run, trainer)
+    compute_gae(buffer, run.train.gamma, run.train.gae_lambda)
+    before = trainer.policy.params.copy()
+    ppo_update(run, trainer, buffer)
+    assert not np.array_equal(trainer.policy.params, before)
+    assert_compute_copy_fresh(trainer.policy, obs)
+
+    save_params(tmp_path / "policy.ckpt", run.policy, trainer.policy.params)
+    loaded = Policy(run.policy, load_params(tmp_path / "policy.ckpt", run.policy))
+    assert_compute_copy_fresh(loaded, obs)
+    assert np.array_equal(loaded.forward_batch(obs)[0], trainer.policy.forward_batch(obs)[0])
+
+    save_train_checkpoint(tmp_path / "train_state.ckpt", run, trainer)
+    restored = load_train_checkpoint(tmp_path / "train_state.ckpt", run)
+    assert_compute_copy_fresh(restored.policy, obs)
+    assert np.array_equal(restored.policy.forward_batch(obs)[0],
+                          trainer.policy.forward_batch(obs)[0])
+
+
+def test_float32_network_tracks_float64(monkeypatch):
+    # The default network with heads scaled to logits of order one, as in a
+    # trained policy. Bounds are relative to the float64 magnitudes. Measured
+    # worst over seeds 0-4: logits 7.6e-7, values 9.7e-7, gradient norm
+    # 5.5e-7, loss statistics after the update 6.5e-8 (clip fraction equal);
+    # each bound below leaves at least 5x.
+    config = PolicyConfig.for_robot(RobotConfig())
+    rng = np.random.default_rng(0)
+    params = init_params(config, rng)
+    param_views(config, params)["heads.w"][...] *= 100.0
+    n = 512
+    obs = rng.uniform(-1, 1, (n, config.observation_size)) / np.asarray(config.obs_scale)
+    low = Policy(config, params.copy())
+    with monkeypatch.context() as m:
+        m.setattr(policy_mod, "COMPUTE_DTYPE", np.float64)
+        high = Policy(config, params.copy())
+    assert low.compute.dtype == np.float32 and high.compute.dtype == np.float64
+
+    logits, values = high.forward_batch(obs)
+    low_logits, low_values = low.forward_batch(obs)
+    assert np.abs(low_logits - logits).max() <= 5e-6 * np.abs(logits).max()
+    assert np.abs(low_values - values).max() <= 5e-6 * np.abs(values).max()
+
+    bins = rng.integers(0, config.bins, (n, config.action_dims))
+    old_log_probs = np.array([distribution_stats(logits[i], bins[i])[0] for i in range(n)])
+    advantages, returns = rng.standard_normal((2, n))
+    grads = []
+    for policy in (high, low):
+        loss, grad, _ = ppo_loss(policy, obs[:256], bins[:256], old_log_probs[:256],
+                                 advantages[:256], returns[:256], values[:256], TrainConfig())
+        loss.backward()
+        grads.append(grad)
+    assert np.linalg.norm(grads[1] - grads[0]) <= 5e-6 * np.linalg.norm(grads[0])
+
+    buffer = RolloutBuffer(obs=obs[None], bins=bins[None], log_probs=old_log_probs[None],
+                           values=values[None], rewards=0.1 * rng.standard_normal((1, n)),
+                           dones=rng.random((1, n)) < 0.02, bootstrap=np.zeros(1))
+    compute_gae(buffer, 0.999, 0.95)
+    run = replace(default_config(), train=TrainConfig(steps_per_worker=n, minibatches=2,
+                                                      epochs=10))
+    stats = []
+    for policy in (high, low):
+        trainer = TrainerState(policy=policy, adam_m=np.zeros(params.size),
+                               adam_v=np.zeros(params.size), adam_t=0,
+                               update_rng=np.random.default_rng(5), workers=[], adr_state=None)
+        stats.append(ppo_update(run, trainer, buffer))
+    for key in ("policy_loss", "value_loss", "entropy", "ratio_mean"):
+        assert abs(stats[1][key] - stats[0][key]) <= 1e-6 * abs(stats[0][key]), key
+    assert stats[0]["clip_fraction"] > 0.1
+    assert abs(stats[1]["clip_fraction"] - stats[0]["clip_fraction"]) <= 1e-3
