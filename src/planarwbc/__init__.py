@@ -35,7 +35,7 @@ from .pathfield import (
 from .policy import Policy, PolicyConfig, init_params, load_params, save_params
 from .ppo import TrainConfig, TrainerState, compute_gae, init_trainer, ppo_update, train_loop
 from .render import render_scene, render_snapshot
-from .reward import RewardParams, RewardState, compute_step_reward, reset_state, terminal_reward
+from .reward import RewardParams, RewardState, compute_step_reward, terminal_reward
 from .robot import Action, LidarConfig, RobotConfig, RobotState, forward_kinematics, step_dynamics
 from .world import WorldGeometry, cast_lidar, collision_check
 
@@ -95,7 +95,6 @@ __all__ = [
     "record_episode",
     "render_scene",
     "render_snapshot",
-    "reset_state",
     "run_controller",
     "save_config",
     "save_params",

@@ -4,11 +4,13 @@ A single controller watches a sliding window of recent episode outcomes.
 Consistently high success tightens the tolerance by a fixed step, low
 success relaxes it, and the window is cleared after every adjustment so the
 next decision uses only post-adjustment evidence. The tolerance always stays
-inside the configured range.
+inside the configured range, which lies inside the episode's valid range.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .reward import TOLERANCE_RANGE
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,12 @@ class AdrConfig:
             errors.append("need 0 <= lower_rate <= upper_rate <= 1")
         if self.step <= 0.0:
             errors.append("step must be > 0")
-        if not 0.0 < self.min_tolerance <= self.max_tolerance:
-            errors.append("need 0 < min_tolerance <= max_tolerance")
+        lo, hi = TOLERANCE_RANGE
+        for name in ("min_tolerance", "max_tolerance"):
+            if not lo <= getattr(self, name) <= hi:
+                errors.append(f"{name} must be in [{lo}, {hi}]")
+        if self.min_tolerance > self.max_tolerance:
+            errors.append("need min_tolerance <= max_tolerance")
         return errors
 
 

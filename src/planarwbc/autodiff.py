@@ -113,8 +113,6 @@ class Tensor:
 
         return Tensor(self.data + other.data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
 
@@ -134,20 +132,6 @@ class Tensor:
     def __sub__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return Tensor(other) + (-self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return self * other.reciprocal()
-        return self * (1.0 / _as_array(other))
-
-    def reciprocal(self):
-        def backward(g):
-            self._accumulate(-g / (self.data * self.data))
-
-        return Tensor(1.0 / self.data, (self,), backward)
 
     def __pow__(self, exponent: float):
         def backward(g):
@@ -179,9 +163,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
     """One layer: z = x @ w + b for x (N, K), w (K, M), b (M,), then tanh(z).
 
     The backward casts the upstream gradient to z's dtype once and forms
-    g * (1 - z*z) in one scratch array. With a one-column output the input
-    gradient is the outer product gz * w.T, the same single rounding per
-    element as the K=1 matrix product.
+    g * (1 - z*z) in one scratch array.
     """
     z = x.data @ w.data
     z += b.data
@@ -196,7 +178,7 @@ def dense(x: Tensor, w: Tensor, b: Tensor, tanh: bool) -> Tensor:
             np.subtract(1.0, gz, out=gz)
             np.multiply(g, gz, out=gz)
         if x.requires_grad:
-            x._accumulate(gz * w.data.T if z.shape[1] == 1 else gz @ w.data.T)
+            x._accumulate(gz @ w.data.T)
         if w.requires_grad:
             w._accumulate(x.data.T @ gz)
         if b.requires_grad:

@@ -2,7 +2,8 @@
 
 Every subcommand takes --config (JSON, defaults applied for absent fields),
 --seed, and --out; the default output directory comes from the PLANARWBC_OUT
-environment variable when set.
+environment variable when set. `train` seeds from train.seed unless --seed
+is given; the other subcommands default the master seed to 0.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, default_config, load_config, save_config
-from .envs import generate_scene, make_episode, new_episode
+from .envs import new_episode
 from .evaluate import eval_success_rate
 from .pathfield import field_to_pgm
 from .ppo import train_loop
@@ -24,10 +25,12 @@ from .render import render_scene
 from .robot import forward_kinematics
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, seed: int | None = 0) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON run configuration (defaults when omitted)")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
+    sub.add_argument("--seed", type=int, default=seed,
+                     help="master seed" if seed is not None
+                     else "master seed (default: train.seed of the config)")
     sub.add_argument("--out", type=Path,
                      default=Path(os.environ.get("PLANARWBC_OUT", "out")),
                      help="output directory (default: $PLANARWBC_OUT or ./out)")
@@ -41,7 +44,8 @@ def _load_run(args):
 
 def _cmd_train(args) -> int:
     run = _load_run(args)
-    run = replace(run, train=replace(run.train, seed=args.seed))
+    if args.seed is not None:
+        run = replace(run, train=replace(run.train, seed=args.seed))
     args.out.mkdir(parents=True, exist_ok=True)
     save_config(run, args.out / "config.json")
     summary = train_loop(run, args.out, resume=args.resume)
@@ -85,8 +89,7 @@ def _cmd_inspect_env(args) -> int:
 def _cmd_hpf_dump(args) -> int:
     run = _load_run(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    episode = make_episode(run.robot, run.reward, run.episode,
-                           *generate_scene(run.env, run.robot, rng), cell_size=args.cell_size)
+    episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
     raster, path = episode.path_field, episode.path
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "field.pgm").write_bytes(field_to_pgm(raster))
@@ -159,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="run PPO training")
-    _add_common(p)
+    _add_common(p, seed=None)
     p.add_argument("--resume", type=Path, default=None,
                    help="training checkpoint to resume from")
     p.set_defaults(func=_cmd_train)
@@ -183,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hpf-dump", help="dump a potential field PGM and path JSON")
     _add_common(p)
-    p.add_argument("--cell-size", type=float, default=0.05)
     p.set_defaults(func=_cmd_hpf_dump)
 
     p = sub.add_parser("render", help="render a scene (optionally with a trace) to SVG")

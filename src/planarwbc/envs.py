@@ -10,7 +10,7 @@ single termination reason per episode.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -93,7 +93,11 @@ class EnvSpec:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Per-episode timing, tolerance, and reward variant."""
+    """Per-episode timing, tolerance, reward variant and planning resolution.
+
+    The only owner of these values: the reward and the dynamics read them
+    from here.
+    """
 
     tolerance: float = 0.3
     hold_time: float = 1.0
@@ -108,8 +112,9 @@ class EpisodeConfig:
 
     def validate(self) -> list[str]:
         errors = []
-        if not 0.05 <= self.tolerance <= 0.5:
-            errors.append("tolerance must be in [0.05, 0.5]")
+        lo, hi = reward_mod.TOLERANCE_RANGE
+        if not lo <= self.tolerance <= hi:
+            errors.append(f"tolerance must be in [{lo}, {hi}]")
         if self.timestep <= 0.0:
             errors.append("timestep must be > 0")
         if not 0.0 < self.hold_time < self.time_limit:
@@ -417,22 +422,21 @@ def make_episode(
     world: WorldGeometry,
     start: RobotState,
     goal_pose,
-    cell_size: float | None = None,
     plan_from=None,
 ) -> Episode:
     """Plan the reference path for a scene and assemble fresh episode state.
 
-    cell_size defaults to config.grid_cell. plan_from overrides the path's
-    start point (default: the end-effector position of `start`); checkpoint
-    restoration uses it to replant the path from the original spawn while
-    `start` holds the current robot state.
+    The path is planned on a raster of config.grid_cell cells. plan_from
+    overrides the path's start point (default: the end-effector position of
+    `start`); checkpoint restoration uses it to replan the path from the
+    original spawn while `start` holds the current robot state.
     """
     issues = config.validate()
     if issues:
         raise ValueError("; ".join(issues))
     goal_pose = np.asarray(goal_pose, dtype=float)
-    raster = rasterize_world(world, config.grid_cell if cell_size is None else cell_size,
-                             inflate=robot.link_capsule_radius, goal=goal_pose[:2])
+    raster = rasterize_world(world, config.grid_cell, inflate=robot.link_capsule_radius,
+                             goal=goal_pose[:2])
     solve_harmonic(raster)
     if plan_from is None:
         ee_xy = np.asarray(forward_kinematics(robot, start)[-1][:2])
@@ -442,13 +446,6 @@ def make_episode(
     path_state = init_path_metrics(path, ee_xy)
     initial_progress = path_state.prev_progress
     path_length_init = max(path.total_length - initial_progress, 1e-9)
-    params = replace(
-        params,
-        timestep=config.timestep,
-        episode_time_limit=config.time_limit,
-        hold_duration=config.hold_time,
-        variant=config.variant,
-    )
     return Episode(
         robot=robot,
         world=world,
@@ -460,7 +457,7 @@ def make_episode(
         path_field=raster,
         path_length_init=path_length_init,
         initial_progress=initial_progress,
-        reward_state=reward_mod.reset_state(config.tolerance),
+        reward_state=RewardState(),
         path_state=path_state,
         required_hold_steps=int(math.ceil(config.hold_time / config.timestep - 1e-9)),
         max_steps=int(math.ceil(config.time_limit / config.timestep - 1e-9)),
@@ -516,6 +513,7 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
         clearance = min(scan_min, body_clearance)
     step_reward, episode.reward_state, breakdown = reward_mod.compute_step_reward(
         episode.params,
+        cfg,
         episode.reward_state,
         d_dev,
         d_prog,
@@ -534,7 +532,7 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     elif episode.reward_state.hold_steps >= episode.required_hold_steps:
         terminated = "success"
     if terminated is not None:
-        step_reward += reward_mod.terminal_reward(episode.params, terminated)
+        step_reward += reward_mod.terminal_reward(episode.params, cfg, terminated)
         episode.terminated = terminated
 
     info = {
@@ -599,9 +597,7 @@ def episode_from_dict(robot: RobotConfig, params: RewardParams, data: dict) -> E
     if rs["inside_tolerance"] != (data["hold_steps"] > 0):
         raise ValueError("snapshot's inside_tolerance disagrees with its hold_steps")
     episode.reward_state = RewardState(
-        goal_tolerance=config.tolerance,
-        hold_accumulator=rs["hold_accumulator"],
-        hold_steps=data["hold_steps"],
+        hold_accumulator=rs["hold_accumulator"], hold_steps=data["hold_steps"]
     )
     episode.step_count = data["step_count"]
     episode.terminated = data["terminated"]

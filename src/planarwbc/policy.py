@@ -197,7 +197,8 @@ def _network(cfg: PolicyConfig, views, x, leaf, dense, concat, columns):
 class Policy:
     """Flat float64 master parameters bound to a config, with fast and taped forwards.
 
-    Both forwards read `compute`, a COMPUTE_DTYPE copy of `params`: whoever
+    The policy owns `params`, a copy of the array it was built from. Both
+    forwards read `compute`, a COMPUTE_DTYPE copy of `params`: whoever
     writes `params` calls refresh() before the next forward.
     """
 
@@ -206,7 +207,7 @@ class Policy:
         if issues:
             raise ValueError("; ".join(issues))
         self.config = config
-        self.params = np.ascontiguousarray(params, dtype=np.float64)
+        self.params = np.array(params, dtype=np.float64)
         self.views = param_views(config, self.params)
         self.compute = np.empty(self.params.shape, COMPUTE_DTYPE)
         self.compute_views = param_views(config, self.compute)

@@ -484,7 +484,7 @@ def _cut_logs(out_dir: Path, global_step: int, update_count: int) -> None:
         path.write_text(header + "".join(r for r in rows if r.endswith("\n") and keep(r)))
 
 
-def train_loop(run, out_dir, resume: str | None = None, log_every: int = 1) -> dict:
+def train_loop(run, out_dir, resume: str | None = None) -> dict:
     """Alternate collection and updates until the step budget is spent.
 
     Writes metrics.csv (per finished episode), updates.jsonl (per update),
@@ -518,9 +518,8 @@ def train_loop(run, out_dir, resume: str | None = None, log_every: int = 1) -> d
                 )
         tolerance = adr_mod.current_tolerance(trainer.adr_state)
         stats["adr_tolerance"] = tolerance
-        if trainer.update_count % log_every == 0:
-            with updates_path.open("a") as fh:
-                fh.write(json.dumps(stats, sort_keys=True) + "\n")
+        with updates_path.open("a") as fh:
+            fh.write(json.dumps(stats, sort_keys=True) + "\n")
         if tolerance != last_tolerance:
             with adr_path.open("a") as fh:
                 fh.write(f"{trainer.global_step},{tolerance!r}\n")

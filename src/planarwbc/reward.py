@@ -5,20 +5,28 @@ path-progress differences, and an in-tolerance holding bonus that is
 accumulated and refunded (subtracted) if the end-effector leaves the
 tolerance sphere again, so camping at the boundary cannot be farmed.
 Terminal events (collision, sustained hold, joint limit under the baseline
-variant) are rewarded separately at episode end.
+variant) are rewarded separately at episode end. The weights come from
+RewardParams; the timestep, time limit, hold time, tolerance and variant
+come from the episode's EpisodeConfig.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .envs import EpisodeConfig
 
 VARIANTS = ("clamping", "baseline")
 TERMINATIONS = ("collision", "timeout", "joint_limit", "success")
+# Goal tolerance radius range [m], shared by the episode config and the curriculum.
+TOLERANCE_RANGE = (0.05, 0.5)
 
 
 @dataclass(frozen=True)
 class RewardParams:
-    """Weights and time constants of the shaped reward.
+    """Weights of the shaped reward and the safety-margin distance.
 
     The safety-margin weight/distance and the joint-limit penalty only take
     effect under the baseline variant; the clamping variant makes joint-limit
@@ -35,23 +43,11 @@ class RewardParams:
     joint_limit_penalty: float = -20.0
     safety_margin_weight: float = -1.0
     safety_distance: float = 0.3
-    timestep: float = 0.04
-    episode_time_limit: float = 60.0
-    hold_duration: float = 1.0
-    variant: str = "clamping"
 
     def validate(self) -> list[str]:
         errors = []
-        if self.timestep <= 0.0:
-            errors.append("timestep must be > 0")
-        if self.episode_time_limit <= 0.0:
-            errors.append("episode_time_limit must be > 0")
-        if self.hold_duration <= 0.0:
-            errors.append("hold_duration must be > 0")
         if self.safety_distance <= 0.0:
             errors.append("safety_distance must be > 0")
-        if self.variant not in VARIANTS:
-            errors.append(f"variant must be one of {VARIANTS}")
         return errors
 
 
@@ -65,20 +61,13 @@ class RewardState:
     tolerance up to now (0 when outside); the episode's success test reads it.
     """
 
-    goal_tolerance: float
     hold_accumulator: float = 0.0
     hold_steps: int = 0
 
 
-def reset_state(goal_tolerance: float) -> RewardState:
-    """Fresh per-episode state for a given tolerance-sphere radius."""
-    if not 0.05 <= goal_tolerance <= 0.5:
-        raise ValueError(f"goal_tolerance {goal_tolerance} outside [0.05, 0.5]")
-    return RewardState(goal_tolerance=goal_tolerance)
-
-
 def compute_step_reward(
     params: RewardParams,
+    config: EpisodeConfig,
     state: RewardState,
     delta_deviation: float,
     delta_progress: float,
@@ -88,7 +77,7 @@ def compute_step_reward(
 ) -> tuple[float, RewardState, dict[str, float]]:
     """One shaped reward sample plus the updated state and a term breakdown.
 
-    Holding bonuses apply only while goal_distance <= the tolerance; on the
+    Holding bonuses apply only while goal_distance <= config.tolerance; on the
     step the end-effector exits the sphere the whole accumulated holding
     reward is subtracted. Terminal bonuses are not included here.
     """
@@ -105,16 +94,16 @@ def compute_step_reward(
     if goal_distance < 0.0:
         raise ValueError("goal_distance must be >= 0")
 
-    time_term = params.time_weight * params.timestep / params.episode_time_limit
+    time_term = params.time_weight * config.timestep / config.time_limit
     deviation_term = params.deviation_weight * delta_deviation
     progress_term = params.progress_weight * delta_progress / path_length_init
 
-    inside = goal_distance <= state.goal_tolerance
+    inside = goal_distance <= config.tolerance
     hold_term = 0.0
     accumulator = state.hold_accumulator
     if inside:
-        scale = params.timestep / params.hold_duration
-        closeness = 1.0 - min(1.0, goal_distance / state.goal_tolerance)
+        scale = config.timestep / config.hold_time
+        closeness = 1.0 - min(1.0, goal_distance / config.tolerance)
         hold_term = (params.hold_time_weight + params.hold_dist_weight * closeness) * scale
         accumulator += hold_term
 
@@ -124,7 +113,7 @@ def compute_step_reward(
         accumulator = 0.0
 
     safety_term = 0.0
-    if params.variant == "baseline" and math.isfinite(min_obstacle_clearance):
+    if config.variant == "baseline" and math.isfinite(min_obstacle_clearance):
         shortfall = max(0.0, 1.0 - min_obstacle_clearance / params.safety_distance)
         safety_term = params.safety_margin_weight * shortfall
 
@@ -144,7 +133,7 @@ def compute_step_reward(
     return reward, new_state, breakdown
 
 
-def terminal_reward(params: RewardParams, reason: str) -> float:
+def terminal_reward(params: RewardParams, config: EpisodeConfig, reason: str) -> float:
     """Episode-end bonus/penalty for a termination reason."""
     if reason == "collision":
         return params.collision_penalty
@@ -153,7 +142,7 @@ def terminal_reward(params: RewardParams, reason: str) -> float:
     if reason == "timeout":
         return 0.0
     if reason == "joint_limit":
-        if params.variant != "baseline":
+        if config.variant != "baseline":
             raise ValueError("joint_limit termination cannot occur under the clamping variant")
         return params.joint_limit_penalty
     raise ValueError(f"unknown termination reason: {reason!r}")

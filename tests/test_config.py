@@ -91,6 +91,22 @@ def test_semantic_validation_cites_bounds():
         config_from_dict({"policy": {"scan_beams": 16}})
 
 
+@pytest.mark.parametrize("document,field", [
+    ({"adr": {"min_tolerance": 0.01}}, "adr.min_tolerance must be in [0.05, 0.5]"),
+    ({"adr": {"max_tolerance": 0.6}}, "adr.max_tolerance must be in [0.05, 0.5]"),
+    ({"adr": {"min_tolerance": 0.3, "max_tolerance": 0.2}},
+     "adr.need min_tolerance <= max_tolerance"),
+    ({"reward": {"variant": "baseline"}}, "reward.variant: unknown key"),
+], ids=["adr_min_below_range", "adr_max_above_range", "adr_min_above_max", "reward_variant"])
+def test_config_that_validates_also_runs(document, field):
+    # Each of these, if accepted, would fail part-way through a run (a
+    # tolerance outside the episode's range) or be silently ignored (the
+    # variant is owned by the episode section).
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(document)
+    assert field in str(exc.value)
+
+
 def test_save_load_round_trip(tmp_path):
     config = config_from_dict(
         {"episode": {"tolerance": 0.25}, "train": {"seed": 7}, "env": {"kind": "gap_test"}}

@@ -15,8 +15,9 @@ import pytest
 
 from planarwbc.cli import main
 from planarwbc.config import default_config, save_config
-from planarwbc.envs import EnvSpec, EpisodeConfig, new_episode
+from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, new_episode
 from planarwbc.evaluate import EvalReport, eval_success_rate, run_controller
+from planarwbc.pathfield import rasterize_world
 from planarwbc.policy import PolicyConfig, param_count, save_params
 from planarwbc.ppo import TrainConfig
 from planarwbc.render import render_scene, render_snapshot
@@ -199,10 +200,16 @@ def test_cli_inspect_env(cli_config, tmp_path, capsys):
 
 def test_cli_hpf_dump(cli_config, tmp_path, capsys):
     out = tmp_path / "dump"
-    code = main(["hpf-dump", "--config", str(cli_config), "--seed", "1",
-                 "--cell-size", "0.1", "--out", str(out)])
+    code = main(["hpf-dump", "--config", str(cli_config), "--seed", "1", "--out", str(out)])
     assert code == 0
-    assert (out / "field.pgm").read_bytes().startswith(b"P5")
+    # The planning resolution is the config's episode.grid_cell (0.1 m here).
+    run = easy_run(time_limit=2.0)
+    assert run.episode.grid_cell == 0.1
+    world, _, goal = generate_scene(run.env, run.robot,
+                                    np.random.default_rng(np.random.SeedSequence(1)))
+    h, w = rasterize_world(world, 0.1, inflate=run.robot.link_capsule_radius,
+                           goal=goal[:2]).shape
+    assert (out / "field.pgm").read_bytes().startswith(f"P5\n{w} {h}\n255\n".encode())
     payload = json.loads((out / "path.json").read_text())
     assert payload["total_length"] > 0
     assert len(payload["points"]) >= 2
@@ -245,6 +252,16 @@ def test_cli_train_writes_run_artifacts(cli_config, tmp_path, capsys):
     assert (out / "config.json").exists()
     assert (out / "policy.ckpt").exists()
     assert (out / "metrics.csv").exists()
+
+
+def test_cli_train_seeds_from_config_unless_given(tmp_path):
+    run = easy_run(time_limit=2.0)
+    config = tmp_path / "run.json"
+    save_config(replace(run, train=replace(run.train, seed=3)), config)
+    for flags, seed in (([], 3), (["--seed", "4"], 4)):
+        out = tmp_path / f"train{seed}"
+        assert main(["train", "--config", str(config), "--out", str(out), *flags]) == 0
+        assert json.loads((out / "config.json").read_text())["train"]["seed"] == seed
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

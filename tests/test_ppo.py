@@ -517,6 +517,24 @@ def test_compute_copy_follows_every_parameter_change(tmp_path):
                           trainer.policy.forward_batch(obs)[0])
 
 
+def test_policies_built_from_one_array_keep_their_own_parameters():
+    run = smoke_run()
+    trainer = init_trainer(run)
+    shared = trainer.policy.params.copy()
+    before = shared.copy()
+    trainer.policy = Policy(run.policy, shared)
+    other = Policy(run.policy, shared)
+    obs = np.random.default_rng(32).uniform(-1, 1, (4, run.policy.observation_size))
+    logits, values = other.forward_batch(obs)
+    adam_step(trainer, np.random.default_rng(33).standard_normal(before.size), lr=1e-3)
+    assert not np.array_equal(trainer.policy.params, before)
+    assert np.array_equal(shared, before)
+    assert np.array_equal(other.params, before)
+    other_logits, other_values = other.forward_batch(obs)
+    assert np.array_equal(other_logits, logits)
+    assert np.array_equal(other_values, values)
+
+
 def test_float32_network_tracks_float64(monkeypatch):
     # The default network with heads scaled to logits of order one, as in a
     # trained policy. Bounds are relative to the float64 magnitudes. Measured
