@@ -101,7 +101,8 @@ def _cmd_hpf_dump(args) -> int:
           f"(path length {path.total_length:.3f} m)")
     effort = raster.effort
     print(f"solver: levels={effort.levels} cycles={effort.cycles} sweeps={effort.sweeps} "
-          f"smoothing_finish={'yes' if effort.smoothing_finish else 'no'}")
+          f"smoothing_finish={'yes' if effort.smoothing_finish else 'no'} "
+          f"solve_ms={effort.seconds * 1e3:.1f}")
     return 0
 
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .adr import AdrConfig
-from .envs import EnvSpec, EpisodeConfig, observation_size
+from .envs import GAP_MAX_GRID_CELL, EnvSpec, EpisodeConfig, observation_size
 from .policy import PolicyConfig
 from .ppo import TrainConfig
 from .reward import RewardParams
@@ -55,6 +55,11 @@ class RunConfig:
             )
         if self.policy.action_dims != 3 + self.robot.num_joints:
             errors.append("policy.action_dims: must equal 3 + number of joints")
+        if self.env.kind != "corridor" and self.episode.grid_cell > GAP_MAX_GRID_CELL:
+            errors.append(
+                f"episode.grid_cell: must be <= {GAP_MAX_GRID_CELL} for gap scenes; a coarser "
+                "raster can close the slot and leave no path to the goal"
+            )
         return errors
 
 

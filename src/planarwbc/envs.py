@@ -33,6 +33,12 @@ from .world import WorldGeometry, body_query, cast_lidars, collision_check, min_
 
 ENV_KINDS = ("corridor", "gap_train", "gap_test")
 GRID_CELL = 0.05
+# Coarsest episode.grid_cell for the gap kinds. The generators accept a scene
+# on GRID_CELL rasters; on a coarser one the inflated slot walls can close
+# the slot, and then no path reaches the goal. On seeds 0-29, most sizes above
+# 0.11 m failed every gap_train reset. Some finer sizes fail too (0.1025 m
+# fails all gap_train resets), so the bound rejects the worst sizes, not all.
+GAP_MAX_GRID_CELL = 0.11
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ deviation/progress differences against that path feed the shaped reward.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +148,13 @@ def connected_component(open_mask, cell) -> np.ndarray:
 # the block holding the goal is fixed. Faces carry the connectivity: a coarse
 # face is open when a fine face crossing it is, so walls thinner than a
 # coarse cell stay closed instead of merging the regions on either side.
+#
+# Each level is stored with an odd row stride Wp = W | 1: a grid of even
+# width gets one obstacle column on its east side, the pad column, which
+# takes no part in the solve. With an odd stride the parity of the flat index
+# r * Wp + c is the parity of r + c, the cell's red-black colour, so a colour
+# is one stride-2 slice of the flat grid and the N, S, W and E neighbours of
+# a cell are at flat offsets -Wp, +Wp, -1 and +1 (see _weights and _smooth).
 
 # Coarsening stops before an interior dimension would drop below this; on
 # smaller grids the coarse problem no longer resembles the fine one.
@@ -175,18 +184,30 @@ class SolverEffort:
     cycles: int  # V-cycles run on the full-resolution grid
     sweeps: int  # red-black smoothing sweeps on the full-resolution grid
     smoothing_finish: bool  # cycles stalled and plain sweeps finished the solve
+    # Wall time of the call; left out of ==, which compares the work alone.
+    seconds: float = dataclasses.field(default=0.0, compare=False)
 
 
 @dataclass
 class _Level:
-    open: np.ndarray  # (H, W) free cells plus the goal cell or block
-    free: np.ndarray  # (H, W) the cells the smoother updates
+    """One grid of the hierarchy, stored with the odd row stride Wp = W | 1."""
+
+    shape: tuple[int, int]  # (H, W) without the pad column
+    open: np.ndarray  # (H, Wp) free cells plus the goal cell or block
+    free: np.ndarray  # (H, Wp) the cells the smoother updates
     faces: np.ndarray  # (4, H-2, W-2) bool: open N, S, W, E faces of interior cells
-    stencil: np.ndarray  # (4, H-2, W-2) bool: open faces of free interior cells
-    fixed_inner: np.ndarray  # (H-2, W-2) 1.0 on fixed interior cells, else 0
-    colors: tuple  # red then black: per color, the parity subgrids' slices
+    stencil: np.ndarray  # (4, (H-2) Wp) bool, rows 1..H-2: open faces of free cells
+    fixed: np.ndarray  # (H Wp,) 1.0 on every cell but the free ones, else 0
+    q: np.ndarray  # (H Wp,) the smoother's unknown
+    cap: np.ndarray  # (H Wp,) its upper bound
+    half_sweeps: tuple  # red then black: the views one half-sweep reads and writes
     children: np.ndarray | None = None  # (H-2, W-2) open children per cell
-    prolong: tuple | None = None  # (rows, cols, weights) onto the finer level
+    prolong: tuple | None = None  # (flat coarse indices, weights) onto the finer level
+
+    @property
+    def inner(self):
+        """Index of the interior cells, (H-2, W-2)."""
+        return np.s_[1:-1, 1:self.shape[1] - 1]
 
 
 def _neighbours(a):
@@ -194,39 +215,19 @@ def _neighbours(a):
     return a[:-2, 1:-1], a[2:, 1:-1], a[1:-1, :-2], a[1:-1, 2:]
 
 
-def _parity_slices(h, w):
-    """Per color, per parity subgrid: (centre, N, S, W, E, interior) slices.
-
-    Red cells have even row + col; a color's cells depend only on the other
-    color, so sweeping a color subgrid by subgrid is exact Gauss-Seidel.
-    """
-    colors = []
-    for pairs in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
-        subgrids = []
-        for pr, pc in pairs:
-            nr = len(range(1 + pr, h - 1, 2))
-            nc = len(range(1 + pc, w - 1, 2))
-            if nr == 0 or nc == 0:
-                continue
-            rows = slice(1 + pr, 1 + pr + 2 * nr, 2)
-            cols = slice(1 + pc, 1 + pc + 2 * nc, 2)
-            up, down = slice(pr, pr + 2 * nr, 2), slice(2 + pr, 2 + pr + 2 * nr, 2)
-            left, right = slice(pc, pc + 2 * nc, 2), slice(2 + pc, 2 + pc + 2 * nc, 2)
-            subgrids.append(((rows, cols), (up, cols), (down, cols), (rows, left),
-                             (rows, right), (slice(pr, None, 2), slice(pc, None, 2))))
-        colors.append(tuple(subgrids))
-    return tuple(colors)
-
-
 def _make_level(open_, goal, faces) -> _Level:
-    free = open_.copy()
-    free[goal] = False
     h, w = open_.shape
-    inner_free = free[1:-1, 1:-1]
-    return _Level(open=open_, free=free, faces=faces,
-                  stencil=faces & inner_free,
-                  fixed_inner=(~inner_free).astype(float),
-                  colors=_parity_slices(h, w))
+    padded = np.zeros((h, w | 1), dtype=bool)
+    padded[:, :w] = open_
+    free = padded.copy()
+    free[goal] = False
+    stencil = np.zeros((4, h - 2, w | 1), dtype=bool)
+    stencil[:, :, 1:w - 1] = faces & free[1:-1, 1:w - 1]
+    fixed = (~free).astype(float).reshape(-1)
+    q, cap = np.ones(h * (w | 1)), np.ones(h * (w | 1))
+    return _Level(shape=(h, w), open=padded, free=free, faces=faces,
+                  stencil=stencil.reshape(4, -1), fixed=fixed, q=q, cap=cap,
+                  half_sweeps=_half_sweeps((h, w), fixed, q, cap))
 
 
 def _blocks(inner):
@@ -255,7 +256,8 @@ def _prolongation(fine_shape, coarse_faces):
     Each fine cell blends its parent (9/16), the parent's neighbours on its
     side across rows and columns (3/16 each) and the diagonal one (1/16);
     a neighbour counts only when an open face path from the parent reaches
-    it, and the kept weights are renormalized.
+    it, and the kept weights are renormalized. The four source cells come
+    as flat indices into the padded coarse array, in that order.
     """
     n, m = fine_shape[0] - 2, fine_shape[1] - 2
     i, j = np.arange(n), np.arange(m)
@@ -276,7 +278,10 @@ def _prolongation(fine_shape, coarse_faces):
     weights = np.stack([np.full((n, m), 9.0), 3.0 * vert, 3.0 * horz,
                         1.0 * ((vert & horz_nb) | (horz & vert_nb))])
     weights /= weights.sum(axis=0)
-    return ((rows, rows_nb, rows, rows_nb), (cols, cols, cols_nb, cols_nb)), weights
+    stride = (coarse_faces.shape[2] + 2) | 1
+    index = np.stack([r[:, None] * stride + c for r, c in
+                      ((rows, cols), (rows_nb, cols), (rows, cols_nb), (rows_nb, cols_nb))])
+    return index.astype(np.int32), weights
 
 
 def _hierarchy(kind, goal) -> list[_Level]:
@@ -292,12 +297,12 @@ def _hierarchy(kind, goal) -> list[_Level]:
     levels = [_make_level(open_, goal, faces)]
     while True:
         fine = levels[-1]
-        h, w = fine.open.shape
+        h, w = fine.shape
         gr, gc = goal
         nc, mc = (h - 1) // 2, (w - 1) // 2
         if min(nc, mc) < MIN_COARSE_CELLS or not (0 < gr < h - 1 and 0 < gc < w - 1):
             return levels
-        children = _blocks(fine.open[1:-1, 1:-1].astype(float)).sum(axis=(1, 3))
+        children = _blocks(fine.open[fine.inner].astype(float)).sum(axis=(1, 3))
         open_ = np.zeros((nc + 2, mc + 2), dtype=bool)
         open_[1:-1, 1:-1] = children > 0
         goal = ((gr - 1) // 2 + 1, (gc - 1) // 2 + 1)
@@ -311,17 +316,17 @@ def _hierarchy(kind, goal) -> list[_Level]:
 
 
 def _prolong(coarse, values):
-    """Interpolate coarse values (full array) onto the finer level's interior."""
-    (rows, cols), weights = coarse.prolong
-    out = weights[0] * values[np.ix_(rows[0], cols[0])]
+    """Interpolate coarse values (padded array) onto the finer level's interior."""
+    index, weights = coarse.prolong
+    out = weights[0] * values.take(index[0])
     for k in range(1, 4):
-        out += weights[k] * values[np.ix_(rows[k], cols[k])]
+        out += weights[k] * values.take(index[k])
     return out
 
 
 def _restrict(fine, coarse, inner):
     """Mean of an interior array over each coarse cell's open children."""
-    sums = _blocks(np.where(fine.open[1:-1, 1:-1], inner, 0.0)).sum(axis=(1, 3))
+    sums = _blocks(np.where(fine.open[fine.inner], inner, 0.0)).sum(axis=(1, 3))
     return sums / np.maximum(coarse.children, 1.0)
 
 
@@ -331,82 +336,138 @@ def _weights(lv, v, f):
     The update v = softmin(neighbours) + f reads w = sum_d a[d] * w_d / w, so
     with the weights frozen at the values v0 the unknown q = w / w0 obeys the
     linear Gauss-Seidel step q = sum_d a[d] q_d: no exp or log per sweep.
+    Computed on whole rows 1..H-2 of the flat grid, so the N, S, W and E
+    neighbours are the flat array shifted by -Wp, Wp, -1 and 1: a is
+    (4, (H-2) Wp), and ring and pad cells get weight 0.
     """
-    centre = v[1:-1, 1:-1] - (f + math.log(4.0))
-    a = np.empty((4,) + centre.shape)
-    for k, nb in enumerate(_neighbours(v)):
-        np.subtract(centre, nb, out=a[k])
-    np.clip(a, -EXP_CLAMP, EXP_CLAMP, out=a)
+    h, wp = v.shape
+    flat = v.reshape(-1)
+    rows = slice(wp, (h - 1) * wp)
+    if isinstance(f, np.ndarray):  # shaped like v
+        f = f.reshape(-1)[rows]
+    centre = flat[rows] - (f + math.log(4.0))
+    a = np.empty((4, rows.stop - rows.start))
+    for k, offset in enumerate((-wp, wp, -1, 1)):
+        np.subtract(centre, flat[rows.start + offset:rows.stop + offset], out=a[k])
+    np.minimum(a, EXP_CLAMP, out=a)
+    np.maximum(a, -EXP_CLAMP, out=a)
     np.exp(a, out=a)
     a *= lv.stencil
     return a
 
 
-def _defect(lv, v, f):
-    """softmin(neighbours) + f - v on free interior cells, 0 on fixed ones."""
-    return -np.log(_weights(lv, v, f).sum(axis=0) + lv.fixed_inner)
+def _defect(lv, v, f, a=None):
+    """softmin(neighbours) + f - v on free interior cells, 0 on fixed ones.
+
+    a: _weights(lv, v, f) when the caller already has it.
+    """
+    if a is None:
+        a = _weights(lv, v, f)
+    h, wp = v.shape
+    defect = -np.log(a.sum(axis=0) + lv.fixed[wp:(h - 1) * wp])  # rows 1..H-2
+    return defect.reshape(h - 2, wp)[:, 1:lv.shape[1] - 1]
 
 
-def _smooth(lv, v, f, sweeps):
+def _pair(flat, first, gap, n):
+    """(2, n) view of a flat array: flat[first + 2i] and flat[first + gap + 2i]."""
+    size = flat.itemsize
+    return np.ndarray((2, n), flat.dtype, flat, first * size, (gap * size, 2 * size))
+
+
+def _half_sweeps(shape, fixed, q, cap):
+    """Red then black: each colour's slice of the flat grid and its views.
+
+    With the odd row stride a colour is every other cell of the flat grid,
+    one stride-2 slice c from the first interior cell to the last. Per
+    colour: c shifted by -Wp (the same cells in _weights' a, which starts at
+    row 1), the views of q, cap and fixed on c, a (4, n) products buffer
+    (shared by the colours) and the (2, n) views of q at the N/S and at the
+    W/E neighbours.
+    """
+    h, w = shape
+    wp = w | 1
+    stop = (h - 2) * wp + w - 1
+    views = []
+    products = np.empty((4, len(range(wp + 1, stop, 2))))
+    for start in (wp + 1, wp + 2):  # red (even row + col), then black
+        c = slice(start, stop, 2)
+        n = len(range(start, stop, 2))
+        views.append((slice(start - wp, stop - wp, 2), q[c], cap[c], fixed[c], products[:, :n],
+                      _pair(q, start - wp, 2 * wp, n), _pair(q, start - 1, 2, n)))
+    return tuple(views)
+
+
+def _smooth(lv, v, f, sweeps, a=None):
     """Red-black Gauss-Seidel sweeps of v = softmin(neighbours) + f, in place.
 
     In w = exp(-v) this is Gauss-Seidel on a linear system (w = exp(-f) times
     the neighbour mean), which converges from any starting values. Values
     are kept in the physical range w <= 1 (v >= 0): on coarse levels the
     tau term of an early cycle can otherwise drive w up without limit.
+    a: _weights(lv, v, f) when the caller already has it.
+
+    A colour's half-sweep is one stride-2 slice (see _half_sweeps). The ring
+    and pad cells in it have zero weights and fixed 1, so like fixed cells
+    they keep q = 1 (their values are >= 0, so the cap is >= 1).
     """
-    a = _weights(lv, v, f)
-    q = np.ones_like(v)
-    cap = np.minimum(v, 700.0)
-    np.exp(cap, out=cap)  # q = w / w0 <= 1 / w0
+    if a is None:
+        a = _weights(lv, v, f)
+    flat = v.reshape(-1)
+    lv.q.fill(1.0)
+    np.minimum(flat, 700.0, out=lv.cap)
+    np.exp(lv.cap, out=lv.cap)  # q = w / w0 <= 1 / w0
+    half_sweeps = [(centre, cap, fixed, products, a[:2, in_a], q_ns, a[2:, in_a], q_we)
+                   for in_a, centre, cap, fixed, products, q_ns, q_we in lv.half_sweeps]
     for _ in range(sweeps):
-        for color in lv.colors:
-            for centre, north, south, west, east, inner in color:
-                t = a[0][inner] * q[north]
-                t += a[1][inner] * q[south]
-                t += a[2][inner] * q[west]
-                t += a[3][inner] * q[east]
-                t += lv.fixed_inner[inner]
-                np.minimum(t, cap[centre], out=t)
-                q[centre] = t
-    v -= np.log(q)
+        for centre, cap, fixed, products, a_ns, q_ns, a_we, q_we in half_sweeps:
+            np.multiply(a_ns, q_ns, out=products[:2])
+            np.multiply(a_we, q_we, out=products[2:])
+            t = np.add.reduce(products, axis=0)  # N + S + W + E, in that order
+            t += fixed
+            np.minimum(t, cap, out=centre)
+    flat -= np.log(lv.q)
 
 
-def _fine_score(lv, v):
+def _fine_score(lv, v, a):
     """Convergence score on the full-resolution grid: max(rel, u_res).
 
     Both the relative stencil update of v and the update of u = 1 - exp(-v)
     must fall below tol. Exactly |u_new - u| = exp(-v) * |expm1(-(v_new - v))|;
     the clamps (avoiding subnormals) only overestimate far-cell terms, which
-    sit many orders below tol either way.
+    sit many orders below tol either way. a: _weights(lv, v, 0.0).
     """
-    delta = _defect(lv, v, 0.0)
-    centre = v[1:-1, 1:-1]
-    free = lv.free[1:-1, 1:-1]
+    delta = _defect(lv, v, 0.0, a)
+    centre = v[lv.inner]
+    free = lv.free[lv.inner]
     rel = float(np.max(np.abs(delta) / (1.0 + np.abs(centre)), initial=0.0, where=free))
     w_cur = np.exp(np.maximum(-centre, -50.0))
-    u_res = float(np.max(np.abs(np.expm1(-np.clip(delta, -50.0, 50.0))) * w_cur,
-                         initial=0.0, where=free))
+    np.minimum(delta, 50.0, out=delta)
+    np.maximum(delta, -50.0, out=delta)
+    u_res = float(np.max(np.abs(np.expm1(-delta)) * w_cur, initial=0.0, where=free))
     return max(rel, u_res)
 
 
-def _vcycle(levels, k, v, f):
-    """One FAS V-cycle on level k for softmin(v) + f - v = 0 on its free cells."""
+def _vcycle(levels, k, v, f, a=None):
+    """One FAS V-cycle on level k for softmin(v) + f - v = 0 on its free cells.
+
+    a: _weights(levels[k], v, f) when the caller already has it.
+    """
     lv = levels[k]
     if k + 1 == len(levels):
-        _smooth(lv, v, f, COARSEST_SWEEPS)
+        _smooth(lv, v, f, COARSEST_SWEEPS, a)
         return
-    _smooth(lv, v, f, SWEEPS)
+    _smooth(lv, v, f, SWEEPS, a)
     coarse = levels[k + 1]
     vc = np.where(coarse.open, 0.0, LOG_OBSTACLE)
-    vc[1:-1, 1:-1] += _restrict(lv, coarse, v[1:-1, 1:-1])
+    vc[coarse.inner] += _restrict(lv, coarse, v[lv.inner])
     # The coarse operator is 4x the fine one on the same field (h^2 scaling).
-    fc = 4.0 * _restrict(lv, coarse, _defect(lv, v, f)) - _defect(coarse, vc, 0.0)
+    fc = np.zeros(vc.shape)
+    fc[coarse.inner] = 4.0 * _restrict(lv, coarse, _defect(lv, v, f)) - _defect(coarse, vc, 0.0)
     start = vc.copy()
     _vcycle(levels, k + 1, vc, fc)
-    inner = v[1:-1, 1:-1]
-    inner += np.where(lv.free[1:-1, 1:-1], _prolong(coarse, vc - start), 0.0)
-    np.clip(v, 0.0, LOG_OBSTACLE, out=v)
+    v[lv.inner] += np.where(lv.free[lv.inner], _prolong(coarse, vc - start), 0.0)
+    np.maximum(v, 0.0, out=v)
+    np.minimum(v, LOG_OBSTACLE, out=v)
     _smooth(lv, v, f, SWEEPS)
 
 
@@ -419,7 +480,7 @@ def _initial_values(levels):
     for k in range(len(levels) - 1, 0, -1):
         finer = levels[k - 1]
         up = np.where(finer.open, 0.0, LOG_OBSTACLE)
-        up[1:-1, 1:-1] += np.where(finer.free[1:-1, 1:-1], _prolong(levels[k], v), 0.0)
+        up[finer.inner] += np.where(finer.free[finer.inner], _prolong(levels[k], v), 0.0)
         v = up
         if k > 1:
             _vcycle(levels, k - 1, v, 0.0)
@@ -465,6 +526,7 @@ def solve_harmonic(field: GridField, tol: float = 1e-10, max_iters: int = 200_00
     .log_values and the work in .effort. Free cells cut off from the goal
     get u = 1.
     """
+    started = time.perf_counter()
     gr, gc = field.goal_cell
     h, w = field.shape
     adjacent_free = False
@@ -484,7 +546,8 @@ def solve_harmonic(field: GridField, tol: float = 1e-10, max_iters: int = 200_00
     best, stalls = math.inf, 0
     history = []
     while True:
-        score = _fine_score(fine, v)
+        a = _weights(fine, v, 0.0)  # the next sweeps start from these too
+        score = _fine_score(fine, v, a)
         if score < tol:
             break
         if score < best:
@@ -496,18 +559,23 @@ def solve_harmonic(field: GridField, tol: float = 1e-10, max_iters: int = 200_00
             raise FieldError(f"harmonic solve did not converge below {tol} in "
                              f"{max_iters} sweeps")
         if effort.smoothing_finish:
-            _smooth(fine, v, 0.0, CHECK_EVERY)
+            _smooth(fine, v, 0.0, CHECK_EVERY, a)
             effort.sweeps += CHECK_EVERY
             continue
         x = v[fine.free]
-        _vcycle(levels, 0, v, 0.0)
+        _vcycle(levels, 0, v, 0.0, a)
+        del a  # grid-sized: not kept through the mixing
         effort.cycles += 1
         effort.sweeps += 2 * SWEEPS
         g = v[fine.free]
         history = history[-ANDERSON_DEPTH:] + [(g - x, g)]
         if len(history) > 1:
-            v[fine.free] = np.clip(_anderson_mix(history), 0.0, LOG_OBSTACLE)
-    field.log_values = v
+            mixed = _anderson_mix(history)
+            np.maximum(mixed, 0.0, out=mixed)
+            np.minimum(mixed, LOG_OBSTACLE, out=mixed)
+            v[fine.free] = mixed
+    field.log_values = np.ascontiguousarray(v[:, :w])  # without the pad column
+    effort.seconds = time.perf_counter() - started
     field.effort = effort
     return field
 
@@ -531,11 +599,27 @@ def _bilinear_with_gradient(field: GridField, p, arr=None):
 
 @dataclass
 class PathPolyline:
-    """Ordered reference path with cumulative arc length per vertex."""
+    """Ordered reference path with cumulative arc length per vertex.
+
+    Also holds the per-segment data project_on_path reads every step.
+    """
 
     points: np.ndarray  # (P, 2)
     cumlen: np.ndarray  # (P,), cumlen[0] == 0
     total_length: float
+    # Per segment, from points: start, end - start, squared length (1 where
+    # it is 0, as a divisor) and length.
+    seg_start: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    seg_vec: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    seg_div: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    seg_len: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.seg_start = self.points[:-1]
+        self.seg_vec = self.points[1:] - self.seg_start
+        den = np.einsum("ij,ij->i", self.seg_vec, self.seg_vec)
+        self.seg_div = np.where(den > 0.0, den, 1.0)
+        self.seg_len = np.sqrt(den)
 
     @classmethod
     def from_points(cls, points) -> "PathPolyline":
@@ -597,19 +681,18 @@ class PathMetricsState:
 def project_on_path(path: PathPolyline, p) -> tuple[float, float]:
     """(deviation, arc length) of the nearest point on the polyline.
 
-    Exact distance ties are broken toward the larger arc length.
+    Exact distance ties are broken toward the larger arc length. A
+    zero-length segment has a zero direction, so its t is 0 without a branch.
     """
-    a = path.points[:-1]
-    b = path.points[1:]
-    d = b - a
-    den = np.einsum("ij,ij->i", d, d)
-    pv = np.asarray(p, dtype=float) - a
-    t = np.where(den > 0.0, np.einsum("ij,ij->i", pv, d) / np.where(den > 0, den, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
+    a, d = path.seg_start, path.seg_vec
+    t = np.einsum("ij,ij->i", np.asarray(p, dtype=float) - a, d)
+    t /= path.seg_div
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
     proj = a + t[:, None] * d
     dist2 = np.einsum("ij,ij->i", proj - p, proj - p)
     best = float(dist2.min())
-    arcs = path.cumlen[:-1] + t * np.sqrt(den)
+    arcs = path.cumlen[:-1] + t * path.seg_len
     candidates = arcs[dist2 <= best]
     return math.sqrt(best), float(candidates.max())
 

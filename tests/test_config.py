@@ -1,6 +1,7 @@
 """Run configuration: merging, coercion, validation, and round-trips."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from planarwbc.config import (
     load_config,
     save_config,
 )
+from planarwbc.envs import GAP_MAX_GRID_CELL, EnvSpec, new_episode
+from planarwbc.pathfield import FieldError
 from planarwbc.policy import PolicyConfig, config_hash
 
 
@@ -105,6 +108,27 @@ def test_config_that_validates_also_runs(document, field):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(document)
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", ["gap_train", "gap_test"])
+def test_gap_scenes_reject_coarse_planning_grids(kind):
+    config_from_dict({"env": {"kind": kind}, "episode": {"grid_cell": GAP_MAX_GRID_CELL}})
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"env": {"kind": kind}, "episode": {"grid_cell": 0.15}})
+    assert f"episode.grid_cell: must be <= {GAP_MAX_GRID_CELL} for gap scenes" in str(exc.value)
+    # The corridor keeps the episode section's own range.
+    config_from_dict({"env": {"kind": "corridor"}, "episode": {"grid_cell": 0.2}})
+
+
+def test_gap_grid_cell_bound_plans_and_a_coarser_grid_does_not():
+    run = default_config()
+    for spec in (EnvSpec.gap_train(), EnvSpec.gap_test()):
+        config = replace(run.episode, grid_cell=GAP_MAX_GRID_CELL)
+        for seed in range(3):
+            new_episode(spec, run.robot, run.reward, config, np.random.default_rng(seed))
+    with pytest.raises(FieldError):
+        new_episode(EnvSpec.gap_train(), run.robot, run.reward,
+                    replace(run.episode, grid_cell=0.15), np.random.default_rng(0))
 
 
 def test_save_load_round_trip(tmp_path):

@@ -215,8 +215,13 @@ def test_cli_hpf_dump(cli_config, tmp_path, capsys):
     assert len(payload["points"]) >= 2
     # Planner effort goes to stdout only, never into the written files.
     assert sorted(payload) == ["points", "total_length"]
-    assert re.search(r"solver: levels=\d+ cycles=\d+ sweeps=\d+ smoothing_finish=(yes|no)",
-                     capsys.readouterr().out)
+    assert re.search(r"solver: levels=\d+ cycles=\d+ sweeps=\d+ smoothing_finish=(yes|no) "
+                     r"solve_ms=\d+\.\d$", capsys.readouterr().out, re.MULTILINE)
+    # The timing reaches stdout only: a second dump writes the same bytes.
+    again = tmp_path / "again"
+    assert main(["hpf-dump", "--config", str(cli_config), "--seed", "1", "--out", str(again)]) == 0
+    for name in ("field.pgm", "path.json"):
+        assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_cli_eval_then_render_trace(cli_config, tmp_path, capsys):

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cell_center, dense_laplace_solve, reference_solve_harmonic
+from oracles import (
+    cell_center,
+    dense_laplace_solve,
+    ix_prolong,
+    parity_subgrid_smooth,
+    project_on_path_formula,
+    reference_solve_harmonic,
+)
 from planarwbc.config import default_config
 from planarwbc.envs import EnvSpec, generate_scene
 from planarwbc.pathfield import (
     FREE,
     GOAL,
+    LOG_OBSTACLE,
     OBSTACLE,
     FieldError,
     GridField,
@@ -22,6 +30,9 @@ from planarwbc.pathfield import (
     project_on_path,
     rasterize_world,
     solve_harmonic,
+    _hierarchy,
+    _prolong,
+    _smooth,
 )
 from planarwbc.robot import forward_kinematics
 from planarwbc.world import WorldGeometry
@@ -212,6 +223,71 @@ def test_multigrid_hard_cases_match_dense_oracle(make):
     assert effort.sweeps > 0
 
 
+def generated_field(spec):
+    run = default_config()
+    world, _, goal_pose = generate_scene(spec, run.robot, np.random.default_rng(1000))
+    return rasterize_world(world, run.episode.grid_cell, inflate=run.robot.link_capsule_radius,
+                           goal=goal_pose[:2])
+
+
+SOLVER_FIELDS = {
+    "slot_grid": slot_grid,
+    "odd_grid": odd_grid,
+    "border_goal_grid": border_goal_grid,
+    "small_grid": small_grid,
+    "corridor": lambda: generated_field(EnvSpec(kind="corridor")),
+    "gap_train": lambda: generated_field(EnvSpec.gap_train()),
+    "gap_test": lambda: generated_field(EnvSpec.gap_test()),
+}
+
+
+def solver_levels(name):
+    field = SOLVER_FIELDS[name]()
+    return _hierarchy(field.kind, field.goal_cell)
+
+
+def test_solver_cases_cover_odd_and_even_widths():
+    # Even widths run with a pad column, odd ones without.
+    assert {lv.shape[1] % 2 for name in SOLVER_FIELDS for lv in solver_levels(name)} == {0, 1}
+
+
+@pytest.mark.parametrize("name", list(SOLVER_FIELDS))
+def test_smooth_is_bitwise_the_parity_subgrid_smoother(name):
+    # Every level of the hierarchy, from values steep enough that the weight
+    # clamp acts, with f = 0 and with a nonzero f as a coarse level gets it.
+    rng = np.random.default_rng(7)
+    for lv in solver_levels(name):
+        h, w = lv.shape
+        free = lv.free[:, :w]
+        start = np.where(free, rng.uniform(0.0, 60.0, (h, w)),
+                         np.where(lv.open[:, :w], 0.0, LOG_OBSTACLE))
+        f_inner = rng.uniform(-1.0, 1.0, (h - 2, w - 2))
+        f_padded = np.zeros(lv.open.shape)
+        f_padded[lv.inner] = f_inner
+        for f, f_oracle in ((0.0, 0.0), (f_padded, f_inner)):
+            for sweeps in (2, 12):
+                expected = start.copy()
+                parity_subgrid_smooth(lv.faces, free, expected, f_oracle, sweeps)
+                v = np.full(lv.open.shape, LOG_OBSTACLE)
+                v[:, :w] = start
+                _smooth(lv, v, f, sweeps)
+                assert v[:, :w].tobytes() == expected.tobytes(), (lv.shape, sweeps)
+                assert np.all(v[:, w:] == LOG_OBSTACLE)  # the pad column, if any
+
+
+@pytest.mark.parametrize("name", [name for name in SOLVER_FIELDS if name != "small_grid"])
+def test_prolong_is_bitwise_the_ix_gather(name):
+    levels = solver_levels(name)
+    assert len(levels) > 1
+    rng = np.random.default_rng(8)
+    for finer, coarse in zip(levels, levels[1:]):
+        h, w = coarse.shape
+        values = np.full(coarse.open.shape, np.nan)  # a pad column is never read
+        values[:, :w] = rng.uniform(-5.0, 5.0, (h, w))
+        expected = ix_prolong(finer.shape, coarse.prolong[1], values[:, :w])
+        assert _prolong(coarse, values).tobytes() == expected.tobytes()
+
+
 def hausdorff(a, b):
     d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     return max(d.min(axis=0).max(), d.min(axis=1).max())
@@ -342,6 +418,20 @@ def test_projection_and_tie_break():
     dev, arc = project_on_path(path, (1.5, 0.5))
     assert dev == pytest.approx(0.5)
     assert arc == pytest.approx(2.5)
+
+
+def test_projection_is_bitwise_the_per_call_formula():
+    # The segment data cached by from_points changes no bit of the result.
+    rng = np.random.default_rng(9)
+    walk = np.cumsum(rng.normal(scale=0.05, size=(500, 2)), axis=0)
+    tie = PathPolyline.from_points([[0, 0], [2, 0], [2, 2]])
+    cases = [(tie, (1.5, 0.5)), (tie, (1.0, 0.5)), (tie, (2.0, 0.0))]
+    path = PathPolyline.from_points(walk)
+    lo, hi = walk.min(axis=0) - 0.5, walk.max(axis=0) + 0.5
+    cases += [(path, rng.uniform(lo, hi)) for _ in range(200)]
+    cases += [(path, walk[i]) for i in (0, 7, 250, 499)]  # on vertices
+    for line, p in cases:
+        assert project_on_path(line, p) == project_on_path_formula(line.points, line.cumlen, p)
 
 
 def test_path_metrics_stationary_and_pure_progress():
