@@ -188,7 +188,9 @@ def build_observation(
 
     ee_pose is the end-effector pose of `state` when the caller already has it.
     """
-    front, rear = np.clip(cast_lidars(config, state, world) / config.lidar.max_range, 0.0, 1.0)
+    scans = cast_lidars(config, state, world)
+    scans /= config.lidar.max_range
+    front, rear = np.clip(scans, 0.0, 1.0, out=scans)
     ee_x, ee_y, ee_phi = end_effector_pose(config, state) if ee_pose is None else ee_pose
     rel = rot2d(-ee_phi) @ np.array([goal_pose[0] - ee_x, goal_pose[1] - ee_y])
     goal_in_ee = np.array([rel[0], rel[1], wrap_angle(goal_pose[2] - ee_phi)])

@@ -10,6 +10,15 @@ argument's by numpy rules, and the result has the broadcast leading shape.
 Plain pairs and 4-tuples give a numpy float. Segments that cross or touch,
 and points or segment endpoints inside a box, are exactly 0.0 apart; a point
 on a segment may come out a rounding error above 0.
+
+The kernels a simulator step runs are coordinate-major: segment_pairs_distance
+(the body query's pairs) takes (4, ...) planes, and the ray kernels take
+rays as (2, 1, B) planes and obstacles as (2 or 4, N, 1) planes built once
+per world (segment_columns, box_slabs), returning one (N, B) row per
+obstacle, rays last. Each stage is then one ufunc over a whole stacked
+buffer, and a minimum over obstacles or cases reduces a leading axis: numpy
+takes about four times as long to reduce a short trailing axis, e.g.
+(128, 4).min(axis=1) against (4, 128).min(axis=0).
 """
 from __future__ import annotations
 
@@ -40,37 +49,44 @@ def transform_point(pose, p) -> np.ndarray:
 
 def point_segment_distance(p, seg):
     """Distance from points p to segments seg."""
-    return _point_segment(np.asarray(p, dtype=float), np.asarray(seg, dtype=float))[0]
+    return _point_segment(*_coordinate_major(p, seg))[0][()]
 
 
 def point_box_distance(p, box):
     """Distance from points p to solid boxes; exactly 0 inside or on the boundary."""
-    p = np.asarray(p, dtype=float)
-    box = np.asarray(box, dtype=float)
-    dx = np.maximum(np.maximum(box[..., 0] - p[..., 0], 0.0), p[..., 0] - box[..., 2])
-    dy = np.maximum(np.maximum(box[..., 1] - p[..., 1], 0.0), p[..., 1] - box[..., 3])
-    return np.sqrt(dx * dx + dy * dy)
+    p, box = _coordinate_major(p, box)
+    outside = np.maximum(np.maximum(box[0:2] - p, 0.0), p - box[2:4])  # [dx, dy]
+    outside *= outside
+    return np.sqrt(outside[0] + outside[1])
 
 
 def segment_segment_distance(a, b):
     """Minimum distance between segments; exactly 0 where they cross or touch."""
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-    # Each endpoint against the other segment, as one batch of four.
-    segs = np.empty((4, *shape))
-    segs[0:2] = b
-    segs[2:4] = a
-    points = np.empty((4, *shape[:-1], 2))
-    points[0], points[1] = segs[2, ..., 0:2], segs[2, ..., 2:4]
-    points[2], points[3] = segs[0, ..., 0:2], segs[0, ..., 2:4]
+    return segment_pairs_distance(*_coordinate_major(a, b))[()]
+
+
+def segment_pairs_distance(a, b) -> np.ndarray:
+    """segment_segment_distance of coordinate-major segments: a and b are
+    (4, ...) planes [x0, y0, x1, y1] whose trailing axes broadcast."""
+    shape = np.broadcast(a[0], b[0]).shape
+    # Each endpoint against the other segment, as one batch of four cases:
+    # a's ends against b, then b's ends against a.
+    segs = np.empty((4, 4, *shape))
+    segs[:, 0:2] = b[:, None]
+    segs[:, 2:4] = a[:, None]
+    points = np.empty((2, 4, *shape))
+    points[:, 0:2] = a.reshape(2, 2, *a.shape[1:]).swapaxes(0, 1)
+    points[:, 2:4] = b.reshape(2, 2, *b.shape[1:]).swapaxes(0, 1)
     dist, side = _point_segment(points, segs)
     sign = np.sign(side)
-    proper = (sign[0] * sign[1] < 0.0) & (sign[2] * sign[3] < 0.0)
+    crosses = sign[0::2] * sign[1::2] < 0.0
     # An endpoint exactly on the other segment's line touches it when it also
     # lies in that segment's bounding box (collinear overlap, T-touch).
-    lo = np.minimum(segs[..., 0:2], segs[..., 2:4])
-    hi = np.maximum(segs[..., 0:2], segs[..., 2:4])
-    on = (side == 0.0) & ((lo <= points) & (points <= hi)).all(axis=-1)
-    return np.where(proper | on.any(axis=0), 0.0, dist.min(axis=0))[()]
+    lo = np.minimum(segs[0:2], segs[2:4])
+    hi = np.maximum(segs[0:2], segs[2:4])
+    within = (lo <= points) & (points <= hi)
+    on = (side == 0.0) & within[0] & within[1]
+    return np.where((crosses[0] & crosses[1]) | on.any(axis=0), 0.0, dist.min(axis=0))
 
 
 def segment_box_distance(seg, box):
@@ -92,83 +108,100 @@ def box_edges(box) -> np.ndarray:
 _BOX_EDGE_INDEX = np.array([[0, 1, 2, 1], [2, 1, 2, 3], [2, 3, 0, 3], [0, 3, 0, 1]])
 
 
+def _coordinate_major(*arrays) -> list[np.ndarray]:
+    """Views of arrays with coordinates on the trailing axis as planes with
+    coordinates leading, their other axes aligned for broadcasting."""
+    arrays = [np.asarray(x, dtype=float) for x in arrays]
+    ndim = max(x.ndim for x in arrays)
+    axes = (ndim - 1, *range(ndim - 1))
+    return [x[(None,) * (ndim - x.ndim)].transpose(axes) for x in arrays]
+
+
 def _point_segment(p, seg):
-    """(distance, side) of points p (..., 2) against segments seg (..., 4).
+    """(distance, side) of points p (2, ...) against segments seg (4, ...),
+    coordinate-major.
 
     side is the cross product of the segment direction with p - start:
     positive left of the segment's line, negative right, exactly 0 on it.
     A zero-length segment is its start point.
     """
-    px, py = p[..., 0], p[..., 1]
-    x0, y0 = seg[..., 0], seg[..., 1]
-    dx, dy = seg[..., 2] - x0, seg[..., 3] - y0
-    rx, ry = px - x0, py - y0
-    den = dx * dx + dy * dy
-    num = rx * dx + ry * dy
+    start = seg[0:2]
+    d = seg[2:4] - start  # [dx, dy]
+    r = p - start  # [rx, ry]
+    dd = d * d
+    den = dd[0] + dd[1]
+    rd = r * d
+    num = rd[0] + rd[1]
     t = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
-    t = np.minimum(np.maximum(t, 0.0), 1.0)
-    ex, ey = px - (x0 + t * dx), py - (y0 + t * dy)
-    dist = np.sqrt(ex * ex + ey * ey)
-    return dist, dx * ry - dy * rx
+    np.maximum(t, 0.0, out=t)
+    np.minimum(t, 1.0, out=t)
+    e = t * d
+    e += start
+    e = np.subtract(p, e, out=e)  # p - (start + t * d)
+    e *= e
+    dist = np.add(e[0], e[1], out=t)
+    np.sqrt(dist, out=dist)
+    cross = np.multiply(d, r[::-1], out=rd)  # [dx * ry, dy * rx]
+    return dist, cross[0] - cross[1]
 
 
-def rays_segments_hits(origins, directions: np.ndarray, segments: np.ndarray) -> np.ndarray:
-    """Ray parameters t >= 0 of intersections, one (B, N) entry per ray/segment.
+def segment_columns(segments) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, N, 1) planes rays_segments_hits reads for segments (N, 4):
+    starts [x0, y0] and edges [y1 - y0, x1 - x0], y first."""
+    seg = np.asarray(segments, dtype=float).reshape(-1, 4).T[:, :, None]
+    starts = np.ascontiguousarray(seg[0:2])
+    edges = np.concatenate([seg[3:4] - seg[1:2], seg[2:3] - seg[0:1]])
+    return starts, edges
 
-    origins is one (2,) origin shared by all rays or one (B, 2) row per ray;
-    directions (B, 2) need not be normalized, t is in units of each
-    direction's length. Misses are inf.
+
+def box_slabs(boxes) -> np.ndarray:
+    """The (4, M, 1) planes [xmin, xmax, ymin, ymax] rays_boxes_hits reads
+    for boxes (M, 4)."""
+    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+    return np.ascontiguousarray(boxes.T[[0, 2, 1, 3], :, None])
+
+
+def rays_segments_hits(origins, directions, starts, edges) -> np.ndarray:
+    """Ray parameters t >= 0 of intersections, one (N, B) row per segment.
+
+    origins are (2, 1, B) planes [x, y], one column per ray, or (2, 1, 1)
+    shared by all rays; directions (2, 1, B) need not be normalized, t is in
+    units of each direction's length. starts and edges are the planes of
+    segment_columns. Misses are inf. Parallel rays divide by zero, so call
+    inside np.errstate(divide="ignore", invalid="ignore").
     """
-    directions = np.asarray(directions, dtype=float)
-    if segments.size == 0:
-        return np.empty((len(directions), 0))
-    origins = np.asarray(origins, dtype=float)
-    ox, oy = origins[..., 0:1], origins[..., 1:2]
-    dx = directions[:, 0:1]
-    dy = directions[:, 1:2]
-    rx = segments[:, 0] - ox
-    ry = segments[:, 1] - oy
-    ex = segments[:, 2] - segments[:, 0]
-    ey = segments[:, 3] - segments[:, 1]
-    den = dx * ey - dy * ex
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (rx * ey - ry * ex) / den
-        u = (rx * dy - ry * dx) / den
+    r = starts - origins  # [rx, ry]
+    products = np.empty((6, starts.shape[1], directions.shape[2]))
+    np.multiply(r, edges, out=products[0:2])  # rx * ey, ry * ex
+    np.multiply(r, directions[::-1], out=products[2:4])  # rx * dy, ry * dx
+    np.multiply(directions, edges, out=products[4:6])  # dx * ey, dy * ex
+    numerators = np.subtract(products[0::2], products[1::2], out=products[0:3])
+    den = numerators[2]
+    t, u = np.divide(numerators[0:2], den, out=products[3:5])
     valid = (np.abs(den) > 0.0) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
     return np.where(valid, t, np.inf)
 
 
-def rays_boxes_hits(origins, directions: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Ray parameters t >= 0 of first boundary hit, one (B, N) entry per ray/box.
+def rays_boxes_hits(origins, directions, slabs) -> np.ndarray:
+    """Ray parameters t >= 0 of first boundary hit, one (M, B) row per box.
 
-    Origins as in rays_segments_hits. Slab method; a ray starting inside a
-    box reports the exit distance. Axis-parallel rays (zero direction
-    component) are handled explicitly.
+    Rays as in rays_segments_hits; slabs are the planes of box_slabs. Slab
+    method; a ray starting inside a box reports the exit distance.
+    Axis-parallel rays (zero direction component) are handled explicitly.
+    Call inside np.errstate(divide="ignore", invalid="ignore").
     """
-    directions = np.asarray(directions, dtype=float)
-    if boxes.size == 0:
-        return np.empty((len(directions), 0))
-    origins = np.asarray(origins, dtype=float)
-    ox, oy = origins[..., 0:1], origins[..., 1:2]
-    dx = directions[:, 0:1]
-    dy = directions[:, 1:2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx1 = (boxes[:, 0] - ox) / dx
-        tx2 = (boxes[:, 2] - ox) / dx
-        ty1 = (boxes[:, 1] - oy) / dy
-        ty2 = (boxes[:, 3] - oy) / dy
-    zero_x = dx == 0.0
-    if zero_x.any():
-        inside_x = (boxes[:, 0] <= ox) & (ox <= boxes[:, 2])
-        tx1 = np.where(zero_x, np.where(inside_x, -np.inf, np.nan), tx1)
-        tx2 = np.where(zero_x, np.where(inside_x, np.inf, np.nan), tx2)
-    zero_y = dy == 0.0
-    if zero_y.any():
-        inside_y = (boxes[:, 1] <= oy) & (oy <= boxes[:, 3])
-        ty1 = np.where(zero_y, np.where(inside_y, -np.inf, np.nan), ty1)
-        ty2 = np.where(zero_y, np.where(inside_y, np.inf, np.nan), ty2)
-    tmin = np.maximum(np.minimum(tx1, tx2), np.minimum(ty1, ty2))
-    tmax = np.minimum(np.maximum(tx1, tx2), np.maximum(ty1, ty2))
-    hit = (tmax >= tmin) & (tmax >= 0.0) & ~np.isnan(tmin)
-    t = np.where(tmin >= 0.0, tmin, tmax)
-    return np.where(hit, t, np.inf)
+    bounds = slabs.reshape(2, 2, *slabs.shape[1:])  # [[xmin, xmax], [ymin, ymax]]
+    t = np.divide(bounds - origins[:, None], directions[:, None])  # [[tx1, tx2], [ty1, ty2]]
+    if not directions.all():
+        for k in range(2):
+            zero = directions[k] == 0.0
+            if zero.any():
+                inside = (bounds[k, 0] <= origins[k]) & (origins[k] <= bounds[k, 1])
+                t[k, 0] = np.where(zero, np.where(inside, -np.inf, np.nan), t[k, 0])
+                t[k, 1] = np.where(zero, np.where(inside, np.inf, np.nan), t[k, 1])
+    near = np.minimum(t[:, 0], t[:, 1])
+    far = np.maximum(t[:, 0], t[:, 1])
+    tmin = np.maximum(near[0], near[1])
+    tmax = np.minimum(far[0], far[1])
+    hit = tmax >= np.maximum(tmin, 0.0)  # tmax >= tmin, tmax >= 0, tmin not NaN
+    return np.where(hit, np.where(tmin >= 0.0, tmin, tmax), np.inf)

@@ -607,17 +607,18 @@ class PathPolyline:
     points: np.ndarray  # (P, 2)
     cumlen: np.ndarray  # (P,), cumlen[0] == 0
     total_length: float
-    # Per segment, from points: start, end - start, squared length (1 where
-    # it is 0, as a divisor) and length.
+    # Per segment, from points: start and end - start as (2, P - 1) planes
+    # [x, y], squared length (1 where it is 0, as a divisor) and length.
     seg_start: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     seg_vec: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     seg_div: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     seg_len: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.seg_start = self.points[:-1]
-        self.seg_vec = self.points[1:] - self.seg_start
-        den = np.einsum("ij,ij->i", self.seg_vec, self.seg_vec)
+        self.seg_start = np.ascontiguousarray(self.points[:-1].T)
+        self.seg_vec = np.ascontiguousarray(self.points[1:].T) - self.seg_start
+        square = self.seg_vec * self.seg_vec
+        den = square[0] + square[1]
         self.seg_div = np.where(den > 0.0, den, 1.0)
         self.seg_len = np.sqrt(den)
 
@@ -684,17 +685,23 @@ def project_on_path(path: PathPolyline, p) -> tuple[float, float]:
     Exact distance ties are broken toward the larger arc length. A
     zero-length segment has a zero direction, so its t is 0 without a branch.
     """
+    p = np.asarray(p, dtype=float).reshape(2, 1)
     a, d = path.seg_start, path.seg_vec
-    t = np.einsum("ij,ij->i", np.asarray(p, dtype=float) - a, d)
+    r = p - a
+    r *= d
+    t = r[0] + r[1]  # (px - ax) * dx + (py - ay) * dy
     t /= path.seg_div
     np.maximum(t, 0.0, out=t)
     np.minimum(t, 1.0, out=t)
-    proj = a + t[:, None] * d
-    dist2 = np.einsum("ij,ij->i", proj - p, proj - p)
+    e = np.multiply(t, d, out=r)
+    e += a
+    e -= p  # projection - p
+    e *= e
+    dist2 = e[0] + e[1]
     best = float(dist2.min())
-    arcs = path.cumlen[:-1] + t * path.seg_len
-    candidates = arcs[dist2 <= best]
-    return math.sqrt(best), float(candidates.max())
+    arcs = t * path.seg_len
+    arcs += path.cumlen[:-1]
+    return math.sqrt(best), float(arcs[dist2 <= best].max())
 
 
 def init_path_metrics(path: PathPolyline, start_pos) -> PathMetricsState:

@@ -215,9 +215,10 @@ class Policy:
         self.obs_scale = np.asarray(config.obs_scale or 1.0)
         self.refresh()
 
-    def refresh(self) -> None:
-        """Copy the master parameters into the compute copy the forwards read."""
-        self.compute[...] = self.params
+    def refresh(self, block: slice = slice(None)) -> None:
+        """Copy the master parameters (a flat block of them) into the compute
+        copy the forwards read."""
+        self.compute[block] = self.params[block]
 
     def _scaled(self, obs: np.ndarray) -> np.ndarray:
         return (obs * self.obs_scale).astype(self.compute.dtype)

@@ -177,45 +177,42 @@ def step_dynamics(
     """
     if tau <= 0.0:
         raise ValueError("tau must be > 0")
-    if not (
-        np.isfinite(state.base_pose).all()
-        and np.isfinite(state.base_vel).all()
-        and np.isfinite(state.joint_pos).all()
-        and np.isfinite(state.joint_vel).all()
-        and np.isfinite(action.base_acc).all()
-        and np.isfinite(action.joint_acc).all()
-    ):
+    pose, vel, acc = state.base_pose.tolist(), state.base_vel.tolist(), action.base_acc.tolist()
+    q, qd, qdd = state.joint_pos.tolist(), state.joint_vel.tolist(), action.joint_acc.tolist()
+    if not all(map(math.isfinite, pose + vel + acc + q + qd + qdd)):
         raise ValueError("non-finite state or action")
 
-    max_bv = np.asarray(config.max_base_vel)
-    base_vel = np.clip(state.base_vel + action.base_acc * tau, -max_bv, max_bv)
-    joint_vel = np.clip(
-        state.joint_vel + action.joint_acc * tau, -config.max_joint_vel, config.max_joint_vel
-    )
+    # Python floats round like numpy float64. On a tie, as between -0.0 and
+    # a 0.0 bound, min(hi, max(lo, v)) returns the bound and
+    # min(max(v, lo), hi) returns v: each clamp below takes the form np.clip
+    # takes with its bounds (per component: the bound; one scalar: v), so
+    # every result keeps np.clip's bytes, signed zeros included.
+    vx, vy, omega = (min(cap, max(-cap, v + a * tau))
+                     for v, a, cap in zip(vel, acc, config.max_base_vel, strict=True))
+    cap = config.max_joint_vel
+    qd = [min(max(v + a * tau, -cap), cap) for v, a in zip(qd, qdd, strict=True)]
 
     # Base translation in the world frame; (vx, vy) are body-frame commands.
-    x, y, theta = state.base_pose
+    x, y, theta = pose
     c, s = math.cos(theta), math.sin(theta)
-    base_pose = np.array(
-        [
-            x + (c * base_vel[0] - s * base_vel[1]) * tau,
-            y + (s * base_vel[0] + c * base_vel[1]) * tau,
-            theta + base_vel[2] * tau,
-        ]
-    )
+    base_pose = np.array([x + (c * vx - s * vy) * tau, y + (s * vx + c * vy) * tau,
+                          theta + omega * tau])
 
-    joint_pos = state.joint_pos + joint_vel * tau
-    limits = np.asarray(config.joint_limits)
+    q = [p + v * tau for p, v in zip(q, qd, strict=True)]
     limit_hit = False
     if clamping_enabled:
-        lo = limits[:, 0] + config.clamp_margin
-        hi = limits[:, 1] - config.clamp_margin
-        below = joint_pos < lo
-        above = joint_pos > hi
-        joint_pos = np.clip(joint_pos, lo, hi)
-        joint_vel = np.where(below | above, 0.0, joint_vel)
+        margin = config.clamp_margin
+        for k, (p, (lo, hi)) in enumerate(zip(q, config.joint_limits, strict=True)):
+            lo, hi = lo + margin, hi - margin
+            q[k] = min(hi, max(lo, p))
+            if not lo <= p <= hi:
+                qd[k] = 0.0
     else:
-        limit_hit = bool(np.any(joint_pos < limits[:, 0]) or np.any(joint_pos > limits[:, 1]))
+        limit_hit = any(not lo <= p <= hi
+                        for p, (lo, hi) in zip(q, config.joint_limits, strict=True))
+    base_vel = np.array([vx, vy, omega], dtype=float)
+    joint_pos = np.array(q, dtype=float)
+    joint_vel = np.array(qd, dtype=float)
 
     new_state = RobotState(base_pose, base_vel, joint_pos, joint_vel)
     return new_state, limit_hit

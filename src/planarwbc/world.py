@@ -3,7 +3,10 @@
 A simulator step asks the world two things, each as one batch: body_query
 sends every (body capsule, obstacle outline) pair and every self-collision
 pair through one distance call, and cast_lidars casts the rays of both
-sensors together.
+sensors together. Both batches are obstacle-major: the world keeps its
+obstacles as static coordinate planes built at construction, a step writes
+only the body's spines or its rays beside them, and every minimum over
+obstacles reduces the leading axis (see geometry).
 """
 from __future__ import annotations
 
@@ -15,34 +18,60 @@ import numpy as np
 
 from .geometry import (
     box_edges,
+    box_slabs,
     point_box_distance,
     point_segment_distance,
     rays_boxes_hits,
     rays_segments_hits,
-    segment_segment_distance,
+    segment_columns,
+    segment_pairs_distance,
     transform_point,
 )
 from .robot import RobotConfig, RobotState, forward_kinematics
 
 
-@dataclass
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
 class WorldGeometry:
     """Static obstacles: wall segments plus axis-aligned boxes.
 
     bounds is the (xmin, ymin, xmax, ymax) rectangle enclosing everything;
     it is used for rasterization and rendering, not sensed directly.
+
+    The world copies its arrays and makes them and everything derived from
+    them read-only, so the derived planes cannot go stale.
     """
 
     segments: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     boxes: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
+    # Wall segments plus box edges, every boundary a segment can be nearest
+    # to outside the boxes, as (4, K, 1) planes [x0, y0, x1, y1].
+    outline_planes: np.ndarray = field(init=False, repr=False, compare=False)
+    # The ray kernels' planes: segment starts and (ey, ex), box slab bounds.
+    segment_starts: np.ndarray = field(init=False, repr=False, compare=False)
+    segment_edges: np.ndarray = field(init=False, repr=False, compare=False)
+    slabs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.segments = np.asarray(self.segments, dtype=float).reshape(-1, 4)
-        self.boxes = np.asarray(self.boxes, dtype=float).reshape(-1, 4)
-        # Wall segments plus box edges: every boundary a segment can be
-        # nearest to outside the boxes.
-        self.outlines = np.concatenate([self.segments, box_edges(self.boxes).reshape(-1, 4)])
+        segments = np.array(self.segments, dtype=float).reshape(-1, 4)
+        boxes = np.array(self.boxes, dtype=float).reshape(-1, 4)
+        outlines = np.concatenate([segments, box_edges(boxes).reshape(-1, 4)])
+        starts, edges = segment_columns(segments)
+        derived = {
+            "segments": segments,
+            "boxes": boxes,
+            "outline_planes": np.ascontiguousarray(outlines.T[:, :, None]),
+            "segment_starts": starts,
+            "segment_edges": edges,
+            "slabs": box_slabs(boxes),
+        }
+        for name, array in derived.items():
+            object.__setattr__(self, name, _read_only(array))
 
 
 @dataclass
@@ -74,14 +103,21 @@ def _spine_ends(n_links: int) -> np.ndarray:
     return ends
 
 
-def _body_spines(config: RobotConfig, frames) -> tuple[np.ndarray, np.ndarray]:
-    """Capsule spines (K+1, 4) and radii: the base disk as a zero-length
-    spine at its center, then the K links."""
+@functools.cache
+def _capsule_radii(base_radius: float, link_radius: float, n: int):
+    """Radii of the n capsules (the base disk first) and the radius sums of
+    the self-collision pairs."""
+    radii = np.full(n, link_radius)
+    radii[0] = base_radius
+    i, j = _self_pairs(n)
+    return _read_only(radii), _read_only(radii[i] + radii[j])
+
+
+def _body_spines(config: RobotConfig, frames) -> np.ndarray:
+    """Capsule spines (K+1, 4): the base disk as a zero-length spine at its
+    center, then the K links."""
     xy = np.array(frames)[:, :2]
-    spines = xy[_spine_ends(config.num_joints)].reshape(-1, 4)
-    radii = np.full(len(spines), config.link_capsule_radius)
-    radii[0] = config.base_radius
-    return spines, radii
+    return xy[_spine_ends(config.num_joints)].reshape(-1, 4)
 
 
 def body_query(config: RobotConfig, frames, world: WorldGeometry) -> tuple[bool, float]:
@@ -96,22 +132,25 @@ def body_query(config: RobotConfig, frames, world: WorldGeometry) -> tuple[bool,
     checked against walls and boxes, and capsule pairs at least two apart in
     the chain base, link 1, ..., link K against each other: link capsules
     from the second link outward vs the base disk (the first link starts at
-    the mount inside it), and pairs of non-adjacent links. All (spine,
-    outline) pairs and all such spine pairs go through one
-    segment_segment_distance call; a spine with an end inside a box is 0
+    the mount inside it), and pairs of non-adjacent links. One
+    segment_pairs_distance call measures every spine against every outline
+    and every spine, obstacle-major; a spine with an end inside a box is 0
     from the world.
     """
-    spines, radii = _body_spines(config, frames)
-    n, m = len(spines), len(world.outlines)
+    spines = _body_spines(config, frames)
+    n, m = len(spines), world.outline_planes.shape[1]
+    radii, self_radii = _capsule_radii(config.base_radius, config.link_capsule_radius, n)
     i, j = _self_pairs(n)
-    d = segment_segment_distance(
-        np.concatenate([np.repeat(spines, m, axis=0), spines[i]]),
-        np.concatenate([np.tile(world.outlines, (n, 1)), spines[j]]),
-    )
+    # Row r < m is outline r, row m + s is spine s; column s is spine s.
+    rows = np.empty((4, m + n, 1))
+    rows[:, :m] = world.outline_planes
+    rows[:, m:, 0] = spines.T
+    d = segment_pairs_distance(spines.T[:, None, :], rows)
+    obstacle = d[:m].min(axis=0, initial=np.inf)
     inside = (point_box_distance(spines.reshape(n, 2, 1, 2), world.boxes) == 0.0).any(axis=(1, 2))
-    obstacle = np.where(inside, 0.0, d[:n * m].reshape(n, m).min(axis=1, initial=np.inf))
-    collided = bool(np.any(obstacle <= radii) or np.any(d[n * m:] <= radii[i] + radii[j]))
-    return collided, float(np.min(obstacle - radii))
+    obstacle[inside] = 0.0
+    collided = bool((obstacle <= radii).any() or (d[m + j, i] <= self_radii).any())
+    return collided, float((obstacle - radii).min())
 
 
 def body_obstacle_clearance(
@@ -162,20 +201,24 @@ def cast_lidars(
     of rays (the robot does not sense itself)."""
     lidar = config.lidar
     pose = state.base_pose
+    count, beams = len(sensors), lidar.beams
     facings = np.array([_sensor_facing(pose[2], sensor) for sensor in sensors])
-    angles = (facings[:, None] + _beam_offsets(lidar.beams, lidar.fov)).ravel()
-    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    angles = (facings[:, None] + _beam_offsets(beams, lidar.fov)).ravel()
+    # Ray planes [x, y]: one column per ray, sensor-major.
+    origins, directions = np.empty((2, 2, 1, count * beams))
+    np.cos(angles, out=directions[0, 0])
+    np.sin(angles, out=directions[1, 0])
     offsets = [lidar.front_offset if sensor == "front" else lidar.rear_offset
                for sensor in sensors]
-    origins = np.repeat([transform_point(pose, offset) for offset in offsets], lidar.beams, axis=0)
-    t = np.full(len(angles), np.inf)
-    hits = rays_segments_hits(origins, directions, world.segments)
-    if hits.size:
-        t = np.minimum(t, hits.min(axis=1))
-    hits = rays_boxes_hits(origins, directions, world.boxes)
-    if hits.size:
-        t = np.minimum(t, hits.min(axis=1))
-    return np.minimum(t, lidar.max_range).reshape(len(sensors), lidar.beams)
+    origins.reshape(2, count, beams)[...] = np.transpose(
+        [transform_point(pose, offset) for offset in offsets])[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        segment_hits = rays_segments_hits(origins, directions, world.segment_starts,
+                                          world.segment_edges)
+        box_hits = rays_boxes_hits(origins, directions, world.slabs)
+    t = segment_hits.min(axis=0, initial=np.inf)
+    np.minimum(t, box_hits.min(axis=0, initial=np.inf), out=t)
+    return np.minimum(t, lidar.max_range, out=t).reshape(count, beams)
 
 
 def cast_lidar(

@@ -712,3 +712,191 @@ def project_on_path_formula(points, cumlen, p):
     arcs = cumlen[:-1] + t * np.sqrt(den)
     candidates = arcs[dist2 <= best]
     return math.sqrt(best), float(candidates.max())
+
+
+# -- row-per-query formulas ----------------------------------------------------
+# The step kernels written one row per ray, per pair or per call: coordinates
+# on the trailing axis, per-world data derived on every call, np.clip for the
+# clamps. The obstacle-major kernels in planarwbc must equal these byte for
+# byte, since they run the same operations on every element.
+
+def rays_segments_hits_rows(origins, directions, segments):
+    """(B, N) ray parameters of ray/segment intersections, inf on a miss."""
+    directions = np.asarray(directions, dtype=float)
+    if segments.size == 0:
+        return np.empty((len(directions), 0))
+    origins = np.asarray(origins, dtype=float)
+    ox, oy = origins[..., 0:1], origins[..., 1:2]
+    dx = directions[:, 0:1]
+    dy = directions[:, 1:2]
+    rx = segments[:, 0] - ox
+    ry = segments[:, 1] - oy
+    ex = segments[:, 2] - segments[:, 0]
+    ey = segments[:, 3] - segments[:, 1]
+    den = dx * ey - dy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rx * ey - ry * ex) / den
+        u = (rx * dy - ry * dx) / den
+    valid = (np.abs(den) > 0.0) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
+    return np.where(valid, t, np.inf)
+
+
+def rays_boxes_hits_rows(origins, directions, boxes):
+    """(B, M) slab-method ray parameters of the first box boundary hit, inf on a miss."""
+    directions = np.asarray(directions, dtype=float)
+    if boxes.size == 0:
+        return np.empty((len(directions), 0))
+    origins = np.asarray(origins, dtype=float)
+    ox, oy = origins[..., 0:1], origins[..., 1:2]
+    dx = directions[:, 0:1]
+    dy = directions[:, 1:2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx1 = (boxes[:, 0] - ox) / dx
+        tx2 = (boxes[:, 2] - ox) / dx
+        ty1 = (boxes[:, 1] - oy) / dy
+        ty2 = (boxes[:, 3] - oy) / dy
+    zero_x = dx == 0.0
+    if zero_x.any():
+        inside_x = (boxes[:, 0] <= ox) & (ox <= boxes[:, 2])
+        tx1 = np.where(zero_x, np.where(inside_x, -np.inf, np.nan), tx1)
+        tx2 = np.where(zero_x, np.where(inside_x, np.inf, np.nan), tx2)
+    zero_y = dy == 0.0
+    if zero_y.any():
+        inside_y = (boxes[:, 1] <= oy) & (oy <= boxes[:, 3])
+        ty1 = np.where(zero_y, np.where(inside_y, -np.inf, np.nan), ty1)
+        ty2 = np.where(zero_y, np.where(inside_y, np.inf, np.nan), ty2)
+    tmin = np.maximum(np.minimum(tx1, tx2), np.minimum(ty1, ty2))
+    tmax = np.minimum(np.maximum(tx1, tx2), np.maximum(ty1, ty2))
+    hit = (tmax >= tmin) & (tmax >= 0.0) & ~np.isnan(tmin)
+    t = np.where(tmin >= 0.0, tmin, tmax)
+    return np.where(hit, t, np.inf)
+
+
+def cast_lidars_rows(config, state, world, sensors=("front", "rear")):
+    """Raw ranges (len(sensors), beams), with one row of hits per ray."""
+    lidar = config.lidar
+    pose = state.base_pose
+    facings = np.array([pose[2] if s == "front" else pose[2] + math.pi for s in sensors])
+    offsets = (np.array([-0.0]) if lidar.beams == 1
+               else np.linspace(-lidar.fov / 2.0, lidar.fov / 2.0, lidar.beams))
+    angles = (facings[:, None] + offsets).ravel()
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    c, s = math.cos(pose[2]), math.sin(pose[2])
+    origins = np.repeat(
+        [[pose[0] + c * p[0] - s * p[1], pose[1] + s * p[0] + c * p[1]]
+         for p in (lidar.front_offset if name == "front" else lidar.rear_offset
+                   for name in sensors)],
+        lidar.beams, axis=0)
+    t = np.full(len(angles), np.inf)
+    hits = rays_segments_hits_rows(origins, directions, world.segments)
+    if hits.size:
+        t = np.minimum(t, hits.min(axis=1))
+    hits = rays_boxes_hits_rows(origins, directions, world.boxes)
+    if hits.size:
+        t = np.minimum(t, hits.min(axis=1))
+    return np.minimum(t, lidar.max_range).reshape(len(sensors), lidar.beams)
+
+
+def _point_segment_rows(p, seg):
+    """(distance, side) of points p (..., 2) against segments seg (..., 4)."""
+    px, py = p[..., 0], p[..., 1]
+    x0, y0 = seg[..., 0], seg[..., 1]
+    dx, dy = seg[..., 2] - x0, seg[..., 3] - y0
+    rx, ry = px - x0, py - y0
+    den = dx * dx + dy * dy
+    num = rx * dx + ry * dy
+    t = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+    t = np.minimum(np.maximum(t, 0.0), 1.0)
+    ex, ey = px - (x0 + t * dx), py - (y0 + t * dy)
+    dist = np.sqrt(ex * ex + ey * ey)
+    return dist, dx * ry - dy * rx
+
+
+def segment_segment_distance_rows(a, b):
+    """Segment pair distances with coordinates on the trailing axis, 0 on contact."""
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    segs = np.empty((4, *shape))
+    segs[0:2] = b
+    segs[2:4] = a
+    points = np.empty((4, *shape[:-1], 2))
+    points[0], points[1] = segs[2, ..., 0:2], segs[2, ..., 2:4]
+    points[2], points[3] = segs[0, ..., 0:2], segs[0, ..., 2:4]
+    dist, side = _point_segment_rows(points, segs)
+    sign = np.sign(side)
+    proper = (sign[0] * sign[1] < 0.0) & (sign[2] * sign[3] < 0.0)
+    lo = np.minimum(segs[..., 0:2], segs[..., 2:4])
+    hi = np.maximum(segs[..., 0:2], segs[..., 2:4])
+    on = (side == 0.0) & ((lo <= points) & (points <= hi)).all(axis=-1)
+    return np.where(proper | on.any(axis=0), 0.0, dist.min(axis=0))[()]
+
+
+def body_query_rows(config, frames, world):
+    """(collided, clearance) from spine-major (spine, outline) pair rows."""
+    xy = np.array(frames)[:, :2]
+    ends = np.array([(0, 0)] + [(k, k + 1) for k in range(1, config.num_joints + 1)])
+    spines = xy[ends].reshape(-1, 4)
+    radii = np.full(len(spines), config.link_capsule_radius)
+    radii[0] = config.base_radius
+    edges = world.boxes[:, [0, 1, 2, 1, 2, 1, 2, 3, 2, 3, 0, 3, 0, 3, 0, 1]].reshape(-1, 4)
+    outlines = np.concatenate([world.segments, edges])
+    n, m = len(spines), len(outlines)
+    i, j = np.triu_indices(n, 2)
+    d = segment_segment_distance_rows(
+        np.concatenate([np.repeat(spines, m, axis=0), spines[i]]),
+        np.concatenate([np.tile(outlines, (n, 1)), spines[j]]),
+    )
+    px, py = spines.reshape(n, 2, 1, 2)[..., 0], spines.reshape(n, 2, 1, 2)[..., 1]
+    bx = np.maximum(np.maximum(world.boxes[:, 0] - px, 0.0), px - world.boxes[:, 2])
+    by = np.maximum(np.maximum(world.boxes[:, 1] - py, 0.0), py - world.boxes[:, 3])
+    inside = (np.sqrt(bx * bx + by * by) == 0.0).any(axis=(1, 2))
+    obstacle = np.where(inside, 0.0, d[:n * m].reshape(n, m).min(axis=1, initial=np.inf))
+    collided = bool(np.any(obstacle <= radii) or np.any(d[n * m:] <= radii[i] + radii[j]))
+    return collided, float(np.min(obstacle - radii))
+
+
+def step_dynamics_arrays(config, state, action, tau, clamping_enabled=True):
+    """Semi-implicit Euler step on arrays, clamped with np.clip."""
+    max_bv = np.asarray(config.max_base_vel)
+    base_vel = np.clip(state.base_vel + action.base_acc * tau, -max_bv, max_bv)
+    joint_vel = np.clip(
+        state.joint_vel + action.joint_acc * tau, -config.max_joint_vel, config.max_joint_vel
+    )
+    x, y, theta = state.base_pose
+    c, s = math.cos(theta), math.sin(theta)
+    base_pose = np.array([
+        x + (c * base_vel[0] - s * base_vel[1]) * tau,
+        y + (s * base_vel[0] + c * base_vel[1]) * tau,
+        theta + base_vel[2] * tau,
+    ])
+    joint_pos = state.joint_pos + joint_vel * tau
+    limits = np.asarray(config.joint_limits)
+    limit_hit = False
+    if clamping_enabled:
+        lo = limits[:, 0] + config.clamp_margin
+        hi = limits[:, 1] - config.clamp_margin
+        below = joint_pos < lo
+        above = joint_pos > hi
+        joint_pos = np.clip(joint_pos, lo, hi)
+        joint_vel = np.where(below | above, 0.0, joint_vel)
+    else:
+        limit_hit = bool(np.any(joint_pos < limits[:, 0]) or np.any(joint_pos > limits[:, 1]))
+    return RobotState(base_pose, base_vel, joint_pos, joint_vel), limit_hit
+
+
+def adam_step_flat(m, v, params, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (1-based) over whole arrays, in place on m, v and params."""
+    a, b = np.empty((2, grad.size))
+    np.multiply(m, beta1, out=m)
+    np.multiply(grad, 1.0 - beta1, out=a)
+    np.add(m, a, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(grad, 1.0 - beta2, out=a)
+    np.multiply(a, grad, out=a)
+    np.add(v, a, out=v)
+    np.divide(m, 1.0 - beta1**t, out=a)
+    np.multiply(a, lr, out=a)
+    np.divide(v, 1.0 - beta2**t, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, eps, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(params, a, out=params)

@@ -7,6 +7,7 @@ spawn-connected flood fill over base placements for gap unreachability.
 """
 
 import collections
+import dataclasses
 import json
 import math
 
@@ -334,8 +335,7 @@ def test_passage_width_matches_analytic_chute():
     # One box leaves a chute of exactly 2.0 - 1.2 = 0.8 between its top face
     # and the corridor wall; every cross-section elsewhere is wider, so both
     # the production probe and the independent oracle must read 0.8.
-    world = rect_room(8.0, 2.0)
-    world.boxes = np.array([[3.5, 0.0, 4.5, 1.2]])
+    world = dataclasses.replace(rect_room(8.0, 2.0), boxes=[[3.5, 0.0, 4.5, 1.2]])
     start = RobotState.zeros(ROBOT, base_pose=(0.7, 1.0, 0.0))
     episode = make_episode(ROBOT, PARAMS, EpisodeConfig(), world, start, (7.0, 1.0, 0.0))
     assert passage_width_along_path(world, episode.path) == pytest.approx(0.8, abs=0.06)

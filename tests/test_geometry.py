@@ -6,16 +6,36 @@ import pytest
 import oracles
 from oracles import inverse_transform_point, pose_matrix
 from planarwbc.geometry import (
+    box_slabs,
     point_box_distance,
     point_segment_distance,
     rays_boxes_hits,
     rays_segments_hits,
     rot2d,
     segment_box_distance,
+    segment_columns,
     segment_segment_distance,
     transform_point,
     wrap_angle,
 )
+
+
+def ray_planes(origins, directions):
+    # (B, 2) rays as the kernels' (2, 1, B) planes; one (2,) origin is shared.
+    origins = np.asarray(origins, dtype=float)
+    return origins.T.reshape(2, 1, -1), np.asarray(directions, dtype=float).T[:, None, :]
+
+
+def segment_hit_rows(origins, directions, segments):
+    # rays_segments_hits with one row per ray, (B, N).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rays_segments_hits(*ray_planes(origins, directions), *segment_columns(segments)).T
+
+
+def box_hit_rows(origins, directions, boxes):
+    # rays_boxes_hits with one row per ray, (B, M).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return rays_boxes_hits(*ray_planes(origins, directions), box_slabs(boxes)).T
 
 
 def sample_segment(seg, n=400):
@@ -206,7 +226,7 @@ def test_ray_segment_hits_against_marching():
         origin = rng.uniform(-1, 1, 2)
         ang = rng.uniform(-math.pi, math.pi)
         direction = np.array([math.cos(ang), math.sin(ang)])
-        ts = rays_segments_hits(origin, direction[None, :], segments)[0]
+        ts = segment_hit_rows(origin, direction[None, :], segments)[0]
         t = float(np.min(ts))
 
         def blocked(pts):
@@ -228,19 +248,19 @@ def test_ray_segment_hits_against_marching():
 
 def test_ray_box_hits_cases():
     boxes = np.array([[1.0, -1.0, 2.0, 1.0]])
-    t = rays_boxes_hits((0.0, 0.0), [(1.0, 0.0)], boxes)[0]
+    t = box_hit_rows((0.0, 0.0), [(1.0, 0.0)], boxes)[0]
     assert t[0] == pytest.approx(1.0)
     # Starting inside reports the exit.
-    t = rays_boxes_hits((1.5, 0.0), [(1.0, 0.0)], boxes)[0]
+    t = box_hit_rows((1.5, 0.0), [(1.0, 0.0)], boxes)[0]
     assert t[0] == pytest.approx(0.5)
     # Pointing away misses.
-    t = rays_boxes_hits((0.0, 2.0), [(0.0, 1.0)], boxes)[0]
+    t = box_hit_rows((0.0, 2.0), [(0.0, 1.0)], boxes)[0]
     assert math.isinf(t[0])
     # Axis-parallel ray sliding past (outside the slab).
-    t = rays_boxes_hits((0.0, 1.5), [(1.0, 0.0)], boxes)[0]
+    t = box_hit_rows((0.0, 1.5), [(1.0, 0.0)], boxes)[0]
     assert math.isinf(t[0])
     # Vertical ray (dx = 0) into the box.
-    t = rays_boxes_hits((1.5, -3.0), [(0.0, 1.0)], boxes)[0]
+    t = box_hit_rows((1.5, -3.0), [(0.0, 1.0)], boxes)[0]
     assert t[0] == pytest.approx(2.0)
 
 
@@ -252,12 +272,12 @@ def test_batched_rays_match_single():
     origin = rng.uniform(-1, 1, 2)
     angles = rng.uniform(-math.pi, math.pi, 32)
     dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    batch_seg = rays_segments_hits(origin, dirs, segments)
-    batch_box = rays_boxes_hits(origin, dirs, boxes)
+    batch_seg = segment_hit_rows(origin, dirs, segments)
+    batch_box = box_hit_rows(origin, dirs, boxes)
     for i in range(32):
         one_ray = dirs[i : i + 1]
-        np.testing.assert_array_equal(batch_seg[i], rays_segments_hits(origin, one_ray, segments)[0])
-        np.testing.assert_array_equal(batch_box[i], rays_boxes_hits(origin, one_ray, boxes)[0])
+        np.testing.assert_array_equal(batch_seg[i], segment_hit_rows(origin, one_ray, segments)[0])
+        np.testing.assert_array_equal(batch_box[i], box_hit_rows(origin, one_ray, boxes)[0])
 
 
 def test_per_ray_origins_match_shared_origin_calls():
@@ -276,19 +296,19 @@ def test_per_ray_origins_match_shared_origin_calls():
     axis_parallel = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (2.0, 0.0),
                               (0.0, -0.5)])
     dirs[::2] = axis_parallel[np.arange(len(dirs[::2])) % len(axis_parallel)]
-    seg_hits = rays_segments_hits(origins, dirs, segments)
-    box_hits = rays_boxes_hits(origins, dirs, boxes)
+    seg_hits = segment_hit_rows(origins, dirs, segments)
+    box_hits = box_hit_rows(origins, dirs, boxes)
     assert seg_hits.shape == (len(origins), len(segments))
     assert box_hits.shape == (len(origins), len(boxes))
     assert np.isfinite(box_hits[::2]).any() and np.isinf(box_hits[::2]).any()
     for k, origin in enumerate(origins):
         one_ray = dirs[k : k + 1]
         np.testing.assert_array_equal(seg_hits[k],
-                                      rays_segments_hits(origin, one_ray, segments)[0])
-        np.testing.assert_array_equal(box_hits[k], rays_boxes_hits(origin, one_ray, boxes)[0])
+                                      segment_hit_rows(origin, one_ray, segments)[0])
+        np.testing.assert_array_equal(box_hits[k], box_hit_rows(origin, one_ray, boxes)[0])
     # One origin repeated per ray is the shared-origin call.
     repeated = np.tile(origins[0], (len(dirs), 1))
-    np.testing.assert_array_equal(rays_segments_hits(repeated, dirs, segments),
-                                  rays_segments_hits(origins[0], dirs, segments))
-    np.testing.assert_array_equal(rays_boxes_hits(repeated, dirs, boxes),
-                                  rays_boxes_hits(origins[0], dirs, boxes))
+    np.testing.assert_array_equal(segment_hit_rows(repeated, dirs, segments),
+                                  segment_hit_rows(origins[0], dirs, segments))
+    np.testing.assert_array_equal(box_hit_rows(repeated, dirs, boxes),
+                                  box_hit_rows(origins[0], dirs, boxes))

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import distribution_stats, gae_double_sum
+from oracles import adam_step_flat, distribution_stats, gae_double_sum
 from planarwbc import policy as policy_mod
 from planarwbc.config import default_config
 from planarwbc.envs import EnvSpec, EpisodeConfig
@@ -30,6 +30,7 @@ from planarwbc.policy import (
 )
 from planarwbc.robot import RobotConfig
 from planarwbc.ppo import (
+    ADAM_BLOCK,
     RolloutBuffer,
     TrainConfig,
     TrainerState,
@@ -287,6 +288,30 @@ def test_adam_step_matches_reference_recursion():
         theta = theta - 1e-3 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
         assert trainer.adam_t == t
         assert np.allclose(trainer.policy.params, theta, atol=1e-15)
+
+
+@pytest.mark.parametrize("size", ["tiny", "default"])
+def test_adam_step_is_bitwise_the_flat_formula(size):
+    # Blocked steps equal whole-array steps byte for byte: moments, master
+    # parameters and the compute copy. Neither parameter count is a multiple
+    # of the block, so the last block is a short one.
+    config = TINY if size == "tiny" else default_config().policy
+    params = init_params(config, np.random.default_rng(16))
+    assert params.size % ADAM_BLOCK != 0
+    assert size == "tiny" or params.size > 2 * ADAM_BLOCK
+    trainer = TrainerState(policy=Policy(config, params), adam_m=np.zeros(params.size),
+                           adam_v=np.zeros(params.size), adam_t=0,
+                           update_rng=np.random.default_rng(0), workers=[], adr_state=None)
+    m, v, theta = np.zeros(params.size), np.zeros(params.size), params.copy()
+    rng = np.random.default_rng(17)
+    for t in range(1, 4):
+        grad = rng.standard_normal(params.size)
+        adam_step(trainer, grad, lr=3e-4)
+        adam_step_flat(m, v, theta, grad, t, lr=3e-4)
+        assert trainer.adam_m.tobytes() == m.tobytes()
+        assert trainer.adam_v.tobytes() == v.tobytes()
+        assert trainer.policy.params.tobytes() == theta.tobytes()
+        assert trainer.policy.compute.tobytes() == theta.astype(policy_mod.COMPUTE_DTYPE).tobytes()
 
 
 def test_train_config_validation():

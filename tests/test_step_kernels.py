@@ -1,0 +1,190 @@
+"""The per-step world kernels against their row-per-query formulas, byte for byte.
+
+cast_lidars, the ray kernels, body_query, step_dynamics and project_on_path
+run, on every element, the operations of the formulas in oracles that lay
+one ray, pair or call out per row; only the layout differs, so every output
+byte must match. The corpus: 30 generated scenes per env kind, each with its
+spawn state, the headings 0, +-pi/2, +-pi and -0.0 at random points, base
+centres (the default LIDAR origin) inside and on the corners of boxes, and
+random poses with joints past their limits.
+"""
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, make_episode
+from planarwbc.geometry import rays_boxes_hits, rays_segments_hits
+from planarwbc.pathfield import project_on_path
+from planarwbc.reward import RewardParams
+from planarwbc.robot import (
+    Action,
+    LidarConfig,
+    RobotConfig,
+    RobotState,
+    forward_kinematics,
+    step_dynamics,
+)
+from planarwbc.world import body_query, cast_lidars
+
+ROBOT = RobotConfig()
+# The offset sensors of test_two_sensor_cast_equals_single_sensor_casts: an
+# odd beam count puts a beam on the facing, so heading 0 (front) and -pi
+# (rear) cast rays with an exactly zero y component.
+LIDARS = (
+    ROBOT,
+    RobotConfig(lidar=LidarConfig(beams=65, front_offset=(0.25, 0.05), rear_offset=(-0.25, 0.0))),
+    RobotConfig(lidar=LidarConfig(beams=1, rear_offset=(-0.1, 0.1))),
+)
+HEADINGS = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi)
+KINDS = (EnvSpec(kind="corridor"), EnvSpec.gap_train(), EnvSpec.gap_test())
+SCENES_PER_KIND = 30
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def scene_states(world, spawn, rng):
+    xmin, ymin, xmax, ymax = world.bounds
+    poses = [spawn.base_pose]
+    poses += [(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax), h) for h in HEADINGS]
+    for box, h in zip(world.boxes, HEADINGS):
+        poses.append((0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3]), h))
+        poses.append((box[0], box[1], h))
+    poses += [(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax), rng.uniform(-4.0, 4.0))
+              for _ in range(4)]
+    states = [spawn.copy()]
+    for pose in poses[1:]:
+        states.append(RobotState(np.array(pose, dtype=float), rng.uniform(-0.6, 0.6, 3),
+                                 rng.uniform(-2.3, 2.3, 3), rng.uniform(-1.8, 1.8, 3)))
+    return states
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """(spec, world, spawn, goal, states) per scene."""
+    rng = np.random.default_rng(2024)
+    scenes = []
+    for spec in KINDS:
+        for seed in range(SCENES_PER_KIND):
+            world, spawn, goal = generate_scene(spec, ROBOT, np.random.default_rng(4000 + seed))
+            scenes.append((spec, world, spawn, goal, scene_states(world, spawn, rng)))
+    return scenes
+
+
+def in_some_box(world, xy) -> bool:
+    return any(b[0] <= xy[0] <= b[2] and b[1] <= xy[1] <= b[3] for b in world.boxes)
+
+
+def test_corpus_covers_every_kind_and_origins_inside_boxes(corpus):
+    assert [spec.kind for spec, *_ in corpus].count("corridor") == SCENES_PER_KIND
+    assert len(corpus) == len(KINDS) * SCENES_PER_KIND
+    inside = sum(in_some_box(world, s.base_pose) for _, world, _, _, states in corpus
+                 for s in states)
+    assert inside >= 2 * len(corpus)
+
+
+def test_cast_lidars_is_bitwise_the_row_formula(corpus):
+    for _, world, _, _, states in corpus:
+        for state in states:
+            for config in LIDARS:
+                got = cast_lidars(config, state, world)
+                assert same_bytes(got, oracles.cast_lidars_rows(config, state, world))
+                rear = cast_lidars(config, state, world, ("rear",))
+                assert same_bytes(rear, oracles.cast_lidars_rows(config, state, world, ("rear",)))
+
+
+def test_ray_kernels_are_bitwise_the_row_formulas(corpus):
+    # Per-ray and shared origins; axis-parallel rays with +-0.0 components
+    # and rays from box corners, faces and interiors.
+    rng = np.random.default_rng(7)
+    axis = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, -1.0), (2.0, 0.0), (0.0, -0.5)])
+    zero_hits = 0
+    for _, world, _, _, _ in corpus:
+        xmin, ymin, xmax, ymax = world.bounds
+        origins = [rng.uniform((xmin, ymin), (xmax, ymax), (24, 2))]
+        for box in world.boxes:
+            origins.append([box[0:2], box[2:4], (box[0], 0.5 * (box[1] + box[3])),
+                            (0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3]))])
+        origins = np.vstack(origins)
+        angles = rng.uniform(-math.pi, math.pi, len(origins))
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        dirs[::2] = axis[np.arange(len(dirs[::2])) % len(axis)]
+        rays = origins.T[:, None, :], dirs.T[:, None, :]
+        shared = origins[-1].reshape(2, 1, 1), rays[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for o, d, row_origins in ((*rays, origins), (*shared, origins[-1])):
+                seg = rays_segments_hits(o, d, world.segment_starts, world.segment_edges)
+                box = rays_boxes_hits(o, d, world.slabs)
+                assert same_bytes(seg.T, oracles.rays_segments_hits_rows(row_origins, dirs,
+                                                                         world.segments))
+                assert same_bytes(box.T, oracles.rays_boxes_hits_rows(row_origins, dirs,
+                                                                      world.boxes))
+                zero_hits += np.count_nonzero(box == 0.0)
+    assert zero_hits > 0
+
+
+def test_body_query_is_bitwise_the_row_formula(corpus):
+    verdicts = []
+    for _, world, _, _, states in corpus:
+        for state in states:
+            frames = forward_kinematics(ROBOT, state)
+            collided, clearance = body_query(ROBOT, frames, world)
+            ref_collided, ref_clearance = oracles.body_query_rows(ROBOT, frames, world)
+            assert collided == ref_collided
+            assert same_bytes(np.float64(clearance), np.float64(ref_clearance))
+            verdicts.append(collided)
+    assert 0.2 < np.mean(verdicts) < 0.9
+
+
+@pytest.mark.parametrize("clamping", [True, False], ids=["clamping", "baseline"])
+def test_step_dynamics_is_bitwise_the_array_formula(corpus, clamping):
+    # Accelerations past the velocity caps and joints past their limits,
+    # plus ties between signed zeros: `zero_bound` caps the base's x
+    # velocity and every joint velocity at +-0.0 and clamps the first joint
+    # at 0.0, and its cases reach each cap from -0.0 and from +0.0.
+    rng = np.random.default_rng(11)
+    zero_bound = RobotConfig(joint_limits=((-0.05, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
+                             max_base_vel=(0.0, 0.5, 1.0), max_joint_vel=0.0)
+    cases = []
+    for _, _, _, _, states in corpus:
+        for state in states:
+            action = Action(rng.uniform(-3.0, 3.0, 3), rng.uniform(-6.0, 6.0, 3))
+            cases.append((ROBOT, state, action, 0.04))
+            cases.append((ROBOT, state, action, 0.2))
+    for zero in (-0.0, 0.0):
+        state = RobotState(np.array([zero, 0.0, zero]), np.array([zero, 0.5, zero]),
+                           np.array([zero, 1.95, -1.95]), np.array([zero, 1.5, -1.5]))
+        for action in (Action(np.array([zero, 30.0, zero]), np.array([zero, 0.0, 0.0])),
+                       Action(np.array([-1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))):
+            cases.append((zero_bound, state, action, 0.04))
+    pinned = hits = 0
+    for config, state, action, tau in cases:
+        got, hit = step_dynamics(config, state, action, tau, clamping_enabled=clamping)
+        ref, ref_hit = oracles.step_dynamics_arrays(config, state, action, tau, clamping)
+        assert hit == ref_hit
+        for name in ("base_pose", "base_vel", "joint_pos", "joint_vel"):
+            assert same_bytes(getattr(got, name), getattr(ref, name)), name
+        pinned += np.count_nonzero((got.joint_vel == 0.0) & (state.joint_vel != 0.0))
+        hits += hit
+    if clamping:
+        assert pinned > 100 and hits == 0
+    else:
+        assert hits > 100
+
+
+def test_project_on_path_is_bitwise_the_per_call_formula_on_planned_paths(corpus):
+    # Planned paths of five scenes per kind, queried at the corpus's
+    # end-effector positions, at every vertex and at segment midpoints.
+    for spec in KINDS:
+        for _, world, spawn, goal, states in [s for s in corpus if s[0] is spec][:5]:
+            path = make_episode(ROBOT, RewardParams(), EpisodeConfig(), world, spawn, goal).path
+            queries = [forward_kinematics(ROBOT, s)[-1][:2] for s in states]
+            queries += list(path.points) + list(0.5 * (path.points[1:] + path.points[:-1]))
+            for p in queries:
+                got = project_on_path(path, p)
+                ref = oracles.project_on_path_formula(path.points, path.cumlen, p)
+                assert same_bytes(np.array(got), np.array(ref))

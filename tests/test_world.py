@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import oracles
 from oracles import boxes_ray_march, boxes_ray_march_literal, collision_by_sampling
 from planarwbc.envs import EnvSpec, generate_scene
-from planarwbc.geometry import rot2d
+from planarwbc.geometry import box_edges, rot2d
 from planarwbc.robot import LidarConfig, RobotConfig, RobotState, forward_kinematics
 from planarwbc.world import (
     SENSORS,
@@ -239,6 +240,28 @@ def test_two_sensor_cast_equals_single_sensor_casts():
                 assert both.shape == (2, cfg.lidar.beams)
                 for ranges, sensor in zip(both, SENSORS):
                     assert np.array_equal(ranges, cast_lidar(cfg, state, world, sensor).ranges)
+
+
+def test_world_is_frozen_and_its_arrays_read_only():
+    # The derived planes are built once, so nothing may change what they
+    # were built from: the world copies its inputs and cannot be assigned.
+    segments = np.array([[0.0, 0.0, 3.0, 0.0]])
+    boxes = np.array([[1.0, 1.0, 2.0, 2.0]])
+    world = WorldGeometry(segments=segments, boxes=boxes, bounds=(0, 0, 3, 3))
+    segments[0, 0] = boxes[0, 0] = 9.0
+    assert world.segments[0, 0] == 0.0 and world.boxes[0, 0] == 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        world.boxes = np.array([[0.5, 0.5, 1.0, 1.0]])
+    for f in dataclasses.fields(world):
+        if f.name != "bounds":
+            array = getattr(world, f.name)
+            assert not array.flags.writeable, f.name
+            with pytest.raises(ValueError):
+                array[...] = 0.0
+    moved = dataclasses.replace(world, boxes=[[0.5, 0.5, 1.0, 1.0]])
+    np.testing.assert_array_equal(moved.outline_planes[:, 1:, 0].T,
+                                  box_edges(moved.boxes).reshape(-1, 4))
+    np.testing.assert_array_equal(moved.slabs[:, 0, 0], [0.5, 1.0, 0.5, 1.0])
 
 
 def test_self_collision_cases():
