@@ -14,23 +14,22 @@ from .envs import (
     EpisodeConfig,
     GenerationError,
     Observation,
+    Scene,
     StepOutcome,
     env_step,
     generate_scene,
     make_episode,
     new_episode,
     observation_size,
+    plan_path,
 )
 from .evaluate import EvalReport, eval_success_rate, run_controller
 from .pathfield import (
     FieldError,
     GridField,
     PathPolyline,
-    extract_path,
     field_to_pgm,
     path_metrics,
-    rasterize_world,
-    solve_harmonic,
 )
 from .policy import Policy, PolicyConfig, init_params, load_params, save_params
 from .ppo import TrainConfig, TrainerState, compute_gae, init_trainer, ppo_update, train_loop
@@ -63,6 +62,7 @@ __all__ = [
     "RobotConfig",
     "RobotState",
     "RunConfig",
+    "Scene",
     "StepOutcome",
     "TrainConfig",
     "TrainerState",
@@ -77,7 +77,6 @@ __all__ = [
     "default_config",
     "env_step",
     "eval_success_rate",
-    "extract_path",
     "field_to_pgm",
     "forward_kinematics",
     "fresh_state",
@@ -90,15 +89,14 @@ __all__ = [
     "new_episode",
     "observation_size",
     "path_metrics",
+    "plan_path",
     "ppo_update",
-    "rasterize_world",
     "record_episode",
     "render_scene",
     "render_snapshot",
     "run_controller",
     "save_config",
     "save_params",
-    "solve_harmonic",
     "step_dynamics",
     "terminal_reward",
     "train_loop",

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .adr import AdrConfig
-from .envs import GAP_MAX_GRID_CELL, EnvSpec, EpisodeConfig, observation_size
+from .envs import EnvSpec, EpisodeConfig, observation_size
 from .policy import PolicyConfig
 from .ppo import TrainConfig
 from .reward import RewardParams
@@ -47,6 +47,8 @@ class RunConfig:
                 part.validate(self.robot) if section == "env" else part.validate()
             )
             errors += [f"{section}.{msg}" for msg in part_errors]
+        if any(msg.startswith("robot.") for msg in errors):
+            return errors  # the observation scales divide by the robot's limits
         if self.policy.scan_beams != self.robot.lidar.beams:
             errors.append("policy.scan_beams: must equal robot.lidar.beams")
         if self.policy.observation_size != observation_size(self.robot):
@@ -55,11 +57,6 @@ class RunConfig:
             )
         if self.policy.action_dims != 3 + self.robot.num_joints:
             errors.append("policy.action_dims: must equal 3 + number of joints")
-        if self.env.kind != "corridor" and self.episode.grid_cell > GAP_MAX_GRID_CELL:
-            errors.append(
-                f"episode.grid_cell: must be <= {GAP_MAX_GRID_CELL} for gap scenes; a coarser "
-                "raster can close the slot and leave no path to the goal"
-            )
         return errors
 
 
@@ -128,8 +125,10 @@ def config_from_dict(data: dict) -> RunConfig:
     errors: list[str] = []
     base = default_config()
     robot = _merge(base.robot, data.get("robot", {}), "robot", errors)
-    # Policy defaults follow the merged robot; explicit keys override them.
-    derived = replace(base, robot=robot, policy=PolicyConfig.for_robot(robot))
+    # Policy defaults follow the merged robot (when it validates, see
+    # RunConfig.validate); explicit keys override them.
+    policy = base.policy if robot.validate() else PolicyConfig.for_robot(robot)
+    derived = replace(base, robot=robot, policy=policy)
     merged = _merge(derived, {k: v for k, v in data.items() if k != "robot"}, "", errors)
     if errors:
         raise ConfigError(errors)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,12 +34,6 @@ from .world import WorldGeometry, body_query, cast_lidars, collision_check, min_
 
 ENV_KINDS = ("corridor", "gap_train", "gap_test")
 GRID_CELL = 0.05
-# Coarsest episode.grid_cell for the gap kinds. The generators accept a scene
-# on GRID_CELL rasters; on a coarser one the inflated slot walls can close
-# the slot, and then no path reaches the goal. On seeds 0-29, most sizes above
-# 0.11 m failed every gap_train reset. Some finer sizes fail too (0.1025 m
-# fails all gap_train resets), so the bound rejects the worst sizes, not all.
-GAP_MAX_GRID_CELL = 0.11
 
 
 @dataclass(frozen=True)
@@ -209,7 +204,39 @@ def build_observation(
 # ---------------------------------------------------------------------------
 
 class GenerationError(RuntimeError):
-    """Raised when a generator exhausts its retry budget."""
+    """Raised when every attempt is rejected; the message counts them by cause."""
+
+
+# Why an attempt was rejected: its own geometry, a colliding spawn, a base or
+# capsule raster that cuts the goal off, or a failed solve or extraction.
+REJECTION_CAUSES = ("geometry", "collision", "connectivity", "plan")
+ATTEMPTS = 100
+
+
+class Scene(NamedTuple):
+    """A generated scene and the reference path planned for it."""
+
+    world: WorldGeometry
+    start: RobotState
+    goal: np.ndarray
+    path_field: GridField
+    path: PathPolyline
+
+
+def plan_path(
+    world: WorldGeometry, robot: RobotConfig, grid_cell: float, start_xy, goal_xy
+) -> tuple[GridField, PathPolyline]:
+    """Rasterize, solve and extract the end-effector path from start_xy to goal_xy.
+
+    The raster has grid_cell cells inflated by the link capsule radius. Raises
+    CutOffError when it closes the goal cell or does not 4-connect the start
+    cell to it, and FieldError when the solve or the extraction fails.
+    """
+    raster = rasterize_world(world, grid_cell, inflate=robot.link_capsule_radius, goal=goal_xy)
+    if not cells_connected(raster, raster.cell_of(start_xy)):
+        raise pathfield.CutOffError("the start cell is cut off from the goal cell")
+    solve_harmonic(raster)
+    return raster, extract_path(raster, start_xy, goal=goal_xy)
 
 
 def _base_cell_near_goal_reachable(
@@ -220,99 +247,70 @@ def _base_cell_near_goal_reachable(
         raster = rasterize_world(world, GRID_CELL, inflate=robot.base_radius, goal=spawn_xy)
     except pathfield.FieldError:
         return False
-    start = raster.cell_of(spawn_xy)
-    if raster.kind[start[0], start[1]] == pathfield.OBSTACLE:
-        return False
+    # The spawn is the raster's goal cell, so it is open whenever rasterizing succeeds.
     rows, cols = np.nonzero(pathfield.connected_component(raster.kind != pathfield.OBSTACLE,
-                                                          start))
+                                                          raster.goal_cell))
     cx = raster.origin[0] + (cols + 0.5) * raster.cell_size
     cy = raster.origin[1] + (rows + 0.5) * raster.cell_size
     d2 = (cx - goal_xy[0]) ** 2 + (cy - goal_xy[1]) ** 2
     return bool(np.min(d2) <= approach * approach)
 
 
-def _ee_path_exists(world: WorldGeometry, robot: RobotConfig, ee_xy, goal_xy) -> bool:
-    """4-connectivity on the capsule-inflated grid from EE start to goal."""
-    try:
-        raster = rasterize_world(world, GRID_CELL, inflate=robot.link_capsule_radius, goal=goal_xy)
-    except pathfield.FieldError:
-        return False
-    return cells_connected(raster, raster.cell_of(ee_xy))
+def _room_walls(length: float, width: float) -> np.ndarray:
+    """The four wall segments of a length x width room with a corner at the origin."""
+    return np.array([[0.0, 0.0, length, 0.0], [length, 0.0, length, width],
+                     [length, width, 0.0, width], [0.0, width, 0.0, 0.0]])
 
 
-def generate_corridor(
-    spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator
-) -> tuple[WorldGeometry, RobotState, np.ndarray]:
-    """Corridor scene: walls, staggered obstacles, near-end spawn, far goal.
+def _draw_corridor(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
+    """One corridor attempt: walls, staggered obstacles, near-end spawn, far goal.
 
     Obstacles alternate between the bottom and top walls with bounded depth
     and a guaranteed longitudinal gap, so a passage of at least
     corridor_min_passage always remains. Returns (world, start state, goal
-    pose); raises GenerationError after 100 rejected attempts.
+    pose), or the rejection cause when a check fails.
     """
-    if spec.kind != "corridor":
-        raise ValueError(f"generate_corridor needs kind='corridor', got {spec.kind!r}")
     min_passage = spec.corridor_min_passage
-    for _ in range(100):
-        length = rng.uniform(*spec.corridor_length_range)
-        width = rng.uniform(*spec.corridor_width_range)
-        walls = np.array(
-            [
-                [0.0, 0.0, length, 0.0],
-                [length, 0.0, length, width],
-                [length, width, 0.0, width],
-                [0.0, width, 0.0, 0.0],
-            ]
-        )
-        spawn_xy = np.array([0.7, width / 2.0])
-        start = RobotState.zeros(robot, base_pose=(spawn_xy[0], spawn_xy[1], 0.0))
-        ee_xy = np.asarray(forward_kinematics(robot, start)[-1][:2])
+    length = rng.uniform(*spec.corridor_length_range)
+    width = rng.uniform(*spec.corridor_width_range)
+    spawn_xy = np.array([0.7, width / 2.0])
+    start = RobotState.zeros(robot, base_pose=(spawn_xy[0], spawn_xy[1], 0.0))
+    ee_xy = np.asarray(forward_kinematics(robot, start)[-1][:2])
 
-        # Obstacle zone keeps clear of the spawn arm and the goal third.
-        slot = 0.8 + min_passage + 0.1  # max obstacle width + guaranteed gap
-        zone_lo = ee_xy[0] + 0.3
-        zone_hi = min(length - 1.6, 2.0 * length / 3.0 - 0.9)
-        n_fit = max(0, int((zone_hi - zone_lo) / slot))
-        count = int(rng.integers(spec.corridor_obstacle_count[0],
-                                 spec.corridor_obstacle_count[1] + 1))
-        count = min(count, n_fit)
-        boxes = []
-        max_depth = width - min_passage - 0.1
-        for k in range(count):
-            w_k = rng.uniform(0.3, 0.8)
-            center = zone_lo + (k + 0.5) * (zone_hi - zone_lo) / max(count, 1)
-            jitter_span = ((zone_hi - zone_lo) / max(count, 1) - w_k - (min_passage + 0.1)) / 2.0
-            center += rng.uniform(-1.0, 1.0) * max(0.0, jitter_span)
-            depth = rng.uniform(0.3, max(0.3, max_depth))
-            x0, x1 = center - w_k / 2.0, center + w_k / 2.0
-            if k % 2 == 0:
-                boxes.append([x0, 0.0, x1, depth])
-            else:
-                boxes.append([x0, width - depth, x1, width])
-        world = WorldGeometry(
-            segments=walls,
-            boxes=np.array(boxes).reshape(-1, 4),
-            bounds=(0.0, 0.0, length, width),
-        )
+    # Obstacle zone keeps clear of the spawn arm and the goal third.
+    slot = 0.8 + min_passage + 0.1  # max obstacle width + guaranteed gap
+    zone_lo = ee_xy[0] + 0.3
+    zone_hi = min(length - 1.6, 2.0 * length / 3.0 - 0.9)
+    n_fit = max(0, int((zone_hi - zone_lo) / slot))
+    count = int(rng.integers(spec.corridor_obstacle_count[0],
+                             spec.corridor_obstacle_count[1] + 1))
+    count = min(count, n_fit)
+    boxes = []
+    max_depth = width - min_passage - 0.1
+    for k in range(count):
+        w_k = rng.uniform(0.3, 0.8)
+        center = zone_lo + (k + 0.5) * (zone_hi - zone_lo) / max(count, 1)
+        jitter_span = ((zone_hi - zone_lo) / max(count, 1) - w_k - (min_passage + 0.1)) / 2.0
+        center += rng.uniform(-1.0, 1.0) * max(0.0, jitter_span)
+        depth = rng.uniform(0.3, max(0.3, max_depth))
+        x0, x1 = center - w_k / 2.0, center + w_k / 2.0
+        if k % 2 == 0:
+            boxes.append([x0, 0.0, x1, depth])
+        else:
+            boxes.append([x0, width - depth, x1, width])
+    world = WorldGeometry(segments=_room_walls(length, width),
+                          boxes=np.array(boxes).reshape(-1, 4), bounds=(0.0, 0.0, length, width))
 
-        margin = min_passage / 2.0 + 0.01
-        goal = np.array(
-            [
-                rng.uniform(2.0 * length / 3.0, length - 0.5),
-                rng.uniform(margin, width - margin),
-                0.0,
-            ]
-        )
-        if min_clearance_point(world, goal[:2]) < margin:
-            continue
-        if collision_check(robot, start, world):
-            continue
-        if not _ee_path_exists(world, robot, ee_xy, goal[:2]):
-            continue
-        if not _base_cell_near_goal_reachable(world, robot, spawn_xy, goal[:2], approach=0.8):
-            continue
-        return world, start, goal
-    raise GenerationError("corridor generation failed 100 times; check spec ranges")
+    margin = min_passage / 2.0 + 0.01
+    goal = np.array([rng.uniform(2.0 * length / 3.0, length - 0.5),
+                     rng.uniform(margin, width - margin), 0.0])
+    if min_clearance_point(world, goal[:2]) < margin:
+        return "geometry"
+    if collision_check(robot, start, world):
+        return "collision"
+    if not _base_cell_near_goal_reachable(world, robot, spawn_xy, goal[:2], approach=0.8):
+        return "connectivity"
+    return world, start, goal
 
 
 GAP_ROOM = (6.0, 4.0)
@@ -321,77 +319,87 @@ GAP_ROOM = (6.0, 4.0)
 GAP_SPAWN_JOINTS = (1.4, 1.0, 1.0)
 
 
-def generate_gap(
-    spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator
-) -> tuple[WorldGeometry, RobotState, np.ndarray]:
-    """Two rooms split by a thick wall with a tunnel slot; goal in the slot.
+def _draw_gap(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
+    """One gap attempt: two rooms split by a thick wall with a tunnel slot; goal in the slot.
 
     The slot is narrower than the base, so the goal is only reachable by
     inserting the arm; the spawn arm is folded (plus joint noise) and the
-    generator enforces that no base-reachable position brings that folded
-    end-effector within holding range of the goal.
+    attempt is rejected unless no base-reachable position brings that folded
+    end-effector within holding range of the goal. Returns (world, start
+    state, goal pose), or the rejection cause when a check fails.
     """
-    if spec.kind not in ("gap_train", "gap_test"):
-        raise ValueError(f"generate_gap needs a gap kind, got {spec.kind!r}")
     room_l, room_w = GAP_ROOM
     slot_y = room_w / 2.0
-    for _ in range(100):
-        gap = rng.uniform(*spec.gap_width_range)
-        tunnel = rng.uniform(*spec.gap_length_range)
-        depth = rng.uniform(*spec.gap_goal_depth_range)
-        depth = min(depth, tunnel + 0.1)
-        lateral = rng.uniform(-spec.gap_goal_lateral_noise, spec.gap_goal_lateral_noise)
-        angle = rng.uniform(-spec.gap_goal_angle_noise, spec.gap_goal_angle_noise)
-        noise = rng.uniform(-spec.gap_joint_noise, spec.gap_joint_noise, size=robot.num_joints)
+    gap = rng.uniform(*spec.gap_width_range)
+    tunnel = rng.uniform(*spec.gap_length_range)
+    depth = rng.uniform(*spec.gap_goal_depth_range)
+    depth = min(depth, tunnel + 0.1)
+    lateral = rng.uniform(-spec.gap_goal_lateral_noise, spec.gap_goal_lateral_noise)
+    angle = rng.uniform(-spec.gap_goal_angle_noise, spec.gap_goal_angle_noise)
+    noise = rng.uniform(-spec.gap_joint_noise, spec.gap_joint_noise, size=robot.num_joints)
 
-        wall_x0 = room_l / 2.0 - tunnel / 2.0
-        walls = np.array(
-            [
-                [0.0, 0.0, room_l, 0.0],
-                [room_l, 0.0, room_l, room_w],
-                [room_l, room_w, 0.0, room_w],
-                [0.0, room_w, 0.0, 0.0],
-            ]
-        )
-        boxes = np.array(
-            [
-                [wall_x0, 0.0, wall_x0 + tunnel, slot_y - gap / 2.0],
-                [wall_x0, slot_y + gap / 2.0, wall_x0 + tunnel, room_w],
-            ]
-        )
-        world = WorldGeometry(segments=walls, boxes=boxes, bounds=(0.0, 0.0, room_l, room_w))
+    wall_x0 = room_l / 2.0 - tunnel / 2.0
+    boxes = np.array(
+        [
+            [wall_x0, 0.0, wall_x0 + tunnel, slot_y - gap / 2.0],
+            [wall_x0, slot_y + gap / 2.0, wall_x0 + tunnel, room_w],
+        ]
+    )
+    world = WorldGeometry(segments=_room_walls(room_l, room_w), boxes=boxes,
+                          bounds=(0.0, 0.0, room_l, room_w))
 
-        start = RobotState.zeros(robot, base_pose=(1.2, slot_y, 0.0))
-        start.joint_pos = np.array(GAP_SPAWN_JOINTS[: robot.num_joints]) + noise
-        if collision_check(robot, start, world):
-            continue
-        ee = np.asarray(forward_kinematics(robot, start)[-1][:2])
-        folded_reach = float(np.hypot(ee[0] - start.base_pose[0], ee[1] - start.base_pose[1]))
+    start = RobotState.zeros(robot, base_pose=(1.2, slot_y, 0.0))
+    start.joint_pos = np.array(GAP_SPAWN_JOINTS[: robot.num_joints]) + noise
+    if collision_check(robot, start, world):
+        return "collision"
+    ee = np.asarray(forward_kinematics(robot, start)[-1][:2])
+    folded_reach = float(np.hypot(ee[0] - start.base_pose[0], ee[1] - start.base_pose[1]))
 
-        lateral_cap = gap / 2.0 - robot.link_capsule_radius - 0.05
-        goal = np.array(
-            [wall_x0 + depth, slot_y + max(-lateral_cap, min(lateral_cap, lateral)), angle]
-        )
-        # Worst-case base approach: poking into the slot mouth on its axis.
-        poke = math.sqrt(max(0.0, robot.base_radius**2 - (gap / 2.0) ** 2))
-        if depth + poke < folded_reach + 0.05 + 0.01:
-            continue
-        # Straight-arm insertion must still reach the goal.
-        closest_base = math.sqrt(max(0.0, (robot.base_radius + 0.01) ** 2 - (gap / 2.0) ** 2))
-        if depth > robot.max_reach - closest_base - 0.05:
-            continue
-        if not _ee_path_exists(world, robot, ee, goal[:2]):
-            continue
-        return world, start, goal
-    raise GenerationError("gap generation failed 100 times; check spec ranges")
+    lateral_cap = gap / 2.0 - robot.link_capsule_radius - 0.05
+    goal = np.array(
+        [wall_x0 + depth, slot_y + max(-lateral_cap, min(lateral_cap, lateral)), angle]
+    )
+    # Worst-case base approach: poking into the slot mouth on its axis.
+    poke = math.sqrt(max(0.0, robot.base_radius**2 - (gap / 2.0) ** 2))
+    if depth + poke < folded_reach + 0.05 + 0.01:
+        return "geometry"
+    # Straight-arm insertion must still reach the goal.
+    closest_base = math.sqrt(max(0.0, (robot.base_radius + 0.01) ** 2 - (gap / 2.0) ** 2))
+    if depth > robot.max_reach - closest_base - 0.05:
+        return "geometry"
+    return world, start, goal
 
 
 def generate_scene(
-    spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator
-) -> tuple[WorldGeometry, RobotState, np.ndarray]:
-    if spec.kind == "corridor":
-        return generate_corridor(spec, robot, rng)
-    return generate_gap(spec, robot, rng)
+    spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator, grid_cell: float
+) -> Scene:
+    """Draw attempts of spec.kind until one passes its checks and plans at grid_cell.
+
+    The plan is each attempt's last test, after the cheap geometry, collision
+    and base checks, so a reset solves once unless a plan fails. A rejected
+    attempt moves on to the next draw from the same rng; after ATTEMPTS
+    rejections GenerationError reports them by cause.
+    """
+    if spec.kind not in ENV_KINDS:
+        raise ValueError(f"kind must be one of {ENV_KINDS}, got {spec.kind!r}")
+    draw = _draw_corridor if spec.kind == "corridor" else _draw_gap
+    rejected = dict.fromkeys(REJECTION_CAUSES, 0)
+    for _ in range(ATTEMPTS):
+        drawn = draw(spec, robot, rng)
+        if isinstance(drawn, str):
+            rejected[drawn] += 1
+            continue
+        world, start, goal = drawn
+        ee_xy = np.asarray(forward_kinematics(robot, start)[-1][:2])
+        try:
+            return Scene(world, start, goal, *plan_path(world, robot, grid_cell, ee_xy, goal[:2]))
+        except pathfield.CutOffError:
+            rejected["connectivity"] += 1
+        except pathfield.FieldError:
+            rejected["plan"] += 1
+    causes = ", ".join(f"{cause} {count}" for cause, count in rejected.items())
+    raise GenerationError(f"{spec.kind} generation at grid_cell {grid_cell} rejected all "
+                          f"{ATTEMPTS} attempts: {causes}")
 
 
 # ---------------------------------------------------------------------------
@@ -424,45 +432,26 @@ class Episode:
 
 
 def make_episode(
-    robot: RobotConfig,
-    params: RewardParams,
-    config: EpisodeConfig,
-    world: WorldGeometry,
-    start: RobotState,
-    goal_pose,
-    plan_from=None,
+    robot: RobotConfig, params: RewardParams, config: EpisodeConfig, scene: Scene
 ) -> Episode:
-    """Plan the reference path for a scene and assemble fresh episode state.
-
-    The path is planned on a raster of config.grid_cell cells. plan_from
-    overrides the path's start point (default: the end-effector position of
-    `start`); checkpoint restoration uses it to replan the path from the
-    original spawn while `start` holds the current robot state.
-    """
+    """Assemble fresh episode state for a scene planned at config.grid_cell."""
     issues = config.validate()
     if issues:
         raise ValueError("; ".join(issues))
-    goal_pose = np.asarray(goal_pose, dtype=float)
-    raster = rasterize_world(world, config.grid_cell, inflate=robot.link_capsule_radius,
-                             goal=goal_pose[:2])
-    solve_harmonic(raster)
-    if plan_from is None:
-        ee_xy = np.asarray(forward_kinematics(robot, start)[-1][:2])
-    else:
-        ee_xy = np.asarray(plan_from, dtype=float)
-    path = extract_path(raster, ee_xy, goal=goal_pose[:2])
-    path_state = init_path_metrics(path, ee_xy)
+    if scene.path_field.cell_size != config.grid_cell:
+        raise ValueError("the scene was planned at another grid_cell than the episode's")
+    path_state = init_path_metrics(scene.path, scene.path.points[0])
     initial_progress = path_state.prev_progress
-    path_length_init = max(path.total_length - initial_progress, 1e-9)
+    path_length_init = max(scene.path.total_length - initial_progress, 1e-9)
     return Episode(
         robot=robot,
-        world=world,
-        goal_pose=goal_pose,
+        world=scene.world,
+        goal_pose=scene.goal,
         config=config,
         params=params,
-        state=start.copy(),
-        path=path,
-        path_field=raster,
+        state=scene.start.copy(),
+        path=scene.path,
+        path_field=scene.path_field,
         path_length_init=path_length_init,
         initial_progress=initial_progress,
         reward_state=RewardState(),
@@ -479,8 +468,8 @@ def new_episode(
     config: EpisodeConfig,
     rng: np.random.Generator,
 ) -> Episode:
-    world, start, goal_pose = generate_scene(spec, robot, rng)
-    return make_episode(robot, params, config, world, start, goal_pose)
+    scene = generate_scene(spec, robot, rng, config.grid_cell)
+    return make_episode(robot, params, config, scene)
 
 
 def env_step(episode: Episode, action: Action) -> StepOutcome:
@@ -596,10 +585,10 @@ def episode_from_dict(robot: RobotConfig, params: RewardParams, data: dict) -> E
     world = WorldGeometry(segments=w["segments"], boxes=w["boxes"], bounds=tuple(w["bounds"]))
     config = EpisodeConfig(**data["config"])
     st = RobotState(**{k: np.asarray(v, dtype=float) for k, v in data["state"].items()})
-    episode = make_episode(
-        robot, params, config, world, st, np.asarray(data["goal_pose"], dtype=float),
-        plan_from=data["plan_start"],
-    )
+    goal = np.asarray(data["goal_pose"], dtype=float)
+    plan_start = np.asarray(data["plan_start"], dtype=float)
+    plan = plan_path(world, robot, config.grid_cell, plan_start, goal[:2])
+    episode = make_episode(robot, params, config, Scene(world, st, goal, *plan))
     episode.path_state = PathMetricsState(**data["path_state"])
     rs = data["reward_state"]
     if rs["inside_tolerance"] != (data["hold_steps"] > 0):

@@ -58,12 +58,16 @@ class FieldError(RuntimeError):
     """Raised for unsolvable rasterizations or failed relaxation/extraction."""
 
 
+class CutOffError(FieldError):
+    """The raster closes the goal cell or cuts the path's start off from it."""
+
+
 def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal) -> GridField:
     """Build the obstacle/free/goal grid for a world.
 
     A cell is an obstacle when its center lies within `inflate` of any wall
     segment or inside/within `inflate` of any box; the domain boundary ring is
-    always obstacle. Raises FieldError if the goal lands in an obstacle cell.
+    always obstacle. Raises CutOffError if the goal lands in an obstacle cell.
     """
     if cell_size <= 0.0:
         raise ValueError("cell_size must be > 0")
@@ -91,9 +95,9 @@ def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal
     )
     grow, gcol = field.cell_of(goal)
     if not (0 <= grow < h and 0 <= gcol < w):
-        raise FieldError("goal outside the rasterized domain")
+        raise CutOffError("goal outside the rasterized domain")
     if kind[grow, gcol] == OBSTACLE:
-        raise FieldError("goal inside an obstacle cell")
+        raise CutOffError("goal inside an obstacle cell")
     kind[grow, gcol] = GOAL
     field.goal_cell = (grow, gcol)
     field.log_values[grow, gcol] = 0.0

@@ -223,9 +223,12 @@ def collect_rollouts(
                     trainer.adr_state = adr_mod.record_episode(
                         run.adr, trainer.adr_state, outcome.terminated == "success"
                     )
-                wk.episode = _start_episode(
-                    run, wk.rng, _episode_tolerance(run, trainer.adr_state)
-                )
+                try:
+                    wk.episode = _start_episode(
+                        run, wk.rng, _episode_tolerance(run, trainer.adr_state)
+                    )
+                except Exception as exc:
+                    raise RuntimeError(f"worker {wk.index}: episode reset failed") from exc
                 wk.obs_vec = wk.episode.observation().to_vector()
                 wk.episode_return = 0.0
                 wk.episode_length = 0

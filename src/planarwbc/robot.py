@@ -60,24 +60,29 @@ class RobotConfig:
         """Return a list of invariant violations (empty when valid)."""
         errors = []
         if any(l <= 0.0 for l in self.link_lengths):
-            errors.append("robot.link_lengths: all lengths must be > 0")
+            errors.append("link_lengths: all lengths must be > 0")
         if not (self.base_radius > self.link_capsule_radius > 0.0):
-            errors.append("robot: require base_radius > link_capsule_radius > 0")
+            errors.append("base_radius: require base_radius > link_capsule_radius > 0")
         if len(self.joint_limits) != len(self.link_lengths):
-            errors.append("robot.joint_limits: one [min, max] pair per link required")
+            errors.append("joint_limits: one [min, max] pair per link required")
         for i, (lo, hi) in enumerate(self.joint_limits):
             if not lo < hi:
-                errors.append(f"robot.joint_limits[{i}]: min must be < max")
+                errors.append(f"joint_limits[{i}]: min must be < max")
             elif self.clamp_margin >= 0.5 * (hi - lo):
-                errors.append(f"robot.clamp_margin: must be < half the span of joint {i}")
+                errors.append(f"clamp_margin: must be < half the span of joint {i}")
         if self.clamp_margin < 0.0:
-            errors.append("robot.clamp_margin: must be >= 0")
+            errors.append("clamp_margin: must be >= 0")
+        if not self.max_joint_vel > 0.0:
+            errors.append("max_joint_vel: must be > 0")
+        for i, cap in enumerate(self.max_base_vel):
+            if not cap > 0.0:
+                errors.append(f"max_base_vel[{i}]: must be > 0")
         if self.lidar.beams < 1:
-            errors.append("robot.lidar.beams: at least one beam required")
+            errors.append("lidar.beams: at least one beam required")
         if not (0.0 < self.lidar.fov <= 2.0 * math.pi):
-            errors.append("robot.lidar.fov: must be in (0, 2*pi]")
+            errors.append("lidar.fov: must be in (0, 2*pi]")
         if self.lidar.max_range <= 0.0:
-            errors.append("robot.lidar.max_range: must be > 0")
+            errors.append("lidar.max_range: must be > 0")
         return errors
 
 

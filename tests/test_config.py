@@ -1,7 +1,6 @@
 """Run configuration: merging, coercion, validation, and round-trips."""
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from planarwbc.config import (
     load_config,
     save_config,
 )
-from planarwbc.envs import GAP_MAX_GRID_CELL, EnvSpec, new_episode
-from planarwbc.pathfield import FieldError
 from planarwbc.policy import PolicyConfig, config_hash
 
 
@@ -100,35 +97,18 @@ def test_semantic_validation_cites_bounds():
     ({"adr": {"min_tolerance": 0.3, "max_tolerance": 0.2}},
      "adr.need min_tolerance <= max_tolerance"),
     ({"reward": {"variant": "baseline"}}, "reward.variant: unknown key"),
-], ids=["adr_min_below_range", "adr_max_above_range", "adr_min_above_max", "reward_variant"])
+    ({"robot": {"max_joint_vel": 0.0}}, "robot.max_joint_vel: must be > 0"),
+    ({"robot": {"max_base_vel": [0.5, -0.5, 1.0]}}, "robot.max_base_vel[1]: must be > 0"),
+], ids=["adr_min_below_range", "adr_max_above_range", "adr_min_above_max", "reward_variant",
+        "zero_joint_vel_cap", "negative_base_vel_cap"])
 def test_config_that_validates_also_runs(document, field):
     # Each of these, if accepted, would fail part-way through a run (a
-    # tolerance outside the episode's range) or be silently ignored (the
-    # variant is owned by the episode section).
+    # tolerance outside the episode's range, or observation scales that
+    # divide by a velocity cap) or be silently ignored (the variant is owned
+    # by the episode section).
     with pytest.raises(ConfigError) as exc:
         config_from_dict(document)
     assert field in str(exc.value)
-
-
-@pytest.mark.parametrize("kind", ["gap_train", "gap_test"])
-def test_gap_scenes_reject_coarse_planning_grids(kind):
-    config_from_dict({"env": {"kind": kind}, "episode": {"grid_cell": GAP_MAX_GRID_CELL}})
-    with pytest.raises(ConfigError) as exc:
-        config_from_dict({"env": {"kind": kind}, "episode": {"grid_cell": 0.15}})
-    assert f"episode.grid_cell: must be <= {GAP_MAX_GRID_CELL} for gap scenes" in str(exc.value)
-    # The corridor keeps the episode section's own range.
-    config_from_dict({"env": {"kind": "corridor"}, "episode": {"grid_cell": 0.2}})
-
-
-def test_gap_grid_cell_bound_plans_and_a_coarser_grid_does_not():
-    run = default_config()
-    for spec in (EnvSpec.gap_train(), EnvSpec.gap_test()):
-        config = replace(run.episode, grid_cell=GAP_MAX_GRID_CELL)
-        for seed in range(3):
-            new_episode(spec, run.robot, run.reward, config, np.random.default_rng(seed))
-    with pytest.raises(FieldError):
-        new_episode(EnvSpec.gap_train(), run.robot, run.reward,
-                    replace(run.episode, grid_cell=0.15), np.random.default_rng(0))
 
 
 def test_save_load_round_trip(tmp_path):

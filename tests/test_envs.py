@@ -8,8 +8,10 @@ spawn-connected flood fill over base placements for gap unreachability.
 
 import collections
 import dataclasses
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,14 +19,18 @@ import pytest
 from oracles import oracle_clearances, passage_width_along_path
 from planarwbc import envs as envs_mod
 from planarwbc.envs import (
+    GRID_CELL,
     EnvSpec,
     EpisodeConfig,
+    GenerationError,
+    Scene,
     env_step,
     episode_from_dict,
     episode_to_dict,
     generate_scene,
     make_episode,
     new_episode,
+    plan_path,
 )
 from planarwbc.reward import RewardParams
 from planarwbc.robot import (
@@ -52,13 +58,19 @@ def rect_room(length=6.0, width=4.0):
     return WorldGeometry(segments=walls, boxes=np.empty((0, 4)), bounds=(0, 0, length, width))
 
 
+def planned_scene(world, start, goal):
+    """A hand-built scene with its path planned from the spawn end-effector."""
+    goal = np.asarray(goal, dtype=float)
+    ee = np.asarray(forward_kinematics(ROBOT, start)[-1][:2])
+    return Scene(world, start, goal, *plan_path(world, ROBOT, GRID_CELL, ee, goal[:2]))
+
+
 def room_episode(config, goal_offset=(0.15, 0.0), base=(1.5, 2.0, 0.0)):
     """Open-room episode; goal placed relative to the spawn end-effector."""
-    world = rect_room()
     start = RobotState.zeros(ROBOT, base_pose=base)
     ee = np.asarray(forward_kinematics(ROBOT, start)[-1][:2])
     goal = (ee[0] + goal_offset[0], ee[1] + goal_offset[1], 0.0)
-    return make_episode(ROBOT, PARAMS, config, world, start, goal)
+    return make_episode(ROBOT, PARAMS, config, planned_scene(rect_room(), start, goal))
 
 
 def base_only_action(ax):
@@ -172,14 +184,15 @@ def test_joint_limit_terminates_baseline_only():
 
 
 def test_config_validation_rejected_in_make_episode():
-    world = rect_room()
-    start = RobotState.zeros(ROBOT, base_pose=(1.5, 2.0, 0.0))
+    scene = planned_scene(rect_room(), RobotState.zeros(ROBOT, base_pose=(1.5, 2.0, 0.0)),
+                          (2.6, 2.0, 0.0))
     with pytest.raises(ValueError, match="tolerance"):
-        make_episode(ROBOT, PARAMS, EpisodeConfig(tolerance=0.6), world, start, (2.6, 2.0, 0.0))
+        make_episode(ROBOT, PARAMS, EpisodeConfig(tolerance=0.6), scene)
     with pytest.raises(ValueError, match="grid_cell"):
-        make_episode(
-            ROBOT, PARAMS, EpisodeConfig(grid_cell=0.5), world, start, (2.6, 2.0, 0.0)
-        )
+        make_episode(ROBOT, PARAMS, EpisodeConfig(grid_cell=0.5), scene)
+    # A scene is accepted only at the resolution it was planned at.
+    with pytest.raises(ValueError, match="planned at another grid_cell"):
+        make_episode(ROBOT, PARAMS, EpisodeConfig(grid_cell=0.1), scene)
     assert EpisodeConfig().validate() == []
 
 
@@ -199,7 +212,7 @@ def test_goal_in_ee_frame():
 
     # Goal coincident with the end-effector pose reads as the origin.
     episode = make_episode(
-        ROBOT, PARAMS, EpisodeConfig(), world, start, (ee_x + 0.2, ee_y, ee_phi)
+        ROBOT, PARAMS, EpisodeConfig(), planned_scene(world, start, (ee_x + 0.2, ee_y, ee_phi))
     )
     episode.goal_pose = np.array([ee_x, ee_y, ee_phi])
     obs = episode.observation()
@@ -217,8 +230,8 @@ def test_goal_in_ee_round_trip():
     rng = np.random.default_rng(11)
     world = rect_room(8.0, 8.0)
     episode = make_episode(
-        ROBOT, PARAMS, EpisodeConfig(), world, RobotState.zeros(ROBOT, (4, 4, 0)),
-        (4.5, 4.0, 0.0),
+        ROBOT, PARAMS, EpisodeConfig(),
+        planned_scene(world, RobotState.zeros(ROBOT, (4, 4, 0)), (4.5, 4.0, 0.0)),
     )
     for _ in range(25):
         state = RobotState(
@@ -307,7 +320,8 @@ def test_corridor_scene_contract():
     spec = EnvSpec(kind="corridor")
     for seed in range(8):
         rng = np.random.default_rng(seed)
-        world, start, goal = generate_scene(spec, ROBOT, rng)
+        scene = generate_scene(spec, ROBOT, rng, GRID_CELL)
+        world, start, goal = scene.world, scene.start, scene.goal
         xmin, ymin, length, width = world.bounds
         assert (xmin, ymin) == (0.0, 0.0)
         assert 6.0 <= length <= 12.0 and 1.5 <= width <= 2.5
@@ -320,7 +334,7 @@ def test_corridor_scene_contract():
         assert 2.0 * length / 3.0 - 1e-9 <= goal[0] <= length - 0.5 + 1e-9
         assert min_clearance_point(world, goal[:2]) >= spec.corridor_min_passage / 2.0
 
-        episode = make_episode(ROBOT, PARAMS, EpisodeConfig(), world, start, goal)
+        episode = make_episode(ROBOT, PARAMS, EpisodeConfig(), scene)
         ee = np.asarray(forward_kinematics(ROBOT, start)[-1][:2])
         assert np.allclose(episode.path.points[0], ee, atol=1e-9)
         assert np.allclose(episode.path.points[-1], goal[:2], atol=1e-9)
@@ -337,7 +351,8 @@ def test_passage_width_matches_analytic_chute():
     # the production probe and the independent oracle must read 0.8.
     world = dataclasses.replace(rect_room(8.0, 2.0), boxes=[[3.5, 0.0, 4.5, 1.2]])
     start = RobotState.zeros(ROBOT, base_pose=(0.7, 1.0, 0.0))
-    episode = make_episode(ROBOT, PARAMS, EpisodeConfig(), world, start, (7.0, 1.0, 0.0))
+    episode = make_episode(ROBOT, PARAMS, EpisodeConfig(),
+                           planned_scene(world, start, (7.0, 1.0, 0.0)))
     assert passage_width_along_path(world, episode.path) == pytest.approx(0.8, abs=0.06)
     assert oracle_passage_width(world, episode.path.points) == pytest.approx(0.8, abs=0.06)
 
@@ -349,21 +364,22 @@ def test_empty_corridor_midline_path_is_straight():
     world = rect_room(8.0, 2.0)
     start = RobotState.zeros(ROBOT, base_pose=(0.7, 1.0, 0.0))
     config = EpisodeConfig()
-    episode = make_episode(ROBOT, PARAMS, config, world, start, (7.0, 1.0, 0.0))
+    episode = make_episode(ROBOT, PARAMS, config, planned_scene(world, start, (7.0, 1.0, 0.0)))
     assert np.abs(episode.path.points[:, 1] - 1.0).max() <= config.grid_cell
 
 
 def test_scene_generation_is_seed_deterministic():
     for spec in (EnvSpec(kind="corridor"), EnvSpec.gap_test()):
-        w1, s1, g1 = generate_scene(spec, ROBOT, np.random.default_rng(42))
-        w2, s2, g2 = generate_scene(spec, ROBOT, np.random.default_rng(42))
+        w1, s1, g1, _, p1 = generate_scene(spec, ROBOT, np.random.default_rng(42), GRID_CELL)
+        w2, s2, g2, _, p2 = generate_scene(spec, ROBOT, np.random.default_rng(42), GRID_CELL)
         assert np.array_equal(w1.segments, w2.segments)
         assert np.array_equal(w1.boxes, w2.boxes)
         assert w1.bounds == w2.bounds
         assert np.array_equal(s1.base_pose, s2.base_pose)
         assert np.array_equal(s1.joint_pos, s2.joint_pos)
         assert np.array_equal(g1, g2)
-        _, _, g3 = generate_scene(spec, ROBOT, np.random.default_rng(43))
+        assert np.array_equal(p1.points, p2.points)
+        g3 = generate_scene(spec, ROBOT, np.random.default_rng(43), GRID_CELL).goal
         assert not np.array_equal(g1, g3)
 
 
@@ -406,8 +422,8 @@ def test_gap_train_is_canonical_without_noise():
     spec = EnvSpec.gap_train()
     spec = type(spec)(**{**spec.__dict__, "gap_goal_lateral_noise": 0.0,
                          "gap_goal_angle_noise": 0.0, "gap_joint_noise": 0.0})
-    w1, s1, g1 = generate_scene(spec, ROBOT, np.random.default_rng(1))
-    w2, s2, g2 = generate_scene(spec, ROBOT, np.random.default_rng(2))
+    w1, s1, g1, *_ = generate_scene(spec, ROBOT, np.random.default_rng(1), GRID_CELL)
+    w2, s2, g2, *_ = generate_scene(spec, ROBOT, np.random.default_rng(2), GRID_CELL)
     # All randomness removed: every draw yields the same scene.
     assert np.array_equal(w1.boxes, w2.boxes)
     assert np.array_equal(s1.joint_pos, s2.joint_pos)
@@ -453,8 +469,8 @@ def reachable_goal_distance(world, spawn_xy, goal_xy, radius, cell=0.05):
 def test_gap_goal_unreachable_by_base_alone(spec_name, seeds):
     spec = getattr(EnvSpec, spec_name)()
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        world, start, goal = generate_scene(spec, ROBOT, rng)
+        world, start, goal, *_ = generate_scene(spec, ROBOT, np.random.default_rng(seed),
+                                                GRID_CELL)
         x0, x1, gap_lo, gap_hi = slot_geometry(world)
         gap = gap_hi - gap_lo
         # The arm must fit through the slot; the base must not.
@@ -472,6 +488,73 @@ def test_gap_goal_unreachable_by_base_alone(spec_name, seeds):
         assert best > folded + 0.05
         # The slot blocks the base: no reachable placement beyond the wall.
         assert max_x < x1
+
+
+# ---------------------------------------------------------------------------
+# Acceptance: a scene is accepted once it is planned at episode.grid_cell
+# ---------------------------------------------------------------------------
+
+KINDS = (EnvSpec(kind="corridor"), EnvSpec.gap_train(), EnvSpec.gap_test())
+# Sizes around the ones where the capsule raster closes or narrows the gap
+# slot to a cell or two, plus the coarsest the episode section allows.
+GRID_SIZES = (0.05, 0.085, 0.0925, 0.0975, 0.1025, 0.1075, 0.11, 0.15, 0.2)
+
+
+def rejection_counts(error: GenerationError) -> dict[str, int]:
+    return {cause: int(n) for cause, n in re.findall(r"(\w+) (\d+)", str(error).split(": ", 1)[1])}
+
+
+@pytest.mark.parametrize("grid_cell", GRID_SIZES)
+@pytest.mark.parametrize("spec", KINDS, ids=lambda spec: spec.kind)
+def test_every_reset_plans_or_raises_generation_error(spec, grid_cell):
+    # A reset plans at grid_cell or raises GenerationError; a FieldError
+    # escaping new_episode fails the test. gap_train draws one slot geometry,
+    # so a size where it never plans costs 100 solves per seed and one seed
+    # shows it; the other kinds vary.
+    config = EpisodeConfig(grid_cell=grid_cell)
+    for seed in range(1 if spec.kind == "gap_train" else 3):
+        try:
+            episode = new_episode(spec, ROBOT, PARAMS, config, np.random.default_rng(seed))
+        except GenerationError as exc:
+            assert sum(rejection_counts(exc).values()) == envs_mod.ATTEMPTS
+            continue
+        field = episode.path_field
+        assert field.cell_size == grid_cell
+        assert field.cell_of(episode.path.points[-2]) == field.goal_cell
+        assert np.array_equal(episode.path.points[-1], episode.goal_pose[:2])
+
+
+def test_generation_error_counts_rejections_by_cause():
+    # At 0.2 m the inflated slot walls close or pinch the gap_train slot on
+    # every draw: each attempt is rasterized, and most are solved.
+    with pytest.raises(GenerationError) as exc:
+        new_episode(EnvSpec.gap_train(), ROBOT, PARAMS, EpisodeConfig(grid_cell=0.2),
+                    np.random.default_rng(0))
+    assert str(exc.value).startswith("gap_train generation at grid_cell 0.2 rejected all 100 "
+                                     "attempts: ")
+    counts = rejection_counts(exc.value)
+    assert tuple(counts) == envs_mod.REJECTION_CAUSES
+    assert sum(counts.values()) == 100
+
+
+# SHA-256 over (world, start state, goal, path points) of seeds 1000-1009 per
+# kind at the default grid_cell. The generators' draws, their checks and the
+# planner all feed it; a change to any of them at 0.05 m shows here.
+DEFAULT_SCENES_SHA256 = "663b51044af1a0366c7f7cf09c85f562c0229c0377914f9f917125e22081b080"
+
+
+def test_default_resolution_scenes_are_pinned():
+    digest = hashlib.sha256()
+    for spec in KINDS:
+        for seed in range(1000, 1010):
+            episode = new_episode(spec, ROBOT, PARAMS, EpisodeConfig(),
+                                  np.random.default_rng(seed))
+            world, state = episode.world, episode.state
+            for part in (world.segments, world.boxes, world.bounds, state.base_pose,
+                         state.base_vel, state.joint_pos, state.joint_vel, episode.goal_pose,
+                         episode.path.points):
+                digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    assert digest.hexdigest() == DEFAULT_SCENES_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from planarwbc.cli import main
 from planarwbc.config import default_config, save_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, new_episode
 from planarwbc.evaluate import EvalReport, eval_success_rate, run_controller
-from planarwbc.pathfield import rasterize_world
 from planarwbc.policy import PolicyConfig, param_count, save_params
 from planarwbc.ppo import TrainConfig
 from planarwbc.render import render_scene, render_snapshot
@@ -205,10 +204,8 @@ def test_cli_hpf_dump(cli_config, tmp_path, capsys):
     # The planning resolution is the config's episode.grid_cell (0.1 m here).
     run = easy_run(time_limit=2.0)
     assert run.episode.grid_cell == 0.1
-    world, _, goal = generate_scene(run.env, run.robot,
-                                    np.random.default_rng(np.random.SeedSequence(1)))
-    h, w = rasterize_world(world, 0.1, inflate=run.robot.link_capsule_radius,
-                           goal=goal[:2]).shape
+    h, w = generate_scene(run.env, run.robot, np.random.default_rng(np.random.SeedSequence(1)),
+                          run.episode.grid_cell).path_field.shape
     assert (out / "field.pgm").read_bytes().startswith(f"P5\n{w} {h}\n255\n".encode())
     payload = json.loads((out / "path.json").read_text())
     assert payload["total_length"] > 0

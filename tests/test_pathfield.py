@@ -225,9 +225,9 @@ def test_multigrid_hard_cases_match_dense_oracle(make):
 
 def generated_field(spec):
     run = default_config()
-    world, _, goal_pose = generate_scene(spec, run.robot, np.random.default_rng(1000))
-    return rasterize_world(world, run.episode.grid_cell, inflate=run.robot.link_capsule_radius,
-                           goal=goal_pose[:2])
+    scene = generate_scene(spec, run.robot, np.random.default_rng(1000), run.episode.grid_cell)
+    return rasterize_world(scene.world, run.episode.grid_cell,
+                           inflate=run.robot.link_capsule_radius, goal=scene.goal[:2])
 
 
 SOLVER_FIELDS = {
@@ -302,7 +302,8 @@ def test_solve_agrees_with_reference_solver(spec):
     run = default_config()
     cell = run.episode.grid_cell
     for seed in (1000, 1001):
-        world, start, goal_pose = generate_scene(spec, run.robot, np.random.default_rng(seed))
+        world, start, goal_pose, *_ = generate_scene(spec, run.robot,
+                                                     np.random.default_rng(seed), cell)
         field = rasterize_world(world, cell, inflate=run.robot.link_capsule_radius,
                                 goal=goal_pose[:2])
         reference = reference_solve_harmonic(rasterize_world(

@@ -18,7 +18,7 @@ import pytest
 from oracles import adam_step_flat, distribution_stats, gae_double_sum
 from planarwbc import policy as policy_mod
 from planarwbc.config import default_config
-from planarwbc.envs import EnvSpec, EpisodeConfig
+from planarwbc.envs import EnvSpec, EpisodeConfig, GenerationError
 from planarwbc.policy import (
     Policy,
     PolicyConfig,
@@ -359,6 +359,19 @@ def test_collect_rollouts_accounting():
         assert record.global_step == t + 1
         assert record.termination in ("success", "collision", "timeout")
         assert record.episode_length <= 20
+
+
+def test_failed_reset_names_its_worker():
+    # A scene set that never plans must end the rollout with an error that
+    # names the worker and keeps the generator's rejection counts as its cause.
+    run = smoke_run()
+    trainer = init_trainer(run)
+    unplannable = replace(run, env=EnvSpec.gap_train(),
+                          episode=replace(run.episode, grid_cell=0.2))
+    with pytest.raises(RuntimeError, match="worker 0: episode reset failed") as exc:
+        collect_rollouts(unplannable, trainer)
+    assert isinstance(exc.value.__cause__, GenerationError)
+    assert "rejected all 100 attempts" in str(exc.value.__cause__)
 
 
 def test_train_loop_writes_artifacts_and_advances(tmp_path):

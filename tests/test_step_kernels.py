@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 import oracles
-from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, make_episode
+from planarwbc.envs import GRID_CELL, EnvSpec, generate_scene
 from planarwbc.geometry import rays_boxes_hits, rays_segments_hits
 from planarwbc.pathfield import project_on_path
-from planarwbc.reward import RewardParams
 from planarwbc.robot import (
     Action,
     LidarConfig,
@@ -65,13 +64,14 @@ def scene_states(world, spawn, rng):
 
 @pytest.fixture(scope="module")
 def corpus():
-    """(spec, world, spawn, goal, states) per scene."""
+    """(spec, world, spawn, planned path, states) per scene."""
     rng = np.random.default_rng(2024)
     scenes = []
     for spec in KINDS:
         for seed in range(SCENES_PER_KIND):
-            world, spawn, goal = generate_scene(spec, ROBOT, np.random.default_rng(4000 + seed))
-            scenes.append((spec, world, spawn, goal, scene_states(world, spawn, rng)))
+            world, spawn, _, _, path = generate_scene(spec, ROBOT,
+                                                      np.random.default_rng(4000 + seed), GRID_CELL)
+            scenes.append((spec, world, spawn, path, scene_states(world, spawn, rng)))
     return scenes
 
 
@@ -180,8 +180,7 @@ def test_project_on_path_is_bitwise_the_per_call_formula_on_planned_paths(corpus
     # Planned paths of five scenes per kind, queried at the corpus's
     # end-effector positions, at every vertex and at segment midpoints.
     for spec in KINDS:
-        for _, world, spawn, goal, states in [s for s in corpus if s[0] is spec][:5]:
-            path = make_episode(ROBOT, RewardParams(), EpisodeConfig(), world, spawn, goal).path
+        for _, _, _, path, states in [s for s in corpus if s[0] is spec][:5]:
             queries = [forward_kinematics(ROBOT, s)[-1][:2] for s in states]
             queries += list(path.points) + list(0.5 * (path.points[1:] + path.points[:-1]))
             for p in queries:

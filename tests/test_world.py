@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from oracles import boxes_ray_march, boxes_ray_march_literal, collision_by_sampling
-from planarwbc.envs import EnvSpec, generate_scene
+from planarwbc.envs import GRID_CELL, EnvSpec, generate_scene
 from planarwbc.geometry import box_edges, rot2d
 from planarwbc.robot import LidarConfig, RobotConfig, RobotState, forward_kinematics
 from planarwbc.world import (
@@ -178,8 +178,8 @@ def test_batched_queries_match_loop_oracle_on_state_corpus():
     scenes = []
     for spec in (EnvSpec(kind="corridor"), EnvSpec.gap_train(), EnvSpec.gap_test()):
         for seed in range(1000, 1003):
-            world, start, _ = generate_scene(spec, config, np.random.default_rng(seed))
-            scenes.append((world, start.base_pose))
+            scene = generate_scene(spec, config, np.random.default_rng(seed), GRID_CELL)
+            scenes.append((scene.world, scene.start.base_pose))
     for _ in range(6):
         scenes.append((random_box_world(rng), np.array([3.0, 2.5, 0.0])))
     verdicts = []
@@ -219,7 +219,7 @@ def test_two_sensor_cast_equals_single_sensor_casts():
     # puts the front center beam, or the rear one at heading -pi, on angle 0).
     rng = np.random.default_rng(10)
     config = RobotConfig()
-    worlds = [generate_scene(spec, config, np.random.default_rng(1000))[0]
+    worlds = [generate_scene(spec, config, np.random.default_rng(1000), GRID_CELL).world
               for spec in (EnvSpec(kind="corridor"), EnvSpec.gap_train(), EnvSpec.gap_test())]
     worlds += [random_box_world(rng) for _ in range(3)]
     configs = [
