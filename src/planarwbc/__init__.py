@@ -13,7 +13,6 @@ from .envs import (
     Episode,
     EpisodeConfig,
     GenerationError,
-    Observation,
     Scene,
     StepOutcome,
     env_step,
@@ -53,7 +52,6 @@ __all__ = [
     "GenerationError",
     "GridField",
     "LidarConfig",
-    "Observation",
     "PathPolyline",
     "Policy",
     "PolicyConfig",

@@ -25,10 +25,25 @@ from .render import render_scene
 from .robot import forward_kinematics
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(sub: argparse.ArgumentParser, seed: int | None = 0) -> None:
     sub.add_argument("--config", type=Path, default=None,
                      help="JSON run configuration (defaults when omitted)")
-    sub.add_argument("--seed", type=int, default=seed,
+    sub.add_argument("--seed", type=_int_at_least(0), default=seed,
                      help="master seed" if seed is not None
                      else "master seed (default: train.seed of the config)")
     sub.add_argument("--out", type=Path,
@@ -139,7 +154,7 @@ def _cmd_render(args) -> int:
             st = state.copy()
             st.base_pose = np.asarray(rec["base_pose"], dtype=float)
             st.joint_pos = np.asarray(rec["joint_pos"], dtype=float)
-            trace.append(forward_kinematics(run.robot, st)[-1][:2])
+            trace.append(forward_kinematics(run.robot, st)[-1, :2])
             last = st
         ee_trace = np.asarray(trace)
         state = last
@@ -171,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a policy checkpoint")
     _add_common(p)
     p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=_int_at_least(1), default=100)
     p.add_argument("--tolerance", type=float, default=None,
                    help="fixed goal tolerance (default: episode config value)")
     p.add_argument("--sample", action="store_true",
@@ -182,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect-env", help="generate and summarize scenes")
     _add_common(p)
-    p.add_argument("--count", type=int, default=5)
+    p.add_argument("--count", type=_int_at_least(1), default=5)
     p.set_defaults(func=_cmd_inspect_env)
 
     p = sub.add_parser("hpf-dump", help="dump a potential field PGM and path JSON")
@@ -194,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lidar", action="store_true", help="draw LIDAR rays")
     p.add_argument("--trace", type=Path, default=None,
                    help="JSONL trace from `eval --trace` to overlay")
-    p.add_argument("--episode", type=int, default=0,
+    p.add_argument("--episode", type=_int_at_least(0), default=0,
                    help="episode index within the trace file")
     p.set_defaults(func=_cmd_render)
     return parser

@@ -29,7 +29,7 @@ from .pathfield import (
     solve_harmonic,
 )
 from .reward import RewardParams, RewardState
-from .robot import Action, RobotConfig, RobotState, end_effector_pose, forward_kinematics, step_dynamics
+from .robot import Action, RobotConfig, RobotState, forward_kinematics, step_dynamics
 from .world import WorldGeometry, body_query, cast_lidars, collision_check, min_clearance_point
 
 ENV_KINDS = ("corridor", "gap_train", "gap_test")
@@ -127,41 +127,21 @@ class EpisodeConfig:
         return errors
 
 
-@dataclass
-class Observation:
-    """Per-step agent inputs; scans normalized by the LIDAR max range.
-
-    The field order is the order of the flat vector; observation_layout
-    gives each field's length and input scale.
-    """
-
-    front_scan: np.ndarray
-    rear_scan: np.ndarray
-    joint_pos: np.ndarray
-    joint_vel: np.ndarray
-    base_vel: np.ndarray
-    goal_in_ee: np.ndarray
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f.name) for f in fields(self)])
-
-
 def observation_layout(robot: RobotConfig) -> list[tuple[str, tuple[float, ...]]]:
-    """(field, per-element input scale) in vector order.
+    """(field, per-element input scale) of the flat observation, in vector order.
 
     The scale tuple's length is the field's length. The scales bring every
     input into roughly [-1, 1]; the policy applies them (PolicyConfig.obs_scale).
     """
     k = robot.num_joints
-    scales = {
-        "front_scan": (1.0,) * robot.lidar.beams,
-        "rear_scan": (1.0,) * robot.lidar.beams,
-        "joint_pos": tuple(1.0 / max(abs(lo), abs(hi), 1e-9) for lo, hi in robot.joint_limits),
-        "joint_vel": (1.0 / robot.max_joint_vel,) * k,
-        "base_vel": tuple(1.0 / v for v in robot.max_base_vel),
-        "goal_in_ee": (1.0 / robot.lidar.max_range,) * 2 + (1.0 / math.pi,),
-    }
-    return [(f.name, scales[f.name]) for f in fields(Observation)]
+    return [
+        ("front_scan", (1.0,) * robot.lidar.beams),
+        ("rear_scan", (1.0,) * robot.lidar.beams),
+        ("joint_pos", tuple(1.0 / max(abs(lo), abs(hi), 1e-9) for lo, hi in robot.joint_limits)),
+        ("joint_vel", (1.0 / robot.max_joint_vel,) * k),
+        ("base_vel", tuple(1.0 / v for v in robot.max_base_vel)),
+        ("goal_in_ee", (1.0 / robot.lidar.max_range,) * 2 + (1.0 / math.pi,)),
+    ]
 
 
 def observation_size(robot: RobotConfig) -> int:
@@ -170,33 +150,28 @@ def observation_size(robot: RobotConfig) -> int:
 
 @dataclass
 class StepOutcome:
-    observation: Observation
+    observation: np.ndarray
     reward: float
     terminated: str | None
     info: dict
 
 
 def build_observation(
-    config: RobotConfig, state: RobotState, world: WorldGeometry, goal_pose, ee_pose=None
-) -> Observation:
-    """Scans plus proprioception plus the goal expressed in the EE frame.
+    config: RobotConfig, state: RobotState, world: WorldGeometry, goal_pose, frames: np.ndarray
+) -> np.ndarray:
+    """The flat observation of `state`, in observation_layout order.
 
-    ee_pose is the end-effector pose of `state` when the caller already has it.
+    Both scans normalized by the LIDAR max range, the proprioception, and the
+    goal expressed in the end-effector frame; frames are the
+    forward-kinematics frames of `state`.
     """
-    scans = cast_lidars(config, state, world)
+    scans = cast_lidars(config, state, world).ravel()
     scans /= config.lidar.max_range
-    front, rear = np.clip(scans, 0.0, 1.0, out=scans)
-    ee_x, ee_y, ee_phi = end_effector_pose(config, state) if ee_pose is None else ee_pose
+    np.clip(scans, 0.0, 1.0, out=scans)
+    ee_x, ee_y, ee_phi = frames[-1].tolist()
     rel = rot2d(-ee_phi) @ np.array([goal_pose[0] - ee_x, goal_pose[1] - ee_y])
-    goal_in_ee = np.array([rel[0], rel[1], wrap_angle(goal_pose[2] - ee_phi)])
-    return Observation(
-        front_scan=front,
-        rear_scan=rear,
-        joint_pos=state.joint_pos.copy(),
-        joint_vel=state.joint_vel.copy(),
-        base_vel=state.base_vel.copy(),
-        goal_in_ee=goal_in_ee,
-    )
+    return np.concatenate((scans, state.joint_pos, state.joint_vel, state.base_vel, rel,
+                           (wrap_angle(goal_pose[2] - ee_phi),)))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +250,7 @@ def _draw_corridor(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
     width = rng.uniform(*spec.corridor_width_range)
     spawn_xy = np.array([0.7, width / 2.0])
     start = RobotState.zeros(robot, base_pose=(spawn_xy[0], spawn_xy[1], 0.0))
-    ee_xy = np.asarray(forward_kinematics(robot, start)[-1][:2])
+    ee_xy = forward_kinematics(robot, start)[-1, :2]
 
     # Obstacle zone keeps clear of the spawn arm and the goal third.
     slot = 0.8 + min_passage + 0.1  # max obstacle width + guaranteed gap
@@ -352,7 +327,7 @@ def _draw_gap(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
     start.joint_pos = np.array(GAP_SPAWN_JOINTS[: robot.num_joints]) + noise
     if collision_check(robot, start, world):
         return "collision"
-    ee = np.asarray(forward_kinematics(robot, start)[-1][:2])
+    ee = forward_kinematics(robot, start)[-1, :2]
     folded_reach = float(np.hypot(ee[0] - start.base_pose[0], ee[1] - start.base_pose[1]))
 
     lateral_cap = gap / 2.0 - robot.link_capsule_radius - 0.05
@@ -390,7 +365,7 @@ def generate_scene(
             rejected[drawn] += 1
             continue
         world, start, goal = drawn
-        ee_xy = np.asarray(forward_kinematics(robot, start)[-1][:2])
+        ee_xy = forward_kinematics(robot, start)[-1, :2]
         try:
             return Scene(world, start, goal, *plan_path(world, robot, grid_cell, ee_xy, goal[:2]))
         except pathfield.CutOffError:
@@ -427,8 +402,9 @@ class Episode:
     step_count: int = 0
     terminated: str | None = None
 
-    def observation(self) -> Observation:
-        return build_observation(self.robot, self.state, self.world, self.goal_pose)
+    def observation(self) -> np.ndarray:
+        return build_observation(self.robot, self.state, self.world, self.goal_pose,
+                                 forward_kinematics(self.robot, self.state))
 
 
 def make_episode(
@@ -501,12 +477,11 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
         episode.path, episode.path_state, (ee_x, ee_y), ratchet=cfg.progress_ratchet
     )
     observation = build_observation(episode.robot, new_state, episode.world, episode.goal_pose,
-                                    ee_pose=frames[-1])
+                                    frames)
     clearance = math.inf
     if cfg.variant == "baseline":
-        scan_min = float(
-            min(observation.front_scan.min(), observation.rear_scan.min())
-        ) * episode.robot.lidar.max_range
+        lidar = episode.robot.lidar
+        scan_min = float(observation[:2 * lidar.beams].min()) * lidar.max_range
         clearance = min(scan_min, body_clearance)
     step_reward, episode.reward_state, breakdown = reward_mod.compute_step_reward(
         episode.params,

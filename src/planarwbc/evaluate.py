@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import EnvSpec, Episode, EpisodeConfig, Observation, env_step, new_episode
+from .envs import EnvSpec, Episode, EpisodeConfig, env_step, new_episode
 from .policy import Policy, bins_to_action, greedy_bins, load_params, sample_bins
 from .reward import TERMINATIONS
 from .robot import Action
@@ -60,10 +60,10 @@ class EvalReport:
 def policy_controller(policy: Policy, robot, sample: bool = False):
     """Greedy (default) or sampled action selection from a policy."""
 
-    def controller(episode: Episode, obs: Observation, rng: np.random.Generator) -> Action:
-        out = policy.forward(obs.to_vector())
+    def controller(episode: Episode, obs: np.ndarray, rng: np.random.Generator) -> Action:
+        out = policy.forward(obs)
         if sample:
-            bins, _, _ = sample_bins(out, rng)
+            bins, _ = sample_bins(out, rng)
         else:
             bins = greedy_bins(out)
         return bins_to_action(robot, bins, policy.config.bins)
@@ -81,6 +81,8 @@ def run_controller(
     trace_path=None,
 ) -> EvalReport:
     """Roll a controller through derived-seed episodes and aggregate."""
+    if episodes < 1:
+        raise ValueError(f"episodes must be >= 1, got {episodes}")
     spec = env_spec if env_spec is not None else run.env
     cfg: EpisodeConfig = run.episode
     if tolerance is not None:

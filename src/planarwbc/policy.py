@@ -260,14 +260,9 @@ def log_softmax_np(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _chosen_stats(logp, probs, bins):
-    taken = np.take_along_axis(logp, bins[..., None], axis=-1)[..., 0]
-    entropy = -(probs * logp).sum(axis=-1)
-    return taken.sum(axis=-1), entropy.sum(axis=-1)
-
-
-def sample_bins(output: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndarray, float, float]:
-    """One bin index per action dimension via inverse-CDF sampling."""
+def sample_bins(output: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """(bins, log_prob): one bin index per action dimension via inverse-CDF
+    sampling, and the summed log-probability of the chosen bins."""
     logp = log_softmax_np(output.logits)
     probs = np.exp(logp)
     u = rng.random(probs.shape[0])
@@ -275,8 +270,8 @@ def sample_bins(output: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndar
     bins = np.minimum(
         (u[:, None] > cum).sum(axis=-1), probs.shape[-1] - 1
     ).astype(np.int64)
-    log_prob, entropy = _chosen_stats(logp, probs, bins)
-    return bins, float(log_prob), float(entropy)
+    taken = np.take_along_axis(logp, bins[:, None], axis=-1)[:, 0]
+    return bins, float(taken.sum())
 
 
 def greedy_bins(output: PolicyOutput) -> np.ndarray:
@@ -299,10 +294,10 @@ def bins_to_action(robot: RobotConfig, bins: np.ndarray, n_bins: int) -> Action:
 
 def sample_action(
     robot: RobotConfig, output: PolicyOutput, rng: np.random.Generator
-) -> tuple[Action, np.ndarray, float, float]:
-    """(Action, bins, log_prob, entropy) sampled from the policy output."""
-    bins, log_prob, entropy = sample_bins(output, rng)
-    return bins_to_action(robot, bins, output.logits.shape[-1]), bins, log_prob, entropy
+) -> tuple[Action, np.ndarray, float]:
+    """(Action, bins, log_prob) sampled from the policy output."""
+    bins, log_prob = sample_bins(output, rng)
+    return bins_to_action(robot, bins, output.logits.shape[-1]), bins, log_prob
 
 
 # -- checkpointing -------------------------------------------------------------

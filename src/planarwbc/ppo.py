@@ -195,7 +195,7 @@ def collect_rollouts(
     for wk in trainer.workers:
         for t in range(n):
             out = policy.forward(wk.obs_vec)
-            action, bins, log_prob, _ = sample_action(run.robot, out, wk.rng)
+            action, bins, log_prob = sample_action(run.robot, out, wk.rng)
             try:
                 outcome = env_step(wk.episode, action)
             except Exception as exc:
@@ -229,11 +229,11 @@ def collect_rollouts(
                     )
                 except Exception as exc:
                     raise RuntimeError(f"worker {wk.index}: episode reset failed") from exc
-                wk.obs_vec = wk.episode.observation().to_vector()
+                wk.obs_vec = wk.episode.observation()
                 wk.episode_return = 0.0
                 wk.episode_length = 0
             else:
-                wk.obs_vec = outcome.observation.to_vector()
+                wk.obs_vec = outcome.observation
         buffer.bootstrap[wk.index] = policy.forward(wk.obs_vec).value
     trainer.global_step += w * n
     return buffer, records
@@ -430,7 +430,7 @@ def load_train_checkpoint(path, run) -> TrainerState:
                 index=index,
                 rng=rng,
                 episode=episode,
-                obs_vec=episode.observation().to_vector(),
+                obs_vec=episode.observation(),
                 episode_return=wmeta["episode_return"],
                 episode_length=wmeta["episode_length"],
             )
@@ -467,7 +467,7 @@ def init_trainer(run) -> TrainerState:
                 index=index,
                 rng=rng,
                 episode=episode,
-                obs_vec=episode.observation().to_vector(),
+                obs_vec=episode.observation(),
             )
         )
     n = param_count(run.policy)

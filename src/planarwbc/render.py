@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import transform_point
-from .robot import RobotConfig, RobotState, forward_kinematics, link_segments
+from .robot import RobotConfig, RobotState, forward_kinematics
 from .world import WorldGeometry, beam_angles, cast_lidar
 
 _SCALE = 100.0  # SVG user units per metre
@@ -90,10 +90,9 @@ def _draw_robot(canvas: _Canvas, config: RobotConfig, state: RobotState,
     canvas.circle(base[:2], config.base_radius, base_fill, stroke="black", width=0.01)
     heading = base[:2] + config.base_radius * np.array([np.cos(base[2]), np.sin(base[2])])
     canvas.line(base[:2], heading, "black", 0.02)
-    for seg in link_segments(config, state):
-        canvas.line(seg[:2], seg[2:], "#3182bd", 2.0 * config.link_capsule_radius,
-                    cap="round")
     frames = forward_kinematics(config, state)
+    for start, end in zip(frames[1:-1], frames[2:]):
+        canvas.line(start, end, "#3182bd", 2.0 * config.link_capsule_radius, cap="round")
     for frame in frames[1:]:
         canvas.circle(frame[:2], 0.02, "black")
 
@@ -123,12 +122,12 @@ def render_scene(
         canvas.polyline(path_points, "#fdae6b", 0.02)
     if show_lidar:
         for sensor in ("front", "rear"):
-            scan = cast_lidar(config, state, world, sensor)
+            ranges = cast_lidar(config, state, world, sensor)
             offset = (config.lidar.front_offset if sensor == "front"
                       else config.lidar.rear_offset)
             origin = transform_point(state.base_pose, offset)
             angles = beam_angles(config, state.base_pose[2], sensor)
-            for rng, ang in zip(scan.ranges, angles):
+            for rng, ang in zip(ranges, angles):
                 hit = origin + rng * np.array([np.cos(ang), np.sin(ang)])
                 canvas.line(origin, hit, "#de2d26", 0.005, opacity=0.4)
     if ee_trace is not None and len(ee_trace) >= 2:

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import transform_point
-
 
 @dataclass
 class LidarConfig:
@@ -126,43 +124,28 @@ class Action:
         return cls(np.zeros(3), np.zeros(config.num_joints))
 
 
-def forward_kinematics(config: RobotConfig, state: RobotState) -> list[np.ndarray]:
-    """Compute world frames along the kinematic chain.
+def forward_kinematics(config: RobotConfig, state: RobotState) -> np.ndarray:
+    """World frames (K+2, 3) along the kinematic chain, one (x, y, phi) row each.
 
-    Returns [base, mount, link-1 end, ..., link-K end] where each frame is
-    (x, y, phi). The last entry is the end-effector pose with
-    phi = theta + sum(joint_pos).
+    The rows are the base, the arm mount, then the end of each of the K links;
+    the last row is the end-effector pose, with phi = theta + sum(joint_pos).
     """
     if state.joint_pos.shape[0] != config.num_joints:
         raise ValueError(
             f"state has {state.joint_pos.shape[0]} joints, config expects {config.num_joints}"
         )
-    x, y, theta = state.base_pose
-    frames = [np.array([x, y, theta])]
-    mount = transform_point(state.base_pose, config.arm_mount_offset)
+    x, y, theta = state.base_pose.tolist()
+    c, s = math.cos(theta), math.sin(theta)
+    ox, oy = config.arm_mount_offset
+    px, py = x + c * ox - s * oy, y + s * ox + c * oy
+    rows = [x, y, theta, px, py, theta]
     phi = theta
-    frames.append(np.array([mount[0], mount[1], phi]))
-    px, py = mount
-    for length, q in zip(config.link_lengths, state.joint_pos):
+    for length, q in zip(config.link_lengths, state.joint_pos.tolist()):
         phi += q
         px += length * math.cos(phi)
         py += length * math.sin(phi)
-        frames.append(np.array([px, py, phi]))
-    return frames
-
-
-def end_effector_pose(config: RobotConfig, state: RobotState) -> np.ndarray:
-    return forward_kinematics(config, state)[-1]
-
-
-def link_segments(config: RobotConfig, state: RobotState) -> np.ndarray:
-    """Arm link spines as a (K, 4) array of segments (x0, y0, x1, y1)."""
-    frames = forward_kinematics(config, state)
-    segs = np.empty((config.num_joints, 4))
-    for i in range(config.num_joints):
-        segs[i, 0:2] = frames[i + 1][:2]
-        segs[i, 2:4] = frames[i + 2][:2]
-    return segs
+        rows += (px, py, phi)
+    return np.array(rows).reshape(-1, 3)
 
 
 def step_dynamics(

@@ -74,13 +74,6 @@ class WorldGeometry:
             object.__setattr__(self, name, _read_only(array))
 
 
-@dataclass
-class LidarScan:
-    """Raw beam ranges in meters, capped at the sensor max range."""
-
-    ranges: np.ndarray
-
-
 def min_clearance_point(world: WorldGeometry, p):
     """Distance from points p (..., 2) to the nearest wall segment or box."""
     p = np.asarray(p, dtype=float)[..., None, :]
@@ -113,14 +106,14 @@ def _capsule_radii(base_radius: float, link_radius: float, n: int):
     return _read_only(radii), _read_only(radii[i] + radii[j])
 
 
-def _body_spines(config: RobotConfig, frames) -> np.ndarray:
+def _body_spines(config: RobotConfig, frames: np.ndarray) -> np.ndarray:
     """Capsule spines (K+1, 4): the base disk as a zero-length spine at its
     center, then the K links."""
-    xy = np.array(frames)[:, :2]
-    return xy[_spine_ends(config.num_joints)].reshape(-1, 4)
+    return frames[:, :2][_spine_ends(config.num_joints)].reshape(-1, 4)
 
 
-def body_query(config: RobotConfig, frames, world: WorldGeometry) -> tuple[bool, float]:
+def body_query(config: RobotConfig, frames: np.ndarray,
+               world: WorldGeometry) -> tuple[bool, float]:
     """(collided, clearance) of the body at the pose whose forward-kinematics
     frames are given, from one batch of distances.
 
@@ -223,6 +216,6 @@ def cast_lidars(
 
 def cast_lidar(
     config: RobotConfig, state: RobotState, world: WorldGeometry, sensor: str
-) -> LidarScan:
-    """Raycast one sensor against the world (the robot does not sense itself)."""
-    return LidarScan(ranges=cast_lidars(config, state, world, (sensor,))[0])
+) -> np.ndarray:
+    """Raw ranges (beams,) of one sensor (the robot does not sense itself)."""
+    return cast_lidars(config, state, world, (sensor,))[0]

@@ -10,7 +10,7 @@ import numpy as np
 
 from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
 from planarwbc.policy import bins_to_action, greedy_bins
-from planarwbc.robot import RobotConfig, RobotState, forward_kinematics, link_segments
+from planarwbc.robot import RobotConfig, RobotState
 from planarwbc.world import WorldGeometry
 
 
@@ -38,8 +38,8 @@ def greedy_action(robot, output):
 def distribution_stats(logits, bins):
     """(log_prob, entropy) of chosen bins under logits (..., dims, bins).
 
-    The same operations, in the same order, as policy.sample_bins, so the two
-    agree bit for bit.
+    log_prob takes the same operations, in the same order, as
+    policy.sample_bins, so the two agree bit for bit.
     """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -322,7 +322,7 @@ def collision_by_sampling(config, state, world, samples=1000):
     base = state.base_pose[:2]
     if oracle_clearances(world, base[None, :])[0] <= config.base_radius:
         return True
-    frames = forward_kinematics(config, state)
+    frames = forward_kinematics_frames(config, state)
     r = config.link_capsule_radius
     t = np.linspace(0.0, 1.0, samples)
     spines = []
@@ -828,6 +828,58 @@ def segment_segment_distance_rows(a, b):
     hi = np.maximum(segs[..., 0:2], segs[..., 2:4])
     on = (side == 0.0) & ((lo <= points) & (points <= hi)).all(axis=-1)
     return np.where(proper | on.any(axis=0), 0.0, dist.min(axis=0))[()]
+
+
+def forward_kinematics_frames(config, state):
+    """[base, mount, link-1 end, ..., link-K end], one (x, y, phi) array each,
+    accumulated link by link with scalar cos and sin."""
+    x, y, theta = state.base_pose
+    frames = [np.array([x, y, theta])]
+    c, s = math.cos(theta), math.sin(theta)
+    ox, oy = config.arm_mount_offset
+    mount = np.array([x + c * ox - s * oy, y + s * ox + c * oy])
+    phi = theta
+    frames.append(np.array([mount[0], mount[1], phi]))
+    px, py = mount
+    for length, q in zip(config.link_lengths, state.joint_pos):
+        phi += q
+        px += length * math.cos(phi)
+        py += length * math.sin(phi)
+        frames.append(np.array([px, py, phi]))
+    return frames
+
+
+def link_segments(config, state):
+    """Arm link spines as a (K, 4) array of segments (x0, y0, x1, y1)."""
+    frames = forward_kinematics_frames(config, state)
+    segs = np.empty((config.num_joints, 4))
+    for i in range(config.num_joints):
+        segs[i, 0:2] = frames[i + 1][:2]
+        segs[i, 2:4] = frames[i + 2][:2]
+    return segs
+
+
+def observation_fields(config, state, world, goal_pose):
+    """The observation of `state` as {field: array}, each field on its own:
+    scans normalized by the LIDAR max range and clipped to [0, 1], the
+    proprioception, and the goal in the end-effector frame."""
+    front, rear = np.clip(cast_lidars_rows(config, state, world) / config.lidar.max_range,
+                          0.0, 1.0)
+    ee_x, ee_y, ee_phi = forward_kinematics_frames(config, state)[-1]
+    c, s = math.cos(-ee_phi), math.sin(-ee_phi)
+    rel = np.array([[c, -s], [s, c]]) @ np.array([goal_pose[0] - ee_x, goal_pose[1] - ee_y])
+    # The goal heading relative to the end-effector, wrapped to (-pi, pi].
+    heading = math.fmod(goal_pose[2] - ee_phi + math.pi, 2.0 * math.pi)
+    if heading <= 0.0:
+        heading += 2.0 * math.pi
+    return {
+        "front_scan": front,
+        "rear_scan": rear,
+        "joint_pos": state.joint_pos.copy(),
+        "joint_vel": state.joint_vel.copy(),
+        "base_vel": state.base_vel.copy(),
+        "goal_in_ee": np.array([rel[0], rel[1], heading - math.pi]),
+    }
 
 
 def body_query_rows(config, frames, world):

@@ -37,7 +37,6 @@ from planarwbc.robot import (
     Action,
     RobotConfig,
     RobotState,
-    end_effector_pose,
     forward_kinematics,
 )
 from planarwbc.world import SENSORS, WorldGeometry, min_clearance_point
@@ -61,14 +60,14 @@ def rect_room(length=6.0, width=4.0):
 def planned_scene(world, start, goal):
     """A hand-built scene with its path planned from the spawn end-effector."""
     goal = np.asarray(goal, dtype=float)
-    ee = np.asarray(forward_kinematics(ROBOT, start)[-1][:2])
+    ee = forward_kinematics(ROBOT, start)[-1, :2]
     return Scene(world, start, goal, *plan_path(world, ROBOT, GRID_CELL, ee, goal[:2]))
 
 
 def room_episode(config, goal_offset=(0.15, 0.0), base=(1.5, 2.0, 0.0)):
     """Open-room episode; goal placed relative to the spawn end-effector."""
     start = RobotState.zeros(ROBOT, base_pose=base)
-    ee = np.asarray(forward_kinematics(ROBOT, start)[-1][:2])
+    ee = forward_kinematics(ROBOT, start)[-1, :2]
     goal = (ee[0] + goal_offset[0], ee[1] + goal_offset[1], 0.0)
     return make_episode(ROBOT, PARAMS, config, planned_scene(rect_room(), start, goal))
 
@@ -205,23 +204,32 @@ def rot(a):
     return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
 
+def observation_fields(vec):
+    """{field: slice of vec}, cut where observation_layout puts each field."""
+    fields, start = {}, 0
+    for name, scale in envs_mod.observation_layout(ROBOT):
+        fields[name] = vec[start:start + len(scale)]
+        start += len(scale)
+    return fields
+
+
 def test_goal_in_ee_frame():
     world = rect_room()
     start = RobotState.zeros(ROBOT, base_pose=(1.5, 2.0, 0.0))
-    ee_x, ee_y, ee_phi = end_effector_pose(ROBOT, start)
+    ee_x, ee_y, ee_phi = forward_kinematics(ROBOT, start)[-1]
 
     # Goal coincident with the end-effector pose reads as the origin.
     episode = make_episode(
         ROBOT, PARAMS, EpisodeConfig(), planned_scene(world, start, (ee_x + 0.2, ee_y, ee_phi))
     )
     episode.goal_pose = np.array([ee_x, ee_y, ee_phi])
-    obs = episode.observation()
-    assert np.allclose(obs.goal_in_ee, 0.0, atol=1e-12)
+    obs = observation_fields(episode.observation())
+    assert np.allclose(obs["goal_in_ee"], 0.0, atol=1e-12)
 
     # Goal one meter straight ahead of the gripper reads as (1, 0, 0).
     episode.goal_pose = np.array([ee_x + 1.0, ee_y, ee_phi])
-    obs = episode.observation()
-    assert np.allclose(obs.goal_in_ee, (1.0, 0.0, 0.0), atol=1e-12)
+    obs = observation_fields(episode.observation())
+    assert np.allclose(obs["goal_in_ee"], (1.0, 0.0, 0.0), atol=1e-12)
 
 
 def test_goal_in_ee_round_trip():
@@ -243,8 +251,8 @@ def test_goal_in_ee_round_trip():
         goal = np.array([rng.uniform(1, 7), rng.uniform(1, 7), rng.uniform(-3, 3)])
         episode.state = state
         episode.goal_pose = goal
-        rel = episode.observation().goal_in_ee
-        ee_x, ee_y, ee_phi = end_effector_pose(ROBOT, state)
+        rel = observation_fields(episode.observation())["goal_in_ee"]
+        ee_x, ee_y, ee_phi = forward_kinematics(ROBOT, state)[-1]
         recovered = np.array([ee_x, ee_y]) + rot(ee_phi) @ rel[:2]
         assert np.allclose(recovered, goal[:2], atol=1e-12)
         assert math.cos(rel[2] + ee_phi - goal[2]) == pytest.approx(1.0, abs=1e-12)
@@ -252,21 +260,22 @@ def test_goal_in_ee_round_trip():
 
 def test_observation_vector_layout():
     episode = room_episode(EpisodeConfig())
-    obs = episode.observation()
-    vec = obs.to_vector()
-    beams = ROBOT.lidar.beams
-    assert vec.shape == (2 * beams + 2 * ROBOT.num_joints + 6,)
+    # Distinct proprioception, so a swapped field shows.
+    state = episode.state
+    state.base_vel, state.joint_pos, state.joint_vel = np.arange(9.0).reshape(3, 3) / 10.0
+    vec = episode.observation()
+    beams, k = ROBOT.lidar.beams, ROBOT.num_joints
+    assert vec.shape == (2 * beams + 2 * k + 6,) and vec.dtype == np.float64
     assert np.all(np.isfinite(vec))
-    assert np.array_equal(vec[:beams], obs.front_scan)
-    assert np.array_equal(vec[beams : 2 * beams], obs.rear_scan)
-    assert np.array_equal(vec[-3:], obs.goal_in_ee)
-    assert np.all((obs.front_scan >= 0) & (obs.front_scan <= 1))
-    assert np.all((obs.rear_scan >= 0) & (obs.rear_scan <= 1))
-    # The layout names every field in vector order with its length.
-    layout = envs_mod.observation_layout(ROBOT)
-    assert np.array_equal(vec, np.concatenate([getattr(obs, name) for name, _ in layout]))
-    assert [len(getattr(obs, name)) for name, _ in layout] == [len(s) for _, s in layout]
     assert envs_mod.observation_size(ROBOT) == len(vec)
+    # The layout names every field in vector order with its length.
+    obs = observation_fields(vec)
+    assert list(obs) == ["front_scan", "rear_scan", "joint_pos", "joint_vel", "base_vel",
+                         "goal_in_ee"]
+    assert [len(field) for field in obs.values()] == [beams, beams, k, k, 3, 3]
+    assert np.all((vec[:2 * beams] >= 0) & (vec[:2 * beams] <= 1))
+    for name in ("joint_pos", "joint_vel", "base_vel"):
+        assert np.array_equal(obs[name], getattr(state, name))
 
 
 def test_baseline_step_builds_one_observation(monkeypatch):
@@ -286,8 +295,7 @@ def test_baseline_step_builds_one_observation(monkeypatch):
         casts.clear()
         outcome = env_step(episode, base_only_action(0.5))
         assert casts == [("front", "rear")]
-        assert np.array_equal(outcome.observation.to_vector(),
-                              episode.observation().to_vector())
+        assert np.array_equal(outcome.observation, episode.observation())
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +343,7 @@ def test_corridor_scene_contract():
         assert min_clearance_point(world, goal[:2]) >= spec.corridor_min_passage / 2.0
 
         episode = make_episode(ROBOT, PARAMS, EpisodeConfig(), scene)
-        ee = np.asarray(forward_kinematics(ROBOT, start)[-1][:2])
+        ee = forward_kinematics(ROBOT, start)[-1, :2]
         assert np.allclose(episode.path.points[0], ee, atol=1e-9)
         assert np.allclose(episode.path.points[-1], goal[:2], atol=1e-9)
         # Every scene threads a passage at least min_passage wide along the
@@ -480,7 +488,7 @@ def test_gap_goal_unreachable_by_base_alone(spec_name, seeds):
         # stays on a circle of the folded radius around the base center, so
         # the goal is out of holding range from every base placement that
         # the spawn component can reach.
-        ee = np.asarray(forward_kinematics(ROBOT, start)[-1][:2])
+        ee = forward_kinematics(ROBOT, start)[-1, :2]
         folded = float(np.hypot(ee[0] - start.base_pose[0], ee[1] - start.base_pose[1]))
         best, max_x = reachable_goal_distance(
             world, start.base_pose[:2], goal[:2], ROBOT.base_radius
@@ -582,7 +590,7 @@ def test_episode_snapshot_round_trip():
     assert restored.reward_state.hold_steps == episode.reward_state.hold_steps
     assert restored.reward_state.hold_accumulator == episode.reward_state.hold_accumulator
     assert np.array_equal(
-        restored.observation().to_vector(), episode.observation().to_vector()
+        restored.observation(), episode.observation()
     )
     # The restored episode continues bit-identically.
     for action in actions[7:]:

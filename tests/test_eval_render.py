@@ -73,6 +73,12 @@ def test_zero_controller_times_out_everywhere():
     assert report.mean_length == 50.0
 
 
+@pytest.mark.parametrize("episodes", [0, -1])
+def test_run_controller_rejects_fewer_than_one_episode(episodes):
+    with pytest.raises(ValueError, match="episodes must be >= 1"):
+        run_controller(easy_run(), zero_controller, episodes=episodes)
+
+
 def test_reports_and_traces_are_byte_identical(tmp_path):
     run = easy_run(time_limit=2.0)
     outputs = []
@@ -108,7 +114,7 @@ def test_trace_replays_onto_regenerated_scenes(tmp_path):
             joint_pos=np.asarray(finals[i]["joint_pos"]),
             joint_vel=np.asarray(finals[i]["joint_vel"]),
         )
-        ee = forward_kinematics(run.robot, state)[-1][:2]
+        ee = forward_kinematics(run.robot, state)[-1, :2]
         assert np.hypot(*(ee - episode.goal_pose[:2])) <= run.episode.tolerance
         assert finals[i]["terminated"] == "success"
 
@@ -264,6 +270,23 @@ def test_cli_train_seeds_from_config_unless_given(tmp_path):
         out = tmp_path / f"train{seed}"
         assert main(["train", "--config", str(config), "--out", str(out), *flags]) == 0
         assert json.loads((out / "config.json").read_text())["train"]["seed"] == seed
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("inspect-env", "--count", "-1"),
+    ("render", "--episode", "-1"),
+    ("eval", "--episodes", "0"),
+    ("hpf-dump", "--seed", "-1"),
+], ids=["inspect-env-count", "render-episode", "eval-episodes", "hpf-dump-seed"])
+def test_cli_rejects_out_of_range_integers_with_a_usage_error(tmp_path, capsys, command, flag,
+                                                              value):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("")
+    extra = {"render": ["--trace", str(trace)], "eval": ["--checkpoint", str(tmp_path / "p")]}
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *extra.get(command, []), flag, value, "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
 
 
 def test_cli_reports_config_errors(tmp_path, capsys):

@@ -312,7 +312,7 @@ def test_solve_agrees_with_reference_solver(spec):
         assert field.effort.cycles <= 16 and not field.effort.smoothing_finish
         free = field.kind == FREE
         assert np.max(np.abs(field.log_values - reference.log_values)[free]) < 1e-5
-        ee_xy = forward_kinematics(run.robot, start)[-1][:2]
+        ee_xy = forward_kinematics(run.robot, start)[-1, :2]
         path = extract_path(field, ee_xy, goal=goal_pose[:2])
         reference_path = extract_path(reference, ee_xy, goal=goal_pose[:2])
         assert hausdorff(path.points, reference_path.points) < 0.1 * cell

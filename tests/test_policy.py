@@ -159,11 +159,9 @@ def test_sampling_frequencies_match_probabilities():
     n = 20_000
     counts = np.zeros(3)
     for _ in range(n):
-        bins, log_prob, entropy = sample_bins(output, rng)
+        bins, log_prob = sample_bins(output, rng)
         counts[bins[0]] += 1
         assert log_prob == pytest.approx(math.log(probs[bins[0]]), abs=1e-12)
-    expected_entropy = -(probs * np.log(probs)).sum()
-    assert entropy == pytest.approx(expected_entropy, abs=1e-12)
     for k in range(3):
         sigma = math.sqrt(probs[k] * (1 - probs[k]) / n)
         assert abs(counts[k] / n - probs[k]) < 3.0 * sigma, f"bin {k}"
@@ -173,10 +171,8 @@ def test_sampled_bin_stats_equal_distribution_stats():
     logits = np.random.default_rng(3).normal(0.0, 3.0, (6, 7))
     output = PolicyOutput(logits=logits, value=0.0)
     for seed in range(20):
-        bins, log_prob, entropy = sample_bins(output, np.random.default_rng(seed))
-        ref_log_prob, ref_entropy = distribution_stats(logits, bins)
-        assert log_prob == float(ref_log_prob)
-        assert entropy == float(ref_entropy)
+        bins, log_prob = sample_bins(output, np.random.default_rng(seed))
+        assert log_prob == float(distribution_stats(logits, bins)[0])
 
 
 def test_bin_acceleration_map_is_affine_with_zero_center():

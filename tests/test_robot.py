@@ -8,9 +8,7 @@ from planarwbc.robot import (
     LidarConfig,
     RobotConfig,
     RobotState,
-    end_effector_pose,
     forward_kinematics,
-    link_segments,
     step_dynamics,
 )
 
@@ -36,14 +34,14 @@ def matrix_chain_ee(config, state):
 def test_fk_straight_chain():
     config = RobotConfig()
     state = RobotState.zeros(config)
-    ee = end_effector_pose(config, state)
+    ee = forward_kinematics(config, state)[-1]
     assert np.allclose(ee, [1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_fk_rotated_base():
     config = RobotConfig()
     state = RobotState.zeros(config, base_pose=(0.0, 0.0, math.pi / 2))
-    ee = end_effector_pose(config, state)
+    ee = forward_kinematics(config, state)[-1]
     assert np.allclose(ee, [0.0, 1.0, math.pi / 2], atol=1e-12)
 
 
@@ -57,7 +55,7 @@ def test_fk_matches_matrix_product_oracle():
             joint_pos=rng.uniform(-2, 2, 3),
             joint_vel=np.zeros(3),
         )
-        ee = end_effector_pose(config, state)
+        ee = forward_kinematics(config, state)[-1]
         oracle = matrix_chain_ee(config, state)
         assert np.allclose(ee[:2], oracle, atol=1e-12)
         assert ee[2] == pytest.approx(state.base_pose[2] + state.joint_pos.sum(), abs=1e-12)
@@ -75,11 +73,12 @@ def test_link_segments_chain_continuity():
     config = RobotConfig()
     rng = np.random.default_rng(1)
     state = RobotState(rng.uniform(-1, 1, 3), np.zeros(3), rng.uniform(-2, 2, 3), np.zeros(3))
-    segs = link_segments(config, state)
-    assert segs.shape == (3, 4)
-    for i in range(2):
-        assert np.allclose(segs[i, 2:], segs[i + 1, :2], atol=1e-12)
-    lengths = np.hypot(segs[:, 2] - segs[:, 0], segs[:, 3] - segs[:, 1])
+    frames = forward_kinematics(config, state)
+    assert frames.shape == (5, 3) and frames.dtype == np.float64
+    assert np.array_equal(frames[0], state.base_pose)
+    # Link k runs from frame k + 1 to frame k + 2, so consecutive links share an end.
+    starts, ends = frames[1:-1, :2], frames[2:, :2]
+    lengths = np.hypot(*(ends - starts).T)
     assert np.allclose(lengths, config.link_lengths, atol=1e-12)
 
 

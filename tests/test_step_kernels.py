@@ -1,9 +1,9 @@
 """The per-step world kernels against their row-per-query formulas, byte for byte.
 
-cast_lidars, the ray kernels, body_query, step_dynamics and project_on_path
-run, on every element, the operations of the formulas in oracles that lay
-one ray, pair or call out per row; only the layout differs, so every output
-byte must match. The corpus: 30 generated scenes per env kind, each with its
+forward_kinematics, build_observation, cast_lidars, the ray kernels,
+body_query, step_dynamics and project_on_path run, on every element, the
+operations of the formulas in oracles that lay one frame, field, ray, pair or
+call out per row; only the layout differs, so every output byte must match. The corpus: 30 generated scenes per env kind, each with its
 spawn state, the headings 0, +-pi/2, +-pi and -0.0 at random points, base
 centres (the default LIDAR origin) inside and on the corners of boxes, and
 random poses with joints past their limits.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from planarwbc.envs import GRID_CELL, EnvSpec, generate_scene
+from planarwbc.envs import GRID_CELL, EnvSpec, build_observation, generate_scene, observation_layout
 from planarwbc.geometry import rays_boxes_hits, rays_segments_hits
 from planarwbc.pathfield import project_on_path
 from planarwbc.robot import (
@@ -85,6 +85,34 @@ def test_corpus_covers_every_kind_and_origins_inside_boxes(corpus):
     inside = sum(in_some_box(world, s.base_pose) for _, world, _, _, states in corpus
                  for s in states)
     assert inside >= 2 * len(corpus)
+
+
+def test_forward_kinematics_is_bitwise_the_frame_list(corpus):
+    # The second robot's mount sits off the base's x axis.
+    robots = (ROBOT, RobotConfig(arm_mount_offset=(0.15, -0.05)))
+    for _, _, _, _, states in corpus:
+        for state in states:
+            for config in robots:
+                frames = np.array(oracles.forward_kinematics_frames(config, state))
+                assert same_bytes(forward_kinematics(config, state), frames)
+
+
+def test_build_observation_is_bitwise_the_field_assembly(corpus):
+    # Goals at each path's end, facing the corpus headings and random ones.
+    # The vector must be the oracle's fields concatenated in
+    # observation_layout order, each as long as its scale tuple.
+    rng = np.random.default_rng(13)
+    for _, world, _, path, states in corpus:
+        for k, state in enumerate(states):
+            heading = HEADINGS[k % len(HEADINGS)] if k % 2 else rng.uniform(-4.0, 4.0)
+            goal = np.array([*path.points[-1], heading])
+            for config in LIDARS:
+                got = build_observation(config, state, world, goal,
+                                        forward_kinematics(config, state))
+                fields = oracles.observation_fields(config, state, world, goal)
+                layout = observation_layout(config)
+                assert [len(fields[name]) for name, _ in layout] == [len(s) for _, s in layout]
+                assert same_bytes(got, np.concatenate([fields[name] for name, _ in layout]))
 
 
 def test_cast_lidars_is_bitwise_the_row_formula(corpus):
@@ -181,7 +209,7 @@ def test_project_on_path_is_bitwise_the_per_call_formula_on_planned_paths(corpus
     # end-effector positions, at every vertex and at segment midpoints.
     for spec in KINDS:
         for _, _, _, path, states in [s for s in corpus if s[0] is spec][:5]:
-            queries = [forward_kinematics(ROBOT, s)[-1][:2] for s in states]
+            queries = [forward_kinematics(ROBOT, s)[-1, :2] for s in states]
             queries += list(path.points) + list(0.5 * (path.points[1:] + path.points[:-1]))
             for p in queries:
                 got = project_on_path(path, p)

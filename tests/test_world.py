@@ -50,18 +50,18 @@ def test_empty_room_center_beam():
         bounds=(-2, -2, 2, 2),
     )
     state = RobotState.zeros(config)
-    scan = cast_lidar(config, state, world, "front")
+    front = cast_lidar(config, state, world, "front")
     # Odd beam count puts one beam exactly along +x (the heading).
-    assert scan.ranges[32] == pytest.approx(2.0, abs=1e-12)
+    assert front[32] == pytest.approx(2.0, abs=1e-12)
     rear = cast_lidar(config, state, world, "rear")
-    assert rear.ranges[32] == pytest.approx(2.0, abs=1e-12)
+    assert rear[32] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_no_geometry_caps_at_max_range():
     config = RobotConfig()
     world = WorldGeometry(bounds=(-1, -1, 1, 1))
-    scan = cast_lidar(config, RobotState.zeros(config), world, "front")
-    assert np.all(scan.ranges == config.lidar.max_range)
+    ranges = cast_lidar(config, RobotState.zeros(config), world, "front")
+    assert np.all(ranges == config.lidar.max_range)
 
 
 def test_scan_shape_and_bounds():
@@ -70,10 +70,10 @@ def test_scan_shape_and_bounds():
     world = random_box_world(rng)
     state = RobotState.zeros(config, base_pose=(3.0, 2.5, 0.7))
     for sensor in ("front", "rear"):
-        scan = cast_lidar(config, state, world, sensor)
-        assert scan.ranges.shape == (64,)
-        assert np.all(scan.ranges >= 0.0)
-        assert np.all(scan.ranges <= config.lidar.max_range)
+        ranges = cast_lidar(config, state, world, sensor)
+        assert ranges.shape == (64,) and ranges.dtype == np.float64
+        assert np.all(ranges >= 0.0)
+        assert np.all(ranges <= config.lidar.max_range)
     with pytest.raises(ValueError):
         cast_lidar(config, state, world, "left")
 
@@ -95,9 +95,9 @@ def test_lidar_matches_marching_oracle():
         pose = free_pose(rng, world)
         state = RobotState.zeros(config, base_pose=pose)
         for sensor in ("front", "rear"):
-            scan = cast_lidar(config, state, world, sensor)
+            ranges = cast_lidar(config, state, world, sensor)
             angles = beam_angles(config, pose[2], sensor)
-            for rng_got, ang in zip(scan.ranges, angles):
+            for rng_got, ang in zip(ranges, angles):
                 ref = boxes_ray_march(pose[:2], ang, world.boxes, config.lidar.max_range)
                 assert abs(rng_got - ref) < 1e-3
 
@@ -124,8 +124,8 @@ def test_lidar_monotone_under_added_obstacle():
         pose = (rng.uniform(0.7, 5.3), rng.uniform(0.7, 4.3), rng.uniform(-3, 3))
         state = RobotState.zeros(config, base_pose=pose)
         for sensor in ("front", "rear"):
-            a = cast_lidar(config, state, base_world, sensor).ranges
-            b = cast_lidar(config, state, more_world, sensor).ranges
+            a = cast_lidar(config, state, base_world, sensor)
+            b = cast_lidar(config, state, more_world, sensor)
             assert np.all(b <= a + 1e-12)
 
 
@@ -239,7 +239,7 @@ def test_two_sensor_cast_equals_single_sensor_casts():
                 both = cast_lidars(cfg, state, world)
                 assert both.shape == (2, cfg.lidar.beams)
                 for ranges, sensor in zip(both, SENSORS):
-                    assert np.array_equal(ranges, cast_lidar(cfg, state, world, sensor).ranges)
+                    assert np.array_equal(ranges, cast_lidar(cfg, state, world, sensor))
 
 
 def test_world_is_frozen_and_its_arrays_read_only():
