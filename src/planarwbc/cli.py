@@ -20,6 +20,7 @@ from .config import ConfigError, default_config, load_config, save_config
 from .envs import new_episode
 from .evaluate import eval_success_rate
 from .pathfield import field_to_pgm
+from .policy import CheckpointError
 from .ppo import train_loop
 from .render import render_scene
 from .robot import forward_kinematics
@@ -222,6 +223,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error:\n{exc}", file=sys.stderr)
+        return 2
+    except CheckpointError as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
         return 2
 
 

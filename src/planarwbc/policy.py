@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .envs import observation_layout
 from .robot import Action, RobotConfig
 
@@ -159,47 +158,179 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
     return params
 
 
-def _dense(x, w, b, tanh):
+# Dense layers in the order the network runs them: (layout prefix, suffix).
+LAYERS = (("scan_front", "0"), ("scan_front", "1"), ("scan_rear", "0"), ("scan_rear", "1"),
+          ("trunk", "0"), ("trunk", "1"), ("heads", ""))
+
+
+def layer_table(views) -> tuple:
+    """(weight, bias) of each dense layer in LAYERS order, from layout-named views."""
+    return tuple((views[f"{name}.w{suffix}"], views[f"{name}.b{suffix}"])
+                 for name, suffix in LAYERS)
+
+
+def _dense(x, layer, tanh):
+    w, b = layer
     z = x @ w
     z += b
     return np.tanh(z, out=z) if tanh else z
+
+
+def _leaf(a):
+    return a
 
 
 def _columns(a, start, stop, dtype):
     return a[:, start:stop].astype(dtype)
 
 
-def _network(cfg: PolicyConfig, views, x, leaf, dense, concat, columns):
+def _network(cfg: PolicyConfig, layers, x, leaf, dense, concat, columns):
     """The architecture, written once over an op set.
 
-    views maps layout names to weights, x is the scaled (N, obs) batch in
-    their dtype, leaf wraps an input slice, dense(h, w, b, tanh) is one layer
-    and columns(out, start, stop, dtype) a copy of some output columns in
-    dtype: numpy ops give the fast forward, autodiff ops the taped one, with
+    layers holds one entry per dense layer, in LAYERS order, that only
+    dense(h, layer, tanh) reads; x is the scaled (N, obs) batch in the
+    compute dtype, leaf wraps an input slice, and columns(out, start, stop,
+    dtype) is a copy of some output columns in dtype. numpy ops give the
+    fast forward and the policy's graph pass the differentiated one, with
     the same arithmetic. Returns the float64 (N, dims, bins) logits and
     (N,) values.
     """
-    def layer(h, name, suffix="", tanh=True):
-        return dense(h, views[f"{name}.w{suffix}"], views[f"{name}.b{suffix}"], tanh)
-
+    front0, front1, rear0, rear1, trunk0, trunk1, heads = layers
     nb = cfg.scan_beams
-    scans = [
-        layer(layer(leaf(x[:, lo : lo + nb]), name, "0"), name, "1")
-        for name, lo in (("scan_front", 0), ("scan_rear", nb))
-    ]
-    h = layer(concat(scans + [leaf(x[:, 2 * nb :])], axis=1), "trunk", "0")
-    out = layer(layer(h, "trunk", "1"), "heads", tanh=False)
+    scans = [dense(dense(leaf(x[:, lo : lo + nb]), first, True), second, True)
+             for first, second, lo in ((front0, front1, 0), (rear0, rear1, nb))]
+    h = dense(concat(scans + [leaf(x[:, 2 * nb :])], axis=1), trunk0, True)
+    out = dense(dense(h, trunk1, True), heads, False)
     k = cfg.action_dims * cfg.bins
     logits = columns(out, 0, k, np.float64).reshape(-1, cfg.action_dims, cfg.bins)
     return logits, columns(out, k, k + 1, np.float64).reshape(-1)
 
 
+class _GraphPass:
+    """The network pass that ppo_loss differentiates, over a reused workspace.
+
+    A Policy keeps one per minibatch size. Every op writes its output into
+    a buffer of the workspace, made on the first pass and reused by each
+    later one; the dense and concat ops are recorded in order, and
+    backward() walks the records in reverse into one flat float64 gradient.
+    Each backward step evaluates the expression that the reverse-mode tape
+    (autodiff.py) evaluates for the same op, and every array receives its
+    gradient in one piece, so the gradient is the tape's bit for bit.
+    """
+
+    def __init__(self, policy: "Policy", n: int):
+        self.n = n
+        self.config = policy.config
+        self.layers = policy.layers
+        self.obs_scale = policy.obs_scale
+        self.x = np.empty((n, policy.config.observation_size), policy.compute.dtype)
+        self.outs: list[np.ndarray] = []  # output of the k-th recorded op
+        self.douts: list[np.ndarray | None] = []  # its gradient, made when first needed
+        self.copies: dict[tuple[int, int], np.ndarray] = {}  # float64 output columns
+        self.grad = np.empty(policy.params.shape)
+        self.grad_layers = layer_table(param_views(policy.config, self.grad))
+        # Of the latest pass: ("dense", input, layer index, tanh, input's op) or
+        # ("concat", inputs' ops, widths, axis) per op, and (op, start, stop)
+        # per columns copy; an input's op is None for a leaf.
+        self.records: list[tuple] = []
+        self.outputs: list[tuple[int, int, int]] = []
+        self.made: dict[int, int] = {}  # id of an op's output -> the op
+
+    def run(self, obs: np.ndarray):
+        self.records.clear()
+        self.outputs.clear()
+        self.made.clear()
+        np.multiply(obs, self.obs_scale, out=self.x)
+        return _network(self.config, range(len(self.layers)), self.x, _leaf, self.dense,
+                        self.concat, self.columns)
+
+    def _record(self, record: tuple, shape, dtype) -> np.ndarray:
+        k = len(self.records)
+        if k == len(self.outs):
+            self.outs.append(np.empty(shape, dtype))
+            self.douts.append(None)
+        self.records.append(record)
+        self.made[id(self.outs[k])] = k
+        return self.outs[k]
+
+    def dense(self, h, index, tanh):
+        w, b = self.layers[index]
+        z = self._record(("dense", h, index, tanh, self.made.get(id(h))),
+                         (self.n, w.shape[1]), w.dtype)
+        np.matmul(h, w, out=z)
+        z += b
+        if tanh:
+            np.tanh(z, out=z)
+        return z
+
+    def concat(self, parts, axis):
+        widths = [p.shape[axis] for p in parts]
+        shape = list(parts[0].shape)
+        shape[axis] = sum(widths)
+        out = self._record(("concat", [self.made.get(id(p)) for p in parts], widths, axis),
+                           tuple(shape), parts[0].dtype)
+        return np.concatenate(parts, axis=axis, out=out)
+
+    def columns(self, out, start, stop, dtype):
+        copy = self.copies.get((start, stop))
+        if copy is None:
+            copy = self.copies[start, stop] = np.empty((self.n, stop - start), dtype)
+        np.copyto(copy, out[:, start:stop])
+        self.outputs.append((self.made[id(out)], start, stop))
+        return copy
+
+    def _dout(self, k: int) -> np.ndarray:
+        if self.douts[k] is None:
+            self.douts[k] = np.empty_like(self.outs[k])
+        return self.douts[k]
+
+    def backward(self, d_outputs) -> np.ndarray:
+        if not self.records:
+            raise RuntimeError("backward() needs a graph_forward() since the last backward()")
+        douts: list[np.ndarray | None] = [None] * len(self.records)
+        # The tape adds the zero-padded gradients of the two column copies, so
+        # each column holds 0 + its gradient (and -0.0 becomes 0.0).
+        for (k, start, stop), d in zip(self.outputs, d_outputs, strict=True):
+            if douts[k] is None:
+                douts[k] = self._dout(k)
+                douts[k].fill(0.0)
+            view = douts[k][:, start:stop]
+            np.add(view, d.reshape(view.shape), out=view)
+        grad = self.grad
+        grad.fill(0.0)
+        for k in range(len(self.records) - 1, -1, -1):
+            record, g = self.records[k], douts[k]
+            if record[0] == "concat":
+                _, sources, widths, axis = record
+                for q, piece in zip(sources, np.split(g, np.cumsum(widths)[:-1], axis=axis)):
+                    if q is not None:
+                        douts[q] = piece
+                continue
+            _, h, index, tanh, q = record
+            w = self.layers[index][0]
+            gw, gb = self.grad_layers[index]
+            gz = g
+            if tanh:
+                # g * (1 - z*z), formed in z's buffer: no later step reads z.
+                gz = np.multiply(self.outs[k], self.outs[k], out=self.outs[k])
+                np.subtract(1.0, gz, out=gz)
+                np.multiply(g, gz, out=gz)
+            if q is not None:
+                douts[q] = np.matmul(gz, w.T, out=self._dout(q))
+            gw += h.T @ gz
+            gb += gz.sum(axis=0)
+        self.records.clear()
+        return grad
+
+
 class Policy:
-    """Flat float64 master parameters bound to a config, with fast and taped forwards.
+    """Flat float64 master parameters bound to a config, with a fast forward
+    and a differentiated graph pass.
 
     The policy owns `params`, a copy of the array it was built from. Both
-    forwards read `compute`, a COMPUTE_DTYPE copy of `params`: whoever
-    writes `params` calls refresh() before the next forward.
+    passes read `compute`, a COMPUTE_DTYPE copy of `params`, through
+    `layers`, the layer table bound once: whoever writes `params` calls
+    refresh() before the next forward.
     """
 
     def __init__(self, config: PolicyConfig, params: np.ndarray):
@@ -211,17 +342,16 @@ class Policy:
         self.views = param_views(config, self.params)
         self.compute = np.empty(self.params.shape, COMPUTE_DTYPE)
         self.compute_views = param_views(config, self.compute)
+        self.layers = layer_table(self.compute_views)
         # Multiplying by 1.0 is exact, so a config without a scale needs no branch.
         self.obs_scale = np.asarray(config.obs_scale or 1.0)
+        self._graph: _GraphPass | None = None
         self.refresh()
 
     def refresh(self, block: slice = slice(None)) -> None:
         """Copy the master parameters (a flat block of them) into the compute
         copy the forwards read."""
         self.compute[block] = self.params[block]
-
-    def _scaled(self, obs: np.ndarray) -> np.ndarray:
-        return (obs * self.obs_scale).astype(self.compute.dtype)
 
     def forward_batch(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, obs) -> logits (N, dims, bins) and values (N,)."""
@@ -230,27 +360,33 @@ class Policy:
             raise ValueError(
                 f"expected observations of shape (N, {cfg.observation_size}), got {obs.shape}"
             )
-        return _network(cfg, self.compute_views, self._scaled(obs), lambda a: a, _dense,
-                        np.concatenate, _columns)
+        x = (obs * self.obs_scale).astype(self.compute.dtype)
+        return _network(cfg, self.layers, x, _leaf, _dense, np.concatenate, _columns)
 
     def forward(self, obs: np.ndarray) -> PolicyOutput:
         logits, values = self.forward_batch(obs.reshape(1, -1))
         return PolicyOutput(logits=logits[0], value=float(values[0]))
 
-    def graph_forward(self, obs: np.ndarray):
-        """Taped batch forward.
+    def graph_forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """forward_batch into the workspace for len(obs), recorded for backward().
 
-        Returns (logits tensor (N, dims, bins), value tensor (N,), flat
-        gradient). The flat gradient is float64, zeroed and in layout order:
-        backward() adds each parameter's gradient into its slot.
+        The returned logits (N, dims, bins) and values (N,) equal
+        forward_batch's bit for bit; they live in the workspace until the
+        next graph_forward of the same batch size.
         """
-        grad = np.zeros_like(self.params)
-        slots = param_views(self.config, grad)
-        v = {name: ad.Tensor(view, requires_grad=True, grad=slots[name])
-             for name, view in self.compute_views.items()}
-        logits, value = _network(self.config, v, self._scaled(obs), ad.Tensor, ad.dense,
-                                 ad.concat, ad.columns)
-        return logits, value, grad
+        if self._graph is None or self._graph.n != len(obs):
+            self._graph = _GraphPass(self, len(obs))
+        return self._graph.run(obs)
+
+    def backward(self, d_logits: np.ndarray, d_values: np.ndarray) -> np.ndarray:
+        """Flat float64 gradient, in layout order, of a loss whose gradient with
+        respect to the latest graph_forward's logits and values is given.
+
+        The array is the workspace's: the next backward() overwrites it.
+        """
+        if self._graph is None:
+            raise RuntimeError("backward() needs a graph_forward() first")
+        return self._graph.backward((d_logits, d_values))
 
 
 # -- action distribution helpers ---------------------------------------------
@@ -310,37 +446,12 @@ def config_hash(config) -> bytes:
 
 def save_params(path, config: PolicyConfig, params: np.ndarray) -> None:
     """Versioned binary checkpoint: header, config hash, flat float64 params, digest."""
-    write_bytes_atomic(path, pack_checkpoint(POLICY_CHECKPOINT, config_hash(config), [params]))
-
-
-def write_bytes_atomic(path, data: bytes) -> None:
-    """Replace the file at path with data; a crash leaves the old or the new file.
-
-    The bytes go to a temporary file in the same directory, are flushed to
-    disk and renamed over path; the directory is then flushed so the rename
-    itself survives a power loss.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    write_checkpoint(path, POLICY_CHECKPOINT, config_hash(config), [params])
 
 
 def load_params(path, config: PolicyConfig) -> np.ndarray:
-    (params,), _ = unpack_checkpoint(POLICY_CHECKPOINT, Path(path).read_bytes(),
-                                     config_hash(config), param_count(config))
+    (params,), _ = read_checkpoint(path, POLICY_CHECKPOINT, config_hash(config),
+                                   param_count(config))
     return params
 
 
@@ -367,38 +478,85 @@ POLICY_CHECKPOINT = CheckpointFormat("policy", "policy", CHECKPOINT_MAGIC, CHECK
 DIGEST_SIZE = hashlib.sha256().digest_size
 
 
-def pack_checkpoint(fmt: CheckpointFormat, digest: bytes, arrays, meta: bytes | None = None
-                    ) -> bytes:
-    """The bytes of one checkpoint file in fmt."""
-    parts = [fmt.magic, struct.pack("<I", fmt.version), digest,
-             struct.pack("<Q", np.asarray(arrays[0]).size)]
-    parts += [np.asarray(a, dtype=np.float64).astype("<f8").tobytes() for a in arrays]
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read, or does not fit what reads it."""
+
+
+def write_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays,
+                     meta: bytes | None = None) -> None:
+    """Replace the file at path with a checkpoint in fmt; a crash leaves the
+    old or the new file.
+
+    The framing goes piece by piece into a temporary file in the same
+    directory, each float64 array as a view of its own buffer, and the same
+    pieces feed the closing SHA-256, so nothing is copied whole. The file is
+    flushed to disk and renamed over path; the directory is then flushed so
+    the rename itself survives a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    pieces = [fmt.magic, struct.pack("<I", fmt.version), digest,
+              struct.pack("<Q", np.asarray(arrays[0]).size)]
+    pieces += [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
     if fmt.meta:
-        parts += [struct.pack("<Q", len(meta)), meta]
-    payload = b"".join(parts)
-    return payload + hashlib.sha256(payload).digest()
+        pieces += [struct.pack("<Q", len(meta)), meta]
+    payload = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for piece in pieces:
+                view = memoryview(piece).cast("B")
+                fh.write(view)
+                payload.update(view)
+            fh.write(payload.digest())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def read_checkpoint(path, fmt: CheckpointFormat, digest: bytes, count: int):
+    """unpack_checkpoint of the file at path.
+
+    Raises CheckpointError, naming path, for a file that cannot be read and
+    for every reason unpack_checkpoint rejects one.
+    """
+    try:
+        return unpack_checkpoint(fmt, Path(path).read_bytes(), digest, count)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read {fmt.kind} checkpoint: "
+                              f"{exc.strerror or exc}") from None
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def unpack_checkpoint(fmt: CheckpointFormat, raw: bytes, digest: bytes, count: int):
     """(float64 arrays, metadata bytes or None) of a checkpoint file in fmt.
 
-    Raises ValueError for a wrong magic, version, config digest or element
+    Raises CheckpointError for a wrong magic, version, config digest or element
     count, for a file shorter or longer than its framing says, and for a
     payload that does not match its digest.
     """
     header = len(fmt.magic) + 4 + 32 + 8
     if raw[: len(fmt.magic)] != fmt.magic[: len(raw)]:
-        raise ValueError(f"not a {fmt.kind} checkpoint (bad magic)")
+        raise CheckpointError(f"not a {fmt.kind} checkpoint (bad magic)")
     if len(raw) < header:
-        raise ValueError(f"{fmt.kind} checkpoint is truncated: {len(raw)} bytes")
+        raise CheckpointError(f"{fmt.kind} checkpoint is truncated: {len(raw)} bytes")
     (version,) = struct.unpack_from("<I", raw, len(fmt.magic))
     if version != fmt.version:
-        raise ValueError(f"unsupported {fmt.kind} checkpoint version {version}")
+        raise CheckpointError(f"unsupported {fmt.kind} checkpoint version {version}")
     if raw[len(fmt.magic) + 4 : header - 8] != digest:
-        raise ValueError(f"{fmt.kind} checkpoint was written for a different {fmt.config} config")
+        raise CheckpointError(
+            f"{fmt.kind} checkpoint was written for a different {fmt.config} config")
     (got,) = struct.unpack_from("<Q", raw, header - 8)
     if got != count:
-        raise ValueError(f"checkpoint holds {got} params, config needs {count}")
+        raise CheckpointError(f"checkpoint holds {got} params, config needs {count}")
     body = header + 8 * count * fmt.arrays
     payload = body + 8 if fmt.meta else body
     if fmt.meta and len(raw) >= payload:
@@ -406,9 +564,9 @@ def unpack_checkpoint(fmt: CheckpointFormat, raw: bytes, digest: bytes, count: i
     end = payload + DIGEST_SIZE
     if len(raw) != end:
         problem = "is truncated" if len(raw) < end else "has extra bytes"
-        raise ValueError(f"{fmt.kind} checkpoint {problem}: {len(raw)} bytes, expected {end}")
+        raise CheckpointError(f"{fmt.kind} checkpoint {problem}: {len(raw)} bytes, expected {end}")
     if hashlib.sha256(raw[:payload]).digest() != raw[payload:]:
-        raise ValueError(f"{fmt.kind} checkpoint is corrupted: payload digest mismatch")
+        raise CheckpointError(f"{fmt.kind} checkpoint is corrupted: payload digest mismatch")
     arrays = [np.frombuffer(raw, dtype="<f8", count=count, offset=header + 8 * count * k)
               .astype(np.float64) for k in range(fmt.arrays)]
     return arrays, (raw[body + 8 : payload] if fmt.meta else None)

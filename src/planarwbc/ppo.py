@@ -3,10 +3,10 @@
 Workers step their own environments with a shared parameter snapshot, episode
 terminations feed the tolerance curriculum, advantages come from generalized
 advantage estimation, and each update runs multiple shuffled minibatch epochs
-of the clipped PPO objective through the taped network with Adam. Training
-state (parameters, optimizer moments, curriculum, RNG streams, and live
-episode states) checkpoints to a single file, so a resumed single-worker run
-reproduces the uninterrupted parameter trajectory exactly.
+of the clipped PPO objective through the policy's explicit backward with
+Adam. Training state (parameters, optimizer moments, curriculum, RNG streams,
+and live episode states) checkpoints to a single file, so a resumed
+single-worker run reproduces the uninterrupted parameter trajectory exactly.
 """
 from __future__ import annotations
 
@@ -17,18 +17,16 @@ from pathlib import Path
 import numpy as np
 
 from . import adr as adr_mod
-from . import autodiff as ad
 from .envs import Episode, env_step, episode_from_dict, episode_to_dict, new_episode
 from .policy import (
     CheckpointFormat,
     Policy,
     config_hash,
-    pack_checkpoint,
     param_count,
+    read_checkpoint,
     sample_action,
     save_params,
-    unpack_checkpoint,
-    write_bytes_atomic,
+    write_checkpoint,
 )
 
 TRAIN_CHECKPOINT = CheckpointFormat("training", "run", b"PWBCTRN1", 2, arrays=3, meta=True)
@@ -73,6 +71,8 @@ class TrainConfig:
             errors.append("learning_rate must be > 0")
         if self.checkpoint_interval < 1:
             errors.append("checkpoint_interval must be >= 1")
+        if self.seed < 0:
+            errors.append("seed must be >= 0")
         return errors
 
 
@@ -291,45 +291,81 @@ def ppo_loss(
     old_values: np.ndarray,
     config: TrainConfig,
 ):
-    """Taped PPO objective on one minibatch.
+    """PPO objective on one minibatch, and its gradient at the network's outputs.
 
-    Returns (loss tensor, flat gradient, stats dict); loss.backward() fills
-    the flat gradient, in policy layout order. The surrogate uses
-    the clipped probability ratio; value clipping engages only when
-    clip_range_vf is positive.
+    Returns (loss, stats dict, (d_logits, d_values)): the gradient of the
+    loss with respect to the logits and values of the policy's graph pass,
+    which policy.backward() turns into the flat parameter gradient. The
+    surrogate uses the clipped probability ratio; value clipping engages
+    only when clip_range_vf is positive.
+
+    Every value is the one the reverse-mode tape (autodiff.py) computes for
+    this loss, bit for bit: the same expressions in the same order. Ties in
+    the surrogate's minimum go to the unclipped term and in the clipped
+    value loss's maximum to the unclipped error, a ratio or value change on
+    a clip boundary counts as inside, and the log-probabilities sum their
+    three gradient terms in the tape's order. Sign flips and the factor 1.0
+    of the tape's scalar chain are exact, so its scalars are written
+    without them.
     """
-    logits, value, grad = policy.graph_forward(obs)
-    logp = ad.log_softmax(logits, axis=2)
-    onehot = ad.Tensor(np.eye(policy.config.bins)[bins])
+    logits, values = policy.graph_forward(obs)
+    inv_n = 1.0 / values.shape[0]
+    shift = logits.max(axis=2, keepdims=True)
+    exp_shifted = np.exp(logits - shift)
+    total = exp_shifted.sum(axis=2, keepdims=True)
+    logp = logits - (np.log(total) + shift)
+    onehot = np.eye(policy.config.bins)[bins]
     new_log_prob = (logp * onehot).sum(axis=2).sum(axis=1)
-    entropy = (ad.exp(logp) * logp).sum(axis=2).sum(axis=1) * -1.0
+    probs = np.exp(logp)
+    entropy = (probs * logp).sum(axis=2).sum(axis=1) * -1.0
 
-    ratio = ad.exp(new_log_prob - ad.Tensor(old_log_probs))
-    adv = ad.Tensor(advantages)
-    unclipped = ratio * adv
-    clipped = ad.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * adv
-    policy_loss = -(ad.minimum(unclipped, clipped).mean())
+    ratio = np.exp(new_log_prob - old_log_probs)
+    lo, hi = 1.0 - config.clip_range, 1.0 + config.clip_range
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, lo, hi) * advantages
+    take_unclipped = unclipped <= clipped
+    policy_loss = -(np.minimum(unclipped, clipped).sum() * inv_n)
 
-    ret = ad.Tensor(returns)
+    d_value_loss = config.value_coef * inv_n
+    error = values - returns
     if config.clip_range_vf > 0.0:
-        delta = ad.clip(value - ad.Tensor(old_values), -config.clip_range_vf,
-                        config.clip_range_vf)
-        v_clipped = ad.Tensor(old_values) + delta
-        value_loss = ad.maximum((value - ret) ** 2, (v_clipped - ret) ** 2).mean()
+        c = config.clip_range_vf
+        change = values - old_values
+        error_clipped = (old_values + np.clip(change, -c, c)) - returns
+        sq, sq_clipped = error**2, error_clipped**2
+        take_sq = sq >= sq_clipped
+        value_loss = np.maximum(sq, sq_clipped).sum() * inv_n
+        d_values = d_value_loss * take_sq * 2 * error + (
+            d_value_loss * ~take_sq * 2 * error_clipped * ((change >= -c) & (change <= c)))
     else:
-        value_loss = ((value - ret) ** 2).mean()
-    entropy_mean = entropy.mean()
+        value_loss = (error**2).sum() * inv_n
+        d_values = d_value_loss * 2 * error
+    entropy_mean = entropy.sum() * inv_n
     loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy_mean
 
-    ratio_data = ratio.data
+    # The surrogate's minimum sends its gradient to the picked term, and the
+    # clip passes it inside [lo, hi].
+    d_unclipped = -inv_n * take_unclipped
+    d_clipped = -inv_n * ~take_unclipped
+    d_ratio = d_unclipped * advantages + d_clipped * advantages * ((ratio >= lo) & (ratio <= hi))
+    # The log-probabilities get the log-prob term, then the two factors of
+    # each p * log p entropy term, whose gradient is entropy_coef / n.
+    d_entropy = config.entropy_coef * inv_n
+    d_logp = (d_ratio * ratio)[:, None, None] * onehot
+    d_logp += d_entropy * probs
+    d_logp += (d_entropy * logp) * probs
+    # Through logp = logits - (log(total) + shift), shift held constant.
+    d_lse = d_logp.sum(axis=2, keepdims=True) * -1.0
+    d_logits = d_logp + (d_lse / total) * exp_shifted
+
     stats = {
-        "policy_loss": float(policy_loss.data),
-        "value_loss": float(value_loss.data),
-        "entropy": float(entropy_mean.data),
-        "ratio_mean": float(ratio_data.mean()),
-        "clip_fraction": float(np.mean(np.abs(ratio_data - 1.0) > config.clip_range)),
+        "policy_loss": float(policy_loss),
+        "value_loss": float(value_loss),
+        "entropy": float(entropy_mean),
+        "ratio_mean": float(ratio.mean()),
+        "clip_fraction": float(np.mean(np.abs(ratio - 1.0) > config.clip_range)),
     }
-    return loss, grad, stats
+    return float(loss), stats, (d_logits, d_values)
 
 
 def ppo_update(run, trainer: TrainerState, buffer: RolloutBuffer) -> dict:
@@ -354,13 +390,13 @@ def ppo_update(run, trainer: TrainerState, buffer: RolloutBuffer) -> dict:
         perm = trainer.update_rng.permutation(n_total)
         for k in range(tc.minibatches):
             idx = perm[k * mb_size : (k + 1) * mb_size]
-            loss, grad, stats = ppo_loss(
+            loss, stats, d_outputs = ppo_loss(
                 trainer.policy, obs[idx], bins[idx], old_log_probs[idx],
                 advantages[idx], returns[idx], old_values[idx], tc,
             )
-            if not np.isfinite(loss.data):
+            if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite PPO loss: {stats}")
-            loss.backward()
+            grad = trainer.policy.backward(*d_outputs)
             if tc.max_grad_norm > 0.0:
                 norm = _global_norm(grad)
                 if norm > tc.max_grad_norm:
@@ -409,12 +445,11 @@ def save_train_checkpoint(path, run, trainer: TrainerState) -> None:
     }
     blob = json.dumps(meta, sort_keys=True).encode()
     arrays = [trainer.policy.params, trainer.adam_m, trainer.adam_v]
-    write_bytes_atomic(path, pack_checkpoint(TRAIN_CHECKPOINT, _run_hash(run), arrays, blob))
+    write_checkpoint(path, TRAIN_CHECKPOINT, _run_hash(run), arrays, blob)
 
 
 def load_train_checkpoint(path, run) -> TrainerState:
-    arrays, blob = unpack_checkpoint(TRAIN_CHECKPOINT, Path(path).read_bytes(), _run_hash(run),
-                                     param_count(run.policy))
+    arrays, blob = read_checkpoint(path, TRAIN_CHECKPOINT, _run_hash(run), param_count(run.policy))
     meta = json.loads(blob.decode())
 
     policy = Policy(run.policy, arrays[0])

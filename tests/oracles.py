@@ -4,12 +4,15 @@ Everything here is deliberately written from first principles (interval
 arithmetic, dense sampling, brute-force sums) rather than reusing package
 internals, so agreement is meaningful.
 """
+import hashlib
 import math
+import struct
 
 import numpy as np
 
+from planarwbc import autodiff as ad
 from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
-from planarwbc.policy import bins_to_action, greedy_bins
+from planarwbc.policy import _network, bins_to_action, greedy_bins, layer_table, param_views
 from planarwbc.robot import RobotConfig, RobotState
 from planarwbc.world import WorldGeometry
 
@@ -952,3 +955,75 @@ def adam_step_flat(m, v, params, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     np.add(b, eps, out=b)
     np.divide(a, b, out=a)
     np.subtract(params, a, out=params)
+
+
+def taped_forward(policy, obs):
+    """(logits tensor, value tensor, flat gradient) of the policy's network on
+    the reverse-mode tape.
+
+    The leaves are the policy's compute-dtype weights; backward() on a loss
+    built from the outputs adds each weight's gradient into its slot of the
+    zeroed float64 flat gradient, in layout order.
+    """
+    grad = np.zeros_like(policy.params)
+    slots = param_views(policy.config, grad)
+    leaves = {name: ad.Tensor(view, requires_grad=True, grad=slots[name])
+              for name, view in policy.compute_views.items()}
+    x = (obs * policy.obs_scale).astype(policy.compute.dtype)
+    logits, value = _network(policy.config, layer_table(leaves), x, ad.Tensor,
+                             lambda h, layer, tanh: ad.dense(h, *layer, tanh),
+                             ad.concat, ad.columns)
+    return logits, value, grad
+
+
+def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, old_values, config):
+    """(loss, stats, flat gradient) of the PPO objective on the reverse-mode tape.
+
+    The objective as the trainer taped it before its gradient was written
+    out: clipped surrogate, value loss (clipped when clip_range_vf > 0) and
+    entropy bonus, composed from autodiff ops and differentiated by one
+    backward().
+    """
+    logits, value, grad = taped_forward(policy, obs)
+    logp = ad.log_softmax(logits, axis=2)
+    onehot = ad.Tensor(np.eye(policy.config.bins)[bins])
+    new_log_prob = (logp * onehot).sum(axis=2).sum(axis=1)
+    entropy = (ad.exp(logp) * logp).sum(axis=2).sum(axis=1) * -1.0
+
+    ratio = ad.exp(new_log_prob - ad.Tensor(old_log_probs))
+    adv = ad.Tensor(advantages)
+    unclipped = ratio * adv
+    clipped = ad.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * adv
+    policy_loss = -(ad.minimum(unclipped, clipped).mean())
+
+    ret = ad.Tensor(returns)
+    if config.clip_range_vf > 0.0:
+        delta = ad.clip(value - ad.Tensor(old_values), -config.clip_range_vf,
+                        config.clip_range_vf)
+        v_clipped = ad.Tensor(old_values) + delta
+        value_loss = ad.maximum((value - ret) ** 2, (v_clipped - ret) ** 2).mean()
+    else:
+        value_loss = ((value - ret) ** 2).mean()
+    entropy_mean = entropy.mean()
+    loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy_mean
+    loss.backward()
+
+    stats = {
+        "policy_loss": float(policy_loss.data),
+        "value_loss": float(value_loss.data),
+        "entropy": float(entropy_mean.data),
+        "ratio_mean": float(ratio.data.mean()),
+        "clip_fraction": float(np.mean(np.abs(ratio.data - 1.0) > config.clip_range)),
+    }
+    return float(loss.data), stats, grad
+
+
+def pack_checkpoint(fmt, digest, arrays, meta=None) -> bytes:
+    """The bytes of one checkpoint file in fmt, framed in memory in one piece."""
+    parts = [fmt.magic, struct.pack("<I", fmt.version), digest,
+             struct.pack("<Q", np.asarray(arrays[0]).size)]
+    parts += [np.asarray(a, dtype=np.float64).astype("<f8").tobytes() for a in arrays]
+    if fmt.meta:
+        parts += [struct.pack("<Q", len(meta)), meta]
+    payload = b"".join(parts)
+    return payload + hashlib.sha256(payload).digest()

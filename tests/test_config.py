@@ -99,13 +99,14 @@ def test_semantic_validation_cites_bounds():
     ({"reward": {"variant": "baseline"}}, "reward.variant: unknown key"),
     ({"robot": {"max_joint_vel": 0.0}}, "robot.max_joint_vel: must be > 0"),
     ({"robot": {"max_base_vel": [0.5, -0.5, 1.0]}}, "robot.max_base_vel[1]: must be > 0"),
+    ({"train": {"seed": -1}}, "train.seed must be >= 0"),
 ], ids=["adr_min_below_range", "adr_max_above_range", "adr_min_above_max", "reward_variant",
-        "zero_joint_vel_cap", "negative_base_vel_cap"])
+        "zero_joint_vel_cap", "negative_base_vel_cap", "negative_seed"])
 def test_config_that_validates_also_runs(document, field):
     # Each of these, if accepted, would fail part-way through a run (a
-    # tolerance outside the episode's range, or observation scales that
-    # divide by a velocity cap) or be silently ignored (the variant is owned
-    # by the episode section).
+    # tolerance outside the episode's range, observation scales that divide
+    # by a velocity cap, or a seed SeedSequence refuses) or be silently
+    # ignored (the variant is owned by the episode section).
     with pytest.raises(ConfigError) as exc:
         config_from_dict(document)
     assert field in str(exc.value)

@@ -23,6 +23,32 @@ from planarwbc.render import render_scene, render_snapshot
 from planarwbc.robot import Action, RobotState, forward_kinematics
 
 
+@pytest.mark.parametrize("command, flag", [("eval", "--checkpoint"), ("train", "--resume")])
+@pytest.mark.parametrize("problem", ["missing", "corrupt"])
+def test_cli_reports_unusable_checkpoints(cli_config, tmp_path, capsys, command, flag, problem):
+    # A missing file, and a policy checkpoint with one flipped parameter bit
+    # (its digest fails for eval, its magic for a training resume): one
+    # error line and exit status 2, no traceback.
+    ckpt = tmp_path / "given.ckpt"
+    if problem == "corrupt":
+        run = easy_run(time_limit=2.0)
+        save_params(ckpt, run.policy, np.zeros(param_count(run.policy)))
+        raw = bytearray(ckpt.read_bytes())
+        raw[60] ^= 1
+        ckpt.write_bytes(bytes(raw))
+    code = main([command, "--config", str(cli_config), flag, str(ckpt),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"checkpoint error: {ckpt}: ")
+    reason = {("eval", "missing"): "cannot read policy checkpoint",
+              ("eval", "corrupt"): "payload digest mismatch",
+              ("train", "missing"): "cannot read training checkpoint",
+              ("train", "corrupt"): "not a training checkpoint"}[command, problem]
+    assert reason in err[0]
+
+
 def easy_run(time_limit=60.0, obstacles=(0, 0)):
     base = default_config()
     return replace(

@@ -10,14 +10,17 @@ import os
 import numpy as np
 import pytest
 
-from oracles import distribution_stats, greedy_action
+from oracles import distribution_stats, greedy_action, pack_checkpoint, taped_forward
 from planarwbc import autodiff as ad
+from planarwbc import policy as policy_mod
 from planarwbc.policy import (
+    POLICY_CHECKPOINT,
     Policy,
     PolicyConfig,
     PolicyOutput,
     acceleration_limits,
     bins_to_action,
+    config_hash,
     greedy_bins,
     init_params,
     layout,
@@ -87,14 +90,52 @@ def test_graph_forward_matches_fast_forward():
     policy = small_policy(seed=4)
     obs = np.random.default_rng(2).uniform(-1, 1, (5, SMALL.observation_size))
     fast_logits, fast_values = policy.forward_batch(obs)
-    taped_logits, taped_value, _ = policy.graph_forward(obs)
+    taped_logits, taped_value, _ = taped_forward(policy, obs)
+    logits, values = policy.graph_forward(obs)
     assert policy.compute.dtype == np.float32
-    assert fast_logits.dtype == taped_logits.data.dtype == np.float64
-    assert np.array_equal(taped_logits.data, fast_logits)
-    assert np.array_equal(taped_value.data, fast_values)
+    assert fast_logits.dtype == logits.dtype == taped_logits.data.dtype == np.float64
+    for a, b in ((logits, fast_logits), (values, fast_values), (taped_logits.data, fast_logits),
+                 (taped_value.data, fast_values)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
-def test_taped_gradient_spot_checked_by_finite_differences(float64_network):
+def test_forward_of_one_observation_is_bitwise_forward_batch():
+    config = PolicyConfig.for_robot(RobotConfig())
+    policy = Policy(config, init_params(config, np.random.default_rng(8)))
+    obs = np.random.default_rng(9).uniform(-1, 1, (4, config.observation_size))
+    for row in obs:
+        out = policy.forward(row)
+        logits, values = policy.forward_batch(row[None])
+        assert out.logits.tobytes() == logits[0].tobytes()
+        assert out.value == values[0]
+
+
+@pytest.mark.parametrize("size", ["small", "default"])
+def test_backward_is_bitwise_the_tape(size):
+    # Upstream gradients with exact zeros of both signs, at two batch sizes
+    # in turn (the workspace is rebuilt for each) and twice at the first.
+    config = SMALL if size == "small" else PolicyConfig.for_robot(RobotConfig())
+    policy = Policy(config, init_params(config, np.random.default_rng(10)))
+    rng = np.random.default_rng(11)
+    for n in (7, 3, 7):
+        obs = rng.uniform(-1, 1, (n, config.observation_size))
+        d_logits = rng.standard_normal((n, config.action_dims, config.bins))
+        d_logits[0, 0] = 0.0
+        d_logits[-1, -1] = -0.0
+        d_values = rng.standard_normal(n)
+        d_values[1] = -0.0
+        taped_logits, taped_value, expected = taped_forward(policy, obs)
+        ((taped_logits * ad.Tensor(d_logits)).sum() + (taped_value * ad.Tensor(d_values)).sum()
+         ).backward()
+        policy.graph_forward(obs)
+        grad = policy.backward(d_logits, d_values)
+        assert grad.tobytes() == expected.tobytes()
+    with pytest.raises(RuntimeError, match="graph_forward"):
+        policy.backward(d_logits, d_values)
+
+
+def test_gradient_spot_checked_by_finite_differences(float64_network):
     policy = small_policy(seed=7)
     obs = np.random.default_rng(3).uniform(-1, 1, (4, SMALL.observation_size))
     weights = np.random.default_rng(4).standard_normal(
@@ -105,9 +146,8 @@ def test_taped_gradient_spot_checked_by_finite_differences(float64_network):
         logits, values = Policy(SMALL, params).forward_batch(obs)
         return float((logits * weights).sum() + (values**2).sum())
 
-    taped_logits, taped_value, grad = policy.graph_forward(obs)
-    loss = (taped_value * taped_value).sum() + (taped_logits * ad.Tensor(weights)).sum()
-    loss.backward()
+    _, values = policy.graph_forward(obs)
+    grad = policy.backward(weights, 2.0 * values)
     assert grad.shape == policy.params.shape
 
     rng = np.random.default_rng(5)
@@ -124,10 +164,10 @@ def test_taped_gradient_spot_checked_by_finite_differences(float64_network):
 def test_flat_gradient_slots_no_gradient_reaches_stay_zero():
     policy = small_policy(seed=2)
     obs = np.random.default_rng(6).uniform(-1, 1, (5, SMALL.observation_size))
-    logits, _, grad = policy.graph_forward(obs)
+    logits, values = policy.graph_forward(obs)
     head0 = np.zeros(logits.shape)
     head0[:, 0] = np.random.default_rng(7).standard_normal(head0[:, 0].shape)
-    (logits * ad.Tensor(head0)).sum().backward()
+    grad = policy.backward(head0, np.zeros_like(values))
     # The heads columns of head 1 and of the value get only zero products.
     unreached = np.arange(SMALL.action_dims * SMALL.bins + 1) >= SMALL.bins
     for name, slot in param_views(SMALL, grad).items():
@@ -315,5 +355,44 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", fail)
     with pytest.raises(OSError, match="disk full"):
         save_params(path, SMALL, small_policy(seed=4).params)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["policy.bin"]
+
+
+def test_streamed_checkpoint_has_the_one_piece_framing(tmp_path):
+    params = small_policy(seed=5).params
+    path = tmp_path / "policy.bin"
+    save_params(path, SMALL, params)
+    assert path.read_bytes() == pack_checkpoint(POLICY_CHECKPOINT, config_hash(SMALL), [params])
+
+
+def test_checkpoint_write_failing_partway_keeps_previous_file(tmp_path, monkeypatch):
+    # The disk fills after the header: the save fails, the previous file
+    # stays and no temporary file is left.
+    path = tmp_path / "policy.bin"
+    save_params(path, SMALL, small_policy(seed=3).params)
+    before = path.read_bytes()
+    writes = []
+
+    class FillingFile:
+        def __init__(self, name, mode):
+            self.file = open(name, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, data):
+            writes.append(len(data))
+            if len(writes) > 4:
+                raise OSError("disk full")
+            return self.file.write(data)
+
+    monkeypatch.setattr(policy_mod, "open", FillingFile, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_params(path, SMALL, small_policy(seed=4).params)
+    assert len(writes) == 5
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["policy.bin"]

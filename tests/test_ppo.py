@@ -9,13 +9,22 @@ trajectories must be bit-identical).
 import math
 import os
 import shutil
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import adam_step_flat, distribution_stats, gae_double_sum
+from oracles import (
+    adam_step_flat,
+    distribution_stats,
+    gae_double_sum,
+    pack_checkpoint,
+    taped_ppo_loss,
+)
 from planarwbc import policy as policy_mod
 from planarwbc.config import default_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, GenerationError
@@ -27,10 +36,12 @@ from planarwbc.policy import (
     param_count,
     param_views,
     save_params,
+    unpack_checkpoint,
 )
 from planarwbc.robot import RobotConfig
 from planarwbc.ppo import (
     ADAM_BLOCK,
+    TRAIN_CHECKPOINT,
     RolloutBuffer,
     TrainConfig,
     TrainerState,
@@ -43,6 +54,7 @@ from planarwbc.ppo import (
     save_train_checkpoint,
     ppo_update,
     train_loop,
+    _run_hash,
 )
 
 TINY = PolicyConfig(
@@ -146,7 +158,7 @@ def test_surrogate_at_ratio_one_reduces_to_mean_advantage():
     rng = np.random.default_rng(4)
     advantages = rng.standard_normal(6)
     config = TrainConfig(entropy_coef=0.0)
-    loss, _, stats = ppo_loss(
+    _, stats, _ = ppo_loss(
         policy, obs, bins, old_log_probs, advantages, values.copy(), values, config
     )
     assert stats["ratio_mean"] == pytest.approx(1.0, abs=1e-12)
@@ -165,19 +177,18 @@ def test_clip_blocks_gradient_only_for_profitable_ratios():
 
     # Positive advantages: min(ratio*A, clip(ratio)*A) takes the clipped
     # branch, a constant, so every parameter gradient is exactly zero.
-    loss, grad, _ = ppo_loss(
+    _, _, d_outputs = ppo_loss(
         policy, obs, bins, shifted, np.ones(4), values.copy(), values, config
     )
-    loss.backward()
+    grad = policy.backward(*d_outputs)
     assert np.array_equal(grad, np.zeros_like(grad))
 
     # Negative advantages at the same ratio keep the unclipped branch (the
     # objective stays pessimal-side sensitive), so gradients flow.
-    loss, grad, _ = ppo_loss(
+    _, _, d_outputs = ppo_loss(
         policy, obs, bins, shifted, -np.ones(4), values.copy(), values, config
     )
-    loss.backward()
-    assert np.abs(grad).max() > 1e-6
+    assert np.abs(policy.backward(*d_outputs)).max() > 1e-6
 
 
 @pytest.mark.parametrize("clip_range_vf", [-1.0, 0.3])
@@ -196,17 +207,17 @@ def test_loss_gradient_matches_finite_differences(clip_range_vf, float64_network
     returns = rng.standard_normal(n)
     config = TrainConfig(entropy_coef=0.01, clip_range_vf=clip_range_vf)
 
-    loss, grad, _ = ppo_loss(
+    _, _, d_outputs = ppo_loss(
         policy, obs, bins, old_log_probs, advantages, returns, old_values, config
     )
-    loss.backward()
+    grad = policy.backward(*d_outputs)
 
     def loss_at(theta):
         value, _, _ = ppo_loss(
             Policy(TINY, theta), obs, bins, old_log_probs, advantages, returns,
             old_values, config,
         )
-        return float(value.data)
+        return value
 
     eps = 1e-6
     worst = 0.0
@@ -233,7 +244,7 @@ def test_batched_head_terms_match_per_dimension_reference():
     logits, _ = policy.forward_batch(obs)
     for i in range(n):
         one = slice(i, i + 1)
-        _, _, stats = ppo_loss(policy, obs[one], bins[one], np.zeros(1), np.zeros(1),
+        _, stats, _ = ppo_loss(policy, obs[one], bins[one], np.zeros(1), np.zeros(1),
                                values[one], values[one], TrainConfig())
         log_prob, entropy = distribution_stats(logits[i], bins[i])
         assert log_prob < -1.0
@@ -247,17 +258,103 @@ def test_entropy_term_pushes_toward_uniform():
     obs, bins, old_log_probs, values = self_consistent_batch(policy, 8, seed=12)
     config = TrainConfig(value_coef=0.0, entropy_coef=1.0)
     zero_adv = np.zeros(8)
-    loss, grad, before = ppo_loss(
+    _, before, d_outputs = ppo_loss(
         policy, obs, bins, old_log_probs, zero_adv, values.copy(), values, config
     )
-    loss.backward()
-    policy.params[...] -= 0.05 * grad
+    policy.params[...] -= 0.05 * policy.backward(*d_outputs)
     policy.refresh()
-    _, _, after = ppo_loss(
+    _, after, _ = ppo_loss(
         policy, obs, bins, old_log_probs, zero_adv, values.copy(), values, config
     )
     assert after["entropy"] > before["entropy"]
     assert after["entropy"] <= 2 * math.log(3) + 1e-12  # uniform ceiling
+
+
+# ---------------------------------------------------------------------------
+# The explicit gradient against the reverse-mode tape
+# ---------------------------------------------------------------------------
+
+
+def assert_bitwise_the_tape(policy, batch, config):
+    """ppo_loss plus policy.backward equal the tape's loss, stats and flat
+    gradient byte for byte; returns the stats."""
+    tape_loss, tape_stats, tape_grad = taped_ppo_loss(policy, *batch, config)
+    loss, stats, d_outputs = ppo_loss(policy, *batch, config)
+    grad = policy.backward(*d_outputs)
+    assert np.float64(loss).tobytes() == np.float64(tape_loss).tobytes()
+    assert stats.keys() == tape_stats.keys()
+    for key, value in stats.items():
+        assert np.float64(value).tobytes() == np.float64(tape_stats[key]).tobytes(), key
+    assert grad.tobytes() == tape_grad.tobytes()
+    return stats
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """A 512-step rollout of the default network on smoke scenes, after GAE,
+    with the advantages normalized as ppo_update does."""
+    run = smoke_run(total_steps=512, steps_per_worker=512)
+    trainer = init_trainer(run)
+    buffer, _ = collect_rollouts(run, trainer)
+    compute_gae(buffer, run.train.gamma, run.train.gae_lambda)
+    adv = buffer.advantages[0]
+    adv = (adv - adv.mean()) / (adv.std() + 1e-8)
+    samples = (buffer.obs[0], buffer.bins[0], buffer.log_probs[0], adv, buffer.returns[0],
+               buffer.values[0])
+    return run, trainer.policy.params.copy(), samples
+
+
+@pytest.mark.parametrize("clip_range_vf", [-1.0, 0.05])
+@pytest.mark.parametrize("size", [256, 100])
+def test_update_gradient_is_bitwise_the_tapes(corpus, clip_range_vf, size):
+    # Shuffled minibatches of a real rollout under the default config, with
+    # an Adam step after each so later ratios leave 1 and get clipped.
+    run, params, samples = corpus
+    config = replace(run.train, clip_range_vf=clip_range_vf)
+    trainer = TrainerState(policy=Policy(run.policy, params), adam_m=np.zeros(params.size),
+                           adam_v=np.zeros(params.size), adam_t=0, update_rng=None,
+                           workers=[], adr_state=None)
+    rng = np.random.default_rng(size)
+    clip_fractions = []
+    for _ in range(4):
+        idx = rng.permutation(len(samples[0]))[:size]
+        batch = [a[idx] for a in samples]
+        stats = assert_bitwise_the_tape(trainer.policy, batch, config)
+        clip_fractions.append(stats["clip_fraction"])
+        _, _, d_outputs = ppo_loss(trainer.policy, *batch, config)
+        adam_step(trainer, trainer.policy.backward(*d_outputs), 1e-3)
+    assert clip_fractions[0] == 0.0 and max(clip_fractions) > 0.1
+
+
+def test_gradient_at_ties_and_clip_boundaries_is_bitwise_the_tapes():
+    # The tape sends a tie of minimum (maximum) to its first argument, the
+    # unclipped term, and counts a clip boundary as inside. A term on its
+    # clip bound ties with its clipped twin, so the two rules together keep
+    # its gradient; a change to both would zero it.
+    policy = tiny_policy(seed=8)
+    obs, bins, old_log_probs, values = self_consistent_batch(policy, 4, seed=9)
+    returns = values + np.array([0.3, -0.2, 0.1, -0.4])
+    # Ratios near 1 keep every surrogate inside the band, where unclipped ==
+    # clipped; zero advantages tie at 0; old values equal to the values tie
+    # the two value errors.
+    stats = assert_bitwise_the_tape(
+        policy, [obs, bins, old_log_probs, np.array([1.0, 0.0, -1.0, 0.0]), returns, values],
+        TrainConfig(clip_range_vf=0.1))
+    assert stats["clip_fraction"] == 0.0
+    # One sample at a time, its ratio exactly on the upper or the lower clip
+    # bound and its value change exactly on the value clip bound, with
+    # advantages of either sign.
+    for i, shift, adv in ((0, -0.1, 1.0), (1, 0.1, -1.0), (2, -0.1, -1.0), (3, 0.1, 1.0)):
+        one = slice(i, i + 1)
+        batch = [obs[one], bins[one], old_log_probs[one] + shift, np.array([adv]),
+                 returns[one], values[one] - 0.05 * (i + 1)]
+        ratio = ppo_loss(policy, *batch, TrainConfig())[1]["ratio_mean"]
+        clip_range = ratio - 1.0 if ratio > 1.0 else 1.0 - ratio
+        assert 1.0 + clip_range == ratio or 1.0 - clip_range == ratio
+        change = abs(float(policy.forward_batch(obs[one])[1][0] - batch[5][0]))
+        stats = assert_bitwise_the_tape(policy, batch, TrainConfig(clip_range=clip_range,
+                                                                   clip_range_vf=change))
+        assert stats["clip_fraction"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +603,59 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert load_train_checkpoint(path, run).global_step == trainer.global_step
 
 
+def test_streamed_train_checkpoint_has_the_one_piece_framing(tmp_path):
+    run = smoke_run()
+    trainer = init_trainer(run)
+    adam_step(trainer, np.random.default_rng(40).standard_normal(trainer.adam_m.size), lr=1e-3)
+    path = tmp_path / "train_state.ckpt"
+    save_train_checkpoint(path, run, trainer)
+    raw = path.read_bytes()
+    _, meta = unpack_checkpoint(TRAIN_CHECKPOINT, raw, _run_hash(run), param_count(run.policy))
+    arrays = [trainer.policy.params, trainer.adam_m, trainer.adam_v]
+    assert raw == pack_checkpoint(TRAIN_CHECKPOINT, _run_hash(run), arrays, meta)
+
+
+def test_train_checkpoint_is_written_without_whole_copies(tmp_path):
+    # Each array goes to the file and the digest as a view of its own
+    # buffer: the save allocates less than one parameter array.
+    run = smoke_run()
+    trainer = init_trainer(run)
+    path = tmp_path / "train_state.ckpt"
+    save_train_checkpoint(path, run, trainer)
+    tracemalloc.start()
+    try:
+        save_train_checkpoint(path, run, trainer)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trainer.policy.params.nbytes
+
+
+# sha256 of train_state.ckpt and policy.ckpt after the 96-step smoke run,
+# written by the taped update: the explicit gradient must reproduce them.
+TWO_ITERATION_SHA256 = [
+    "645af2faecba105470766615e42b96f7e396b9d2e69d8a8980a10be3ddedac09",
+    "79e06f2a2c624c2af13218a048e0cd54b4a98a2de338327b1195bc0f7a2ca5e0",
+]
+
+
+def test_two_iteration_checkpoints_keep_their_digests(tmp_path):
+    # In a fresh interpreter on one BLAS thread, as the benchmark runs:
+    # matrix products may round differently on more threads.
+    here = Path(__file__).resolve().parent
+    script = ("import hashlib, sys; from pathlib import Path; from test_ppo import smoke_run; "
+              "from planarwbc.ppo import train_loop; "
+              "result = train_loop(smoke_run(total_steps=96), Path(sys.argv[1])); "
+              "[print(hashlib.sha256(Path(result[key]).read_bytes()).hexdigest()) "
+              "for key in ('checkpoint', 'policy_checkpoint')]")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == TWO_ITERATION_SHA256
+
+
 def test_ppo_update_requires_gae():
     run = smoke_run()
     trainer = init_trainer(run)
@@ -601,10 +751,9 @@ def test_float32_network_tracks_float64(monkeypatch):
     advantages, returns = rng.standard_normal((2, n))
     grads = []
     for policy in (high, low):
-        loss, grad, _ = ppo_loss(policy, obs[:256], bins[:256], old_log_probs[:256],
-                                 advantages[:256], returns[:256], values[:256], TrainConfig())
-        loss.backward()
-        grads.append(grad)
+        _, _, d_outputs = ppo_loss(policy, obs[:256], bins[:256], old_log_probs[:256],
+                                   advantages[:256], returns[:256], values[:256], TrainConfig())
+        grads.append(policy.backward(*d_outputs).copy())
     assert np.linalg.norm(grads[1] - grads[0]) <= 5e-6 * np.linalg.norm(grads[0])
 
     buffer = RolloutBuffer(obs=obs[None], bins=bins[None], log_probs=old_log_probs[None],
