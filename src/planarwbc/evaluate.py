@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .envs import EnvSpec, Episode, EpisodeConfig, env_step, new_episode
-from .policy import Policy, bins_to_action, greedy_bins, load_params, sample_bins
+from .policy import (Policy, acceleration_table, bins_to_action, greedy_bins, load_params,
+                     sample_bins)
 from .reward import TERMINATIONS
 from .robot import Action
 
@@ -59,6 +60,7 @@ class EvalReport:
 
 def policy_controller(policy: Policy, robot, sample: bool = False):
     """Greedy (default) or sampled action selection from a policy."""
+    table = acceleration_table(robot, policy.config.bins)
 
     def controller(episode: Episode, obs: np.ndarray, rng: np.random.Generator) -> Action:
         out = policy.forward(obs)
@@ -66,7 +68,7 @@ def policy_controller(policy: Policy, robot, sample: bool = False):
             bins, _ = sample_bins(out, rng)
         else:
             bins = greedy_bins(out)
-        return bins_to_action(robot, bins, policy.config.bins)
+        return bins_to_action(table, bins)
 
     return controller
 

@@ -593,8 +593,8 @@ def _bilinear_with_gradient(field: GridField, p, arr=None):
     ix, iy = int(gx), int(gy)
     fx, fy = gx - ix, gy - iy
     v = field.values if arr is None else arr
-    v00, v10 = v[iy, ix], v[iy, ix + 1]
-    v01, v11 = v[iy + 1, ix], v[iy + 1, ix + 1]
+    v00, v10 = v.item(iy, ix), v.item(iy, ix + 1)
+    v01, v11 = v.item(iy + 1, ix), v.item(iy + 1, ix + 1)
     value = v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy) + v01 * (1 - fx) * fy + v11 * fx * fy
     dx = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / field.cell_size
     dy = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / field.cell_size
@@ -629,9 +629,10 @@ class PathPolyline:
     @classmethod
     def from_points(cls, points) -> "PathPolyline":
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        rows = pts.tolist()
         keep = [0]
-        for i in range(1, len(pts)):
-            if np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-12:
+        for i in range(1, len(rows)):
+            if math.dist(rows[i], rows[keep[-1]]) > 1e-12:
                 keep.append(i)
         pts = pts[keep]
         if len(pts) < 2:
@@ -658,19 +659,19 @@ def extract_path(field: GridField, start, goal=None) -> PathPolyline:
     span_x = w * field.cell_size
     span_y = h * field.cell_size
     max_steps = int(4.0 * 2.0 * (span_x + span_y) / step)
-    p = np.array([float(start[0]), float(start[1])])
-    points = [p.copy()]
+    x, y = float(start[0]), float(start[1])
+    points = [(x, y)]
     for _ in range(max_steps):
-        if field.cell_of(p) == field.goal_cell:
+        if field.cell_of((x, y)) == field.goal_cell:
             if goal is not None:
-                points.append(np.array([float(goal[0]), float(goal[1])]))
+                points.append((float(goal[0]), float(goal[1])))
             return PathPolyline.from_points(points)
-        _, dx, dy = _bilinear_with_gradient(field, p, field.log_values)
+        _, dx, dy = _bilinear_with_gradient(field, (x, y), field.log_values)
         norm = math.hypot(dx, dy)
         if norm < 1e-12:
             raise FieldError("descent stalled; re-solve the field at a tighter tolerance")
-        p = p - (step / norm) * np.array([dx, dy])
-        points.append(p.copy())
+        x, y = x - step / norm * dx, y - step / norm * dy
+        points.append((x, y))
     raise FieldError("path length cap exceeded before reaching the goal cell")
 
 

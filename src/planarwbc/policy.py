@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,8 +28,6 @@ import numpy as np
 from .envs import observation_layout
 from .robot import Action, RobotConfig
 
-CHECKPOINT_MAGIC = b"PWBCNET1"
-CHECKPOINT_VERSION = 2
 # dtype of the network arithmetic; parameters, gradients and losses stay float64.
 COMPUTE_DTYPE = np.float32
 
@@ -403,9 +402,7 @@ def sample_bins(output: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndar
     probs = np.exp(logp)
     u = rng.random(probs.shape[0])
     cum = np.cumsum(probs, axis=-1)
-    bins = np.minimum(
-        (u[:, None] > cum).sum(axis=-1), probs.shape[-1] - 1
-    ).astype(np.int64)
+    bins = np.minimum((u[:, None] > cum).sum(axis=-1), probs.shape[-1] - 1).astype(np.int64)
     taken = np.take_along_axis(logp, bins[:, None], axis=-1)[:, 0]
     return bins, float(taken.sum())
 
@@ -414,26 +411,26 @@ def greedy_bins(output: PolicyOutput) -> np.ndarray:
     return output.logits.argmax(axis=-1).astype(np.int64)
 
 
-def acceleration_limits(robot: RobotConfig) -> np.ndarray:
-    return np.concatenate(
-        [np.asarray(robot.max_base_acc, dtype=float),
-         np.full(robot.num_joints, robot.max_joint_acc, dtype=float)]
-    )
+def acceleration_table(robot: RobotConfig, n_bins: int) -> np.ndarray:
+    """(action dims, n_bins) accelerations of the bins: an affine map from
+    -limit to +limit per dimension whose center bin is exactly zero."""
+    limits = np.concatenate([np.asarray(robot.max_base_acc, dtype=float),
+                             np.full(robot.num_joints, robot.max_joint_acc, dtype=float)])
+    levels = 2.0 * np.arange(n_bins) / (n_bins - 1) - 1.0
+    return levels * limits[:, None]
 
 
-def bins_to_action(robot: RobotConfig, bins: np.ndarray, n_bins: int) -> Action:
-    """Affine bin-to-acceleration map; the center bin is exactly zero."""
-    limits = acceleration_limits(robot)
-    acc = (2.0 * bins / (n_bins - 1) - 1.0) * limits
+def bins_to_action(table: np.ndarray, bins: np.ndarray) -> Action:
+    """The Action of one bin per dimension, read from an acceleration_table."""
+    acc = table[np.arange(len(bins)), bins]
     return Action(base_acc=acc[:3], joint_acc=acc[3:])
 
 
-def sample_action(
-    robot: RobotConfig, output: PolicyOutput, rng: np.random.Generator
-) -> tuple[Action, np.ndarray, float]:
-    """(Action, bins, log_prob) sampled from the policy output."""
+def sample_action(table: np.ndarray, output: PolicyOutput,
+                  rng: np.random.Generator) -> tuple[Action, np.ndarray, float]:
+    """(Action, bins, log_prob) sampled from the policy output; table is an acceleration_table."""
     bins, log_prob = sample_bins(output, rng)
-    return bins_to_action(robot, bins, output.logits.shape[-1]), bins, log_prob
+    return bins_to_action(table, bins), bins, log_prob
 
 
 # -- checkpointing -------------------------------------------------------------
@@ -450,8 +447,8 @@ def save_params(path, config: PolicyConfig, params: np.ndarray) -> None:
 
 
 def load_params(path, config: PolicyConfig) -> np.ndarray:
-    (params,), _ = read_checkpoint(path, POLICY_CHECKPOINT, config_hash(config),
-                                   param_count(config))
+    params = np.empty(param_count(config))
+    read_checkpoint(path, POLICY_CHECKPOINT, config_hash(config), [params])
     return params
 
 
@@ -473,9 +470,7 @@ class CheckpointFormat:
     meta: bool
 
 
-POLICY_CHECKPOINT = CheckpointFormat("policy", "policy", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                     arrays=1, meta=False)
-DIGEST_SIZE = hashlib.sha256().digest_size
+POLICY_CHECKPOINT = CheckpointFormat("policy", "policy", b"PWBCNET1", 2, arrays=1, meta=False)
 
 
 class CheckpointError(ValueError):
@@ -521,52 +516,59 @@ def write_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays,
         os.close(dir_fd)
 
 
-def read_checkpoint(path, fmt: CheckpointFormat, digest: bytes, count: int):
-    """unpack_checkpoint of the file at path.
+def read_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays) -> bytes | None:
+    """Read the checkpoint in fmt at path into arrays, fmt.arrays float64
+    buffers of one size, each straight into its buffer while the payload is
+    hashed; return the metadata bytes, or None for a format without.
 
-    Raises CheckpointError, naming path, for a file that cannot be read and
-    for every reason unpack_checkpoint rejects one.
+    Raises CheckpointError, naming path, for a file that cannot be read, for
+    a wrong magic, version, config digest or element count, for a file
+    shorter or longer than its framing says, and for a digest mismatch.
     """
+    kind, count = fmt.kind, arrays[0].size
+    header_size = len(fmt.magic) + 4 + 32 + 8
     try:
-        return unpack_checkpoint(fmt, Path(path).read_bytes(), digest, count)
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(header_size)
+            if header[: len(fmt.magic)] != fmt.magic[: len(header)]:
+                raise CheckpointError(f"not a {kind} checkpoint (bad magic)")
+            if len(header) < header_size:
+                raise CheckpointError(f"{kind} checkpoint is truncated: {size} bytes")
+            (version,) = struct.unpack_from("<I", header, len(fmt.magic))
+            if version != fmt.version:
+                raise CheckpointError(f"unsupported {kind} checkpoint version {version}")
+            if header[len(fmt.magic) + 4 : header_size - 8] != digest:
+                raise CheckpointError(
+                    f"{kind} checkpoint was written for a different {fmt.config} config")
+            (got,) = struct.unpack_from("<Q", header, header_size - 8)
+            if got != count:
+                raise CheckpointError(f"checkpoint holds {got} params, config needs {count}")
+            body = header_size + 8 * count * fmt.arrays
+            payload = body + 8 if fmt.meta else body
+            if fmt.meta and size >= payload:
+                fh.seek(body)
+                payload += struct.unpack("<Q", fh.read(8))[0]
+                fh.seek(header_size)
+            end = payload + 32
+            if size != end:
+                problem = "is truncated" if size < end else "has extra bytes"
+                raise CheckpointError(f"{kind} checkpoint {problem}: {size} bytes, expected {end}")
+            hasher = hashlib.sha256(header)
+            for array in arrays:
+                view = memoryview(array).cast("B")
+                fh.readinto(view)
+                hasher.update(view)
+            meta = fh.read(payload - body)
+            hasher.update(meta)
+            if hasher.digest() != fh.read(32):
+                raise CheckpointError(f"{kind} checkpoint is corrupted: payload digest mismatch")
     except OSError as exc:
-        raise CheckpointError(f"{path}: cannot read {fmt.kind} checkpoint: "
+        raise CheckpointError(f"{path}: cannot read {kind} checkpoint: "
                               f"{exc.strerror or exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-
-
-def unpack_checkpoint(fmt: CheckpointFormat, raw: bytes, digest: bytes, count: int):
-    """(float64 arrays, metadata bytes or None) of a checkpoint file in fmt.
-
-    Raises CheckpointError for a wrong magic, version, config digest or element
-    count, for a file shorter or longer than its framing says, and for a
-    payload that does not match its digest.
-    """
-    header = len(fmt.magic) + 4 + 32 + 8
-    if raw[: len(fmt.magic)] != fmt.magic[: len(raw)]:
-        raise CheckpointError(f"not a {fmt.kind} checkpoint (bad magic)")
-    if len(raw) < header:
-        raise CheckpointError(f"{fmt.kind} checkpoint is truncated: {len(raw)} bytes")
-    (version,) = struct.unpack_from("<I", raw, len(fmt.magic))
-    if version != fmt.version:
-        raise CheckpointError(f"unsupported {fmt.kind} checkpoint version {version}")
-    if raw[len(fmt.magic) + 4 : header - 8] != digest:
-        raise CheckpointError(
-            f"{fmt.kind} checkpoint was written for a different {fmt.config} config")
-    (got,) = struct.unpack_from("<Q", raw, header - 8)
-    if got != count:
-        raise CheckpointError(f"checkpoint holds {got} params, config needs {count}")
-    body = header + 8 * count * fmt.arrays
-    payload = body + 8 if fmt.meta else body
-    if fmt.meta and len(raw) >= payload:
-        payload += struct.unpack_from("<Q", raw, body)[0]
-    end = payload + DIGEST_SIZE
-    if len(raw) != end:
-        problem = "is truncated" if len(raw) < end else "has extra bytes"
-        raise CheckpointError(f"{fmt.kind} checkpoint {problem}: {len(raw)} bytes, expected {end}")
-    if hashlib.sha256(raw[:payload]).digest() != raw[payload:]:
-        raise CheckpointError(f"{fmt.kind} checkpoint is corrupted: payload digest mismatch")
-    arrays = [np.frombuffer(raw, dtype="<f8", count=count, offset=header + 8 * count * k)
-              .astype(np.float64) for k in range(fmt.arrays)]
-    return arrays, (raw[body + 8 : payload] if fmt.meta else None)
+    if sys.byteorder != "little":  # the file holds <f8
+        for array in arrays:
+            array.byteswap(inplace=True)
+    return meta[8:] if fmt.meta else None

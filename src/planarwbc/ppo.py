@@ -21,7 +21,9 @@ from .envs import Episode, env_step, episode_from_dict, episode_to_dict, new_epi
 from .policy import (
     CheckpointFormat,
     Policy,
+    acceleration_table,
     config_hash,
+    log_softmax_np,
     param_count,
     read_checkpoint,
     sample_action,
@@ -181,6 +183,7 @@ def collect_rollouts(
     policy = trainer.policy
     obs_size = policy.config.observation_size
     dims = policy.config.action_dims
+    table = acceleration_table(run.robot, policy.config.bins)
     buffer = RolloutBuffer(
         obs=np.zeros((w, n, obs_size)),
         bins=np.zeros((w, n, dims), dtype=np.int64),
@@ -195,7 +198,7 @@ def collect_rollouts(
     for wk in trainer.workers:
         for t in range(n):
             out = policy.forward(wk.obs_vec)
-            action, bins, log_prob = sample_action(run.robot, out, wk.rng)
+            action, bins, log_prob = sample_action(table, out, wk.rng)
             try:
                 outcome = env_step(wk.episode, action)
             except Exception as exc:
@@ -299,25 +302,21 @@ def ppo_loss(
     surrogate uses the clipped probability ratio; value clipping engages
     only when clip_range_vf is positive.
 
-    Every value is the one the reverse-mode tape (autodiff.py) computes for
-    this loss, bit for bit: the same expressions in the same order. Ties in
-    the surrogate's minimum go to the unclipped term and in the clipped
-    value loss's maximum to the unclipped error, a ratio or value change on
-    a clip boundary counts as inside, and the log-probabilities sum their
-    three gradient terms in the tape's order. Sign flips and the factor 1.0
-    of the tape's scalar chain are exact, so its scalars are written
-    without them.
+    The head's distribution is log_softmax_np, the one the rollout samples
+    from, and its gradient is written in closed form: per action dimension,
+    d log p(a)/dz = onehot(a) - p and dH/dz = -p (log p + H). Ties in the
+    surrogate's minimum go to the unclipped term and in the clipped value
+    loss's maximum to the unclipped error, and a ratio or value change on a
+    clip boundary counts as inside.
     """
     logits, values = policy.graph_forward(obs)
     inv_n = 1.0 / values.shape[0]
-    shift = logits.max(axis=2, keepdims=True)
-    exp_shifted = np.exp(logits - shift)
-    total = exp_shifted.sum(axis=2, keepdims=True)
-    logp = logits - (np.log(total) + shift)
-    onehot = np.eye(policy.config.bins)[bins]
-    new_log_prob = (logp * onehot).sum(axis=2).sum(axis=1)
+    logp = log_softmax_np(logits)
     probs = np.exp(logp)
-    entropy = (probs * logp).sum(axis=2).sum(axis=1) * -1.0
+    taken = bins[:, :, None]
+    new_log_prob = np.take_along_axis(logp, taken, axis=2)[:, :, 0].sum(axis=1)
+    dim_entropy = (probs * logp).sum(axis=2) * -1.0
+    entropy = dim_entropy.sum(axis=1)
 
     ratio = np.exp(new_log_prob - old_log_probs)
     lo, hi = 1.0 - config.clip_range, 1.0 + config.clip_range
@@ -326,37 +325,29 @@ def ppo_loss(
     take_unclipped = unclipped <= clipped
     policy_loss = -(np.minimum(unclipped, clipped).sum() * inv_n)
 
-    d_value_loss = config.value_coef * inv_n
     error = values - returns
     if config.clip_range_vf > 0.0:
         c = config.clip_range_vf
         change = values - old_values
         error_clipped = (old_values + np.clip(change, -c, c)) - returns
         sq, sq_clipped = error**2, error_clipped**2
-        take_sq = sq >= sq_clipped
         value_loss = np.maximum(sq, sq_clipped).sum() * inv_n
-        d_values = d_value_loss * take_sq * 2 * error + (
-            d_value_loss * ~take_sq * 2 * error_clipped * ((change >= -c) & (change <= c)))
+        # The error the maximum picks carries the gradient, the clip passes it inside [-c, c].
+        error = np.where(sq >= sq_clipped, error, error_clipped * ((change >= -c) & (change <= c)))
     else:
         value_loss = (error**2).sum() * inv_n
-        d_values = d_value_loss * 2 * error
+    d_values = config.value_coef * inv_n * 2 * error
     entropy_mean = entropy.sum() * inv_n
     loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy_mean
 
     # The surrogate's minimum sends its gradient to the picked term, and the
     # clip passes it inside [lo, hi].
-    d_unclipped = -inv_n * take_unclipped
-    d_clipped = -inv_n * ~take_unclipped
-    d_ratio = d_unclipped * advantages + d_clipped * advantages * ((ratio >= lo) & (ratio <= hi))
-    # The log-probabilities get the log-prob term, then the two factors of
-    # each p * log p entropy term, whose gradient is entropy_coef / n.
-    d_entropy = config.entropy_coef * inv_n
-    d_logp = (d_ratio * ratio)[:, None, None] * onehot
-    d_logp += d_entropy * probs
-    d_logp += (d_entropy * logp) * probs
-    # Through logp = logits - (log(total) + shift), shift held constant.
-    d_lse = d_logp.sum(axis=2, keepdims=True) * -1.0
-    d_logits = d_logp + (d_lse / total) * exp_shifted
+    d_ratio = -inv_n * advantages * (take_unclipped | ((ratio >= lo) & (ratio <= hi)))
+    # d_log_prob * (onehot - p) + (entropy_coef / n) * p * (log p + H).
+    d_log_prob = (d_ratio * ratio)[:, None, None]
+    d_logits = (config.entropy_coef * inv_n * (logp + dim_entropy[:, :, None]) - d_log_prob) * probs
+    np.put_along_axis(d_logits, taken,
+                      np.take_along_axis(d_logits, taken, axis=2) + d_log_prob, axis=2)
 
     stats = {
         "policy_loss": float(policy_loss),
@@ -449,10 +440,11 @@ def save_train_checkpoint(path, run, trainer: TrainerState) -> None:
 
 
 def load_train_checkpoint(path, run) -> TrainerState:
-    arrays, blob = read_checkpoint(path, TRAIN_CHECKPOINT, _run_hash(run), param_count(run.policy))
-    meta = json.loads(blob.decode())
-
-    policy = Policy(run.policy, arrays[0])
+    n = param_count(run.policy)
+    policy, adam_m, adam_v = Policy(run.policy, np.zeros(n)), np.empty(n), np.empty(n)
+    meta = json.loads(read_checkpoint(path, TRAIN_CHECKPOINT, _run_hash(run),
+                                      [policy.params, adam_m, adam_v]))
+    policy.refresh()
     update_rng = np.random.default_rng()
     update_rng.bit_generator.state = meta["update_rng"]
     workers = []
@@ -472,8 +464,8 @@ def load_train_checkpoint(path, run) -> TrainerState:
         )
     return TrainerState(
         policy=policy,
-        adam_m=arrays[1],
-        adam_v=arrays[2],
+        adam_m=adam_m,
+        adam_v=adam_v,
         adam_t=meta["adam_t"],
         update_rng=update_rng,
         workers=workers,

@@ -1,9 +1,20 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules.
 
-import numpy as np
-import pytest
+Matrix products may round differently on more BLAS threads, and the
+determinism the tests check holds for a fixed thread count. Before numpy is
+first imported, OpenBLAS and OpenMP default to one thread, the count the
+benchmark runs with; a thread count set in the environment is kept.
+"""
 
-from planarwbc import policy
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from planarwbc import policy  # noqa: E402
 
 
 @pytest.fixture

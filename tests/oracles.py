@@ -12,7 +12,8 @@ import numpy as np
 
 from planarwbc import autodiff as ad
 from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
-from planarwbc.policy import _network, bins_to_action, greedy_bins, layer_table, param_views
+from planarwbc.policy import (CheckpointError, _network, acceleration_table, bins_to_action,
+                              greedy_bins, layer_table, param_views)
 from planarwbc.robot import RobotConfig, RobotState
 from planarwbc.world import WorldGeometry
 
@@ -35,7 +36,7 @@ def inverse_transform_point(pose, p) -> np.ndarray:
 def greedy_action(robot, output):
     """(Action, bins) of the most likely bin per action dimension."""
     bins = greedy_bins(output)
-    return bins_to_action(robot, bins, output.logits.shape[-1]), bins
+    return bins_to_action(acceleration_table(robot, output.logits.shape[-1]), bins), bins
 
 
 def distribution_stats(logits, bins):
@@ -55,6 +56,47 @@ def cell_center(field: GridField, row: int, col: int) -> np.ndarray:
     """World coordinates of the center of grid cell (row, col)."""
     return np.array([field.origin[0] + (col + 0.5) * field.cell_size,
                      field.origin[1] + (row + 0.5) * field.cell_size])
+
+
+def extract_path_arrays(field: GridField, start, goal=None) -> np.ndarray:
+    """The (P, 2) vertices of pathfield.extract_path, stepped on numpy arrays.
+
+    Half-cell steps down the bilinear gradient of the log potential, each
+    position a fresh 2-vector and each corner value a numpy scalar, then the
+    goal point; a vertex within 1e-12 of the last kept one is dropped. Raises
+    FieldError where extract_path does.
+    """
+    h, w = field.shape
+    step = field.cell_size / 2.0
+    max_steps = int(4.0 * 2.0 * (w * field.cell_size + h * field.cell_size) / step)
+    v = field.log_values
+    p = np.array([float(start[0]), float(start[1])])
+    points = [p.copy()]
+    for _ in range(max_steps):
+        if field.cell_of(p) == field.goal_cell:
+            if goal is not None:
+                points.append(np.array([float(goal[0]), float(goal[1])]))
+            kept = [points[0]]
+            for q in points[1:]:
+                if np.linalg.norm(q - kept[-1]) > 1e-12:
+                    kept.append(q)
+            return np.array(kept)
+        gx = (p[0] - field.origin[0]) / field.cell_size - 0.5
+        gy = (p[1] - field.origin[1]) / field.cell_size - 0.5
+        gx = min(max(gx, 0.0), w - 1.000001)
+        gy = min(max(gy, 0.0), h - 1.000001)
+        ix, iy = int(gx), int(gy)
+        fx, fy = gx - ix, gy - iy
+        v00, v10 = v[iy, ix], v[iy, ix + 1]
+        v01, v11 = v[iy + 1, ix], v[iy + 1, ix + 1]
+        dx = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / field.cell_size
+        dy = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / field.cell_size
+        norm = math.hypot(dx, dy)
+        if norm < 1e-12:
+            raise FieldError("descent stalled")
+        p = p - (step / norm) * np.array([dx, dy])
+        points.append(p.copy())
+    raise FieldError("path length cap exceeded")
 
 
 def passage_width_along_path(world, path, spacing=0.05, lateral_span=1.5, lateral_step=0.02):
@@ -977,7 +1019,8 @@ def taped_forward(policy, obs):
 
 
 def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, old_values, config):
-    """(loss, stats, flat gradient) of the PPO objective on the reverse-mode tape.
+    """(loss, stats, flat gradient, gradient at the logits) of the PPO
+    objective on the reverse-mode tape.
 
     The objective as the trainer taped it before its gradient was written
     out: clipped surrogate, value loss (clipped when clip_range_vf > 0) and
@@ -1015,7 +1058,7 @@ def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, old_va
         "ratio_mean": float(ratio.data.mean()),
         "clip_fraction": float(np.mean(np.abs(ratio.data - 1.0) > config.clip_range)),
     }
-    return float(loss.data), stats, grad
+    return float(loss.data), stats, grad, logits.grad
 
 
 def pack_checkpoint(fmt, digest, arrays, meta=None) -> bytes:
@@ -1027,3 +1070,41 @@ def pack_checkpoint(fmt, digest, arrays, meta=None) -> bytes:
         parts += [struct.pack("<Q", len(meta)), meta]
     payload = b"".join(parts)
     return payload + hashlib.sha256(payload).digest()
+
+
+def unpack_checkpoint(fmt, raw, digest, count):
+    """(float64 arrays, metadata bytes or None) of the bytes of a checkpoint
+    file in fmt, checked whole in memory; policy.read_checkpoint streams the
+    same checks from a file.
+
+    Raises CheckpointError for a wrong magic, version, config digest or element
+    count, for a file shorter or longer than its framing says, and for a
+    payload that does not match its digest.
+    """
+    header = len(fmt.magic) + 4 + 32 + 8
+    if raw[: len(fmt.magic)] != fmt.magic[: len(raw)]:
+        raise CheckpointError(f"not a {fmt.kind} checkpoint (bad magic)")
+    if len(raw) < header:
+        raise CheckpointError(f"{fmt.kind} checkpoint is truncated: {len(raw)} bytes")
+    (version,) = struct.unpack_from("<I", raw, len(fmt.magic))
+    if version != fmt.version:
+        raise CheckpointError(f"unsupported {fmt.kind} checkpoint version {version}")
+    if raw[len(fmt.magic) + 4 : header - 8] != digest:
+        raise CheckpointError(
+            f"{fmt.kind} checkpoint was written for a different {fmt.config} config")
+    (got,) = struct.unpack_from("<Q", raw, header - 8)
+    if got != count:
+        raise CheckpointError(f"checkpoint holds {got} params, config needs {count}")
+    body = header + 8 * count * fmt.arrays
+    payload = body + 8 if fmt.meta else body
+    if fmt.meta and len(raw) >= payload:
+        payload += struct.unpack_from("<Q", raw, body)[0]
+    end = payload + hashlib.sha256().digest_size
+    if len(raw) != end:
+        problem = "is truncated" if len(raw) < end else "has extra bytes"
+        raise CheckpointError(f"{fmt.kind} checkpoint {problem}: {len(raw)} bytes, expected {end}")
+    if hashlib.sha256(raw[:payload]).digest() != raw[payload:]:
+        raise CheckpointError(f"{fmt.kind} checkpoint is corrupted: payload digest mismatch")
+    arrays = [np.frombuffer(raw, dtype="<f8", count=count, offset=header + 8 * count * k)
+              .astype(np.float64) for k in range(fmt.arrays)]
+    return arrays, (raw[body + 8 : payload] if fmt.meta else None)

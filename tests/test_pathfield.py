@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     cell_center,
     dense_laplace_solve,
+    extract_path_arrays,
     ix_prolong,
     parity_subgrid_smooth,
     project_on_path_formula,
@@ -344,6 +345,19 @@ def test_maximum_principle():
     vals = field.values[free][connected]
     assert np.all(vals > 0.0)
     assert np.all(vals < 1.0)
+
+
+@pytest.mark.parametrize("spec", [EnvSpec(kind="corridor"), EnvSpec.gap_train(),
+                                  EnvSpec.gap_test()], ids=lambda spec: spec.kind)
+def test_extract_path_is_bitwise_the_array_loop(spec):
+    # Stepping on Python floats keeps the IEEE operations of the loop over
+    # numpy 2-vectors: every generated scene's path is the same bytes.
+    run = default_config()
+    for seed in range(1000, 1030):
+        scene = generate_scene(spec, run.robot, np.random.default_rng(seed), run.episode.grid_cell)
+        ee_xy = forward_kinematics(run.robot, scene.start)[-1, :2]
+        expected = extract_path_arrays(scene.path_field, ee_xy, goal=scene.goal[:2])
+        assert scene.path.points.tobytes() == expected.tobytes(), seed
 
 
 def test_extract_path_straight_corridor():

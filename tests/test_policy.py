@@ -18,7 +18,7 @@ from planarwbc.policy import (
     Policy,
     PolicyConfig,
     PolicyOutput,
-    acceleration_limits,
+    acceleration_table,
     bins_to_action,
     config_hash,
     greedy_bins,
@@ -217,22 +217,36 @@ def test_sampled_bin_stats_equal_distribution_stats():
 
 def test_bin_acceleration_map_is_affine_with_zero_center():
     robot = RobotConfig()
-    limits = acceleration_limits(robot)
-    assert np.array_equal(limits, [1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
     n = 7
-    center = bins_to_action(robot, np.full(6, 3, dtype=np.int64), n)
+    table = acceleration_table(robot, n)
+    limits = table[:, -1]
+    assert np.array_equal(limits, [1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+    center = bins_to_action(table, np.full(6, 3, dtype=np.int64))
     assert np.array_equal(center.base_acc, np.zeros(3))
     assert np.array_equal(center.joint_acc, np.zeros(3))
-    lo = bins_to_action(robot, np.zeros(6, dtype=np.int64), n)
-    hi = bins_to_action(robot, np.full(6, 6, dtype=np.int64), n)
+    lo = bins_to_action(table, np.zeros(6, dtype=np.int64))
+    hi = bins_to_action(table, np.full(6, 6, dtype=np.int64))
     assert np.allclose(lo.base_acc, -limits[:3], atol=1e-15)
     assert np.allclose(hi.joint_acc, limits[3:], atol=1e-15)
     # The map is a bijection on bin indices: recover k from the acceleration.
     for k in range(n):
-        acc = bins_to_action(robot, np.full(6, k, dtype=np.int64), n)
+        acc = bins_to_action(table, np.full(6, k, dtype=np.int64))
         all_acc = np.concatenate([acc.base_acc, acc.joint_acc])
         back = np.round((all_acc / limits + 1.0) * (n - 1) / 2.0).astype(int)
         assert np.array_equal(back, np.full(6, k))
+
+
+def test_table_actions_are_bitwise_the_affine_formula():
+    # Reading the table keeps the bytes of the per-step affine map it
+    # replaced, for every bin of every dimension.
+    robot = RobotConfig()
+    limits = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+    for n in (3, 7, 11):
+        table = acceleration_table(robot, n)
+        for bins in np.random.default_rng(n).integers(0, n, (50, 6)):
+            acc = bins_to_action(table, bins)
+            formula = (2.0 * bins / (n - 1) - 1.0) * limits
+            assert np.concatenate([acc.base_acc, acc.joint_acc]).tobytes() == formula.tobytes()
 
 
 def test_greedy_picks_argmax():
