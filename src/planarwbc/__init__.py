@@ -5,7 +5,17 @@ collision, LIDAR), procedural corridor and gap environments, a harmonic
 potential field path planner, a shaped tracking reward with goal-hold
 accounting, an automatic tolerance curriculum, and a from-scratch PPO
 trainer over a discretized acceleration policy.
+
+Matrix products may round differently on more BLAS threads, and a fixed
+seed reproduces training bit for bit only for a fixed thread count. Before
+numpy is first imported, OpenBLAS and OpenMP default to one thread; a count
+set in the environment is kept.
 """
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from .adr import AdrConfig, AdrState, current_tolerance, fresh_state, record_episode
 from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, default_config, load_config, save_config
 from .envs import (

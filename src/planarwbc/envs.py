@@ -469,7 +469,10 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     episode.step_count += 1
 
     frames = forward_kinematics(episode.robot, new_state)
-    collided, body_clearance = body_query(episode.robot, frames, episode.world)
+    # The body clearance is read only under baseline, and only below the
+    # safety distance: at or above it the safety-margin shortfall is 0.0.
+    cutoff = episode.params.safety_distance if cfg.variant == "baseline" else 0.0
+    collided, body_clearance = body_query(episode.robot, frames, episode.world, cutoff)
     ee_x, ee_y, _ = frames[-1]
     d_goal = float(np.hypot(ee_x - episode.goal_pose[0], ee_y - episode.goal_pose[1]))
 

@@ -14,6 +14,7 @@ the master changes; the logits and values leave the network as float64.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -477,32 +478,20 @@ class CheckpointError(ValueError):
     """A checkpoint file that cannot be read, or does not fit what reads it."""
 
 
-def write_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays,
-                     meta: bytes | None = None) -> None:
-    """Replace the file at path with a checkpoint in fmt; a crash leaves the
-    old or the new file.
+@contextlib.contextmanager
+def replacing(path, mode: str = "wb"):
+    """Open a temporary file beside path for writing; when the block ends
+    cleanly, flush it to disk and rename it over path. A crash or an error
+    in the block leaves the old file, a clean end the new one.
 
-    The framing goes piece by piece into a temporary file in the same
-    directory, each float64 array as a view of its own buffer, and the same
-    pieces feed the closing SHA-256, so nothing is copied whole. The file is
-    flushed to disk and renamed over path; the directory is then flushed so
-    the rename itself survives a power loss.
+    The directory is flushed after the rename so that the rename itself
+    survives a power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    pieces = [fmt.magic, struct.pack("<I", fmt.version), digest,
-              struct.pack("<Q", np.asarray(arrays[0]).size)]
-    pieces += [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
-    if fmt.meta:
-        pieces += [struct.pack("<Q", len(meta)), meta]
-    payload = hashlib.sha256()
     try:
-        with open(tmp, "wb") as fh:
-            for piece in pieces:
-                view = memoryview(piece).cast("B")
-                fh.write(view)
-                payload.update(view)
-            fh.write(payload.digest())
+        with open(tmp, mode) as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -514,6 +503,29 @@ def write_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays,
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def write_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays,
+                     meta: bytes | None = None) -> None:
+    """Replace the file at path with a checkpoint in fmt; a crash leaves the
+    old or the new file (see replacing).
+
+    The framing goes piece by piece into the temporary file, each float64
+    array as a view of its own buffer, and the same pieces feed the closing
+    SHA-256, so nothing is copied whole.
+    """
+    pieces = [fmt.magic, struct.pack("<I", fmt.version), digest,
+              struct.pack("<Q", np.asarray(arrays[0]).size)]
+    pieces += [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    if fmt.meta:
+        pieces += [struct.pack("<Q", len(meta)), meta]
+    payload = hashlib.sha256()
+    with replacing(path) as fh:
+        for piece in pieces:
+            view = memoryview(piece).cast("B")
+            fh.write(view)
+            payload.update(view)
+        fh.write(payload.digest())
 
 
 def read_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays) -> bytes | None:

@@ -26,6 +26,7 @@ from .policy import (
     log_softmax_np,
     param_count,
     read_checkpoint,
+    replacing,
     sample_action,
     save_params,
     write_checkpoint,
@@ -514,7 +515,8 @@ def _cut_logs(out_dir: Path, global_step: int, update_count: int) -> None:
 
     A fresh run cuts to (0, 0). A resumed run cuts to its checkpoint: later
     rows, and a line cut short by a crash, come from work the checkpoint does
-    not hold and the run is about to redo.
+    not hold and the run is about to redo. Each log is rewritten through a
+    temporary file and a rename, so a crash mid-cut loses no row.
     """
     def by_step(line):
         return int(line.split(",", 1)[0]) <= global_step
@@ -527,7 +529,8 @@ def _cut_logs(out_dir: Path, global_step: int, update_count: int) -> None:
         path = out_dir / name
         rows = path.read_text().splitlines(keepends=True) if path.exists() else []
         rows = rows[1:] if header else rows
-        path.write_text(header + "".join(r for r in rows if r.endswith("\n") and keep(r)))
+        with replacing(path, "w") as fh:
+            fh.write(header + "".join(r for r in rows if r.endswith("\n") and keep(r)))
 
 
 def train_loop(run, out_dir, resume: str | None = None) -> dict:

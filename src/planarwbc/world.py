@@ -7,6 +7,10 @@ sensors together. Both batches are obstacle-major: the world keeps its
 obstacles as static coordinate planes built at construction, a step writes
 only the body's spines or its rays beside them, and every minimum over
 obstacles reduces the leading axis (see geometry).
+
+body_query puts a broad phase on Python floats in front of that batch: a
+pose whose capsules are all clear of each other and further than the
+caller's cutoff from every obstacle's bounding box skips the distance call.
 """
 from __future__ import annotations
 
@@ -56,12 +60,16 @@ class WorldGeometry:
     segment_starts: np.ndarray = field(init=False, repr=False, compare=False)
     segment_edges: np.ndarray = field(init=False, repr=False, compare=False)
     slabs: np.ndarray = field(init=False, repr=False, compare=False)
+    # The broad phase's (N, 4) bounding boxes [xmin, ymin, xmax, ymax] of
+    # the wall segments, then the boxes.
+    obstacle_bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segments = np.array(self.segments, dtype=float).reshape(-1, 4)
         boxes = np.array(self.boxes, dtype=float).reshape(-1, 4)
         outlines = np.concatenate([segments, box_edges(boxes).reshape(-1, 4)])
         starts, edges = segment_columns(segments)
+        obstacles = np.concatenate([segments, boxes])
         derived = {
             "segments": segments,
             "boxes": boxes,
@@ -69,6 +77,8 @@ class WorldGeometry:
             "segment_starts": starts,
             "segment_edges": edges,
             "slabs": box_slabs(boxes),
+            "obstacle_bounds": np.hstack([np.minimum(obstacles[:, :2], obstacles[:, 2:]),
+                                          np.maximum(obstacles[:, :2], obstacles[:, 2:])]),
         }
         for name, array in derived.items():
             object.__setattr__(self, name, _read_only(array))
@@ -112,14 +122,85 @@ def _body_spines(config: RobotConfig, frames: np.ndarray) -> np.ndarray:
     return frames[:, :2][_spine_ends(config.num_joints)].reshape(-1, 4)
 
 
-def body_query(config: RobotConfig, frames: np.ndarray,
-               world: WorldGeometry) -> tuple[bool, float]:
+# How far the broad phase's bounds stay above the exact pass's distances:
+# Python floats may round differently from the numpy kernels.
+BROAD_PHASE_SLACK = 1e-9
+
+
+def _boxes_apart(a, b, reach: float) -> bool:
+    """True when boxes a and b (xmin, ymin, xmax, ymax) are more than reach apart."""
+    dx = max(b[0] - a[2], a[0] - b[2])
+    dy = max(b[1] - a[3], a[1] - b[3])
+    return dx > reach or dy > reach or (dx > 0.0 and dy > 0.0 and dx * dx + dy * dy > reach * reach)
+
+
+def _point_segment_distance(px: float, py: float, x0: float, y0: float, x1: float,
+                            y1: float) -> float:
+    """Distance from point (px, py) to segment (x0, y0)-(x1, y1)."""
+    dx, dy = x1 - x0, y1 - y0
+    den = dx * dx + dy * dy
+    t = 0.0 if den == 0.0 else min(1.0, max(0.0, ((px - x0) * dx + (py - y0) * dy) / den))
+    return math.hypot(px - x0 - t * dx, py - y0 - t * dy)
+
+
+def _broad_phase_clear(config: RobotConfig, frames: np.ndarray, world: WorldGeometry,
+                       cutoff: float) -> bool:
+    """True when no self pair of the body can touch and every capsule is more
+    than cutoff from every obstacle's bounding box; False leaves the verdict
+    to the exact pass.
+
+    Runs on Python floats. Each self pair is first tested by its bounding
+    boxes, then the base disk against a link by their exact distance and two
+    links by their midpoint circles. An obstacle is first tested against the
+    whole body's box, then capsule by capsule. Every bound keeps
+    BROAD_PHASE_SLACK.
+    """
+    xs, ys, _ = frames.T.tolist()
+    cx, cy = xs[0], ys[0]
+    base_r, link_r = config.base_radius, config.link_capsule_radius
+    spines = list(zip(xs[1:-1], ys[1:-1], xs[2:], ys[2:]))
+    boxes = [(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)) for x0, y0, x1, y1 in spines]
+    base_box = (cx, cy, cx, cy)
+
+    # The base disk against the links from the second outward (the first
+    # starts at the mount inside it), then links two or more apart.
+    touch = base_r + link_r + BROAD_PHASE_SLACK
+    for spine, box in zip(spines[1:], boxes[1:]):
+        if not (_boxes_apart(base_box, box, touch)
+                or _point_segment_distance(cx, cy, *spine) > touch):
+            return False
+    touch = 2.0 * link_r + BROAD_PHASE_SLACK
+    mids = [((x0 + x1) / 2.0, (y0 + y1) / 2.0) for x0, y0, x1, y1 in spines]
+    halves = [length / 2.0 for length in config.link_lengths]
+    for a in range(len(spines)):
+        for b in range(a + 2, len(spines)):
+            if not (_boxes_apart(boxes[a], boxes[b], touch)
+                    or math.dist(mids[a], mids[b]) - halves[a] - halves[b] > touch):
+                return False
+
+    # The body's box, grown by the largest reach, sets apart every obstacle
+    # beyond it on some axis; capsule boxes decide the rest.
+    reach = max(base_r, link_r) + cutoff + BROAD_PHASE_SLACK
+    x0, y0, x1, y1 = min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach
+    near = [obstacle for obstacle in world.obstacle_bounds.tolist()
+            if obstacle[0] <= x1 and x0 <= obstacle[2] and obstacle[1] <= y1 and y0 <= obstacle[3]]
+    capsules = [(base_box, base_r + cutoff + BROAD_PHASE_SLACK)]
+    capsules += [(box, link_r + cutoff + BROAD_PHASE_SLACK) for box in boxes]
+    return all(_boxes_apart(box, obstacle, r) for obstacle in near for box, r in capsules)
+
+
+def body_query(config: RobotConfig, frames: np.ndarray, world: WorldGeometry,
+               cutoff: float = math.inf) -> tuple[bool, float]:
     """(collided, clearance) of the body at the pose whose forward-kinematics
     frames are given, from one batch of distances.
 
     collided is True iff the body intersects the world or itself; clearance
     is the minimum surface-to-obstacle distance, negative when the body
-    penetrates an obstacle.
+    penetrates an obstacle. cutoff is the clearance the caller reads: when
+    the broad phase (_broad_phase_clear) shows the body clear of itself and
+    more than cutoff from every obstacle, the result is (False, inf) and the
+    batch is not run. So collided is always exact, and the clearance is
+    exact whenever it is below cutoff and at least cutoff otherwise.
 
     The body is the base disk plus one capsule per link. Every capsule is
     checked against walls and boxes, and capsule pairs at least two apart in
@@ -130,6 +211,8 @@ def body_query(config: RobotConfig, frames: np.ndarray,
     and every spine, obstacle-major; a spine with an end inside a box is 0
     from the world.
     """
+    if _broad_phase_clear(config, frames, world, cutoff):
+        return False, math.inf
     spines = _body_spines(config, frames)
     n, m = len(spines), world.outline_planes.shape[1]
     radii, self_radii = _capsule_radii(config.base_radius, config.link_capsule_radius, n)
@@ -158,7 +241,7 @@ def body_obstacle_clearance(
 
 def collision_check(config: RobotConfig, state: RobotState, world: WorldGeometry) -> bool:
     """True iff the robot intersects the world or itself (see body_query)."""
-    return body_query(config, forward_kinematics(config, state), world)[0]
+    return body_query(config, forward_kinematics(config, state), world, cutoff=0.0)[0]
 
 
 SENSORS = ("front", "rear")

@@ -9,6 +9,7 @@ spawn-connected flood fill over base placements for gap unreachability.
 import collections
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -18,6 +19,7 @@ import pytest
 
 from oracles import oracle_clearances, passage_width_along_path
 from planarwbc import envs as envs_mod
+from planarwbc import world as world_mod
 from planarwbc.envs import (
     GRID_CELL,
     EnvSpec,
@@ -296,6 +298,54 @@ def test_baseline_step_builds_one_observation(monkeypatch):
         outcome = env_step(episode, base_only_action(0.5))
         assert casts == [("front", "rear")]
         assert np.array_equal(outcome.observation, episode.observation())
+
+
+@pytest.fixture(scope="module")
+def broad_phase_scenes():
+    """Two corridor and two gap_train scenes for whole-episode comparisons."""
+    return [generate_scene(spec, ROBOT, np.random.default_rng(seed), GRID_CELL)
+            for spec in (EnvSpec(kind="corridor"), EnvSpec.gap_train()) for seed in (3, 4)]
+
+
+@pytest.mark.parametrize("variant", ["clamping", "baseline"])
+def test_broad_phase_leaves_every_step_outcome_unchanged(broad_phase_scenes, variant,
+                                                         monkeypatch):
+    # Whole episodes under random actions that swing the arm and either push
+    # the base forward into walls and boxes or let it wander: every outcome
+    # (reward, observation bytes, termination, info) must be the one the
+    # exact pass alone gives.
+    config = EpisodeConfig(variant=variant, time_limit=6.0)
+    broad_phase = world_mod._broad_phase_clear
+    verdicts = []
+
+    def spy(*args):
+        verdicts.append(broad_phase(*args))
+        return verdicts[-1]
+
+    def outcomes():
+        rows = []
+        for k, (scene, push) in enumerate(itertools.product(broad_phase_scenes, (0.0, -1.0))):
+            episode = make_episode(ROBOT, PARAMS, config, scene)
+            rng = np.random.default_rng(k)
+            while episode.terminated is None:
+                action = Action(base_acc=rng.uniform((push, -1.0, -2.0), (1.0, 1.0, 2.0)),
+                                joint_acc=rng.uniform(-2.0, 2.0, ROBOT.num_joints))
+                rows.append(env_step(episode, action))
+        return rows
+
+    def as_bytes(out):
+        # repr tells -0.0 from 0.0.
+        return out.observation.tobytes(), repr(out.reward), out.terminated, repr(out.info)
+
+    monkeypatch.setattr(world_mod, "_broad_phase_clear", spy)
+    fast = outcomes()
+    monkeypatch.setattr(world_mod, "_broad_phase_clear", lambda *args: False)
+    assert [as_bytes(out) for out in outcomes()] == [as_bytes(out) for out in fast]
+    assert 0 < sum(verdicts) < len(verdicts) == len(fast)
+    assert "collision" in [out.terminated for out in fast]
+    if variant == "baseline":
+        margins = [out.info["reward_terms"]["safety_margin"] for out in fast]
+        assert 0 < sum(m < 0.0 for m in margins) < len(margins)
 
 
 # ---------------------------------------------------------------------------

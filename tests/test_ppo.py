@@ -6,9 +6,12 @@ network; resume against an uninterrupted run of the same seed (the parameter
 trajectories must be bit-identical).
 """
 
+import hashlib
 import math
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -27,7 +30,7 @@ from oracles import (
     unpack_checkpoint,
 )
 from planarwbc import policy as policy_mod
-from planarwbc.config import default_config
+from planarwbc.config import default_config, save_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, GenerationError
 from planarwbc.policy import (
     CheckpointError,
@@ -56,6 +59,7 @@ from planarwbc.ppo import (
     save_train_checkpoint,
     ppo_update,
     train_loop,
+    _cut_logs,
     _run_hash,
 )
 
@@ -760,6 +764,42 @@ def test_two_iteration_checkpoints_keep_their_digests(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == TWO_ITERATION_SHA256
+
+
+def test_cli_train_pins_blas_threads_itself(tmp_path):
+    # `planarwbc train` started without the thread variables sets one BLAS
+    # thread before numpy loads, so it writes the pinned checkpoint on any
+    # core count.
+    config = tmp_path / "run.json"
+    save_config(smoke_run(total_steps=96), config)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = tmp_path / "run"
+    done = subprocess.run([sys.executable, "-m", "planarwbc.cli", "train", "--config", str(config),
+                           "--out", str(out)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    digest = hashlib.sha256((out / "train_state.ckpt").read_bytes()).hexdigest()
+    assert digest == TWO_ITERATION_SHA256[0]
+
+
+def test_cut_logs_keep_the_old_log_when_a_rewrite_fails(tmp_path):
+    # A cut whose write fails part way (here at a 16-byte file-size limit,
+    # as on a full disk) leaves every log as it was and no temporary file.
+    out = tmp_path / "run"
+    train_loop(smoke_run(total_steps=96), out)
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16, hard))
+    try:
+        with pytest.raises(OSError):
+            _cut_logs(out, 48, 1)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_ppo_update_requires_gae():

@@ -3,8 +3,10 @@
 forward_kinematics, build_observation, cast_lidars, the ray kernels,
 body_query, step_dynamics and project_on_path run, on every element, the
 operations of the formulas in oracles that lay one frame, field, ray, pair or
-call out per row; only the layout differs, so every output byte must match. The corpus: 30 generated scenes per env kind, each with its
-spawn state, the headings 0, +-pi/2, +-pi and -0.0 at random points, base
+call out per row; only the layout differs, so every output byte must match.
+body_query with a cutoff is held to the same formula wherever the clearance
+is below the cutoff. The corpus: 30 generated scenes per env kind, each with
+its spawn state, the headings 0, +-pi/2, +-pi and -0.0 at random points, base
 centres (the default LIDAR origin) inside and on the corners of boxes, and
 random poses with joints past their limits.
 """
@@ -17,6 +19,7 @@ import oracles
 from planarwbc.envs import GRID_CELL, EnvSpec, build_observation, generate_scene, observation_layout
 from planarwbc.geometry import rays_boxes_hits, rays_segments_hits
 from planarwbc.pathfield import project_on_path
+from planarwbc.reward import RewardParams
 from planarwbc.robot import (
     Action,
     LidarConfig,
@@ -25,7 +28,7 @@ from planarwbc.robot import (
     forward_kinematics,
     step_dynamics,
 )
-from planarwbc.world import body_query, cast_lidars
+from planarwbc.world import WorldGeometry, body_query, cast_lidars
 
 ROBOT = RobotConfig()
 # The offset sensors of test_two_sensor_cast_equals_single_sensor_casts: an
@@ -166,6 +169,111 @@ def test_body_query_is_bitwise_the_row_formula(corpus):
             assert same_bytes(np.float64(clearance), np.float64(ref_clearance))
             verdicts.append(collided)
     assert 0.2 < np.mean(verdicts) < 0.9
+
+
+# The clearances body_query's callers read: collision only, the baseline's
+# safety distance, and the whole clearance.
+CUTOFFS = (0.0, RewardParams().safety_distance, math.inf)
+# Distances from a contact or from a cutoff's edge, inside and outside.
+EDGE_OFFSETS = (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 2e-9, 1e-6)
+
+
+def posed(base_pose, joints) -> RobotState:
+    return RobotState(np.array(base_pose, dtype=float), np.zeros(3),
+                      np.array(joints, dtype=float), np.zeros(3))
+
+
+def verdict_edge(world, state_at, lo: float, hi: float) -> list[RobotState]:
+    """The two states straddling the parameter where the oracle's collision
+    verdict of state_at(t) flips between lo and hi, bisected to within an ulp."""
+    def collided(t):
+        return oracles.body_query_rows(ROBOT, forward_kinematics(ROBOT, state_at(t)), world)[0]
+
+    lo_verdict = collided(lo)
+    assert collided(hi) != lo_verdict
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if collided(mid) == lo_verdict else (lo, mid)
+    return [state_at(lo), state_at(hi)]
+
+
+def contact_states(spec, world, spawn, rng) -> list[RobotState]:
+    """Poses at the edges the broad phase must not cross.
+
+    The base disk at every cutoff's distance from the left wall (arm pointing
+    away); folded arms at the edge of self-contact, with the base disk and
+    between two links; in gap scenes, the straight arm's tip at every
+    cutoff's distance from the slot wall and the arm inside the slot, swept
+    across it and bisected onto its sides.
+    """
+    _, ymin, _, ymax = world.bounds
+    mid_y = 0.5 * (ymin + ymax)
+    states = []
+    for cutoff in CUTOFFS[:2]:
+        for offset in EDGE_OFFSETS:
+            states.append(posed((ROBOT.base_radius + cutoff + offset, mid_y, 0.0), (0.0,) * 3))
+    # Self-contact: the verdict flips on the segment between a colliding and
+    # a clear fold.
+    folds = rng.uniform(-2.3, 2.3, (16, 3))
+    verdicts = [oracles.body_query_rows(ROBOT, forward_kinematics(ROBOT, posed(spawn.base_pose, q)),
+                                        world)[0] for q in folds]
+    a, b = folds[np.argmax(verdicts)], folds[np.argmin(verdicts)]
+    states += verdict_edge(world, lambda t: posed(spawn.base_pose, a + t * (b - a)), 0.0, 1.0)
+    # The third link folded back onto the first, clear of the base disk.
+    states += verdict_edge(world, lambda t: posed(spawn.base_pose, (0.0, 2.1, t)), 2.9, 3.6)
+    if spec.kind != "corridor":
+        wall_x0 = world.boxes[0, 0]
+        slot_lo, slot_hi = world.boxes[0, 3], world.boxes[1, 1]
+        slot_y = 0.5 * (slot_lo + slot_hi)
+        reach = ROBOT.arm_mount_offset[0] + sum(ROBOT.link_lengths)
+        for cutoff in CUTOFFS[:2]:
+            for offset in EDGE_OFFSETS:
+                x = wall_x0 - reach - ROBOT.link_capsule_radius - cutoff - offset
+                states.append(posed((x, slot_lo - 0.5, 0.0), (0.0,) * 3))
+        inserted = wall_x0 - ROBOT.base_radius - 0.01
+        for y in np.linspace(slot_lo, slot_hi, 7):
+            for heading in (-0.1, 0.0, 0.1):
+                states.append(posed((inserted, y, heading), (0.0,) * 3))
+        states += verdict_edge(world, lambda t: posed((inserted, t, 0.05), (0.0,) * 3),
+                               slot_lo, slot_y)
+    return states
+
+
+def test_body_query_cutoff_keeps_the_verdict_and_every_clearance_below_it(corpus):
+    # Against the oracle's full pass: the verdict always, the clearance byte
+    # for byte below the cutoff and at least the cutoff otherwise, on the
+    # corpus and on poses at contact, self-contact and each cutoff's edge.
+    rng = np.random.default_rng(99)
+    empty = WorldGeometry(bounds=(-5.0, -5.0, 5.0, 5.0))
+    skipped = dict.fromkeys(CUTOFFS, 0)
+    exact = dict.fromkeys(CUTOFFS, 0)
+    cases = 0
+    for k, (spec, world, spawn, _, states) in enumerate(corpus):
+        spaces = [(world, states)]
+        if k % 3 == 0:
+            spaces += [(world, contact_states(spec, world, spawn, rng)),
+                       (empty, contact_states(EnvSpec(), empty, spawn, rng))]
+        for space, poses in spaces:
+            for state in poses:
+                frames = forward_kinematics(ROBOT, state)
+                ref_collided, ref_clearance = oracles.body_query_rows(ROBOT, frames, space)
+                cases += 1
+                for cutoff in CUTOFFS:
+                    collided, clearance = body_query(ROBOT, frames, space, cutoff)
+                    assert collided == ref_collided
+                    if ref_clearance < cutoff:
+                        assert same_bytes(np.float64(clearance), np.float64(ref_clearance))
+                    else:
+                        assert clearance >= cutoff
+                    if clearance == math.inf != ref_clearance:
+                        skipped[cutoff] += 1
+                    else:
+                        exact[cutoff] += 1
+    assert skipped[math.inf] == 0
+    for cutoff in CUTOFFS[:2]:
+        assert skipped[cutoff] > 0.05 * cases and exact[cutoff] > 0.05 * cases
 
 
 @pytest.mark.parametrize("clamping", [True, False], ids=["clamping", "baseline"])
