@@ -4,11 +4,12 @@ Every Tensor wraps a float32 or float64 ndarray (other inputs become
 float64) and remembers how it was produced; a single backward() call on a
 scalar result walks the recorded tape once in reverse topological order and
 accumulates exact gradients into every reachable input. The op set is
-exactly what the policy network and the PPO loss need; all arithmetic is
-plain numpy with its type promotion, so results are deterministic for a
-fixed input stream. A float32 network feeds a float64 loss through
-`columns`, which copies into the wider dtype; `dense` computes its gradient
-products in its own dtype.
+what the tests' reference needs: the policy network and the PPO loss as
+tests/oracles.py composes them, against which the policy's own explicit
+backward is checked. All arithmetic is plain numpy with its type
+promotion, so results are deterministic for a fixed input stream. A
+float32 network feeds a float64 loss through `columns`, which copies into
+the wider dtype; `dense` computes its gradient products in its own dtype.
 
 Two rules keep the tape lean:
 

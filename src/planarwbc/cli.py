@@ -23,7 +23,12 @@ from .pathfield import field_to_pgm
 from .policy import CheckpointError
 from .ppo import train_loop
 from .render import render_scene
+from .reward import TOLERANCE_RANGE
 from .robot import forward_kinematics
+
+
+class TraceError(ValueError):
+    """A trace file that cannot be read or parsed."""
 
 
 def _int_at_least(minimum: int):
@@ -39,6 +44,18 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a goal tolerance within reward.TOLERANCE_RANGE."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    lo, hi = TOLERANCE_RANGE
+    if not lo <= value <= hi:  # NaN too
+        raise argparse.ArgumentTypeError(f"must be in [{lo}, {hi}], got {text}")
+    return value
 
 
 def _add_common(sub: argparse.ArgumentParser, seed: int | None = 0) -> None:
@@ -123,18 +140,34 @@ def _cmd_hpf_dump(args) -> int:
 
 
 def _read_trace(path, episode_index: int):
+    """The records of one episode in a JSONL trace from `eval --trace`.
+
+    Raises TraceError, naming path, for a file that cannot be read as text
+    and for a line that is not JSON.
+    """
     records = []
-    with open(path) as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if rec["episode"] == episode_index:
-                records.append(rec)
+    try:
+        with open(path) as fh:
+            for number, line in enumerate(fh, 1):
+                rec = json.loads(line)
+                if rec["episode"] == episode_index:
+                    records.append(rec)
+    except json.JSONDecodeError as exc:
+        raise TraceError(f"{path}: line {number} is not JSON: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise TraceError(f"{path}: cannot read trace: {reason}") from None
     return records
 
 
 def _cmd_render(args) -> int:
     run = _load_run(args)
     if args.trace is not None:
+        records = _read_trace(args.trace, args.episode)
+        if not records:
+            print(f"no records for episode {args.episode} in {args.trace}",
+                  file=sys.stderr)
+            return 1
         # Match the per-episode seed derivation of `eval` so the regenerated
         # scene is the one the traced episode ran in.
         seq = np.random.SeedSequence(args.seed).spawn(args.episode + 1)[args.episode]
@@ -145,11 +178,6 @@ def _cmd_render(args) -> int:
     state = episode.state
     ee_trace = None
     if args.trace is not None:
-        records = _read_trace(args.trace, args.episode)
-        if not records:
-            print(f"no records for episode {args.episode} in {args.trace}",
-                  file=sys.stderr)
-            return 1
         trace = []
         for rec in records:
             st = state.copy()
@@ -188,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--checkpoint", type=Path, required=True)
     p.add_argument("--episodes", type=_int_at_least(1), default=100)
-    p.add_argument("--tolerance", type=float, default=None,
+    p.add_argument("--tolerance", type=_tolerance, default=None,
                    help="fixed goal tolerance (default: episode config value)")
     p.add_argument("--sample", action="store_true",
                    help="sample actions instead of greedy argmax")
@@ -222,10 +250,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"configuration error:\n{exc}", file=sys.stderr)
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)
+        return 2
+    except TraceError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
         return 2
 
 

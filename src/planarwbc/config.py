@@ -8,6 +8,7 @@ validates every section, reporting violations with dotted field paths.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -82,7 +83,14 @@ def _coerce(template, value, path: str, errors: list[str]):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{path}: expected a number")
             return template
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):  # also JSON's NaN, Infinity and 1e400
+            errors.append(f"{path}: expected a finite number")
+            return template
+        return number
     if isinstance(template, str):
         if not isinstance(value, str):
             errors.append(f"{path}: expected a string")
@@ -140,7 +148,12 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError([f"{path}: cannot read config: {reason}"]) from None
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config parse error: {exc}"]) from exc
     if not isinstance(data, dict):

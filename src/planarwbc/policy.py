@@ -93,6 +93,8 @@ def layout(config: PolicyConfig) -> list[tuple[str, tuple[int, ...], int]]:
     h1, h2 = config.scan_hidden
     t1, t2 = config.trunk_hidden
     trunk_in = 2 * h2 + config.proprio_size
+    # One dense layer after another in the order the network runs them, each
+    # weight before its bias.
     entries: list[tuple[str, tuple[int, ...]]] = []
     for side in ("front", "rear"):
         entries += [
@@ -158,174 +160,70 @@ def init_params(config: PolicyConfig, rng: np.random.Generator) -> np.ndarray:
     return params
 
 
-# Dense layers in the order the network runs them: (layout prefix, suffix).
-LAYERS = (("scan_front", "0"), ("scan_front", "1"), ("scan_rear", "0"), ("scan_rear", "1"),
-          ("trunk", "0"), ("trunk", "1"), ("heads", ""))
+def _layers(config: PolicyConfig, flat: np.ndarray) -> tuple:
+    """(weight, bias) views of each dense layer of a flat array, in layout order."""
+    views = list(param_views(config, flat).values())
+    return tuple(zip(views[::2], views[1::2]))
 
 
-def layer_table(views) -> tuple:
-    """(weight, bias) of each dense layer in LAYERS order, from layout-named views."""
-    return tuple((views[f"{name}.w{suffix}"], views[f"{name}.b{suffix}"])
-                 for name, suffix in LAYERS)
-
-
-def _dense(x, layer, tanh):
+def _dense(h, layer, z, tanh: bool) -> None:
+    """z = h @ w + b into z, then tanh in place when tanh; layer is (w, b)."""
     w, b = layer
-    z = x @ w
+    np.matmul(h, w, out=z)
     z += b
-    return np.tanh(z, out=z) if tanh else z
+    if tanh:
+        np.tanh(z, out=z)
 
 
-def _leaf(a):
-    return a
+def _dense_backward(h, z, g, layer, grad_layer, tanh: bool, dh=None) -> None:
+    """The backward of _dense(h, layer, z, tanh) given g = dL/dz: adds dL/dw
+    and dL/db into grad_layer, and writes dL/dh into dh when one is given.
 
-
-def _columns(a, start, stop, dtype):
-    return a[:, start:stop].astype(dtype)
-
-
-def _network(cfg: PolicyConfig, layers, x, leaf, dense, concat, columns):
-    """The architecture, written once over an op set.
-
-    layers holds one entry per dense layer, in LAYERS order, that only
-    dense(h, layer, tanh) reads; x is the scaled (N, obs) batch in the
-    compute dtype, leaf wraps an input slice, and columns(out, start, stop,
-    dtype) is a copy of some output columns in dtype. numpy ops give the
-    fast forward and the policy's graph pass the differentiated one, with
-    the same arithmetic. Returns the float64 (N, dims, bins) logits and
-    (N,) values.
+    Each expression is autodiff.dense's, so the gradient is the tape's bit
+    for bit; g * (1 - z*z) is formed in z's buffer, which no later step reads.
     """
-    front0, front1, rear0, rear1, trunk0, trunk1, heads = layers
-    nb = cfg.scan_beams
-    scans = [dense(dense(leaf(x[:, lo : lo + nb]), first, True), second, True)
-             for first, second, lo in ((front0, front1, 0), (rear0, rear1, nb))]
-    h = dense(concat(scans + [leaf(x[:, 2 * nb :])], axis=1), trunk0, True)
-    out = dense(dense(h, trunk1, True), heads, False)
-    k = cfg.action_dims * cfg.bins
-    logits = columns(out, 0, k, np.float64).reshape(-1, cfg.action_dims, cfg.bins)
-    return logits, columns(out, k, k + 1, np.float64).reshape(-1)
+    gz = g
+    if tanh:
+        gz = np.multiply(z, z, out=z)
+        np.subtract(1.0, gz, out=gz)
+        np.multiply(g, gz, out=gz)
+    if dh is not None:
+        np.matmul(gz, layer[0].T, out=dh)
+    gw, gb = grad_layer
+    gw += h.T @ gz
+    gb += gz.sum(axis=0)
 
 
-class _GraphPass:
-    """The network pass that ppo_loss differentiates, over a reused workspace.
-
-    A Policy keeps one per minibatch size. Every op writes its output into
-    a buffer of the workspace, made on the first pass and reused by each
-    later one; the dense and concat ops are recorded in order, and
-    backward() walks the records in reverse into one flat float64 gradient.
-    Each backward step evaluates the expression that the reverse-mode tape
-    (autodiff.py) evaluates for the same op, and every array receives its
-    gradient in one piece, so the gradient is the tape's bit for bit.
+class _Workspace:
+    """The buffers of one network pass over n observations: each layer's
+    activation in the compute dtype, the logits and values in float64, and,
+    with gradients, what backward() writes: the gradients of the activations
+    a later backward step reads, and the flat float64 parameter gradient.
     """
 
-    def __init__(self, policy: "Policy", n: int):
+    def __init__(self, policy: "Policy", n: int, gradients: bool = False):
+        cfg, dtype = policy.config, policy.compute.dtype
+        (h1, h2), (t1, t2) = cfg.scan_hidden, cfg.trunk_hidden
         self.n = n
-        self.config = policy.config
-        self.layers = policy.layers
-        self.obs_scale = policy.obs_scale
-        self.x = np.empty((n, policy.config.observation_size), policy.compute.dtype)
-        self.outs: list[np.ndarray] = []  # output of the k-th recorded op
-        self.douts: list[np.ndarray | None] = []  # its gradient, made when first needed
-        self.copies: dict[tuple[int, int], np.ndarray] = {}  # float64 output columns
-        self.grad = np.empty(policy.params.shape)
-        self.grad_layers = layer_table(param_views(policy.config, self.grad))
-        # Of the latest pass: ("dense", input, layer index, tanh, input's op) or
-        # ("concat", inputs' ops, widths, axis) per op, and (op, start, stop)
-        # per columns copy; an input's op is None for a leaf.
-        self.records: list[tuple] = []
-        self.outputs: list[tuple[int, int, int]] = []
-        self.made: dict[int, int] = {}  # id of an op's output -> the op
-
-    def run(self, obs: np.ndarray):
-        self.records.clear()
-        self.outputs.clear()
-        self.made.clear()
-        np.multiply(obs, self.obs_scale, out=self.x)
-        return _network(self.config, range(len(self.layers)), self.x, _leaf, self.dense,
-                        self.concat, self.columns)
-
-    def _record(self, record: tuple, shape, dtype) -> np.ndarray:
-        k = len(self.records)
-        if k == len(self.outs):
-            self.outs.append(np.empty(shape, dtype))
-            self.douts.append(None)
-        self.records.append(record)
-        self.made[id(self.outs[k])] = k
-        return self.outs[k]
-
-    def dense(self, h, index, tanh):
-        w, b = self.layers[index]
-        z = self._record(("dense", h, index, tanh, self.made.get(id(h))),
-                         (self.n, w.shape[1]), w.dtype)
-        np.matmul(h, w, out=z)
-        z += b
-        if tanh:
-            np.tanh(z, out=z)
-        return z
-
-    def concat(self, parts, axis):
-        widths = [p.shape[axis] for p in parts]
-        shape = list(parts[0].shape)
-        shape[axis] = sum(widths)
-        out = self._record(("concat", [self.made.get(id(p)) for p in parts], widths, axis),
-                           tuple(shape), parts[0].dtype)
-        return np.concatenate(parts, axis=axis, out=out)
-
-    def columns(self, out, start, stop, dtype):
-        copy = self.copies.get((start, stop))
-        if copy is None:
-            copy = self.copies[start, stop] = np.empty((self.n, stop - start), dtype)
-        np.copyto(copy, out[:, start:stop])
-        self.outputs.append((self.made[id(out)], start, stop))
-        return copy
-
-    def _dout(self, k: int) -> np.ndarray:
-        if self.douts[k] is None:
-            self.douts[k] = np.empty_like(self.outs[k])
-        return self.douts[k]
-
-    def backward(self, d_outputs) -> np.ndarray:
-        if not self.records:
-            raise RuntimeError("backward() needs a graph_forward() since the last backward()")
-        douts: list[np.ndarray | None] = [None] * len(self.records)
-        # The tape adds the zero-padded gradients of the two column copies, so
-        # each column holds 0 + its gradient (and -0.0 becomes 0.0).
-        for (k, start, stop), d in zip(self.outputs, d_outputs, strict=True):
-            if douts[k] is None:
-                douts[k] = self._dout(k)
-                douts[k].fill(0.0)
-            view = douts[k][:, start:stop]
-            np.add(view, d.reshape(view.shape), out=view)
-        grad = self.grad
-        grad.fill(0.0)
-        for k in range(len(self.records) - 1, -1, -1):
-            record, g = self.records[k], douts[k]
-            if record[0] == "concat":
-                _, sources, widths, axis = record
-                for q, piece in zip(sources, np.split(g, np.cumsum(widths)[:-1], axis=axis)):
-                    if q is not None:
-                        douts[q] = piece
-                continue
-            _, h, index, tanh, q = record
-            w = self.layers[index][0]
-            gw, gb = self.grad_layers[index]
-            gz = g
-            if tanh:
-                # g * (1 - z*z), formed in z's buffer: no later step reads z.
-                gz = np.multiply(self.outs[k], self.outs[k], out=self.outs[k])
-                np.subtract(1.0, gz, out=gz)
-                np.multiply(g, gz, out=gz)
-            if q is not None:
-                douts[q] = np.matmul(gz, w.T, out=self._dout(q))
-            gw += h.T @ gz
-            gb += gz.sum(axis=0)
-        self.records.clear()
-        return grad
+        self.x = np.empty((n, cfg.observation_size), dtype)
+        self.front0, self.rear0 = np.empty((n, h1), dtype), np.empty((n, h1), dtype)
+        self.front1, self.rear1 = np.empty((n, h2), dtype), np.empty((n, h2), dtype)
+        self.cat = np.empty((n, 2 * h2 + cfg.proprio_size), dtype)
+        self.trunk0, self.trunk1 = np.empty((n, t1), dtype), np.empty((n, t2), dtype)
+        self.heads = np.empty((n, cfg.action_dims * cfg.bins + 1), dtype)
+        self.logits = np.empty((n, cfg.action_dims, cfg.bins))
+        self.values = np.empty(n)
+        if gradients:
+            self.dheads, self.dtrunk1, self.dtrunk0, self.dcat, self.dfront0, self.drear0 = (
+                np.empty_like(a) for a in
+                (self.heads, self.trunk1, self.trunk0, self.cat, self.front0, self.rear0))
+            self.grad = np.empty(policy.params.shape)
+            self.grad_layers = _layers(cfg, self.grad)
 
 
 class Policy:
-    """Flat float64 master parameters bound to a config, with a fast forward
-    and a differentiated graph pass.
+    """Flat float64 master parameters bound to a config, with the network's
+    forward and its backward.
 
     The policy owns `params`, a copy of the array it was built from. Both
     passes read `compute`, a COMPUTE_DTYPE copy of `params`, through
@@ -341,11 +239,11 @@ class Policy:
         self.params = np.array(params, dtype=np.float64)
         self.views = param_views(config, self.params)
         self.compute = np.empty(self.params.shape, COMPUTE_DTYPE)
-        self.compute_views = param_views(config, self.compute)
-        self.layers = layer_table(self.compute_views)
+        self.layers = _layers(config, self.compute)
         # Multiplying by 1.0 is exact, so a config without a scale needs no branch.
         self.obs_scale = np.asarray(config.obs_scale or 1.0)
-        self._graph: _GraphPass | None = None
+        self._graph: _Workspace | None = None  # reused by graph_forward() of its size
+        self._pending: _Workspace | None = None  # a graph_forward() backward() has not read
         self.refresh()
 
     def refresh(self, block: slice = slice(None)) -> None:
@@ -353,40 +251,82 @@ class Policy:
         copy the forwards read."""
         self.compute[block] = self.params[block]
 
+    def _forward(self, ws: _Workspace, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The network on obs (N, obs) through ws: its logits (N, dims, bins)
+        and values (N,)."""
+        front0, front1, rear0, rear1, trunk0, trunk1, heads = self.layers
+        nb = self.config.scan_beams
+        x = np.multiply(obs, self.obs_scale, out=ws.x)
+        _dense(x[:, :nb], front0, ws.front0, True)
+        _dense(ws.front0, front1, ws.front1, True)
+        _dense(x[:, nb : 2 * nb], rear0, ws.rear0, True)
+        _dense(ws.rear0, rear1, ws.rear1, True)
+        np.concatenate((ws.front1, ws.rear1, x[:, 2 * nb :]), axis=1, out=ws.cat)
+        _dense(ws.cat, trunk0, ws.trunk0, True)
+        _dense(ws.trunk0, trunk1, ws.trunk1, True)
+        _dense(ws.trunk1, heads, ws.heads, False)
+        k = ws.heads.shape[1] - 1
+        np.copyto(ws.logits.reshape(ws.n, k), ws.heads[:, :k])
+        np.copyto(ws.values, ws.heads[:, k])
+        return ws.logits, ws.values
+
     def forward_batch(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(N, obs) -> logits (N, dims, bins) and values (N,)."""
+        """(N, obs) -> logits (N, dims, bins) and values (N,), both the caller's."""
         cfg = self.config
         if obs.ndim != 2 or obs.shape[1] != cfg.observation_size:
             raise ValueError(
                 f"expected observations of shape (N, {cfg.observation_size}), got {obs.shape}"
             )
-        x = (obs * self.obs_scale).astype(self.compute.dtype)
-        return _network(cfg, self.layers, x, _leaf, _dense, np.concatenate, _columns)
+        return self._forward(_Workspace(self, len(obs)), obs)
 
     def forward(self, obs: np.ndarray) -> PolicyOutput:
         logits, values = self.forward_batch(obs.reshape(1, -1))
         return PolicyOutput(logits=logits[0], value=float(values[0]))
 
     def graph_forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """forward_batch into the workspace for len(obs), recorded for backward().
+        """forward_batch into the workspace for len(obs), kept for backward().
 
         The returned logits (N, dims, bins) and values (N,) equal
         forward_batch's bit for bit; they live in the workspace until the
         next graph_forward of the same batch size.
         """
         if self._graph is None or self._graph.n != len(obs):
-            self._graph = _GraphPass(self, len(obs))
-        return self._graph.run(obs)
+            self._graph = _Workspace(self, len(obs), gradients=True)
+        out = self._forward(self._graph, obs)
+        self._pending = self._graph
+        return out
 
     def backward(self, d_logits: np.ndarray, d_values: np.ndarray) -> np.ndarray:
         """Flat float64 gradient, in layout order, of a loss whose gradient with
         respect to the latest graph_forward's logits and values is given.
 
-        The array is the workspace's: the next backward() overwrites it.
+        The walk mirrors _forward layer by layer. The array is the
+        workspace's: the next backward() overwrites it.
         """
-        if self._graph is None:
-            raise RuntimeError("backward() needs a graph_forward() first")
-        return self._graph.backward((d_logits, d_values))
+        ws, self._pending = self._pending, None
+        if ws is None:
+            raise RuntimeError("backward() needs a graph_forward() since the last backward()")
+        front0, front1, rear0, rear1, trunk0, trunk1, heads = self.layers
+        g_front0, g_front1, g_rear0, g_rear1, g_trunk0, g_trunk1, g_heads = ws.grad_layers
+        nb, h2 = self.config.scan_beams, self.config.scan_hidden[1]
+        k = ws.heads.shape[1] - 1
+        # The tape adds the zero-padded gradients of the two float64 output
+        # copies, so each column holds 0 + its gradient (and -0.0 becomes 0.0).
+        ws.dheads.fill(0.0)
+        for view, d in ((ws.dheads[:, :k], d_logits), (ws.dheads[:, k:], d_values)):
+            np.add(view, d.reshape(view.shape), out=view)
+        ws.grad.fill(0.0)
+        _dense_backward(ws.trunk1, ws.heads, ws.dheads, heads, g_heads, False, ws.dtrunk1)
+        _dense_backward(ws.trunk0, ws.trunk1, ws.dtrunk1, trunk1, g_trunk1, True, ws.dtrunk0)
+        _dense_backward(ws.cat, ws.trunk0, ws.dtrunk0, trunk0, g_trunk0, True, ws.dcat)
+        # The scans' gradients are views of the concat's; its proprioceptive
+        # columns reach no parameter, nor do the input scans.
+        dfront1, drear1 = ws.dcat[:, :h2], ws.dcat[:, h2 : 2 * h2]
+        _dense_backward(ws.rear0, ws.rear1, drear1, rear1, g_rear1, True, ws.drear0)
+        _dense_backward(ws.x[:, nb : 2 * nb], ws.rear0, ws.drear0, rear0, g_rear0, True)
+        _dense_backward(ws.front0, ws.front1, dfront1, front1, g_front1, True, ws.dfront0)
+        _dense_backward(ws.x[:, :nb], ws.front0, ws.dfront0, front0, g_front0, True)
+        return ws.grad
 
 
 # -- action distribution helpers ---------------------------------------------

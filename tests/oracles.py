@@ -12,8 +12,8 @@ import numpy as np
 
 from planarwbc import autodiff as ad
 from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
-from planarwbc.policy import (CheckpointError, _network, acceleration_table, bins_to_action,
-                              greedy_bins, layer_table, param_views)
+from planarwbc.policy import (CheckpointError, acceleration_table, bins_to_action, greedy_bins,
+                              param_views)
 from planarwbc.robot import RobotConfig, RobotState
 from planarwbc.world import WorldGeometry
 
@@ -1003,19 +1003,32 @@ def taped_forward(policy, obs):
     """(logits tensor, value tensor, flat gradient) of the policy's network on
     the reverse-mode tape.
 
-    The leaves are the policy's compute-dtype weights; backward() on a loss
-    built from the outputs adds each weight's gradient into its slot of the
-    zeroed float64 flat gradient, in layout order.
+    The network is composed here from autodiff ops: two tanh layers per
+    scan, the concatenation with the proprioceptive inputs, two tanh trunk
+    layers and the linear heads, whose first dims*bins columns are the
+    logits and last the value. The leaves are the policy's compute-dtype
+    weights; backward() on a loss built from the outputs adds each weight's
+    gradient into its slot of the zeroed float64 flat gradient, in layout
+    order.
     """
+    cfg = policy.config
     grad = np.zeros_like(policy.params)
-    slots = param_views(policy.config, grad)
+    slots = param_views(cfg, grad)
     leaves = {name: ad.Tensor(view, requires_grad=True, grad=slots[name])
-              for name, view in policy.compute_views.items()}
+              for name, view in param_views(cfg, policy.compute).items()}
+
+    def dense(h, layer, suffix, tanh=True):
+        return ad.dense(h, leaves[f"{layer}.w{suffix}"], leaves[f"{layer}.b{suffix}"], tanh)
+
     x = (obs * policy.obs_scale).astype(policy.compute.dtype)
-    logits, value = _network(policy.config, layer_table(leaves), x, ad.Tensor,
-                             lambda h, layer, tanh: ad.dense(h, *layer, tanh),
-                             ad.concat, ad.columns)
-    return logits, value, grad
+    nb = cfg.scan_beams
+    front = dense(dense(ad.Tensor(x[:, :nb]), "scan_front", 0), "scan_front", 1)
+    rear = dense(dense(ad.Tensor(x[:, nb : 2 * nb]), "scan_rear", 0), "scan_rear", 1)
+    h = dense(ad.concat([front, rear, ad.Tensor(x[:, 2 * nb :])], axis=1), "trunk", 0)
+    out = dense(dense(h, "trunk", 1), "heads", "", tanh=False)
+    k = cfg.action_dims * cfg.bins
+    logits = ad.columns(out, 0, k, np.float64).reshape(-1, cfg.action_dims, cfg.bins)
+    return logits, ad.columns(out, k, k + 1, np.float64).reshape(-1), grad
 
 
 def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, old_values, config):

@@ -82,6 +82,24 @@ def test_type_errors_are_collected_not_first_only():
     assert "adr.enabled: expected a boolean" in message
 
 
+@pytest.mark.parametrize("text, path", [
+    ('{"adr": {"step": NaN}}', "adr.step"),
+    ('{"train": {"learning_rate": Infinity}}', "train.learning_rate"),
+    ('{"reward": {"safety_distance": Infinity}}', "reward.safety_distance"),
+    ('{"episode": {"time_limit": Infinity}}', "episode.time_limit"),
+    ('{"episode": {"time_limit": 1e400}}', "episode.time_limit"),
+    ('{"episode": {"time_limit": 1' + "0" * 400 + '}}', "episode.time_limit"),
+    ('{"robot": {"max_base_vel": [0.5, -Infinity, 1.0]}}', "robot.max_base_vel[1]"),
+], ids=["nan", "infinity", "safety_infinity", "time_limit_infinity", "overflowing_float",
+        "overflowing_integer", "array_element"])
+def test_non_finite_numbers_are_rejected(text, path):
+    # Accepted, NaN would poison the curriculum mid-run and an infinite time
+    # limit overflow the episode's step count.
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(json.loads(text))
+    assert exc.value.errors == [f"{path}: expected a finite number"]
+
+
 def test_semantic_validation_cites_bounds():
     with pytest.raises(ConfigError, match=r"\[0.05, 0.5\]"):
         config_from_dict({"episode": {"tolerance": 0.6}})

@@ -321,3 +321,37 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     code = main(["inspect-env", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["5", "nan", "-1", "0.04"])
+def test_cli_rejects_tolerances_outside_the_range_with_a_usage_error(tmp_path, capsys, value):
+    # Rejected before the checkpoint is read: the file does not exist.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--checkpoint", str(tmp_path / "p"), "--tolerance", value,
+              "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "argument --tolerance: must be in [0.05, 0.5], got " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", ["config_missing", "trace_missing", "trace_malformed",
+                                     "trace_not_text"])
+def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
+    # One error line naming the file and exit status 2, no traceback.
+    given = tmp_path / "given"
+    if problem == "trace_malformed":
+        given.write_text('{"episode": 0}\n{not json\n')
+    elif problem == "trace_not_text":
+        given.write_bytes(b"\xff\xfe\x00")
+    config = given if problem == "config_missing" else cli_config
+    code = main(["render", "--config", str(config), "--trace", str(given),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    prefix = "configuration" if problem == "config_missing" else "trace"
+    assert err[0].startswith(f"{prefix} error: {given}: ")
+    reason = {"config_missing": "cannot read config: No such file or directory",
+              "trace_missing": "cannot read trace: No such file or directory",
+              "trace_malformed": "line 2 is not JSON",
+              "trace_not_text": "codec can't decode"}[problem]
+    assert reason in err[0]

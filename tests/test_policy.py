@@ -135,6 +135,45 @@ def test_backward_is_bitwise_the_tape(size):
         policy.backward(d_logits, d_values)
 
 
+@pytest.mark.parametrize("between", [1, 5, 9])
+def test_forward_between_graph_forward_and_backward_leaves_the_gradient(between):
+    # A rollout-style forward of one row, and batches of the graph pass's
+    # size and of another, each on other observations.
+    policy = small_policy(seed=12)
+    rng = np.random.default_rng(13)
+    obs = rng.uniform(-1, 1, (5, SMALL.observation_size))
+    other = rng.uniform(-1, 1, (between, SMALL.observation_size))
+    d_logits = rng.standard_normal((5, SMALL.action_dims, SMALL.bins))
+    d_values = rng.standard_normal(5)
+    policy.graph_forward(obs)
+    expected = policy.backward(d_logits, d_values).copy()
+    logits, values = policy.graph_forward(obs)
+    kept = logits.tobytes(), values.tobytes()
+    if between == 1:
+        policy.forward(other[0])
+    else:
+        policy.forward_batch(other)
+    assert (logits.tobytes(), values.tobytes()) == kept
+    assert policy.backward(d_logits, d_values).tobytes() == expected.tobytes()
+
+
+def test_forward_outputs_are_the_callers_own():
+    # Each output is checked after a later call of the same size and after a
+    # graph pass of that size.
+    policy = small_policy(seed=14)
+    obs = np.random.default_rng(15).uniform(-1, 1, (4, SMALL.observation_size))
+    single = policy.forward(obs[0])
+    kept = single.logits.copy()
+    policy.forward(obs[1])
+    policy.graph_forward(obs[1:2])
+    assert single.logits.tobytes() == kept.tobytes()
+    logits, values = policy.forward_batch(obs)
+    kept = logits.copy(), values.copy()
+    policy.forward_batch(obs[::-1].copy())
+    policy.graph_forward(obs[::-1].copy())
+    assert (logits.tobytes(), values.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
+
+
 def test_gradient_spot_checked_by_finite_differences(float64_network):
     policy = small_policy(seed=7)
     obs = np.random.default_rng(3).uniform(-1, 1, (4, SMALL.observation_size))
