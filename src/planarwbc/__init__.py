@@ -29,7 +29,6 @@ from .envs import (
     generate_scene,
     make_episode,
     new_episode,
-    observation_size,
     plan_path,
 )
 from .evaluate import EvalReport, eval_success_rate, run_controller
@@ -95,7 +94,6 @@ __all__ = [
     "load_params",
     "make_episode",
     "new_episode",
-    "observation_size",
     "path_metrics",
     "plan_path",
     "ppo_update",

@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import ConfigError, default_config, load_config, save_config
 from .envs import new_episode
-from .evaluate import eval_success_rate
+from .evaluate import episode_seed, eval_success_rate
 from .pathfield import field_to_pgm
 from .policy import CheckpointError
 from .ppo import train_loop
@@ -105,9 +105,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_inspect_env(args) -> int:
     run = _load_run(args)
-    seeds = np.random.SeedSequence(args.seed).spawn(args.count)
     for i in range(args.count):
-        rng = np.random.default_rng(seeds[i])
+        rng = np.random.default_rng(episode_seed(args.seed, i))
         episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
         goal = episode.goal_pose
         print(
@@ -139,54 +138,51 @@ def _cmd_hpf_dump(args) -> int:
     return 0
 
 
+TRACE_KEYS = ("episode", "base_pose", "joint_pos")  # what `render` reads of a record
+
+
 def _read_trace(path, episode_index: int):
     """The records of one episode in a JSONL trace from `eval --trace`.
 
-    Raises TraceError, naming path, for a file that cannot be read as text
-    and for a line that is not JSON.
+    Raises TraceError, naming path, for a file that cannot be read as text,
+    a line that is not JSON or not a trace record (an object with the
+    TRACE_KEYS), and a trace without records of the episode.
     """
     records = []
+    not_record = None  # its first line; one that is not JSON is reported before it
     try:
         with open(path) as fh:
             for number, line in enumerate(fh, 1):
                 rec = json.loads(line)
-                if rec["episode"] == episode_index:
+                if not (isinstance(rec, dict) and all(key in rec for key in TRACE_KEYS)):
+                    not_record = not_record or number
+                elif rec["episode"] == episode_index:
                     records.append(rec)
     except json.JSONDecodeError as exc:
         raise TraceError(f"{path}: line {number} is not JSON: {exc.msg}") from None
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise TraceError(f"{path}: cannot read trace: {reason}") from None
+    if not_record is not None:
+        raise TraceError(f"{path}: line {not_record} is not a trace record "
+                         f"(an object with the keys {', '.join(TRACE_KEYS)})")
+    if not records:
+        raise TraceError(f"{path}: no records for episode {episode_index}")
     return records
 
 
 def _cmd_render(args) -> int:
     run = _load_run(args)
-    if args.trace is not None:
-        records = _read_trace(args.trace, args.episode)
-        if not records:
-            print(f"no records for episode {args.episode} in {args.trace}",
-                  file=sys.stderr)
-            return 1
-        # Match the per-episode seed derivation of `eval` so the regenerated
-        # scene is the one the traced episode ran in.
-        seq = np.random.SeedSequence(args.seed).spawn(args.episode + 1)[args.episode]
-    else:
-        seq = np.random.SeedSequence(args.seed)
-    rng = np.random.default_rng(seq)
-    episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
-    state = episode.state
-    ee_trace = None
-    if args.trace is not None:
-        trace = []
-        for rec in records:
-            st = state.copy()
-            st.base_pose = np.asarray(rec["base_pose"], dtype=float)
-            st.joint_pos = np.asarray(rec["joint_pos"], dtype=float)
-            trace.append(forward_kinematics(run.robot, st)[-1, :2])
-            last = st
-        ee_trace = np.asarray(trace)
-        state = last
+    if args.trace is None:
+        records, seq = [], np.random.SeedSequence(args.seed)
+    else:  # replayed onto the scene the traced episode ran in
+        records, seq = _read_trace(args.trace, args.episode), episode_seed(args.seed, args.episode)
+    episode = new_episode(run.env, run.robot, run.reward, run.episode, np.random.default_rng(seq))
+    state, ee_trace = episode.state, []
+    for rec in records:
+        state = replace(state, base_pose=np.asarray(rec["base_pose"], dtype=float),
+                        joint_pos=np.asarray(rec["joint_pos"], dtype=float))
+        ee_trace.append(forward_kinematics(run.robot, state)[-1, :2])
     svg = render_scene(
         run.robot, episode.world, state, episode.goal_pose,
         episode.config.tolerance, ee_trace=ee_trace, show_lidar=args.lidar,

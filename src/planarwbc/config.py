@@ -1,9 +1,9 @@
 """Run configuration: one JSON-backed tree covering every component.
 
 Loading starts from full defaults, merges the user document with unknown-key
-rejection and type coercion keyed on the defaults' own types, derives the
-policy sizes from the (possibly overridden) robot description, and finally
-validates every section, reporting violations with dotted field paths.
+rejection and type coercion keyed on the defaults' own types, and finally
+validates every section, reporting violations with dotted field paths. A
+field holds one independent value; what the robot fixes is derived.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .adr import AdrConfig
-from .envs import EnvSpec, EpisodeConfig, observation_size
-from .policy import PolicyConfig
+from .envs import EnvSpec, EpisodeConfig
+from .policy import NetworkConfig, PolicyConfig
 from .ppo import TrainConfig
 from .reward import RewardParams
 from .robot import RobotConfig
@@ -38,11 +38,17 @@ class RunConfig:
     env: EnvSpec = field(default_factory=EnvSpec)
     adr: AdrConfig = field(default_factory=AdrConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
+    # The document's "policy" section: the network's own sizes.
+    network: NetworkConfig = field(default_factory=NetworkConfig, metadata={"key": "policy"})
+
+    @property
+    def policy(self) -> PolicyConfig:
+        """The network's sizes and the robot's input layout (needs a valid robot)."""
+        return PolicyConfig.for_robot(self.robot, self.network)
 
     def validate(self) -> list[str]:
         errors = []
-        for section in ("robot", "reward", "episode", "env", "adr", "train", "policy"):
+        for section in ("robot", "reward", "episode", "env", "adr", "train"):
             part = getattr(self, section)
             part_errors = (
                 part.validate(self.robot) if section == "env" else part.validate()
@@ -50,20 +56,11 @@ class RunConfig:
             errors += [f"{section}.{msg}" for msg in part_errors]
         if any(msg.startswith("robot.") for msg in errors):
             return errors  # the observation scales divide by the robot's limits
-        if self.policy.scan_beams != self.robot.lidar.beams:
-            errors.append("policy.scan_beams: must equal robot.lidar.beams")
-        if self.policy.observation_size != observation_size(self.robot):
-            errors.append(
-                "policy.proprio_size: observation size mismatch with the robot description"
-            )
-        if self.policy.action_dims != 3 + self.robot.num_joints:
-            errors.append("policy.action_dims: must equal 3 + number of joints")
-        return errors
+        return errors + [f"policy.{msg}" for msg in self.policy.validate()]
 
 
 def default_config() -> RunConfig:
-    robot = RobotConfig()
-    return RunConfig(robot=robot, policy=PolicyConfig.for_robot(robot))
+    return RunConfig()
 
 
 def _coerce(template, value, path: str, errors: list[str]):
@@ -100,10 +97,8 @@ def _coerce(template, value, path: str, errors: list[str]):
         if not isinstance(value, (list, tuple)):
             errors.append(f"{path}: expected an array")
             return template
-        # An empty default (e.g. a derived scale vector) coerces to floats.
-        element = template[0] if template else 0.0
         return tuple(
-            _coerce(element, item, f"{path}[{i}]", errors) for i, item in enumerate(value)
+            _coerce(template[0], item, f"{path}[{i}]", errors) for i, item in enumerate(value)
         )
     errors.append(f"{path}: unsupported value")
     return template
@@ -113,31 +108,26 @@ def _merge(instance, data: dict, path: str, errors: list[str]):
     if not isinstance(data, dict):
         errors.append(f"{path or 'config'}: expected an object")
         return instance
-    names = {f.name for f in fields(instance)}
+    names = {f.metadata.get("key", f.name): f.name for f in fields(instance)}
     updates = {}
     for key, value in data.items():
         here = f"{path}.{key}" if path else key
         if key not in names:
             errors.append(f"{here}: unknown key")
             continue
-        current = getattr(instance, key)
+        name = names[key]
+        current = getattr(instance, name)
         if is_dataclass(current):
-            updates[key] = _merge(current, value, here, errors)
+            updates[name] = _merge(current, value, here, errors)
         else:
-            updates[key] = _coerce(current, value, here, errors)
+            updates[name] = _coerce(current, value, here, errors)
     return replace(instance, **updates)
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Defaults + user document; raises ConfigError with every violation."""
     errors: list[str] = []
-    base = default_config()
-    robot = _merge(base.robot, data.get("robot", {}), "robot", errors)
-    # Policy defaults follow the merged robot (when it validates, see
-    # RunConfig.validate); explicit keys override them.
-    policy = base.policy if robot.validate() else PolicyConfig.for_robot(robot)
-    derived = replace(base, robot=robot, policy=policy)
-    merged = _merge(derived, {k: v for k, v in data.items() if k != "robot"}, "", errors)
+    merged = _merge(default_config(), data, "", errors)
     if errors:
         raise ConfigError(errors)
     violations = merged.validate()
@@ -162,7 +152,8 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return asdict(config)
+    return {f.metadata.get("key", f.name): asdict(getattr(config, f.name))
+            for f in fields(config)}
 
 
 def save_config(config: RunConfig, path) -> None:

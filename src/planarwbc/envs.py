@@ -34,20 +34,23 @@ from .world import WorldGeometry, body_query, cast_lidars, collision_check, min_
 
 ENV_KINDS = ("corridor", "gap_train", "gap_test")
 GRID_CELL = 0.05
+# Each gap kind's slot geometry, drawn uniformly from (lo, hi) in metres: the
+# slot's width, its length through the wall and the goal's depth into it.
+GAP_SLOTS = {
+    "gap_train": {"width": (0.3, 0.3), "length": (0.5, 0.5), "goal_depth": (0.4, 0.4)},
+    "gap_test": {"width": (0.25, 0.4), "length": (0.3, 0.8), "goal_depth": (0.4, 0.6)},
+}
 
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Scene-family selector plus the sampling ranges of its generator."""
+    """Scene-family selector plus its generator's settable ranges (gap slots: GAP_SLOTS)."""
 
     kind: str = "corridor"
     corridor_length_range: tuple[float, float] = (6.0, 12.0)
     corridor_width_range: tuple[float, float] = (1.5, 2.5)
     corridor_obstacle_count: tuple[int, int] = (0, 4)
     corridor_min_passage: float = 0.7
-    gap_width_range: tuple[float, float] = (0.3, 0.3)
-    gap_length_range: tuple[float, float] = (0.5, 0.5)
-    gap_goal_depth_range: tuple[float, float] = (0.4, 0.4)
     gap_goal_lateral_noise: float = 0.05
     gap_goal_angle_noise: float = 0.5
     gap_joint_noise: float = 0.1
@@ -58,37 +61,30 @@ class EnvSpec:
 
     @classmethod
     def gap_test(cls) -> "EnvSpec":
-        return cls(
-            kind="gap_test",
-            gap_width_range=(0.25, 0.4),
-            gap_length_range=(0.3, 0.8),
-            gap_goal_depth_range=(0.4, 0.6),
-        )
+        return cls(kind="gap_test")
 
-    def validate(self, robot: RobotConfig | None = None) -> list[str]:
+    def validate(self, robot: RobotConfig) -> list[str]:
         errors = []
         if self.kind not in ENV_KINDS:
             errors.append(f"kind must be one of {ENV_KINDS}")
-        for name in ("corridor_length_range", "corridor_width_range", "gap_width_range",
-                     "gap_length_range", "gap_goal_depth_range"):
+        for name in ("corridor_length_range", "corridor_width_range"):
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
                 errors.append(f"{name} must satisfy 0 < lo <= hi")
         lo, hi = self.corridor_obstacle_count
         if not 0 <= lo <= hi:
             errors.append("corridor_obstacle_count must satisfy 0 <= lo <= hi")
-        if robot is not None:
-            base_diameter = 2.0 * robot.base_radius
-            if self.corridor_min_passage < base_diameter + 0.1:
-                errors.append(
-                    f"corridor_min_passage must be >= base diameter + 0.1 = {base_diameter + 0.1}"
-                )
-            wlo, whi = self.gap_width_range
-            if not (2.0 * robot.link_capsule_radius + 0.05 < wlo and whi < base_diameter):
-                errors.append(
-                    "gap_width_range must lie within "
-                    f"({2.0 * robot.link_capsule_radius + 0.05}, {base_diameter})"
-                )
+        base_diameter = 2.0 * robot.base_radius
+        if self.corridor_min_passage < base_diameter + 0.1:
+            errors.append(
+                f"corridor_min_passage must be >= base diameter + 0.1 = {base_diameter + 0.1}"
+            )
+        if self.kind in GAP_SLOTS:
+            narrowest = 2.0 * robot.link_capsule_radius + 0.05
+            wlo, whi = GAP_SLOTS[self.kind]["width"]
+            if not narrowest < wlo <= whi < base_diameter:
+                errors.append(f"kind: {self.kind} slot widths [{wlo}, {whi}] must lie within "
+                              f"({narrowest}, {base_diameter}) for this robot")
         return errors
 
 
@@ -142,10 +138,6 @@ def observation_layout(robot: RobotConfig) -> list[tuple[str, tuple[float, ...]]
         ("base_vel", tuple(1.0 / v for v in robot.max_base_vel)),
         ("goal_in_ee", (1.0 / robot.lidar.max_range,) * 2 + (1.0 / math.pi,)),
     ]
-
-
-def observation_size(robot: RobotConfig) -> int:
-    return sum(len(scale) for _, scale in observation_layout(robot))
 
 
 @dataclass
@@ -305,9 +297,10 @@ def _draw_gap(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
     """
     room_l, room_w = GAP_ROOM
     slot_y = room_w / 2.0
-    gap = rng.uniform(*spec.gap_width_range)
-    tunnel = rng.uniform(*spec.gap_length_range)
-    depth = rng.uniform(*spec.gap_goal_depth_range)
+    slots = GAP_SLOTS[spec.kind]
+    gap = rng.uniform(*slots["width"])
+    tunnel = rng.uniform(*slots["length"])
+    depth = rng.uniform(*slots["goal_depth"])
     depth = min(depth, tunnel + 0.1)
     lateral = rng.uniform(-spec.gap_goal_lateral_noise, spec.gap_goal_lateral_noise)
     angle = rng.uniform(-spec.gap_goal_angle_noise, spec.gap_goal_angle_noise)

@@ -73,6 +73,11 @@ def policy_controller(policy: Policy, robot, sample: bool = False):
     return controller
 
 
+def episode_seed(seed: int, index: int) -> np.random.SeedSequence:
+    """Scene seed of episode `index`: SeedSequence(seed).spawn(n)[index] for any n > index."""
+    return np.random.SeedSequence(seed, spawn_key=(index,))
+
+
 def run_controller(
     run,
     controller,
@@ -89,7 +94,6 @@ def run_controller(
     cfg: EpisodeConfig = run.episode
     if tolerance is not None:
         cfg = replace(cfg, tolerance=tolerance)
-    seeds = np.random.SeedSequence(seed).spawn(episodes)
     counts = {reason: 0 for reason in TERMINATIONS}
     returns = []
     lengths = []
@@ -97,7 +101,7 @@ def run_controller(
     trace_fh = Path(trace_path).open("w") if trace_path is not None else None
     try:
         for i in range(episodes):
-            rng = np.random.default_rng(seeds[i])
+            rng = np.random.default_rng(episode_seed(seed, i))
             episode = new_episode(spec, run.robot, run.reward, cfg, rng)
             obs = episode.observation()
             total = 0.0
@@ -158,7 +162,6 @@ def eval_success_rate(
     episodes: int = 100,
     seed: int = 0,
     tolerance: float | None = None,
-    env_spec: EnvSpec | None = None,
     sample: bool = False,
     trace_path=None,
 ) -> EvalReport:
@@ -167,6 +170,5 @@ def eval_success_rate(
     policy = Policy(run.policy, params)
     controller = policy_controller(policy, run.robot, sample=sample)
     return run_controller(
-        run, controller, episodes=episodes, seed=seed, tolerance=tolerance,
-        env_spec=env_spec, trace_path=trace_path,
+        run, controller, episodes=episodes, seed=seed, tolerance=tolerance, trace_path=trace_path,
     )

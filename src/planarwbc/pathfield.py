@@ -167,6 +167,9 @@ MIN_COARSE_CELLS = 4
 # coarsest grid in place of a correction.
 SWEEPS = 2
 COARSEST_SWEEPS = 12
+# Full-resolution convergence score the solve ends below, and its sweep cap.
+SOLVE_TOL = 1e-10
+MAX_SWEEPS = 200_000
 # Earlier cycles mixed into each new iterate (Anderson acceleration).
 ANDERSON_DEPTH = 3
 # Cycles in a row that leave the best fine-level score unbeaten before the
@@ -436,9 +439,9 @@ def _fine_score(lv, v, a):
     """Convergence score on the full-resolution grid: max(rel, u_res).
 
     Both the relative stencil update of v and the update of u = 1 - exp(-v)
-    must fall below tol. Exactly |u_new - u| = exp(-v) * |expm1(-(v_new - v))|;
+    must fall below SOLVE_TOL. Exactly |u_new - u| = exp(-v) * |expm1(-(v_new - v))|;
     the clamps (avoiding subnormals) only overestimate far-cell terms, which
-    sit many orders below tol either way. a: _weights(lv, v, 0.0).
+    sit many orders below SOLVE_TOL either way. a: _weights(lv, v, 0.0).
     """
     delta = _defect(lv, v, 0.0, a)
     centre = v[lv.inner]
@@ -519,14 +522,14 @@ def _anderson_mix(history):
     return out
 
 
-def solve_harmonic(field: GridField, tol: float = 1e-10, max_iters: int = 200_000) -> GridField:
+def solve_harmonic(field: GridField) -> GridField:
     """Solve Laplace's equation over the free cells (obstacle=1, goal=0).
 
     Iterates in the log domain (see LOG_OBSTACLE): full multigrid start, then
     FAS V-cycles with Anderson mixing until both the relative stencil update
-    of v and the update of u fall below tol on the full-resolution grid. If
-    cycles stop lowering that score, plain red-black sweeps finish the solve;
-    max_iters caps the full-resolution sweeps. Stores the log potential in
+    of v and the update of u fall below SOLVE_TOL on the full-resolution grid.
+    If cycles stop lowering that score, plain red-black sweeps finish the
+    solve; MAX_SWEEPS caps the full-resolution sweeps. Stores the log potential in
     .log_values and the work in .effort. Free cells cut off from the goal
     get u = 1.
     """
@@ -552,16 +555,16 @@ def solve_harmonic(field: GridField, tol: float = 1e-10, max_iters: int = 200_00
     while True:
         a = _weights(fine, v, 0.0)  # the next sweeps start from these too
         score = _fine_score(fine, v, a)
-        if score < tol:
+        if score < SOLVE_TOL:
             break
         if score < best:
             best, stalls = score, 0
         else:
             stalls += 1
         effort.smoothing_finish |= len(levels) == 1 or stalls >= STALL_CYCLES
-        if effort.sweeps >= max_iters:
-            raise FieldError(f"harmonic solve did not converge below {tol} in "
-                             f"{max_iters} sweeps")
+        if effort.sweeps >= MAX_SWEEPS:
+            raise FieldError(f"harmonic solve did not converge below {SOLVE_TOL} in "
+                             f"{MAX_SWEEPS} sweeps")
         if effort.smoothing_finish:
             _smooth(fine, v, 0.0, CHECK_EVERY, a)
             effort.sweeps += CHECK_EVERY

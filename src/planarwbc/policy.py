@@ -34,34 +34,43 @@ COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
+class NetworkConfig:
+    """The network's own sizes; the robot fixes the rest (PolicyConfig.for_robot)."""
+
+    scan_hidden: tuple[int, int] = (128, 64)
+    trunk_hidden: tuple[int, int] = (256, 256)
+    bins: int = 7
+
+
+@dataclass(frozen=True)
 class PolicyConfig:
     """Network sizes plus the fixed input scaling vector.
 
     obs_scale multiplies the raw observation before the first layer so all
-    inputs land in roughly [-1, 1]; it is part of the architecture (and the
-    checkpoint hash), not of the environment.
+    inputs land in roughly [-1, 1] (an empty tuple leaves it unscaled); it is
+    part of the architecture (and the checkpoint hash), not of the environment.
     """
 
-    scan_beams: int = 64
-    scan_hidden: tuple[int, int] = (128, 64)
-    proprio_size: int = 12
-    trunk_hidden: tuple[int, int] = (256, 256)
-    action_dims: int = 6
-    bins: int = 7
-    obs_scale: tuple[float, ...] = ()
+    scan_beams: int
+    scan_hidden: tuple[int, int]
+    proprio_size: int
+    trunk_hidden: tuple[int, int]
+    action_dims: int
+    bins: int
+    obs_scale: tuple[float, ...]
 
     @classmethod
-    def for_robot(cls, robot: RobotConfig, **overrides) -> "PolicyConfig":
-        """Sizes and input scaling derived from the robot's observation layout."""
+    def for_robot(cls, robot: RobotConfig,
+                  network: NetworkConfig = NetworkConfig()) -> "PolicyConfig":
+        """The network's sizes, with the input sizes and scaling from the robot's observations."""
         scale = tuple(s for _, field_scale in observation_layout(robot) for s in field_scale)
-        defaults = dict(
+        return cls(
             scan_beams=robot.lidar.beams,
             proprio_size=len(scale) - 2 * robot.lidar.beams,
             action_dims=3 + robot.num_joints,
             obs_scale=scale,
+            **asdict(network),
         )
-        defaults.update(overrides)
-        return cls(**defaults)
 
     @property
     def observation_size(self) -> int:
@@ -71,6 +80,8 @@ class PolicyConfig:
         errors = []
         if self.scan_beams < 1 or self.proprio_size < 1:
             errors.append("scan_beams and proprio_size must be >= 1")
+        if any(len(s) != 2 or min(s) < 1 for s in (self.scan_hidden, self.trunk_hidden)):
+            errors.append("scan_hidden and trunk_hidden must each be two layer sizes >= 1")
         if self.bins < 2 or self.bins % 2 == 0:
             errors.append("bins must be odd and >= 3 so zero acceleration is a bin center")
         if self.action_dims < 1:

@@ -553,7 +553,7 @@ def train_loop(run, out_dir, resume: str | None = None) -> dict:
     _cut_logs(out_dir, trainer.global_step, trainer.update_count)
 
     tc: TrainConfig = run.train
-    last_tolerance = adr_mod.current_tolerance(trainer.adr_state)
+    last_tolerance = _episode_tolerance(run, trainer.adr_state)
     while trainer.global_step < tc.total_steps:
         buffer, records = collect_rollouts(run, trainer)
         compute_gae(buffer, tc.gamma, tc.gae_lambda)
@@ -565,7 +565,7 @@ def train_loop(run, out_dir, resume: str | None = None) -> dict:
                     f"{rec.global_step},{rec.worker},{rec.episode_return!r},"
                     f"{rec.episode_length},{rec.termination},{rec.tolerance!r}\n"
                 )
-        tolerance = adr_mod.current_tolerance(trainer.adr_state)
+        tolerance = _episode_tolerance(run, trainer.adr_state)  # what the next episodes run at
         stats["adr_tolerance"] = tolerance
         with updates_path.open("a") as fh:
             fh.write(json.dumps(stats, sort_keys=True) + "\n")

@@ -1,6 +1,8 @@
 """Run configuration: merging, coercion, validation, and round-trips."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from planarwbc.config import (
     load_config,
     save_config,
 )
+from planarwbc.envs import EnvSpec, generate_scene
 from planarwbc.policy import PolicyConfig, config_hash
 
 
@@ -47,7 +50,7 @@ def test_policy_defaults_follow_robot_overrides():
     assert config.policy.scan_beams == 32
     assert config.policy.observation_size == 2 * 32 + 12
     assert config.validate() == []
-    # An explicit policy section still wins over the derived default.
+    # The policy section sets the network's own sizes; the robot the rest.
     config = config_from_dict(
         {"robot": {"lidar": {"beams": 32}}, "policy": {"trunk_hidden": [64, 64]}}
     )
@@ -58,12 +61,17 @@ def test_policy_defaults_follow_robot_overrides():
 def test_unknown_keys_rejected_with_dotted_paths():
     with pytest.raises(ConfigError) as exc:
         config_from_dict(
-            {"episode": {"tolerence": 0.2}, "trian": {}, "robot": {"lidar": {"bems": 3}}}
+            {"episode": {"tolerence": 0.2}, "trian": {}, "robot": {"lidar": {"bems": 3}},
+             "policy": {"scan_beams": 3, "obs_scale": [1.0]}}
         )
     message = str(exc.value)
     assert "episode.tolerence: unknown key" in message
     assert "trian: unknown key" in message
     assert "robot.lidar.bems: unknown key" in message
+    # The robot gives the policy's input sizes and scaling: a document that
+    # sets them is rejected, not cross-checked against the robot.
+    assert "policy.scan_beams: unknown key" in message
+    assert "policy.obs_scale: unknown key" in message
 
 
 def test_type_errors_are_collected_not_first_only():
@@ -118,13 +126,18 @@ def test_semantic_validation_cites_bounds():
     ({"robot": {"max_joint_vel": 0.0}}, "robot.max_joint_vel: must be > 0"),
     ({"robot": {"max_base_vel": [0.5, -0.5, 1.0]}}, "robot.max_base_vel[1]: must be > 0"),
     ({"train": {"seed": -1}}, "train.seed must be >= 0"),
+    ({"policy": {"scan_hidden": [128]}}, "policy.scan_hidden and trunk_hidden must each be"),
+    ({"env": {"kind": "gap_test"}, "robot": {"base_radius": 0.15}},
+     "env.kind: gap_test slot widths [0.25, 0.4] must lie within"),
 ], ids=["adr_min_below_range", "adr_max_above_range", "adr_min_above_max", "reward_variant",
-        "zero_joint_vel_cap", "negative_base_vel_cap", "negative_seed"])
+        "zero_joint_vel_cap", "negative_base_vel_cap", "negative_seed", "one_scan_layer",
+        "base_fits_the_slot"])
 def test_config_that_validates_also_runs(document, field):
     # Each of these, if accepted, would fail part-way through a run (a
     # tolerance outside the episode's range, observation scales that divide
-    # by a velocity cap, or a seed SeedSequence refuses) or be silently
-    # ignored (the variant is owned by the episode section).
+    # by a velocity cap, a seed SeedSequence refuses, or a network layer
+    # without a size), let the base into a gap slot, or be silently ignored
+    # (the variant is owned by the episode section).
     with pytest.raises(ConfigError) as exc:
         config_from_dict(document)
     assert field in str(exc.value)
@@ -177,3 +190,23 @@ def test_obs_scale_derivation_matches_robot():
     tweaked = config_from_dict({"robot": {"max_joint_vel": 3.0}})
     derived = PolicyConfig.for_robot(tweaked.robot)
     assert tweaked.policy.obs_scale == derived.obs_scale
+
+
+@pytest.mark.parametrize("kind", ["gap_train", "gap_test"])
+def test_gap_kind_in_a_config_draws_its_own_slots(kind):
+    config = config_from_dict({"env": {"kind": kind}})
+    spec = getattr(EnvSpec, kind)()
+    assert config.env == spec
+    for seed in (0, 1, 2):
+        scenes = [generate_scene(s, config.robot, np.random.default_rng(seed),
+                                 config.episode.grid_cell) for s in (config.env, spec)]
+        assert np.array_equal(scenes[0].world.boxes, scenes[1].world.boxes)
+        assert np.array_equal(scenes[0].goal, scenes[1].goal)
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = re.search(r"A config file only lists overrides:\n\n```json\n(.*?)```", readme,
+                        re.DOTALL)
+    config = config_from_dict(json.loads(example.group(1)))
+    assert config.network.trunk_hidden == (256, 128)

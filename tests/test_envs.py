@@ -34,6 +34,7 @@ from planarwbc.envs import (
     new_episode,
     plan_path,
 )
+from planarwbc.policy import PolicyConfig
 from planarwbc.reward import RewardParams
 from planarwbc.robot import (
     Action,
@@ -269,7 +270,7 @@ def test_observation_vector_layout():
     beams, k = ROBOT.lidar.beams, ROBOT.num_joints
     assert vec.shape == (2 * beams + 2 * k + 6,) and vec.dtype == np.float64
     assert np.all(np.isfinite(vec))
-    assert envs_mod.observation_size(ROBOT) == len(vec)
+    assert PolicyConfig.for_robot(ROBOT).observation_size == len(vec)  # the network's input
     # The layout names every field in vector order with its length.
     obs = observation_fields(vec)
     assert list(obs) == ["front_scan", "rear_scan", "joint_pos", "joint_vel", "base_vel",

@@ -16,8 +16,8 @@ import pytest
 from planarwbc.cli import main
 from planarwbc.config import default_config, save_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, new_episode
-from planarwbc.evaluate import EvalReport, eval_success_rate, run_controller
-from planarwbc.policy import PolicyConfig, param_count, save_params
+from planarwbc.evaluate import EvalReport, episode_seed, eval_success_rate, run_controller
+from planarwbc.policy import param_count, save_params
 from planarwbc.ppo import TrainConfig
 from planarwbc.render import render_scene, render_snapshot
 from planarwbc.robot import Action, RobotState, forward_kinematics
@@ -157,7 +157,7 @@ def test_eval_success_rate_loads_checkpoint(tmp_path):
     assert "success rate" in table
     assert "corridor" in table
 
-    other = replace(run, policy=PolicyConfig.for_robot(run.robot, bins=5))
+    other = replace(run, network=replace(run.network, bins=5))
     with pytest.raises(ValueError, match="different policy config"):
         eval_success_rate(other, ckpt, episodes=1)
 
@@ -333,15 +333,26 @@ def test_cli_rejects_tolerances_outside_the_range_with_a_usage_error(tmp_path, c
     assert "argument --tolerance: must be in [0.05, 0.5], got " in capsys.readouterr().err
 
 
+RECORD = {"episode": 1, "step": 1, "base_pose": [0.7, 1.0, 0.0], "joint_pos": [0.0, 0.0, 0.0]}
+
+
 @pytest.mark.parametrize("problem", ["config_missing", "trace_missing", "trace_malformed",
-                                     "trace_not_text"])
+                                     "trace_not_text", "trace_missing_keys",
+                                     "trace_not_an_object", "trace_empty",
+                                     "trace_other_episode"])
 def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
-    # One error line naming the file and exit status 2, no traceback.
+    # One error line naming the file and exit status 2, no traceback; also
+    # for a trace that is not a record or holds no records of the episode.
     given = tmp_path / "given"
-    if problem == "trace_malformed":
-        given.write_text('{"episode": 0}\n{not json\n')
-    elif problem == "trace_not_text":
+    if problem == "trace_not_text":
         given.write_bytes(b"\xff\xfe\x00")
+    elif problem not in ("config_missing", "trace_missing"):
+        record = json.dumps(RECORD) + "\n"
+        given.write_text({"trace_malformed": '{"episode": 0}\n{not json\n',
+                          "trace_missing_keys": record + '{"episode": 0, "step": 1}\n',
+                          "trace_not_an_object": "[1, 2]\n",
+                          "trace_empty": "",
+                          "trace_other_episode": record}[problem])
     config = given if problem == "config_missing" else cli_config
     code = main(["render", "--config", str(config), "--trace", str(given),
                  "--out", str(tmp_path / "o")])
@@ -353,5 +364,19 @@ def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
     reason = {"config_missing": "cannot read config: No such file or directory",
               "trace_missing": "cannot read trace: No such file or directory",
               "trace_malformed": "line 2 is not JSON",
-              "trace_not_text": "codec can't decode"}[problem]
+              "trace_not_text": "codec can't decode",
+              "trace_missing_keys": "line 2 is not a trace record",
+              "trace_not_an_object": "line 1 is not a trace record",
+              "trace_empty": "no records for episode 0",
+              "trace_other_episode": "no records for episode 0"}[problem]
     assert reason in err[0]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_episode_seed_is_the_spawned_child(seed):
+    # Eval, render and inspect-env all derive episode i's scene from it.
+    for index, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
+        ours = episode_seed(seed, index)
+        assert ours.generate_state(8).tolist() == child.generate_state(8).tolist()
+        assert (np.random.default_rng(ours).random(4).tolist()
+                == np.random.default_rng(child).random(4).tolist())

@@ -6,6 +6,7 @@ re-implementation that walks the same parameter views layer by layer.
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,10 +324,12 @@ def test_param_views_share_storage():
 
 
 def test_config_validation():
-    assert PolicyConfig(bins=4).validate()  # even bin count has no zero center
-    assert PolicyConfig(obs_scale=(1.0,)).validate()
+    assert replace(SMALL, bins=4).validate()  # even bin count has no zero center
+    assert replace(SMALL, obs_scale=(1.0,)).validate()
+    assert replace(SMALL, scan_hidden=(4,)).validate()
+    assert replace(SMALL, trunk_hidden=(6, 0)).validate()
     with pytest.raises(ValueError):
-        Policy(PolicyConfig(bins=4), np.zeros(1))
+        Policy(replace(SMALL, bins=4), np.zeros(1))
 
 
 def test_checkpoint_round_trip_is_bitwise(tmp_path):

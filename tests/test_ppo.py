@@ -7,6 +7,7 @@ trajectories must be bit-identical).
 """
 
 import hashlib
+import json
 import math
 import os
 import resource
@@ -532,6 +533,22 @@ def test_train_loop_writes_artifacts_and_advances(tmp_path):
     assert (tmp_path / "run" / "policy.ckpt").exists()
 
 
+@pytest.mark.parametrize("curriculum", [False, True])
+def test_logged_tolerance_is_the_one_episodes_run_at(tmp_path, curriculum):
+    # With the curriculum off, episodes run at episode.tolerance, not at the
+    # unused curriculum's start value; with it on, at the curriculum's.
+    run = smoke_run()
+    run = replace(run, adr=replace(run.adr, enabled=curriculum))
+    train_loop(run, tmp_path / "run")
+    lines = (tmp_path / "run" / "updates.jsonl").read_text().splitlines()
+    metrics = (tmp_path / "run" / "metrics.csv").read_text().splitlines()[1:]
+    assert run.episode.tolerance != run.adr.max_tolerance  # so the two can be told apart
+    expected = run.adr.max_tolerance if curriculum else run.episode.tolerance
+    assert [json.loads(line)["adr_tolerance"] for line in lines] == [expected] * 2
+    assert {float(row.rsplit(",", 1)[1]) for row in metrics} == {expected}
+    assert (tmp_path / "run" / "adr.csv").read_text() == "global_step,tolerance\n"
+
+
 def test_resume_reproduces_uninterrupted_run(tmp_path):
     # One 96-step run versus 48 steps, checkpoint, resume for 48 more: the
     # final parameters must agree bit for bit.
@@ -742,9 +759,10 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
 
 # sha256 of train_state.ckpt and policy.ckpt after the 96-step smoke run,
 # written by the taped update. The closed-form head gradient reproduces
-# them: its entries round to the tape's in the float32 backward.
+# them: its entries round to the tape's in the float32 backward. The first
+# also covers the run-configuration digest, so it moves with the config schema.
 TWO_ITERATION_SHA256 = [
-    "645af2faecba105470766615e42b96f7e396b9d2e69d8a8980a10be3ddedac09",
+    "38800629d0582e90778e28cfcb9d6c22dd44dea38073e99962a72899986903eb",
     "79e06f2a2c624c2af13218a048e0cd54b4a98a2de338327b1195bc0f7a2ca5e0",
 ]
 
