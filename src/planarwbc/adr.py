@@ -26,8 +26,8 @@ class AdrConfig:
     upper_rate: float = 0.8
     lower_rate: float = 0.5
     step: float = 0.02
-    min_tolerance: float = 0.05
-    max_tolerance: float = 0.5
+    min_tolerance: float = TOLERANCE_RANGE[0]
+    max_tolerance: float = TOLERANCE_RANGE[1]
 
     def validate(self) -> list[str]:
         errors = []

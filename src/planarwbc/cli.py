@@ -120,7 +120,7 @@ def _cmd_inspect_env(args) -> int:
 
 def _cmd_hpf_dump(args) -> int:
     run = _load_run(args)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = np.random.default_rng(episode_seed(args.seed, 0))
     episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
     raster, path = episode.path_field, episode.path
     args.out.mkdir(parents=True, exist_ok=True)
@@ -141,14 +141,27 @@ def _cmd_hpf_dump(args) -> int:
 TRACE_KEYS = ("episode", "base_pose", "joint_pos")  # what `render` reads of a record
 
 
-def _read_trace(path, episode_index: int):
-    """The records of one episode in a JSONL trace from `eval --trace`.
+def _trace_vector(rec: dict, key: str, size: int, where: str) -> np.ndarray:
+    """rec[key] as an array of size finite numbers, or TraceError naming where."""
+    try:
+        value = np.asarray(rec[key], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value.shape != (size,) or not np.isfinite(value).all():
+        raise TraceError(f"{where}: {key} is not {size} finite numbers")
+    return value
+
+
+def _read_trace(path, episode_index: int, num_joints: int):
+    """The (base_pose, joint_pos) arrays of one episode's records in an `eval --trace` file.
 
     Raises TraceError, naming path, for a file that cannot be read as text,
     a line that is not JSON or not a trace record (an object with the
-    TRACE_KEYS), and a trace without records of the episode.
+    TRACE_KEYS), a record of the episode whose pose is not 3 finite numbers
+    or whose joint positions are not num_joints finite numbers, and a trace
+    without records of the episode.
     """
-    records = []
+    poses = []
     not_record = None  # its first line; one that is not JSON is reported before it
     try:
         with open(path) as fh:
@@ -157,7 +170,9 @@ def _read_trace(path, episode_index: int):
                 if not (isinstance(rec, dict) and all(key in rec for key in TRACE_KEYS)):
                     not_record = not_record or number
                 elif rec["episode"] == episode_index:
-                    records.append(rec)
+                    where = f"{path}: line {number}"
+                    poses.append((_trace_vector(rec, "base_pose", 3, where),
+                                  _trace_vector(rec, "joint_pos", num_joints, where)))
     except json.JSONDecodeError as exc:
         raise TraceError(f"{path}: line {number} is not JSON: {exc.msg}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -166,22 +181,20 @@ def _read_trace(path, episode_index: int):
     if not_record is not None:
         raise TraceError(f"{path}: line {not_record} is not a trace record "
                          f"(an object with the keys {', '.join(TRACE_KEYS)})")
-    if not records:
+    if not poses:
         raise TraceError(f"{path}: no records for episode {episode_index}")
-    return records
+    return poses
 
 
 def _cmd_render(args) -> int:
     run = _load_run(args)
-    if args.trace is None:
-        records, seq = [], np.random.SeedSequence(args.seed)
-    else:  # replayed onto the scene the traced episode ran in
-        records, seq = _read_trace(args.trace, args.episode), episode_seed(args.seed, args.episode)
-    episode = new_episode(run.env, run.robot, run.reward, run.episode, np.random.default_rng(seq))
+    poses = [] if args.trace is None else _read_trace(args.trace, args.episode,
+                                                      run.robot.num_joints)
+    rng = np.random.default_rng(episode_seed(args.seed, args.episode))
+    episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
     state, ee_trace = episode.state, []
-    for rec in records:
-        state = replace(state, base_pose=np.asarray(rec["base_pose"], dtype=float),
-                        joint_pos=np.asarray(rec["joint_pos"], dtype=float))
+    for base_pose, joint_pos in poses:
+        state = replace(state, base_pose=base_pose, joint_pos=joint_pos)
         ee_trace.append(forward_kinematics(run.robot, state)[-1, :2])
     svg = render_scene(
         run.robot, episode.world, state, episode.goal_pose,
@@ -235,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", type=Path, default=None,
                    help="JSONL trace from `eval --trace` to overlay")
     p.add_argument("--episode", type=_int_at_least(0), default=0,
-                   help="episode index within the trace file")
+                   help="eval episode index: its scene, and its records in --trace")
     p.set_defaults(func=_cmd_render)
     return parser
 

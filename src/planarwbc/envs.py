@@ -10,7 +10,7 @@ single termination reason per episode.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,9 +103,6 @@ class EpisodeConfig:
     variant: str = "clamping"
     # Planning resolution: rasterization cell size for the reference path.
     grid_cell: float = GRID_CELL
-    # Ablation switch: clip path progress to its running maximum so
-    # backtracking yields zero (instead of negative) progress reward.
-    progress_ratchet: bool = False
 
     def validate(self) -> list[str]:
         errors = []
@@ -469,9 +466,7 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     ee_x, ee_y, _ = frames[-1]
     d_goal = float(np.hypot(ee_x - episode.goal_pose[0], ee_y - episode.goal_pose[1]))
 
-    d_dev, d_prog, episode.path_state = path_metrics(
-        episode.path, episode.path_state, (ee_x, ee_y), ratchet=cfg.progress_ratchet
-    )
+    d_dev, d_prog, episode.path_state = path_metrics(episode.path, episode.path_state, (ee_x, ee_y))
     observation = build_observation(episode.robot, new_state, episode.world, episode.goal_pose,
                                     frames)
     clearance = math.inf
@@ -526,7 +521,8 @@ def episode_to_dict(episode: Episode) -> dict:
 
     The harmonic field and path polyline are not stored; they are re-derived
     from (world, goal, original plan start) on restore, which is exact because
-    the solve and extraction are deterministic.
+    the solve and extraction are deterministic. Of the episode config only
+    the tolerance is stored, the one value the curriculum sets per episode.
     """
     st = episode.state
     return {
@@ -536,37 +532,30 @@ def episode_to_dict(episode: Episode) -> dict:
             "bounds": list(episode.world.bounds),
         },
         "goal_pose": episode.goal_pose.tolist(),
-        "config": asdict(episode.config),
+        "tolerance": episode.config.tolerance,
         "state": {f.name: getattr(st, f.name).tolist() for f in fields(st)},
         "plan_start": episode.path.points[0].tolist(),
         "path_state": asdict(episode.path_state),
-        "reward_state": {
-            "hold_accumulator": episode.reward_state.hold_accumulator,
-            "inside_tolerance": episode.reward_state.hold_steps > 0,
-        },
+        "reward_state": asdict(episode.reward_state),
         "step_count": episode.step_count,
-        "hold_steps": episode.reward_state.hold_steps,
         "terminated": episode.terminated,
     }
 
 
-def episode_from_dict(robot: RobotConfig, params: RewardParams, data: dict) -> Episode:
-    """Rebuild a mid-episode snapshot written by episode_to_dict."""
+def episode_from_dict(
+    robot: RobotConfig, params: RewardParams, config: EpisodeConfig, data: dict
+) -> Episode:
+    """Rebuild a mid-episode snapshot written by episode_to_dict under the run's config."""
     w = data["world"]
     world = WorldGeometry(segments=w["segments"], boxes=w["boxes"], bounds=tuple(w["bounds"]))
-    config = EpisodeConfig(**data["config"])
+    config = replace(config, tolerance=data["tolerance"])
     st = RobotState(**{k: np.asarray(v, dtype=float) for k, v in data["state"].items()})
     goal = np.asarray(data["goal_pose"], dtype=float)
     plan_start = np.asarray(data["plan_start"], dtype=float)
     plan = plan_path(world, robot, config.grid_cell, plan_start, goal[:2])
     episode = make_episode(robot, params, config, Scene(world, st, goal, *plan))
     episode.path_state = PathMetricsState(**data["path_state"])
-    rs = data["reward_state"]
-    if rs["inside_tolerance"] != (data["hold_steps"] > 0):
-        raise ValueError("snapshot's inside_tolerance disagrees with its hold_steps")
-    episode.reward_state = RewardState(
-        hold_accumulator=rs["hold_accumulator"], hold_steps=data["hold_steps"]
-    )
+    episode.reward_state = RewardState(**data["reward_state"])
     episode.step_count = data["step_count"]
     episode.terminated = data["terminated"]
     return episode

@@ -587,7 +587,7 @@ def solve_harmonic(field: GridField) -> GridField:
     return field
 
 
-def _bilinear_with_gradient(field: GridField, p, arr=None):
+def _bilinear_with_gradient(field: GridField, p, v: np.ndarray):
     h, w = field.shape
     gx = (p[0] - field.origin[0]) / field.cell_size - 0.5
     gy = (p[1] - field.origin[1]) / field.cell_size - 0.5
@@ -595,7 +595,6 @@ def _bilinear_with_gradient(field: GridField, p, arr=None):
     gy = min(max(gy, 0.0), h - 1.000001)
     ix, iy = int(gx), int(gy)
     fx, fy = gx - ix, gy - iy
-    v = field.values if arr is None else arr
     v00, v10 = v.item(iy, ix), v.item(iy, ix + 1)
     v01, v11 = v.item(iy + 1, ix), v.item(iy + 1, ix + 1)
     value = v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy) + v01 * (1 - fx) * fy + v11 * fx * fy
@@ -645,13 +644,13 @@ class PathPolyline:
         return cls(points=pts, cumlen=cum, total_length=float(cum[-1]))
 
 
-def extract_path(field: GridField, start, goal=None) -> PathPolyline:
+def extract_path(field: GridField, start, goal) -> PathPolyline:
     """Steepest-descent streamline from start to the goal cell.
 
     Steps of half a cell down the bilinear potential until the goal cell is
-    entered; the exact goal point (when given) is appended as the final
-    vertex. Descent runs on the log potential, whose streamlines match the
-    raw potential's but whose gradients stay resolvable far from the goal.
+    entered; the exact goal point is appended as the final vertex. Descent
+    runs on the log potential, whose streamlines match the raw potential's
+    but whose gradients stay resolvable far from the goal.
     Raises FieldError on a stalled gradient or an over-long path.
     """
     row, col = field.cell_of(start)
@@ -666,8 +665,7 @@ def extract_path(field: GridField, start, goal=None) -> PathPolyline:
     points = [(x, y)]
     for _ in range(max_steps):
         if field.cell_of((x, y)) == field.goal_cell:
-            if goal is not None:
-                points.append((float(goal[0]), float(goal[1])))
+            points.append((float(goal[0]), float(goal[1])))
             return PathPolyline.from_points(points)
         _, dx, dy = _bilinear_with_gradient(field, (x, y), field.log_values)
         norm = math.hypot(dx, dy)
@@ -684,7 +682,6 @@ class PathMetricsState:
 
     prev_deviation: float
     prev_progress: float
-    max_progress: float
 
 
 def project_on_path(path: PathPolyline, p) -> tuple[float, float]:
@@ -714,27 +711,19 @@ def project_on_path(path: PathPolyline, p) -> tuple[float, float]:
 
 def init_path_metrics(path: PathPolyline, start_pos) -> PathMetricsState:
     dev, prog = project_on_path(path, start_pos)
-    return PathMetricsState(prev_deviation=dev, prev_progress=prog, max_progress=prog)
+    return PathMetricsState(prev_deviation=dev, prev_progress=prog)
 
 
 def path_metrics(
     path: PathPolyline,
     state: PathMetricsState,
     ee_pos,
-    ratchet: bool = False,
 ) -> tuple[float, float, PathMetricsState]:
-    """Per-step deviation and progress differences for the reward.
-
-    With ratchet=True progress is clipped to its running maximum, so backward
-    motion yields a zero difference until the maximum is reattained.
-    """
+    """Per-step deviation and progress differences for the reward."""
     dev, prog = project_on_path(path, ee_pos)
-    max_prog = max(state.max_progress, prog)
-    if ratchet:
-        prog = max_prog
     d_dev = dev - state.prev_deviation
     d_prog = prog - state.prev_progress
-    return d_dev, d_prog, PathMetricsState(dev, prog, max_prog)
+    return d_dev, d_prog, PathMetricsState(dev, prog)
 
 
 def field_to_pgm(field: GridField) -> bytes:

@@ -47,8 +47,8 @@ class PolicyConfig:
     """Network sizes plus the fixed input scaling vector.
 
     obs_scale multiplies the raw observation before the first layer so all
-    inputs land in roughly [-1, 1] (an empty tuple leaves it unscaled); it is
-    part of the architecture (and the checkpoint hash), not of the environment.
+    inputs land in roughly [-1, 1]; it is part of the architecture (and the
+    checkpoint hash), not of the environment.
     """
 
     scan_beams: int
@@ -86,7 +86,7 @@ class PolicyConfig:
             errors.append("bins must be odd and >= 3 so zero acceleration is a bin center")
         if self.action_dims < 1:
             errors.append("action_dims must be >= 1")
-        if self.obs_scale and len(self.obs_scale) != self.observation_size:
+        if len(self.obs_scale) != self.observation_size:
             errors.append("obs_scale length must equal the observation size")
         return errors
 
@@ -251,8 +251,7 @@ class Policy:
         self.views = param_views(config, self.params)
         self.compute = np.empty(self.params.shape, COMPUTE_DTYPE)
         self.layers = _layers(config, self.compute)
-        # Multiplying by 1.0 is exact, so a config without a scale needs no branch.
-        self.obs_scale = np.asarray(config.obs_scale or 1.0)
+        self.obs_scale = np.asarray(config.obs_scale)
         self._graph: _Workspace | None = None  # reused by graph_forward() of its size
         self._pending: _Workspace | None = None  # a graph_forward() backward() has not read
         self.refresh()

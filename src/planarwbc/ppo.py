@@ -46,14 +46,12 @@ class TrainConfig:
     minibatches: int = 8
     epochs: int = 30
     clip_range: float = 0.2
-    clip_range_vf: float = -1.0
     gamma: float = 0.999
     gae_lambda: float = 0.95
     learning_rate: float = 3e-4
     value_coef: float = 0.5
     entropy_coef: float = 0.01
     max_grad_norm: float = 0.5
-    normalize_advantages: bool = True
     seed: int = 0
     checkpoint_interval: int = 25
 
@@ -72,6 +70,8 @@ class TrainConfig:
             errors.append("gae_lambda must be in [0, 1]")
         if self.learning_rate <= 0.0:
             errors.append("learning_rate must be > 0")
+        if self.max_grad_norm <= 0.0:
+            errors.append("max_grad_norm must be > 0")
         if self.checkpoint_interval < 1:
             errors.append("checkpoint_interval must be >= 1")
         if self.seed < 0:
@@ -292,7 +292,6 @@ def ppo_loss(
     old_log_probs: np.ndarray,
     advantages: np.ndarray,
     returns: np.ndarray,
-    old_values: np.ndarray,
     config: TrainConfig,
 ):
     """PPO objective on one minibatch, and its gradient at the network's outputs.
@@ -300,15 +299,14 @@ def ppo_loss(
     Returns (loss, stats dict, (d_logits, d_values)): the gradient of the
     loss with respect to the logits and values of the policy's graph pass,
     which policy.backward() turns into the flat parameter gradient. The
-    surrogate uses the clipped probability ratio; value clipping engages
-    only when clip_range_vf is positive.
+    surrogate uses the clipped probability ratio and the value loss the
+    plain squared error.
 
     The head's distribution is log_softmax_np, the one the rollout samples
     from, and its gradient is written in closed form: per action dimension,
     d log p(a)/dz = onehot(a) - p and dH/dz = -p (log p + H). Ties in the
-    surrogate's minimum go to the unclipped term and in the clipped value
-    loss's maximum to the unclipped error, and a ratio or value change on a
-    clip boundary counts as inside.
+    surrogate's minimum go to the unclipped term, and a ratio on a clip
+    boundary counts as inside.
     """
     logits, values = policy.graph_forward(obs)
     inv_n = 1.0 / values.shape[0]
@@ -327,16 +325,7 @@ def ppo_loss(
     policy_loss = -(np.minimum(unclipped, clipped).sum() * inv_n)
 
     error = values - returns
-    if config.clip_range_vf > 0.0:
-        c = config.clip_range_vf
-        change = values - old_values
-        error_clipped = (old_values + np.clip(change, -c, c)) - returns
-        sq, sq_clipped = error**2, error_clipped**2
-        value_loss = np.maximum(sq, sq_clipped).sum() * inv_n
-        # The error the maximum picks carries the gradient, the clip passes it inside [-c, c].
-        error = np.where(sq >= sq_clipped, error, error_clipped * ((change >= -c) & (change <= c)))
-    else:
-        value_loss = (error**2).sum() * inv_n
+    value_loss = (error**2).sum() * inv_n
     d_values = config.value_coef * inv_n * 2 * error
     entropy_mean = entropy.sum() * inv_n
     loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy_mean
@@ -369,11 +358,9 @@ def ppo_update(run, trainer: TrainerState, buffer: RolloutBuffer) -> dict:
     obs = buffer.obs.reshape(n_total, -1)
     bins = buffer.bins.reshape(n_total, -1)
     old_log_probs = buffer.log_probs.reshape(n_total)
-    old_values = buffer.values.reshape(n_total)
     returns = buffer.returns.reshape(n_total)
     advantages = buffer.advantages.reshape(n_total)
-    if tc.normalize_advantages:
-        advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
+    advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
     mb_size = n_total // tc.minibatches
     totals: dict[str, float] = {}
@@ -384,15 +371,14 @@ def ppo_update(run, trainer: TrainerState, buffer: RolloutBuffer) -> dict:
             idx = perm[k * mb_size : (k + 1) * mb_size]
             loss, stats, d_outputs = ppo_loss(
                 trainer.policy, obs[idx], bins[idx], old_log_probs[idx],
-                advantages[idx], returns[idx], old_values[idx], tc,
+                advantages[idx], returns[idx], tc,
             )
             if not np.isfinite(loss):
                 raise RuntimeError(f"non-finite PPO loss: {stats}")
             grad = trainer.policy.backward(*d_outputs)
-            if tc.max_grad_norm > 0.0:
-                norm = _global_norm(grad)
-                if norm > tc.max_grad_norm:
-                    grad *= tc.max_grad_norm / norm
+            norm = _global_norm(grad)
+            if norm > tc.max_grad_norm:
+                grad *= tc.max_grad_norm / norm
             adam_step(trainer, grad, tc.learning_rate)
             for key, value in stats.items():
                 totals[key] = totals.get(key, 0.0) + value
@@ -452,7 +438,7 @@ def load_train_checkpoint(path, run) -> TrainerState:
     for index, wmeta in enumerate(meta["workers"]):
         rng = np.random.default_rng()
         rng.bit_generator.state = wmeta["rng"]
-        episode = episode_from_dict(run.robot, run.reward, wmeta["episode"])
+        episode = episode_from_dict(run.robot, run.reward, run.episode, wmeta["episode"])
         workers.append(
             Worker(
                 index=index,

@@ -58,7 +58,7 @@ def cell_center(field: GridField, row: int, col: int) -> np.ndarray:
                      field.origin[1] + (row + 0.5) * field.cell_size])
 
 
-def extract_path_arrays(field: GridField, start, goal=None) -> np.ndarray:
+def extract_path_arrays(field: GridField, start, goal) -> np.ndarray:
     """The (P, 2) vertices of pathfield.extract_path, stepped on numpy arrays.
 
     Half-cell steps down the bilinear gradient of the log potential, each
@@ -74,8 +74,7 @@ def extract_path_arrays(field: GridField, start, goal=None) -> np.ndarray:
     points = [p.copy()]
     for _ in range(max_steps):
         if field.cell_of(p) == field.goal_cell:
-            if goal is not None:
-                points.append(np.array([float(goal[0]), float(goal[1])]))
+            points.append(np.array([float(goal[0]), float(goal[1])]))
             kept = [points[0]]
             for q in points[1:]:
                 if np.linalg.norm(q - kept[-1]) > 1e-12:
@@ -1031,14 +1030,13 @@ def taped_forward(policy, obs):
     return logits, ad.columns(out, k, k + 1, np.float64).reshape(-1), grad
 
 
-def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, old_values, config):
+def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, config):
     """(loss, stats, flat gradient, gradient at the logits) of the PPO
     objective on the reverse-mode tape.
 
     The objective as the trainer taped it before its gradient was written
-    out: clipped surrogate, value loss (clipped when clip_range_vf > 0) and
-    entropy bonus, composed from autodiff ops and differentiated by one
-    backward().
+    out: clipped surrogate, squared-error value loss and entropy bonus,
+    composed from autodiff ops and differentiated by one backward().
     """
     logits, value, grad = taped_forward(policy, obs)
     logp = ad.log_softmax(logits, axis=2)
@@ -1052,14 +1050,7 @@ def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, old_va
     clipped = ad.clip(ratio, 1.0 - config.clip_range, 1.0 + config.clip_range) * adv
     policy_loss = -(ad.minimum(unclipped, clipped).mean())
 
-    ret = ad.Tensor(returns)
-    if config.clip_range_vf > 0.0:
-        delta = ad.clip(value - ad.Tensor(old_values), -config.clip_range_vf,
-                        config.clip_range_vf)
-        v_clipped = ad.Tensor(old_values) + delta
-        value_loss = ad.maximum((value - ret) ** 2, (v_clipped - ret) ** 2).mean()
-    else:
-        value_loss = ((value - ret) ** 2).mean()
+    value_loss = ((value - ad.Tensor(returns)) ** 2).mean()
     entropy_mean = entropy.mean()
     loss = policy_loss + config.value_coef * value_loss - config.entropy_coef * entropy_mean
     loss.backward()

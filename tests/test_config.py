@@ -61,8 +61,9 @@ def test_policy_defaults_follow_robot_overrides():
 def test_unknown_keys_rejected_with_dotted_paths():
     with pytest.raises(ConfigError) as exc:
         config_from_dict(
-            {"episode": {"tolerence": 0.2}, "trian": {}, "robot": {"lidar": {"bems": 3}},
-             "policy": {"scan_beams": 3, "obs_scale": [1.0]}}
+            {"episode": {"tolerence": 0.2, "progress_ratchet": True}, "trian": {},
+             "robot": {"lidar": {"bems": 3}}, "policy": {"scan_beams": 3, "obs_scale": [1.0]},
+             "train": {"normalize_advantages": False, "clip_range_vf": 0.2}}
         )
     message = str(exc.value)
     assert "episode.tolerence: unknown key" in message
@@ -72,6 +73,10 @@ def test_unknown_keys_rejected_with_dotted_paths():
     # sets them is rejected, not cross-checked against the robot.
     assert "policy.scan_beams: unknown key" in message
     assert "policy.obs_scale: unknown key" in message
+    # Switches no run turned are gone with the code paths they selected.
+    assert "episode.progress_ratchet: unknown key" in message
+    assert "train.normalize_advantages: unknown key" in message
+    assert "train.clip_range_vf: unknown key" in message
 
 
 def test_type_errors_are_collected_not_first_only():
@@ -115,6 +120,9 @@ def test_semantic_validation_cites_bounds():
         config_from_dict({"train": {"steps_per_worker": 10, "minibatches": 3}})
     with pytest.raises(ConfigError, match="scan_beams"):
         config_from_dict({"policy": {"scan_beams": 16}})
+    # Gradient clipping always runs, so a norm bound of 0 is no way to turn it off.
+    with pytest.raises(ConfigError, match="train.max_grad_norm must be > 0"):
+        config_from_dict({"train": {"max_grad_norm": 0}})
 
 
 @pytest.mark.parametrize("document,field", [

@@ -236,7 +236,7 @@ def test_cli_hpf_dump(cli_config, tmp_path, capsys):
     # The planning resolution is the config's episode.grid_cell (0.1 m here).
     run = easy_run(time_limit=2.0)
     assert run.episode.grid_cell == 0.1
-    h, w = generate_scene(run.env, run.robot, np.random.default_rng(np.random.SeedSequence(1)),
+    h, w = generate_scene(run.env, run.robot, np.random.default_rng(episode_seed(1, 0)),
                           run.episode.grid_cell).path_field.shape
     assert (out / "field.pgm").read_bytes().startswith(f"P5\n{w} {h}\n255\n".encode())
     payload = json.loads((out / "path.json").read_text())
@@ -339,10 +339,12 @@ RECORD = {"episode": 1, "step": 1, "base_pose": [0.7, 1.0, 0.0], "joint_pos": [0
 @pytest.mark.parametrize("problem", ["config_missing", "trace_missing", "trace_malformed",
                                      "trace_not_text", "trace_missing_keys",
                                      "trace_not_an_object", "trace_empty",
-                                     "trace_other_episode"])
+                                     "trace_other_episode", "trace_short_pose",
+                                     "trace_pose_not_numbers", "trace_joint_count"])
 def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
     # One error line naming the file and exit status 2, no traceback; also
-    # for a trace that is not a record or holds no records of the episode.
+    # for a trace that is not a record, holds no records of the episode, or
+    # has a record whose pose or joint positions do not fit the robot.
     given = tmp_path / "given"
     if problem == "trace_not_text":
         given.write_bytes(b"\xff\xfe\x00")
@@ -352,7 +354,14 @@ def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
                           "trace_missing_keys": record + '{"episode": 0, "step": 1}\n',
                           "trace_not_an_object": "[1, 2]\n",
                           "trace_empty": "",
-                          "trace_other_episode": record}[problem])
+                          "trace_other_episode": record,
+                          "trace_short_pose": json.dumps(
+                              {"episode": 0, "base_pose": [1.0], "joint_pos": [0, 0, 0]}),
+                          "trace_pose_not_numbers": json.dumps(
+                              {"episode": 0, "base_pose": "ab", "joint_pos": [0, 0, 0]}),
+                          "trace_joint_count": json.dumps(
+                              {"episode": 0, "base_pose": [1, 1, 0], "joint_pos": [0, 0]}),
+                          }[problem])
     config = given if problem == "config_missing" else cli_config
     code = main(["render", "--config", str(config), "--trace", str(given),
                  "--out", str(tmp_path / "o")])
@@ -368,15 +377,31 @@ def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
               "trace_missing_keys": "line 2 is not a trace record",
               "trace_not_an_object": "line 1 is not a trace record",
               "trace_empty": "no records for episode 0",
-              "trace_other_episode": "no records for episode 0"}[problem]
+              "trace_other_episode": "no records for episode 0",
+              "trace_short_pose": "line 1: base_pose is not 3 finite numbers",
+              "trace_pose_not_numbers": "line 1: base_pose is not 3 finite numbers",
+              "trace_joint_count": "line 1: joint_pos is not 3 finite numbers"}[problem]
     assert reason in err[0]
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**40])
-def test_episode_seed_is_the_spawned_child(seed):
-    # Eval, render and inspect-env all derive episode i's scene from it.
+def test_episode_seed_is_the_spawned_child(seed, cli_config, tmp_path):
+    # Eval, render, inspect-env and hpf-dump all derive episode i's scene from it.
     for index, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
         ours = episode_seed(seed, index)
         assert ours.generate_state(8).tolist() == child.generate_state(8).tolist()
         assert (np.random.default_rng(ours).random(4).tolist()
                 == np.random.default_rng(child).random(4).tolist())
+    # `hpf-dump` plans episode 0's scene and `render --episode 2` draws
+    # episode 2's, the scenes `eval --seed` runs.
+    run = easy_run(time_limit=2.0)
+    first, third = (new_episode(run.env, run.robot, run.reward, run.episode,
+                                np.random.default_rng(episode_seed(seed, i))) for i in (0, 2))
+    common = ["--config", str(cli_config), "--seed", str(seed)]
+    assert main(["hpf-dump", *common, "--out", str(tmp_path / "dump")]) == 0
+    points = json.loads((tmp_path / "dump" / "path.json").read_text())["points"]
+    assert points == first.path.points.tolist()
+    assert main(["render", *common, "--episode", "2", "--out", str(tmp_path / "render")]) == 0
+    expected = render_scene(run.robot, third.world, third.state, third.goal_pose,
+                            third.config.tolerance, path_points=third.path.points)
+    assert (tmp_path / "render" / "scene.svg").read_text() == expected

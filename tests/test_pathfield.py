@@ -373,7 +373,7 @@ def test_extract_path_straight_corridor():
     # Potential decreases along the streamline.
     from planarwbc.pathfield import _bilinear_with_gradient
 
-    vals = [_bilinear_with_gradient(field, p)[0] for p in path.points[:-1]]
+    vals = [_bilinear_with_gradient(field, p, field.values)[0] for p in path.points[:-1]]
     assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -412,7 +412,7 @@ def test_extract_rejects_obstacle_start():
     field = rasterize_world(world, 0.1, inflate=0.05, goal=(2.0, 1.5))
     solve_harmonic(field)
     with pytest.raises(FieldError):
-        extract_path(field, (0.0, 0.0))  # inside the boundary ring
+        extract_path(field, (0.0, 0.0), goal=(2.0, 1.5))  # inside the boundary ring
 
 
 def test_polyline_dedupes_and_cumlen():
@@ -475,19 +475,6 @@ def test_path_metrics_telescoping_and_lipschitz():
             total_prog += d_prog
             pos = new_pos
         assert total_prog == pytest.approx(state.prev_progress - start_prog, abs=1e-12)
-
-
-def test_path_metrics_ratchet():
-    path = PathPolyline.from_points([[0, 0], [4, 0]])
-    state = init_path_metrics(path, (2.0, 0.0))
-    d_dev, d_prog, state = path_metrics(path, state, (1.0, 0.0), ratchet=True)
-    assert d_prog == 0.0  # regression clipped at the running max
-    d_dev, d_prog, state = path_metrics(path, state, (2.5, 0.0), ratchet=True)
-    assert d_prog == pytest.approx(0.5)
-    # Without the ratchet the regression is symmetric.
-    state = init_path_metrics(path, (2.0, 0.0))
-    _, d_prog, _ = path_metrics(path, state, (1.0, 0.0), ratchet=False)
-    assert d_prog == pytest.approx(-1.0)
 
 
 def test_field_to_pgm():

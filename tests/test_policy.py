@@ -52,7 +52,7 @@ def naive_forward(policy, obs_row):
     """Scalar-path re-implementation of the scan-block network."""
     cfg = policy.config
     v = policy.views
-    x = obs_row * np.asarray(cfg.obs_scale) if cfg.obs_scale else obs_row.copy()
+    x = obs_row * np.asarray(cfg.obs_scale)
     nb = cfg.scan_beams
     parts = {}
     for side, sl in (("front", slice(0, nb)), ("rear", slice(nb, 2 * nb))):
@@ -326,6 +326,7 @@ def test_param_views_share_storage():
 def test_config_validation():
     assert replace(SMALL, bins=4).validate()  # even bin count has no zero center
     assert replace(SMALL, obs_scale=(1.0,)).validate()
+    assert replace(SMALL, obs_scale=()).validate()  # no scale is not "unscaled"
     assert replace(SMALL, scan_hidden=(4,)).validate()
     assert replace(SMALL, trunk_hidden=(6, 0)).validate()
     with pytest.raises(ValueError):

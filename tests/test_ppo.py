@@ -71,7 +71,7 @@ TINY = PolicyConfig(
     trunk_hidden=(3, 3),
     action_dims=2,
     bins=3,
-    obs_scale=(),
+    obs_scale=(1.0,) * 7,
 )
 
 
@@ -165,13 +165,11 @@ def test_surrogate_at_ratio_one_reduces_to_mean_advantage():
     rng = np.random.default_rng(4)
     advantages = rng.standard_normal(6)
     config = TrainConfig(entropy_coef=0.0)
-    _, stats, _ = ppo_loss(
-        policy, obs, bins, old_log_probs, advantages, values.copy(), values, config
-    )
+    _, stats, _ = ppo_loss(policy, obs, bins, old_log_probs, advantages, values.copy(), config)
     assert stats["ratio_mean"] == pytest.approx(1.0, abs=1e-12)
     assert stats["clip_fraction"] == 0.0
     assert stats["policy_loss"] == pytest.approx(-advantages.mean(), abs=1e-12)
-    # returns == old values == current values, so the value term vanishes.
+    # returns == current values, so the value term vanishes.
     assert stats["value_loss"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -184,45 +182,35 @@ def test_clip_blocks_gradient_only_for_profitable_ratios():
 
     # Positive advantages: min(ratio*A, clip(ratio)*A) takes the clipped
     # branch, a constant, so every parameter gradient is exactly zero.
-    _, _, d_outputs = ppo_loss(
-        policy, obs, bins, shifted, np.ones(4), values.copy(), values, config
-    )
+    _, _, d_outputs = ppo_loss(policy, obs, bins, shifted, np.ones(4), values.copy(), config)
     grad = policy.backward(*d_outputs)
     assert np.array_equal(grad, np.zeros_like(grad))
 
     # Negative advantages at the same ratio keep the unclipped branch (the
     # objective stays pessimal-side sensitive), so gradients flow.
-    _, _, d_outputs = ppo_loss(
-        policy, obs, bins, shifted, -np.ones(4), values.copy(), values, config
-    )
+    _, _, d_outputs = ppo_loss(policy, obs, bins, shifted, -np.ones(4), values.copy(), config)
     assert np.abs(policy.backward(*d_outputs)).max() > 1e-6
 
 
-@pytest.mark.parametrize("clip_range_vf", [-1.0, 0.3])
-def test_loss_gradient_matches_finite_differences(clip_range_vf, float64_network):
+def test_loss_gradient_matches_finite_differences(float64_network):
     policy = tiny_policy(seed=8)
     assert param_count(TINY) < 200
     n = 5
-    obs, bins, old_log_probs, values = self_consistent_batch(policy, n, seed=9)
+    obs, bins, old_log_probs, _ = self_consistent_batch(policy, n, seed=9)
     rng = np.random.default_rng(10)
-    # Ratios away from the clip kinks at exp(+-offset) vs 0.8/1.2, and value
-    # deltas away from the +-0.3 value-clip kink, keep the loss smooth so
-    # central differences converge.
+    # Ratios away from the clip kinks at exp(+-offset) vs 0.8/1.2 keep the
+    # loss smooth so central differences converge.
     old_log_probs = old_log_probs + np.array([-0.5, -0.1, 0.0, 0.15, 0.4])
-    old_values = values + np.array([-0.5, -0.15, 0.0, 0.1, 0.45])
     advantages = rng.standard_normal(n)
     returns = rng.standard_normal(n)
-    config = TrainConfig(entropy_coef=0.01, clip_range_vf=clip_range_vf)
+    config = TrainConfig(entropy_coef=0.01)
 
-    _, _, d_outputs = ppo_loss(
-        policy, obs, bins, old_log_probs, advantages, returns, old_values, config
-    )
+    _, _, d_outputs = ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, config)
     grad = policy.backward(*d_outputs)
 
     def loss_at(theta):
         value, _, _ = ppo_loss(
-            Policy(TINY, theta), obs, bins, old_log_probs, advantages, returns,
-            old_values, config,
+            Policy(TINY, theta), obs, bins, old_log_probs, advantages, returns, config
         )
         return value
 
@@ -252,7 +240,7 @@ def test_batched_head_terms_match_per_dimension_reference():
     for i in range(n):
         one = slice(i, i + 1)
         _, stats, _ = ppo_loss(policy, obs[one], bins[one], np.zeros(1), np.zeros(1),
-                               values[one], values[one], TrainConfig())
+                               values[one], TrainConfig())
         log_prob, entropy = distribution_stats(logits[i], bins[i])
         assert log_prob < -1.0
         assert math.log(stats["ratio_mean"]) == pytest.approx(log_prob, abs=1e-12)
@@ -265,14 +253,11 @@ def test_entropy_term_pushes_toward_uniform():
     obs, bins, old_log_probs, values = self_consistent_batch(policy, 8, seed=12)
     config = TrainConfig(value_coef=0.0, entropy_coef=1.0)
     zero_adv = np.zeros(8)
-    _, before, d_outputs = ppo_loss(
-        policy, obs, bins, old_log_probs, zero_adv, values.copy(), values, config
-    )
+    _, before, d_outputs = ppo_loss(policy, obs, bins, old_log_probs, zero_adv, values.copy(),
+                                    config)
     policy.params[...] -= 0.05 * policy.backward(*d_outputs)
     policy.refresh()
-    _, after, _ = ppo_loss(
-        policy, obs, bins, old_log_probs, zero_adv, values.copy(), values, config
-    )
+    _, after, _ = ppo_loss(policy, obs, bins, old_log_probs, zero_adv, values.copy(), config)
     assert after["entropy"] > before["entropy"]
     assert after["entropy"] <= 2 * math.log(3) + 1e-12  # uniform ceiling
 
@@ -318,19 +303,17 @@ def corpus():
     compute_gae(buffer, run.train.gamma, run.train.gae_lambda)
     adv = buffer.advantages[0]
     adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-    samples = (buffer.obs[0], buffer.bins[0], buffer.log_probs[0], adv, buffer.returns[0],
-               buffer.values[0])
+    samples = (buffer.obs[0], buffer.bins[0], buffer.log_probs[0], adv, buffer.returns[0])
     return run, trainer.policy.params.copy(), samples
 
 
-@pytest.mark.parametrize("clip_range_vf", [-1.0, 0.05])
 @pytest.mark.parametrize("size", [256, 100])
-def test_update_gradient_is_bitwise_the_tapes(corpus, clip_range_vf, size):
+def test_update_gradient_is_bitwise_the_tapes(corpus, size):
     # Held within float tolerance of the tape, as assert_matches_the_tape
     # says. Shuffled minibatches of a real rollout under the default config,
     # with an Adam step after each so later ratios leave 1 and get clipped.
     run, params, samples = corpus
-    config = replace(run.train, clip_range_vf=clip_range_vf)
+    config = run.train
     trainer = TrainerState(policy=Policy(run.policy, params), adam_m=np.zeros(params.size),
                            adam_v=np.zeros(params.size), adam_t=0, update_rng=None,
                            workers=[], adr_state=None)
@@ -348,33 +331,28 @@ def test_update_gradient_is_bitwise_the_tapes(corpus, clip_range_vf, size):
 
 def test_gradient_at_ties_and_clip_boundaries_is_bitwise_the_tapes():
     # Held within float tolerance of the tape, as assert_matches_the_tape
-    # says. The tape sends a tie of minimum (maximum) to its first argument,
-    # the unclipped term, and counts a clip boundary as inside. A term on its
+    # says. The tape sends a tie of minimum to its first argument, the
+    # unclipped term, and counts a clip boundary as inside. A term on its
     # clip bound ties with its clipped twin, so the two rules together keep
     # its gradient; a change to both would zero it.
     policy = tiny_policy(seed=8)
     obs, bins, old_log_probs, values = self_consistent_batch(policy, 4, seed=9)
     returns = values + np.array([0.3, -0.2, 0.1, -0.4])
     # Ratios near 1 keep every surrogate inside the band, where unclipped ==
-    # clipped; zero advantages tie at 0; old values equal to the values tie
-    # the two value errors.
+    # clipped; zero advantages tie at 0.
     stats = assert_matches_the_tape(
-        policy, [obs, bins, old_log_probs, np.array([1.0, 0.0, -1.0, 0.0]), returns, values],
-        TrainConfig(clip_range_vf=0.1))
+        policy, [obs, bins, old_log_probs, np.array([1.0, 0.0, -1.0, 0.0]), returns],
+        TrainConfig())
     assert stats["clip_fraction"] == 0.0
     # One sample at a time, its ratio exactly on the upper or the lower clip
-    # bound and its value change exactly on the value clip bound, with
-    # advantages of either sign.
+    # bound, with advantages of either sign.
     for i, shift, adv in ((0, -0.1, 1.0), (1, 0.1, -1.0), (2, -0.1, -1.0), (3, 0.1, 1.0)):
         one = slice(i, i + 1)
-        batch = [obs[one], bins[one], old_log_probs[one] + shift, np.array([adv]),
-                 returns[one], values[one] - 0.05 * (i + 1)]
+        batch = [obs[one], bins[one], old_log_probs[one] + shift, np.array([adv]), returns[one]]
         ratio = ppo_loss(policy, *batch, TrainConfig())[1]["ratio_mean"]
         clip_range = ratio - 1.0 if ratio > 1.0 else 1.0 - ratio
         assert 1.0 + clip_range == ratio or 1.0 - clip_range == ratio
-        change = abs(float(policy.forward_batch(obs[one])[1][0] - batch[5][0]))
-        stats = assert_matches_the_tape(policy, batch, TrainConfig(clip_range=clip_range,
-                                                                   clip_range_vf=change))
+        stats = assert_matches_the_tape(policy, batch, TrainConfig(clip_range=clip_range))
         assert stats["clip_fraction"] == 0.0
 
 
@@ -400,7 +378,7 @@ def test_gradient_at_saturated_logits_matches_the_tape(entropy_coef):
     assert np.all((probs[:, 1] == 0.0) | (probs[:, 1] == 1.0))
     old_log_probs = np.array([distribution_stats(logits[i], bins[i])[0] for i in range(8)])
     batch = [obs, bins, old_log_probs, np.random.default_rng(22).standard_normal(8),
-             values + 0.1, values]
+             values + 0.1]
     stats = assert_matches_the_tape(policy, batch, TrainConfig(entropy_coef=entropy_coef))
     assert stats["ratio_mean"] == 1.0
 
@@ -760,9 +738,10 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
 # sha256 of train_state.ckpt and policy.ckpt after the 96-step smoke run,
 # written by the taped update. The closed-form head gradient reproduces
 # them: its entries round to the tape's in the float32 backward. The first
-# also covers the run-configuration digest, so it moves with the config schema.
+# also covers the run-configuration digest and the episode snapshot's keys,
+# so it moves with the config schema and the snapshot format.
 TWO_ITERATION_SHA256 = [
-    "38800629d0582e90778e28cfcb9d6c22dd44dea38073e99962a72899986903eb",
+    "d965dea57b3e0167b7939cb64d7c5def210eac6e6018ac74f49bc3cb16c4e58c",
     "79e06f2a2c624c2af13218a048e0cd54b4a98a2de338327b1195bc0f7a2ca5e0",
 ]
 
@@ -916,7 +895,7 @@ def test_float32_network_tracks_float64(monkeypatch):
     grads = []
     for policy in (high, low):
         _, _, d_outputs = ppo_loss(policy, obs[:256], bins[:256], old_log_probs[:256],
-                                   advantages[:256], returns[:256], values[:256], TrainConfig())
+                                   advantages[:256], returns[:256], TrainConfig())
         grads.append(policy.backward(*d_outputs).copy())
     assert np.linalg.norm(grads[1] - grads[0]) <= 5e-6 * np.linalg.norm(grads[0])
 
