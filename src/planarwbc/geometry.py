@@ -12,13 +12,13 @@ and points or segment endpoints inside a box, are exactly 0.0 apart; a point
 on a segment may come out a rounding error above 0.
 
 The kernels a simulator step runs are coordinate-major: segment_pairs_distance
-(the body query's pairs) takes (4, ...) planes, and the ray kernels take
-rays as (2, 1, B) planes and obstacles as (2 or 4, N, 1) planes built once
-per world (segment_columns, box_slabs), returning one (N, B) row per
-obstacle, rays last. Each stage is then one ufunc over a whole stacked
-buffer, and a minimum over obstacles or cases reduces a leading axis: numpy
-takes about four times as long to reduce a short trailing axis, e.g.
-(128, 4).min(axis=1) against (4, 128).min(axis=0).
+(the body query's pairs) takes (4, ...) planes, and rays_segments_hits takes
+rays as (2, 1, B) planes and segments as (2, N, 1) planes built once per
+world (segment_columns), returning one (N, B) row per segment, rays last.
+Each stage is then one ufunc over a whole stacked buffer, and a minimum over
+obstacles or cases reduces a leading axis: numpy takes about four times as
+long to reduce a short trailing axis, e.g. (128, 4).min(axis=1) against
+(4, 128).min(axis=0).
 """
 from __future__ import annotations
 
@@ -154,13 +154,6 @@ def segment_columns(segments) -> tuple[np.ndarray, np.ndarray]:
     return starts, edges
 
 
-def box_slabs(boxes) -> np.ndarray:
-    """The (4, M, 1) planes [xmin, xmax, ymin, ymax] rays_boxes_hits reads
-    for boxes (M, 4)."""
-    boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-    return np.ascontiguousarray(boxes.T[[0, 2, 1, 3], :, None])
-
-
 def rays_segments_hits(origins, directions, starts, edges) -> np.ndarray:
     """Ray parameters t >= 0 of intersections, one (N, B) row per segment.
 
@@ -180,28 +173,3 @@ def rays_segments_hits(origins, directions, starts, edges) -> np.ndarray:
     t, u = np.divide(numerators[0:2], den, out=products[3:5])
     valid = (np.abs(den) > 0.0) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
     return np.where(valid, t, np.inf)
-
-
-def rays_boxes_hits(origins, directions, slabs) -> np.ndarray:
-    """Ray parameters t >= 0 of first boundary hit, one (M, B) row per box.
-
-    Rays as in rays_segments_hits; slabs are the planes of box_slabs. Slab
-    method; a ray starting inside a box reports the exit distance.
-    Axis-parallel rays (zero direction component) are handled explicitly.
-    Call inside np.errstate(divide="ignore", invalid="ignore").
-    """
-    bounds = slabs.reshape(2, 2, *slabs.shape[1:])  # [[xmin, xmax], [ymin, ymax]]
-    t = np.divide(bounds - origins[:, None], directions[:, None])  # [[tx1, tx2], [ty1, ty2]]
-    if not directions.all():
-        for k in range(2):
-            zero = directions[k] == 0.0
-            if zero.any():
-                inside = (bounds[k, 0] <= origins[k]) & (origins[k] <= bounds[k, 1])
-                t[k, 0] = np.where(zero, np.where(inside, -np.inf, np.nan), t[k, 0])
-                t[k, 1] = np.where(zero, np.where(inside, np.inf, np.nan), t[k, 1])
-    near = np.minimum(t[:, 0], t[:, 1])
-    far = np.maximum(t[:, 0], t[:, 1])
-    tmin = np.maximum(near[0], near[1])
-    tmax = np.minimum(far[0], far[1])
-    hit = tmax >= np.maximum(tmin, 0.0)  # tmax >= tmin, tmax >= 0, tmin not NaN
-    return np.where(hit, np.where(tmin >= 0.0, tmin, tmax), np.inf)

@@ -23,6 +23,7 @@ from .policy import (
     Policy,
     acceleration_table,
     config_hash,
+    init_params,
     log_softmax_np,
     param_count,
     read_checkpoint,
@@ -464,8 +465,6 @@ def load_train_checkpoint(path, run) -> TrainerState:
 
 def init_trainer(run) -> TrainerState:
     """Seed-derived fresh training state: params, RNG streams, live episodes."""
-    from .policy import init_params
-
     tc: TrainConfig = run.train
     seeds = np.random.SeedSequence(tc.seed).spawn(tc.workers + 2)
     init_rng = np.random.default_rng(seeds[tc.workers])
@@ -525,8 +524,12 @@ def train_loop(run, out_dir, resume: str | None = None) -> dict:
     Writes metrics.csv (per finished episode), updates.jsonl (per update),
     adr.csv (tolerance trace), train_state.ckpt (resumable full state), and
     policy.ckpt (inference-only parameters) under out_dir.
+
+    A resumed run first rewrites policy.ckpt from the training checkpoint's
+    parameters: a crash between a checkpoint's two writes leaves policy.ckpt
+    one checkpoint behind.
     """
-    issues = run.validate() if hasattr(run, "validate") else []
+    issues = run.validate()
     if issues:
         raise ValueError("; ".join(issues))
     out_dir = Path(out_dir)
@@ -535,7 +538,11 @@ def train_loop(run, out_dir, resume: str | None = None) -> dict:
     updates_path = out_dir / "updates.jsonl"
     adr_path = out_dir / "adr.csv"
 
-    trainer = load_train_checkpoint(resume, run) if resume is not None else init_trainer(run)
+    if resume is None:
+        trainer = init_trainer(run)
+    else:
+        trainer = load_train_checkpoint(resume, run)
+        save_params(out_dir / "policy.ckpt", run.policy, trainer.policy.params)
     _cut_logs(out_dir, trainer.global_step, trainer.update_count)
 
     tc: TrainConfig = run.train

@@ -1,12 +1,15 @@
 """World geometry, capsule collision checks, and raycast LIDAR.
 
-A simulator step asks the world two things, each as one batch: body_query
-sends every (body capsule, obstacle outline) pair and every self-collision
+A simulator step asks the world two things, each as one batch over the
+same obstacle outline (the wall segments plus every box edge): body_query
+sends every (body capsule, outline segment) pair and every self-collision
 pair through one distance call, and cast_lidars casts the rays of both
-sensors together. Both batches are obstacle-major: the world keeps its
-obstacles as static coordinate planes built at construction, a step writes
-only the body's spines or its rays beside them, and every minimum over
-obstacles reduces the leading axis (see geometry).
+sensors against the outline in one ray call. Both batches are
+obstacle-major: the world keeps its outline as static coordinate planes
+built at construction, a step writes only the body's spines or its rays
+beside them, and every minimum over obstacles reduces the leading axis (see
+geometry). Boxes stay solid where the outline alone cannot say so: the body
+query's inside test, min_clearance_point and the planner's raster.
 
 body_query puts a broad phase on Python floats in front of that batch: a
 pose whose capsules are all clear of each other and further than the
@@ -22,10 +25,8 @@ import numpy as np
 
 from .geometry import (
     box_edges,
-    box_slabs,
     point_box_distance,
     point_segment_distance,
-    rays_boxes_hits,
     rays_segments_hits,
     segment_columns,
     segment_pairs_distance,
@@ -54,12 +55,12 @@ class WorldGeometry:
     boxes: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
     # Wall segments plus box edges, every boundary a segment can be nearest
-    # to outside the boxes, as (4, K, 1) planes [x0, y0, x1, y1].
+    # to outside the boxes and every boundary a ray can reach, as (4, K, 1)
+    # planes [x0, y0, x1, y1].
     outline_planes: np.ndarray = field(init=False, repr=False, compare=False)
-    # The ray kernels' planes: segment starts and (ey, ex), box slab bounds.
+    # The ray kernel's planes of the same outline: starts and (ey, ex).
     segment_starts: np.ndarray = field(init=False, repr=False, compare=False)
     segment_edges: np.ndarray = field(init=False, repr=False, compare=False)
-    slabs: np.ndarray = field(init=False, repr=False, compare=False)
     # The broad phase's (N, 4) bounding boxes [xmin, ymin, xmax, ymax] of
     # the wall segments, then the boxes.
     obstacle_bounds: np.ndarray = field(init=False, repr=False, compare=False)
@@ -68,7 +69,7 @@ class WorldGeometry:
         segments = np.array(self.segments, dtype=float).reshape(-1, 4)
         boxes = np.array(self.boxes, dtype=float).reshape(-1, 4)
         outlines = np.concatenate([segments, box_edges(boxes).reshape(-1, 4)])
-        starts, edges = segment_columns(segments)
+        starts, edges = segment_columns(outlines)
         obstacles = np.concatenate([segments, boxes])
         derived = {
             "segments": segments,
@@ -76,7 +77,6 @@ class WorldGeometry:
             "outline_planes": np.ascontiguousarray(outlines.T[:, :, None]),
             "segment_starts": starts,
             "segment_edges": edges,
-            "slabs": box_slabs(boxes),
             "obstacle_bounds": np.hstack([np.minimum(obstacles[:, :2], obstacles[:, 2:]),
                                           np.maximum(obstacles[:, :2], obstacles[:, 2:])]),
         }
@@ -274,7 +274,10 @@ def cast_lidars(
     config: RobotConfig, state: RobotState, world: WorldGeometry, sensors=SENSORS
 ) -> np.ndarray:
     """Raw ranges (len(sensors), beams) of several sensors, cast as one batch
-    of rays (the robot does not sense itself)."""
+    of rays against the world's outline (the robot does not sense itself).
+
+    A ray that starts inside a box reports where it leaves the box.
+    """
     lidar = config.lidar
     pose = state.base_pose
     count, beams = len(sensors), lidar.beams
@@ -289,11 +292,9 @@ def cast_lidars(
     origins.reshape(2, count, beams)[...] = np.transpose(
         [transform_point(pose, offset) for offset in offsets])[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        segment_hits = rays_segments_hits(origins, directions, world.segment_starts,
-                                          world.segment_edges)
-        box_hits = rays_boxes_hits(origins, directions, world.slabs)
-    t = segment_hits.min(axis=0, initial=np.inf)
-    np.minimum(t, box_hits.min(axis=0, initial=np.inf), out=t)
+        hits = rays_segments_hits(origins, directions, world.segment_starts,
+                                  world.segment_edges)
+    t = hits.min(axis=0, initial=np.inf)
     return np.minimum(t, lidar.max_range, out=t).reshape(count, beams)
 
 

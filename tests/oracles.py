@@ -816,8 +816,15 @@ def rays_boxes_hits_rows(origins, directions, boxes):
     return np.where(hit, t, np.inf)
 
 
-def cast_lidars_rows(config, state, world, sensors=("front", "rear")):
-    """Raw ranges (len(sensors), beams), with one row of hits per ray."""
+def outline_rows(world):
+    """The world's wall segments, then each box's four edges (x0, y0, x1, y1),
+    counter-clockwise from (xmin, ymin)."""
+    edges = world.boxes[:, [0, 1, 2, 1, 2, 1, 2, 3, 2, 3, 0, 3, 0, 3, 0, 1]].reshape(-1, 4)
+    return np.concatenate([world.segments, edges])
+
+
+def lidar_rays_rows(config, state, sensors=("front", "rear")):
+    """(origins, directions) of the sensors' rays, one (x, y) row per ray, sensor-major."""
     lidar = config.lidar
     pose = state.base_pose
     facings = np.array([pose[2] if s == "front" else pose[2] + math.pi for s in sensors])
@@ -831,14 +838,21 @@ def cast_lidars_rows(config, state, world, sensors=("front", "rear")):
          for p in (lidar.front_offset if name == "front" else lidar.rear_offset
                    for name in sensors)],
         lidar.beams, axis=0)
-    t = np.full(len(angles), np.inf)
-    hits = rays_segments_hits_rows(origins, directions, world.segments)
-    if hits.size:
-        t = np.minimum(t, hits.min(axis=1))
-    hits = rays_boxes_hits_rows(origins, directions, world.boxes)
-    if hits.size:
-        t = np.minimum(t, hits.min(axis=1))
-    return np.minimum(t, lidar.max_range).reshape(len(sensors), lidar.beams)
+    return origins, directions
+
+
+def cast_lidars_rows(config, state, world, sensors=("front", "rear")):
+    """Raw ranges (len(sensors), beams), with one row of outline hits per ray.
+
+    The minimum folds the outline in its order: of two equal values
+    np.minimum keeps the second, so the sign of a zero range depends on the
+    order, and a whole-row min may pair the elements otherwise.
+    """
+    origins, directions = lidar_rays_rows(config, state, sensors)
+    t = np.full(len(directions), np.inf)
+    for column in rays_segments_hits_rows(origins, directions, outline_rows(world)).T:
+        t = np.minimum(t, column)
+    return np.minimum(t, config.lidar.max_range).reshape(len(sensors), config.lidar.beams)
 
 
 def _point_segment_rows(p, seg):
@@ -933,8 +947,7 @@ def body_query_rows(config, frames, world):
     spines = xy[ends].reshape(-1, 4)
     radii = np.full(len(spines), config.link_capsule_radius)
     radii[0] = config.base_radius
-    edges = world.boxes[:, [0, 1, 2, 1, 2, 1, 2, 3, 2, 3, 0, 3, 0, 3, 0, 1]].reshape(-1, 4)
-    outlines = np.concatenate([world.segments, edges])
+    outlines = outline_rows(world)
     n, m = len(spines), len(outlines)
     i, j = np.triu_indices(n, 2)
     d = segment_segment_distance_rows(

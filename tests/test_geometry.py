@@ -6,10 +6,9 @@ import pytest
 import oracles
 from oracles import inverse_transform_point, pose_matrix
 from planarwbc.geometry import (
-    box_slabs,
+    box_edges,
     point_box_distance,
     point_segment_distance,
-    rays_boxes_hits,
     rays_segments_hits,
     rot2d,
     segment_box_distance,
@@ -33,9 +32,10 @@ def segment_hit_rows(origins, directions, segments):
 
 
 def box_hit_rows(origins, directions, boxes):
-    # rays_boxes_hits with one row per ray, (B, M).
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return rays_boxes_hits(*ray_planes(origins, directions), box_slabs(boxes)).T
+    # The first hit on each box's outline, (B, M): rays_segments_hits over
+    # the box's four edges, as cast_lidars casts them.
+    hits = segment_hit_rows(origins, directions, box_edges(np.asarray(boxes)).reshape(-1, 4))
+    return hits.reshape(len(hits), -1, 4).min(axis=2)
 
 
 def sample_segment(seg, n=400):
@@ -262,6 +262,12 @@ def test_ray_box_hits_cases():
     # Vertical ray (dx = 0) into the box.
     t = box_hit_rows((1.5, -3.0), [(0.0, 1.0)], boxes)[0]
     assert t[0] == pytest.approx(2.0)
+    # Axis-parallel ray along an edge's line meets the face across it.
+    t = box_hit_rows((0.0, 1.0), [(1.0, 0.0)], boxes)[0]
+    assert t[0] == 1.0
+    # From a corner, inward or outward, the hit is the corner itself.
+    t = box_hit_rows((2.0, 1.0), [(1.0, 1.0), (-1.0, -1.0)], boxes)
+    np.testing.assert_array_equal(t, [[0.0], [0.0]])
 
 
 def test_batched_rays_match_single():
@@ -282,8 +288,9 @@ def test_batched_rays_match_single():
 
 def test_per_ray_origins_match_shared_origin_calls():
     # Each row of a (B, 2) origin array gives the hits of a shared-origin
-    # call from that origin, axis-parallel rays included: their slab branch
-    # tests each ray's own origin against the box extents.
+    # call from that origin, axis-parallel rays included: each is parallel
+    # to two edges of every box, and its zero denominators must mask those
+    # edges in its own column only.
     rng = np.random.default_rng(9)
     segments = np.vstack([rng.uniform(-3, 3, (5, 4)),
                           [[-2.0, 0.5, 2.0, 0.5], [1.0, -2.0, 1.0, 2.0]]])

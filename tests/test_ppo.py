@@ -574,6 +574,31 @@ def test_resumed_logs_match_uninterrupted_run(tmp_path):
     }
 
 
+def test_resume_rewrites_a_stale_policy_checkpoint(tmp_path, monkeypatch):
+    # A crash between the checkpoint's two writes leaves policy.ckpt one
+    # checkpoint behind train_state.ckpt. A resume rewrites it from the
+    # training checkpoint before it collects anything, so it holds the
+    # checkpoint's parameters even when the resumed run fails at once.
+    out = tmp_path / "run"
+    train_loop(smoke_run(total_steps=48), out)
+    stale = (out / "policy.ckpt").read_bytes()
+    done = train_loop(smoke_run(total_steps=96), out, resume=str(out / "train_state.ckpt"))
+    current = (out / "policy.ckpt").read_bytes()
+    assert current != stale
+    (out / "policy.ckpt").write_bytes(stale)
+
+    def crash(run, trainer):
+        raise RuntimeError("crashed before the first step")
+
+    monkeypatch.setattr("planarwbc.ppo.collect_rollouts", crash)
+    with pytest.raises(RuntimeError, match="crashed"):
+        train_loop(smoke_run(total_steps=144), out, resume=done["checkpoint"])
+    assert (out / "policy.ckpt").read_bytes() == current
+    trainer = load_train_checkpoint(done["checkpoint"], smoke_run(total_steps=144))
+    assert np.array_equal(load_params(out / "policy.ckpt", smoke_run().policy),
+                          trainer.policy.params)
+
+
 def test_checkpoint_rejects_other_run_config(tmp_path):
     run = smoke_run()
     result = train_loop(run, tmp_path / "run")

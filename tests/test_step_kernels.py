@@ -1,11 +1,12 @@
 """The per-step world kernels against their row-per-query formulas, byte for byte.
 
-forward_kinematics, build_observation, cast_lidars, the ray kernels,
+forward_kinematics, build_observation, cast_lidars, the ray kernel,
 body_query, step_dynamics and project_on_path run, on every element, the
 operations of the formulas in oracles that lay one frame, field, ray, pair or
 call out per row; only the layout differs, so every output byte must match.
 body_query with a cutoff is held to the same formula wherever the clearance
-is below the cutoff. The corpus: 30 generated scenes per env kind, each with
+is below the cutoff, and cast_lidars, which casts boxes as their edges, to
+the slab method for solid boxes within rounding. The corpus: 30 generated scenes per env kind, each with
 its spawn state, the headings 0, +-pi/2, +-pi and -0.0 at random points, base
 centres (the default LIDAR origin) inside and on the corners of boxes, and
 random poses with joints past their limits.
@@ -17,7 +18,7 @@ import pytest
 
 import oracles
 from planarwbc.envs import GRID_CELL, EnvSpec, build_observation, generate_scene, observation_layout
-from planarwbc.geometry import rays_boxes_hits, rays_segments_hits
+from planarwbc.geometry import rays_segments_hits
 from planarwbc.pathfield import project_on_path
 from planarwbc.reward import RewardParams
 from planarwbc.robot import (
@@ -128,34 +129,69 @@ def test_cast_lidars_is_bitwise_the_row_formula(corpus):
                 assert same_bytes(rear, oracles.cast_lidars_rows(config, state, world, ("rear",)))
 
 
-def test_ray_kernels_are_bitwise_the_row_formulas(corpus):
-    # Per-ray and shared origins; axis-parallel rays with +-0.0 components
-    # and rays from box corners, faces and interiors.
-    rng = np.random.default_rng(7)
+def ray_cases(world, rng):
+    """(origins, directions), one row per ray: random origins in the world
+    and at every box's corners, a face and its centre; every other ray is
+    axis-parallel, with +-0.0 components."""
+    xmin, ymin, xmax, ymax = world.bounds
+    origins = [rng.uniform((xmin, ymin), (xmax, ymax), (24, 2))]
+    for box in world.boxes:
+        origins.append([box[0:2], box[2:4], (box[0], 0.5 * (box[1] + box[3])),
+                        (0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3]))])
+    origins = np.vstack(origins)
+    angles = rng.uniform(-math.pi, math.pi, len(origins))
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     axis = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, -1.0), (2.0, 0.0), (0.0, -0.5)])
+    dirs[::2] = axis[np.arange(len(dirs[::2])) % len(axis)]
+    return origins, dirs
+
+
+def test_ray_kernels_are_bitwise_the_row_formulas(corpus):
+    # The world's outline (walls, then box edges) against per-ray and shared
+    # origins; axis-parallel rays with +-0.0 components and rays from box
+    # corners, faces and interiors.
+    rng = np.random.default_rng(7)
     zero_hits = 0
     for _, world, _, _, _ in corpus:
-        xmin, ymin, xmax, ymax = world.bounds
-        origins = [rng.uniform((xmin, ymin), (xmax, ymax), (24, 2))]
-        for box in world.boxes:
-            origins.append([box[0:2], box[2:4], (box[0], 0.5 * (box[1] + box[3])),
-                            (0.5 * (box[0] + box[2]), 0.5 * (box[1] + box[3]))])
-        origins = np.vstack(origins)
-        angles = rng.uniform(-math.pi, math.pi, len(origins))
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        dirs[::2] = axis[np.arange(len(dirs[::2])) % len(axis)]
+        origins, dirs = ray_cases(world, rng)
         rays = origins.T[:, None, :], dirs.T[:, None, :]
         shared = origins[-1].reshape(2, 1, 1), rays[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             for o, d, row_origins in ((*rays, origins), (*shared, origins[-1])):
-                seg = rays_segments_hits(o, d, world.segment_starts, world.segment_edges)
-                box = rays_boxes_hits(o, d, world.slabs)
-                assert same_bytes(seg.T, oracles.rays_segments_hits_rows(row_origins, dirs,
-                                                                         world.segments))
-                assert same_bytes(box.T, oracles.rays_boxes_hits_rows(row_origins, dirs,
-                                                                      world.boxes))
-                zero_hits += np.count_nonzero(box == 0.0)
+                hits = rays_segments_hits(o, d, world.segment_starts, world.segment_edges)
+                assert same_bytes(hits.T, oracles.rays_segments_hits_rows(
+                    row_origins, dirs, oracles.outline_rows(world)))
+                zero_hits += np.count_nonzero(hits[len(world.segments):] == 0.0)
     assert zero_hits > 0
+
+
+def test_outline_cast_matches_the_slab_formula_for_boxes(corpus):
+    # Boxes are cast as their four edges; the slab method of the row
+    # formulas, which treats them as solid, must agree within rounding: box
+    # by box on the per-ray and shared-origin cases of
+    # test_ray_kernels_are_bitwise_the_row_formulas (a ray that starts inside
+    # a box reports its exit from either), and on cast_lidars over the
+    # corpus states.
+    rng = np.random.default_rng(7)
+    for _, world, _, _, states in corpus:
+        origins, dirs = ray_cases(world, rng)
+        edges = oracles.outline_rows(world)[len(world.segments):]
+        for o in (origins, origins[-1]):
+            per_box = oracles.rays_segments_hits_rows(o, dirs, edges).reshape(
+                len(dirs), -1, 4).min(axis=2)
+            np.testing.assert_allclose(per_box, oracles.rays_boxes_hits_rows(o, dirs, world.boxes),
+                                       rtol=1e-12, atol=1e-12)
+        for state in states:
+            for config in LIDARS:
+                origins, dirs = oracles.lidar_rays_rows(config, state)
+                t = np.minimum(
+                    oracles.rays_segments_hits_rows(origins, dirs, world.segments).min(
+                        axis=1, initial=np.inf),
+                    oracles.rays_boxes_hits_rows(origins, dirs, world.boxes).min(
+                        axis=1, initial=np.inf))
+                slab = np.minimum(t, config.lidar.max_range).reshape(2, -1)
+                np.testing.assert_allclose(cast_lidars(config, state, world), slab,
+                                           rtol=1e-12, atol=1e-12)
 
 
 def test_body_query_is_bitwise_the_row_formula(corpus):

@@ -259,9 +259,11 @@ def test_world_is_frozen_and_its_arrays_read_only():
             with pytest.raises(ValueError):
                 array[...] = 0.0
     moved = dataclasses.replace(world, boxes=[[0.5, 0.5, 1.0, 1.0]])
-    np.testing.assert_array_equal(moved.outline_planes[:, 1:, 0].T,
-                                  box_edges(moved.boxes).reshape(-1, 4))
-    np.testing.assert_array_equal(moved.slabs[:, 0, 0], [0.5, 1.0, 0.5, 1.0])
+    edges = box_edges(moved.boxes).reshape(-1, 4)
+    np.testing.assert_array_equal(moved.outline_planes[:, 1:, 0].T, edges)
+    np.testing.assert_array_equal(moved.segment_starts[:, 1:, 0].T, edges[:, 0:2])
+    np.testing.assert_array_equal(moved.segment_edges[:, 1:, 0].T,
+                                  edges[:, [3, 2]] - edges[:, [1, 0]])
 
 
 def test_self_collision_cases():
