@@ -154,9 +154,9 @@ def build_observation(
     goal expressed in the end-effector frame; frames are the
     forward-kinematics frames of `state`.
     """
+    # Every range lies in [-0.0, max_range], so the scans lie in [-0.0, 1].
     scans = cast_lidars(config, state, world).ravel()
     scans /= config.lidar.max_range
-    np.clip(scans, 0.0, 1.0, out=scans)
     ee_x, ee_y, ee_phi = frames[-1].tolist()
     rel = rot2d(-ee_phi) @ np.array([goal_pose[0] - ee_x, goal_pose[1] - ee_y])
     return np.concatenate((scans, state.joint_pos, state.joint_vel, state.base_vel, rel,
@@ -463,8 +463,9 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     # safety distance: at or above it the safety-margin shortfall is 0.0.
     cutoff = episode.params.safety_distance if cfg.variant == "baseline" else 0.0
     collided, body_clearance = body_query(episode.robot, frames, episode.world, cutoff)
-    ee_x, ee_y, _ = frames[-1]
-    d_goal = float(np.hypot(ee_x - episode.goal_pose[0], ee_y - episode.goal_pose[1]))
+    ee_x, ee_y, _ = frames[-1].tolist()
+    goal_x, goal_y, _ = episode.goal_pose.tolist()
+    d_goal = float(np.hypot(ee_x - goal_x, ee_y - goal_y))
 
     d_dev, d_prog, episode.path_state = path_metrics(episode.path, episode.path_state, (ee_x, ee_y))
     observation = build_observation(episode.robot, new_state, episode.world, episode.goal_pose,

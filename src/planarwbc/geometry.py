@@ -13,12 +13,15 @@ on a segment may come out a rounding error above 0.
 
 The kernels a simulator step runs are coordinate-major: segment_pairs_distance
 (the body query's pairs) takes (4, ...) planes, and rays_segments_hits takes
-rays as (2, 1, B) planes and segments as (2, N, 1) planes built once per
-world (segment_columns), returning one (N, B) row per segment, rays last.
-Each stage is then one ufunc over a whole stacked buffer, and a minimum over
-obstacles or cases reduces a leading axis: numpy takes about four times as
-long to reduce a short trailing axis, e.g. (128, 4).min(axis=1) against
-(4, 128).min(axis=0).
+segments as (2, N, 1) planes built once per world (segment_columns) and rays
+as (2, 1, B) planes, returning one (N, B) row per segment, rays last. A batch
+of rays from a few shared origins, such as the LIDAR's sensors, is grouped by
+origin: origins (2, 1, S, 1), directions (2, 1, S, B) and segments
+(2, N, 1, 1) give (N, S, B) rows, and the terms of one (segment, origin) pair
+are formed once for all its rays. Each stage is then one ufunc over a whole
+stacked buffer, and a minimum over obstacles or cases reduces a leading axis:
+numpy takes about four times as long to reduce a short trailing axis, e.g.
+(128, 4).min(axis=1) against (4, 128).min(axis=0).
 """
 from __future__ import annotations
 
@@ -155,21 +158,27 @@ def segment_columns(segments) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rays_segments_hits(origins, directions, starts, edges) -> np.ndarray:
-    """Ray parameters t >= 0 of intersections, one (N, B) row per segment.
+    """Ray parameters t >= 0 of intersections, one row per segment, rays last.
 
     origins are (2, 1, B) planes [x, y], one column per ray, or (2, 1, 1)
     shared by all rays; directions (2, 1, B) need not be normalized, t is in
     units of each direction's length. starts and edges are the planes of
-    segment_columns. Misses are inf. Parallel rays divide by zero, so call
-    inside np.errstate(divide="ignore", invalid="ignore").
+    segment_columns, and the result is (N, B). Rays grouped by origin take
+    origins (2, 1, S, 1), directions (2, 1, S, B) and the segment planes
+    with one more trailing axis, (2, N, 1, 1), and give (N, S, B). Misses
+    are inf. Parallel rays divide by zero, so call inside
+    np.errstate(divide="ignore", invalid="ignore").
     """
-    r = starts - origins  # [rx, ry]
-    products = np.empty((6, starts.shape[1], directions.shape[2]))
-    np.multiply(r, edges, out=products[0:2])  # rx * ey, ry * ex
-    np.multiply(r, directions[::-1], out=products[2:4])  # rx * dy, ry * dx
-    np.multiply(directions, edges, out=products[4:6])  # dx * ey, dy * ex
-    numerators = np.subtract(products[0::2], products[1::2], out=products[0:3])
-    den = numerators[2]
-    t, u = np.divide(numerators[0:2], den, out=products[3:5])
-    valid = (np.abs(den) > 0.0) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0)
-    return np.where(valid, t, np.inf)
+    r = starts - origins  # [rx, ry], one per (segment, origin)
+    cross = r * edges  # [rx * ey, ry * ex]
+    t_num = np.subtract(cross[0], cross[1], out=cross[0])
+    u_terms = np.multiply(r, directions[::-1])  # [rx * dy, ry * dx]
+    den_terms = np.multiply(directions, edges)  # [dx * ey, dy * ex]
+    u_num = np.subtract(u_terms[0], u_terms[1], out=u_terms[0])
+    den = np.subtract(den_terms[0], den_terms[1], out=den_terms[0])
+    t = np.divide(t_num, den, out=u_terms[1])
+    u = np.divide(u_num, den, out=den_terms[1])
+    # A zero den gives t and u of +-inf or NaN, and u outside [0, 1] misses;
+    # NaN fails every comparison, so it is tested as not u >= 0.
+    np.putmask(t, (t < 0.0) | (u > 1.0) | ~(u >= 0.0), np.inf)
+    return t

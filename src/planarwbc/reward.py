@@ -12,7 +12,7 @@ come from the episode's EpisodeConfig.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -118,9 +118,7 @@ def compute_step_reward(
         safety_term = params.safety_margin_weight * shortfall
 
     reward = time_term + deviation_term + progress_term + hold_term - refund + safety_term
-    new_state = replace(
-        state, hold_accumulator=accumulator, hold_steps=state.hold_steps + 1 if inside else 0
-    )
+    new_state = RewardState(accumulator, state.hold_steps + 1 if inside else 0)
     breakdown = {
         "time": time_term,
         "deviation": deviation_term,

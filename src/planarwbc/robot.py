@@ -165,9 +165,13 @@ def step_dynamics(
     """
     if tau <= 0.0:
         raise ValueError("tau must be > 0")
-    pose, vel, acc = state.base_pose.tolist(), state.base_vel.tolist(), action.base_acc.tolist()
+    x, y, theta = state.base_pose.tolist()
+    vx, vy, omega = state.base_vel.tolist()
+    ax, ay, aw = action.base_acc.tolist()
     q, qd, qdd = state.joint_pos.tolist(), state.joint_vel.tolist(), action.joint_acc.tolist()
-    if not all(map(math.isfinite, pose + vel + acc + q + qd + qdd)):
+    if not len(q) == len(qd) == len(qdd) == len(config.joint_limits):
+        raise ValueError("one joint position, velocity and acceleration per joint limit required")
+    if not all(map(math.isfinite, (x, y, theta, vx, vy, omega, ax, ay, aw, *q, *qd, *qdd))):
         raise ValueError("non-finite state or action")
 
     # Python floats round like numpy float64. On a tie, as between -0.0 and
@@ -175,32 +179,29 @@ def step_dynamics(
     # min(max(v, lo), hi) returns v: each clamp below takes the form np.clip
     # takes with its bounds (per component: the bound; one scalar: v), so
     # every result keeps np.clip's bytes, signed zeros included.
-    vx, vy, omega = (min(cap, max(-cap, v + a * tau))
-                     for v, a, cap in zip(vel, acc, config.max_base_vel, strict=True))
+    cap_x, cap_y, cap_w = config.max_base_vel
+    vx = min(cap_x, max(-cap_x, vx + ax * tau))
+    vy = min(cap_y, max(-cap_y, vy + ay * tau))
+    omega = min(cap_w, max(-cap_w, omega + aw * tau))
     cap = config.max_joint_vel
-    qd = [min(max(v + a * tau, -cap), cap) for v, a in zip(qd, qdd, strict=True)]
+    qd = [min(max(v + a * tau, -cap), cap) for v, a in zip(qd, qdd)]
 
     # Base translation in the world frame; (vx, vy) are body-frame commands.
-    x, y, theta = pose
     c, s = math.cos(theta), math.sin(theta)
     base_pose = np.array([x + (c * vx - s * vy) * tau, y + (s * vx + c * vy) * tau,
                           theta + omega * tau])
 
-    q = [p + v * tau for p, v in zip(q, qd, strict=True)]
+    q = [p + v * tau for p, v in zip(q, qd)]
     limit_hit = False
     if clamping_enabled:
         margin = config.clamp_margin
-        for k, (p, (lo, hi)) in enumerate(zip(q, config.joint_limits, strict=True)):
+        for k, (lo, hi) in enumerate(config.joint_limits):
             lo, hi = lo + margin, hi - margin
+            p = q[k]
             q[k] = min(hi, max(lo, p))
             if not lo <= p <= hi:
                 qd[k] = 0.0
     else:
-        limit_hit = any(not lo <= p <= hi
-                        for p, (lo, hi) in zip(q, config.joint_limits, strict=True))
-    base_vel = np.array([vx, vy, omega], dtype=float)
-    joint_pos = np.array(q, dtype=float)
-    joint_vel = np.array(qd, dtype=float)
-
-    new_state = RobotState(base_pose, base_vel, joint_pos, joint_vel)
+        limit_hit = not all(lo <= p <= hi for p, (lo, hi) in zip(q, config.joint_limits))
+    new_state = RobotState(base_pose, np.array([vx, vy, omega]), np.array(q), np.array(qd))
     return new_state, limit_hit

@@ -30,7 +30,6 @@ from .geometry import (
     rays_segments_hits,
     segment_columns,
     segment_pairs_distance,
-    transform_point,
 )
 from .robot import RobotConfig, RobotState, forward_kinematics
 
@@ -58,12 +57,13 @@ class WorldGeometry:
     # to outside the boxes and every boundary a ray can reach, as (4, K, 1)
     # planes [x0, y0, x1, y1].
     outline_planes: np.ndarray = field(init=False, repr=False, compare=False)
-    # The ray kernel's planes of the same outline: starts and (ey, ex).
+    # The ray kernel's planes of the same outline, starts and (ey, ex), as
+    # (2, K, 1, 1) planes for rays grouped by sensor.
     segment_starts: np.ndarray = field(init=False, repr=False, compare=False)
     segment_edges: np.ndarray = field(init=False, repr=False, compare=False)
-    # The broad phase's (N, 4) bounding boxes [xmin, ymin, xmax, ymax] of
-    # the wall segments, then the boxes.
-    obstacle_bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    # The broad phase's bounding boxes (xmin, ymin, xmax, ymax) of the wall
+    # segments, then the boxes, as a tuple of float tuples.
+    obstacle_bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segments = np.array(self.segments, dtype=float).reshape(-1, 4)
@@ -75,13 +75,14 @@ class WorldGeometry:
             "segments": segments,
             "boxes": boxes,
             "outline_planes": np.ascontiguousarray(outlines.T[:, :, None]),
-            "segment_starts": starts,
-            "segment_edges": edges,
-            "obstacle_bounds": np.hstack([np.minimum(obstacles[:, :2], obstacles[:, 2:]),
-                                          np.maximum(obstacles[:, :2], obstacles[:, 2:])]),
+            "segment_starts": starts[..., None],
+            "segment_edges": edges[..., None],
         }
         for name, array in derived.items():
             object.__setattr__(self, name, _read_only(array))
+        bounds = np.hstack([np.minimum(obstacles[:, :2], obstacles[:, 2:]),
+                            np.maximum(obstacles[:, :2], obstacles[:, 2:])])
+        object.__setattr__(self, "obstacle_bounds", tuple(map(tuple, bounds.tolist())))
 
 
 def min_clearance_point(world: WorldGeometry, p):
@@ -159,7 +160,8 @@ def _broad_phase_clear(config: RobotConfig, frames: np.ndarray, world: WorldGeom
     cx, cy = xs[0], ys[0]
     base_r, link_r = config.base_radius, config.link_capsule_radius
     spines = list(zip(xs[1:-1], ys[1:-1], xs[2:], ys[2:]))
-    boxes = [(min(x0, x1), min(y0, y1), max(x0, x1), max(y0, y1)) for x0, y0, x1, y1 in spines]
+    boxes = [(x0 if x0 <= x1 else x1, y0 if y0 <= y1 else y1,
+              x0 if x0 >= x1 else x1, y0 if y0 >= y1 else y1) for x0, y0, x1, y1 in spines]
     base_box = (cx, cy, cx, cy)
 
     # The base disk against the links from the second outward (the first
@@ -170,20 +172,25 @@ def _broad_phase_clear(config: RobotConfig, frames: np.ndarray, world: WorldGeom
                 or _point_segment_distance(cx, cy, *spine) > touch):
             return False
     touch = 2.0 * link_r + BROAD_PHASE_SLACK
-    mids = [((x0 + x1) / 2.0, (y0 + y1) / 2.0) for x0, y0, x1, y1 in spines]
-    halves = [length / 2.0 for length in config.link_lengths]
-    for a in range(len(spines)):
+    lengths = config.link_lengths
+    for a in range(len(spines) - 2):
         for b in range(a + 2, len(spines)):
-            if not (_boxes_apart(boxes[a], boxes[b], touch)
-                    or math.dist(mids[a], mids[b]) - halves[a] - halves[b] > touch):
-                return False
+            if not _boxes_apart(boxes[a], boxes[b], touch):
+                ax0, ay0, ax1, ay1 = spines[a]
+                bx0, by0, bx1, by1 = spines[b]
+                mids = math.dist(((ax0 + ax1) / 2.0, (ay0 + ay1) / 2.0),
+                                 ((bx0 + bx1) / 2.0, (by0 + by1) / 2.0))
+                if not mids - lengths[a] / 2.0 - lengths[b] / 2.0 > touch:
+                    return False
 
     # The body's box, grown by the largest reach, sets apart every obstacle
     # beyond it on some axis; capsule boxes decide the rest.
     reach = max(base_r, link_r) + cutoff + BROAD_PHASE_SLACK
     x0, y0, x1, y1 = min(xs) - reach, min(ys) - reach, max(xs) + reach, max(ys) + reach
-    near = [obstacle for obstacle in world.obstacle_bounds.tolist()
+    near = [obstacle for obstacle in world.obstacle_bounds
             if obstacle[0] <= x1 and x0 <= obstacle[2] and obstacle[1] <= y1 and y0 <= obstacle[3]]
+    if not near:
+        return True
     capsules = [(base_box, base_r + cutoff + BROAD_PHASE_SLACK)]
     capsules += [(box, link_r + cutoff + BROAD_PHASE_SLACK) for box in boxes]
     return all(_boxes_apart(box, obstacle, r) for obstacle in near for box, r in capsules)
@@ -276,26 +283,32 @@ def cast_lidars(
     """Raw ranges (len(sensors), beams) of several sensors, cast as one batch
     of rays against the world's outline (the robot does not sense itself).
 
-    A ray that starts inside a box reports where it leaves the box.
+    The rays are grouped by sensor: each sensor's origin is one column, and
+    its beams share it. A ray that starts inside a box reports where it
+    leaves the box.
     """
     lidar = config.lidar
-    pose = state.base_pose
+    x, y, heading = state.base_pose.tolist()
+    c, s = math.cos(heading), math.sin(heading)
+    facings, xs, ys = [], [], []
+    for sensor in sensors:
+        facings.append(_sensor_facing(heading, sensor))
+        px, py = lidar.front_offset if sensor == "front" else lidar.rear_offset
+        # transform_point's arithmetic, on Python floats.
+        xs.append(x + c * px - s * py)
+        ys.append(y + s * px + c * py)
     count, beams = len(sensors), lidar.beams
-    facings = np.array([_sensor_facing(pose[2], sensor) for sensor in sensors])
-    angles = (facings[:, None] + _beam_offsets(beams, lidar.fov)).ravel()
-    # Ray planes [x, y]: one column per ray, sensor-major.
-    origins, directions = np.empty((2, 2, 1, count * beams))
+    # Ray planes [x, y]: origins (2, 1, sensors, 1), directions (2, 1, sensors, beams).
+    origins = np.array((xs, ys)).reshape(2, 1, count, 1)
+    angles = np.add.outer(facings, _beam_offsets(beams, lidar.fov))
+    directions = np.empty((2, 1, count, beams))
     np.cos(angles, out=directions[0, 0])
     np.sin(angles, out=directions[1, 0])
-    offsets = [lidar.front_offset if sensor == "front" else lidar.rear_offset
-               for sensor in sensors]
-    origins.reshape(2, count, beams)[...] = np.transpose(
-        [transform_point(pose, offset) for offset in offsets])[:, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         hits = rays_segments_hits(origins, directions, world.segment_starts,
                                   world.segment_edges)
     t = hits.min(axis=0, initial=np.inf)
-    return np.minimum(t, lidar.max_range, out=t).reshape(count, beams)
+    return np.minimum(t, lidar.max_range, out=t)
 
 
 def cast_lidar(

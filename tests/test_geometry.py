@@ -270,6 +270,42 @@ def test_ray_box_hits_cases():
     np.testing.assert_array_equal(t, [[0.0], [0.0]])
 
 
+# Rays parallel to a segment (den = dx * ey - dy * ex = +-0.0), with the
+# ray off the segment's line (unum = rx * dy - ry * dx nonzero) or on it
+# (unum = +-0.0): (origin, direction, segment, sign bit of den, of unum or None).
+PARALLEL_RAYS = [
+    ((0.0, 1.0), (1.0, 0.0), (2.0, 0.0, 3.0, 0.0), False, None),
+    ((5.0, 1.0), (-1.0, 0.0), (2.0, 0.0, 3.0, 0.0), True, None),
+    ((0.0, 0.0), (1.0, 0.0), (2.0, 0.0, 3.0, 0.0), False, False),
+    ((0.0, 0.0), (1.0, -0.0), (2.0, 0.0, 3.0, 0.0), False, True),
+    ((5.0, 0.0), (-1.0, 0.0), (2.0, 0.0, 3.0, 0.0), True, False),
+    ((5.0, 0.0), (-1.0, 0.0), (2.0, -0.0, 3.0, -0.0), True, True),
+]
+
+
+def test_parallel_rays_miss_without_a_denominator_test():
+    # With den = +-0.0, t and u are +-inf or NaN (0 / 0 on the segment's
+    # line), and none passes t >= 0 and 0 <= u <= 1: the u test alone makes
+    # each a miss, NaN included. The kernel tests nothing else.
+    for origin, direction, segment, den_negative, unum_negative in PARALLEL_RAYS:
+        (ox, oy), (dx, dy), (x0, y0, x1, y1) = origin, direction, segment
+        rx, ry, ex, ey = (np.float64(v) for v in (x0 - ox, y0 - oy, x1 - x0, y1 - y0))
+        den = dx * ey - dy * ex
+        unum = rx * dy - ry * dx
+        assert den == 0.0 and np.signbit(den) == den_negative
+        if unum_negative is None:
+            assert unum != 0.0
+        else:
+            assert unum == 0.0 and np.signbit(unum) == unum_negative
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t, u = (rx * ey - ry * ex) / den, unum / den
+        assert not (t >= 0.0 and u >= 0.0 and u <= 1.0)
+        hits = segment_hit_rows(origin, [direction], [segment])
+        assert hits.tolist() == [[math.inf]]
+        assert oracles.rays_segments_hits_rows(np.array(origin), np.array([direction]),
+                                               np.array([segment])).tolist() == [[math.inf]]
+
+
 def test_batched_rays_match_single():
     rng = np.random.default_rng(4)
     segments = rng.uniform(-3, 3, (5, 4))

@@ -120,13 +120,19 @@ def test_build_observation_is_bitwise_the_field_assembly(corpus):
 
 
 def test_cast_lidars_is_bitwise_the_row_formula(corpus):
+    # Every range lies in [-0.0, max_range], zero ranges from sensors on walls
+    # and box edges included, so build_observation's scans need no clip.
+    zero_ranges = 0
     for _, world, _, _, states in corpus:
         for state in states:
             for config in LIDARS:
                 got = cast_lidars(config, state, world)
                 assert same_bytes(got, oracles.cast_lidars_rows(config, state, world))
+                assert ((got >= 0.0) & (got <= config.lidar.max_range)).all()
+                zero_ranges += np.count_nonzero(got == 0.0)
                 rear = cast_lidars(config, state, world, ("rear",))
                 assert same_bytes(rear, oracles.cast_lidars_rows(config, state, world, ("rear",)))
+    assert zero_ranges > 0
 
 
 def ray_cases(world, rng):
@@ -158,10 +164,44 @@ def test_ray_kernels_are_bitwise_the_row_formulas(corpus):
         shared = origins[-1].reshape(2, 1, 1), rays[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             for o, d, row_origins in ((*rays, origins), (*shared, origins[-1])):
-                hits = rays_segments_hits(o, d, world.segment_starts, world.segment_edges)
+                hits = rays_segments_hits(o, d, world.segment_starts[..., 0],
+                                          world.segment_edges[..., 0])
                 assert same_bytes(hits.T, oracles.rays_segments_hits_rows(
                     row_origins, dirs, oracles.outline_rows(world)))
                 zero_hits += np.count_nonzero(hits[len(world.segments):] == 0.0)
+    assert zero_hits > 0
+
+
+def test_rays_grouped_by_origin_are_bitwise_the_rays_cast_one_by_one(corpus):
+    # Each ray_cases origin (box corners, faces and centres among them) casts
+    # its own ray, the six axis-parallel rays with +-0.0 components and three
+    # random ones, as one group: origins (2, 1, S, 1), directions
+    # (2, 1, S, B) and the world's (2, N, 1, 1) planes must give the bytes of
+    # the same S * B rays cast with per-ray origins against (2, N, 1) planes,
+    # and of the row formula.
+    rng = np.random.default_rng(23)
+    axis = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0), (-0.0, -1.0), (2.0, 0.0), (0.0, -0.5)])
+    zero_hits = 0
+    for _, world, _, _, _ in corpus:
+        origins, dirs = ray_cases(world, rng)
+        angles = rng.uniform(-math.pi, math.pi, (len(origins), 3))
+        fan = np.concatenate([dirs[:, None], np.broadcast_to(axis, (len(origins), 6, 2)),
+                              np.stack([np.cos(angles), np.sin(angles)], axis=-1)], axis=1)
+        s, b = fan.shape[:2]
+        grouped_origins = origins.T.reshape(2, 1, s, 1)
+        grouped_dirs = np.ascontiguousarray(fan.transpose(2, 0, 1)).reshape(2, 1, s, b)
+        per_ray_origins = np.repeat(origins, b, axis=0).T[:, None, :]
+        per_ray_dirs = fan.reshape(-1, 2).T[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grouped = rays_segments_hits(grouped_origins, grouped_dirs, world.segment_starts,
+                                         world.segment_edges)
+            per_ray = rays_segments_hits(per_ray_origins, per_ray_dirs,
+                                         world.segment_starts[..., 0], world.segment_edges[..., 0])
+        assert grouped.shape == (world.segment_starts.shape[1], s, b)
+        assert same_bytes(grouped.reshape(len(grouped), -1), per_ray)
+        assert same_bytes(per_ray.T, oracles.rays_segments_hits_rows(
+            np.repeat(origins, b, axis=0), fan.reshape(-1, 2), oracles.outline_rows(world)))
+        zero_hits += np.count_nonzero(grouped == 0.0)
     assert zero_hits > 0
 
 
