@@ -41,7 +41,7 @@ from .pathfield import (
 )
 from .policy import Policy, PolicyConfig, init_params, load_params, save_params
 from .ppo import TrainConfig, TrainerState, compute_gae, init_trainer, ppo_update, train_loop
-from .render import render_scene, render_snapshot
+from .render import render_scene
 from .reward import RewardParams, RewardState, compute_step_reward, terminal_reward
 from .robot import Action, LidarConfig, RobotConfig, RobotState, forward_kinematics, step_dynamics
 from .world import WorldGeometry, cast_lidar, collision_check
@@ -99,7 +99,6 @@ __all__ = [
     "ppo_update",
     "record_episode",
     "render_scene",
-    "render_snapshot",
     "run_controller",
     "save_config",
     "save_params",

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, default_config, load_config, save_config
-from .envs import new_episode
-from .evaluate import episode_seed, eval_success_rate
+from .evaluate import eval_episode, eval_success_rate
 from .pathfield import field_to_pgm
 from .policy import CheckpointError
 from .ppo import train_loop
@@ -106,8 +105,7 @@ def _cmd_eval(args) -> int:
 def _cmd_inspect_env(args) -> int:
     run = _load_run(args)
     for i in range(args.count):
-        rng = np.random.default_rng(episode_seed(args.seed, i))
-        episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
+        episode, _ = eval_episode(run, args.seed, i)
         goal = episode.goal_pose
         print(
             f"scene {i}: kind={run.env.kind} boxes={len(episode.world.boxes)} "
@@ -120,8 +118,7 @@ def _cmd_inspect_env(args) -> int:
 
 def _cmd_hpf_dump(args) -> int:
     run = _load_run(args)
-    rng = np.random.default_rng(episode_seed(args.seed, 0))
-    episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
+    episode, _ = eval_episode(run, args.seed, 0)
     raster, path = episode.path_field, episode.path
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "field.pgm").write_bytes(field_to_pgm(raster))
@@ -190,8 +187,7 @@ def _cmd_render(args) -> int:
     run = _load_run(args)
     poses = [] if args.trace is None else _read_trace(args.trace, args.episode,
                                                       run.robot.num_joints)
-    rng = np.random.default_rng(episode_seed(args.seed, args.episode))
-    episode = new_episode(run.env, run.robot, run.reward, run.episode, rng)
+    episode, _ = eval_episode(run, args.seed, args.episode)
     state, ee_trace = episode.state, []
     for base_pose, joint_pos in poses:
         state = replace(state, base_pose=base_pose, joint_pos=joint_pos)

@@ -78,6 +78,19 @@ def episode_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
+def eval_episode(run, seed: int, index: int, spec: EnvSpec | None = None,
+                 config: EpisodeConfig | None = None) -> tuple[Episode, np.random.Generator]:
+    """Episode `index` of master seed `seed` and the generator it goes on with.
+
+    Its scene and every later draw come from one generator seeded with
+    episode_seed(seed, index); spec and config default to the run's.
+    """
+    rng = np.random.default_rng(episode_seed(seed, index))
+    spec = run.env if spec is None else spec
+    config = run.episode if config is None else config
+    return new_episode(spec, run.robot, run.reward, config, rng), rng
+
+
 def run_controller(
     run,
     controller,
@@ -101,8 +114,7 @@ def run_controller(
     trace_fh = Path(trace_path).open("w") if trace_path is not None else None
     try:
         for i in range(episodes):
-            rng = np.random.default_rng(episode_seed(seed, i))
-            episode = new_episode(spec, run.robot, run.reward, cfg, rng)
+            episode, rng = eval_episode(run, seed, i, spec, cfg)
             obs = episode.observation()
             total = 0.0
             outcome = None

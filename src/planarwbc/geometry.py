@@ -1,8 +1,8 @@
 """2D geometric primitives shared by the simulator, planner, and renderer.
 
 Conventions: points are (x, y) float pairs or numpy arrays, segments are
-(x0, y0, x1, y1), axis-aligned boxes are (xmin, ymin, xmax, ymax), poses are
-(x, y, theta). All lengths in meters, angles in radians.
+(x0, y0, x1, y1) and axis-aligned boxes are (xmin, ymin, xmax, ymax). All
+lengths in meters, angles in radians.
 
 The distance functions broadcast. Each argument is an array whose last axis
 holds the coordinates above; its leading axes broadcast against the other
@@ -13,8 +13,9 @@ on a segment may come out a rounding error above 0.
 
 The kernels a simulator step runs are coordinate-major: segment_pairs_distance
 (the body query's pairs) takes (4, ...) planes, and rays_segments_hits takes
-segments as (2, N, 1) planes built once per world (segment_columns) and rays
-as (2, 1, B) planes, returning one (N, B) row per segment, rays last. A batch
+segments as (2, N, 1) planes of starts and edges, rows of the obstacle table
+each world builds once (world.WorldGeometry.outline_planes), and rays as
+(2, 1, B) planes, returning one (N, B) row per segment, rays last. A batch
 of rays from a few shared origins, such as the LIDAR's sensors, is grouped by
 origin: origins (2, 1, S, 1), directions (2, 1, S, B) and segments
 (2, N, 1, 1) give (N, S, B) rows, and the terms of one (segment, origin) pair
@@ -41,13 +42,6 @@ def wrap_angle(a: float) -> float:
 def rot2d(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def transform_point(pose, p) -> np.ndarray:
-    """Map a point from the pose's local frame into the world frame."""
-    x, y, theta = pose
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([x + c * p[0] - s * p[1], y + s * p[0] + c * p[1]])
 
 
 def point_segment_distance(p, seg):
@@ -148,25 +142,17 @@ def _point_segment(p, seg):
     return dist, cross[0] - cross[1]
 
 
-def segment_columns(segments) -> tuple[np.ndarray, np.ndarray]:
-    """The (2, N, 1) planes rays_segments_hits reads for segments (N, 4):
-    starts [x0, y0] and edges [y1 - y0, x1 - x0], y first."""
-    seg = np.asarray(segments, dtype=float).reshape(-1, 4).T[:, :, None]
-    starts = np.ascontiguousarray(seg[0:2])
-    edges = np.concatenate([seg[3:4] - seg[1:2], seg[2:3] - seg[0:1]])
-    return starts, edges
-
-
 def rays_segments_hits(origins, directions, starts, edges) -> np.ndarray:
     """Ray parameters t >= 0 of intersections, one row per segment, rays last.
 
     origins are (2, 1, B) planes [x, y], one column per ray, or (2, 1, 1)
     shared by all rays; directions (2, 1, B) need not be normalized, t is in
-    units of each direction's length. starts and edges are the planes of
-    segment_columns, and the result is (N, B). Rays grouped by origin take
-    origins (2, 1, S, 1), directions (2, 1, S, B) and the segment planes
-    with one more trailing axis, (2, N, 1, 1), and give (N, S, B). Misses
-    are inf. Parallel rays divide by zero, so call inside
+    units of each direction's length. starts [x0, y0] and edges
+    [y1 - y0, x1 - x0], y first, are (2, N, 1) planes of N segments, and the
+    result is (N, B). Rays grouped by origin take origins (2, 1, S, 1),
+    directions (2, 1, S, B) and the segment planes with one more trailing
+    axis, (2, N, 1, 1), and give (N, S, B). Misses are inf. Parallel rays
+    divide by zero, so call inside
     np.errstate(divide="ignore", invalid="ignore").
     """
     r = starts - origins  # [rx, ry], one per (segment, origin)

@@ -248,7 +248,6 @@ class Policy:
             raise ValueError("; ".join(issues))
         self.config = config
         self.params = np.array(params, dtype=np.float64)
-        self.views = param_views(config, self.params)
         self.compute = np.empty(self.params.shape, COMPUTE_DTYPE)
         self.layers = _layers(config, self.compute)
         self.obs_scale = np.asarray(config.obs_scale)

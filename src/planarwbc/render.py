@@ -6,13 +6,10 @@ coordinate is flipped about the vertical midline of the world bounds.
 """
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from .geometry import transform_point
 from .robot import RobotConfig, RobotState, forward_kinematics
-from .world import WorldGeometry, beam_angles, cast_lidar
+from .world import SENSORS, WorldGeometry, cast_lidar, lidar_rays
 
 _SCALE = 100.0  # SVG user units per metre
 _PAD = 0.5  # metres of margin around the world bounds
@@ -121,21 +118,14 @@ def render_scene(
     if path_points is not None and len(path_points) >= 2:
         canvas.polyline(path_points, "#fdae6b", 0.02)
     if show_lidar:
-        for sensor in ("front", "rear"):
+        xs, ys, angles = lidar_rays(config, state.base_pose.tolist())
+        for sensor, x, y, sensor_angles in zip(SENSORS, xs, ys, angles):
             ranges = cast_lidar(config, state, world, sensor)
-            offset = (config.lidar.front_offset if sensor == "front"
-                      else config.lidar.rear_offset)
-            origin = transform_point(state.base_pose, offset)
-            angles = beam_angles(config, state.base_pose[2], sensor)
-            for rng, ang in zip(ranges, angles):
+            origin = np.array((x, y))
+            for rng, ang in zip(ranges, sensor_angles):
                 hit = origin + rng * np.array([np.cos(ang), np.sin(ang)])
                 canvas.line(origin, hit, "#de2d26", 0.005, opacity=0.4)
     if ee_trace is not None and len(ee_trace) >= 2:
         canvas.polyline(ee_trace, "#756bb1", 0.015)
     _draw_robot(canvas, config, state)
     return canvas.to_svg()
-
-
-def render_snapshot(path, *args, **kwargs) -> None:
-    """Render a scene and write the SVG to disk."""
-    Path(path).write_text(render_scene(*args, **kwargs))

@@ -119,10 +119,6 @@ class Action:
     base_acc: np.ndarray  # (ax, ay, aw)
     joint_acc: np.ndarray
 
-    @classmethod
-    def zeros(cls, config: RobotConfig) -> "Action":
-        return cls(np.zeros(3), np.zeros(config.num_joints))
-
 
 def forward_kinematics(config: RobotConfig, state: RobotState) -> np.ndarray:
     """World frames (K+2, 3) along the kinematic chain, one (x, y, phi) row each.

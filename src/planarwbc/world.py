@@ -5,11 +5,13 @@ same obstacle outline (the wall segments plus every box edge): body_query
 sends every (body capsule, outline segment) pair and every self-collision
 pair through one distance call, and cast_lidars casts the rays of both
 sensors against the outline in one ray call. Both batches are
-obstacle-major: the world keeps its outline as static coordinate planes
-built at construction, a step writes only the body's spines or its rays
-beside them, and every minimum over obstacles reduces the leading axis (see
-geometry). Boxes stay solid where the outline alone cannot say so: the body
-query's inside test, min_clearance_point and the planner's raster.
+obstacle-major: the world keeps its outline as one table of static
+coordinate planes built at construction (outline_planes), a step writes
+only the body's spines or its rays beside them, and every minimum over
+obstacles reduces the leading axis (see geometry). Boxes stay solid where
+the outline alone cannot say so: the body query's inside test,
+min_clearance_point and the planner's raster. The sensors' origins and beam
+angles have one definition, lidar_rays, which the renderer reads too.
 
 body_query puts a broad phase on Python floats in front of that batch: a
 pose whose capsules are all clear of each other and further than the
@@ -28,7 +30,6 @@ from .geometry import (
     point_box_distance,
     point_segment_distance,
     rays_segments_hits,
-    segment_columns,
     segment_pairs_distance,
 )
 from .robot import RobotConfig, RobotState, forward_kinematics
@@ -54,13 +55,10 @@ class WorldGeometry:
     boxes: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
     bounds: tuple[float, float, float, float] = (0.0, 0.0, 1.0, 1.0)
     # Wall segments plus box edges, every boundary a segment can be nearest
-    # to outside the boxes and every boundary a ray can reach, as (4, K, 1)
-    # planes [x0, y0, x1, y1].
+    # to outside the boxes and every boundary a ray can reach, as (6, K, 1)
+    # planes [x0, y0, x1, y1, y1 - y0, x1 - x0]: body_query reads rows 0-3,
+    # cast_lidars the starts (rows 0-1) and the edges y first (rows 4-5).
     outline_planes: np.ndarray = field(init=False, repr=False, compare=False)
-    # The ray kernel's planes of the same outline, starts and (ey, ex), as
-    # (2, K, 1, 1) planes for rays grouped by sensor.
-    segment_starts: np.ndarray = field(init=False, repr=False, compare=False)
-    segment_edges: np.ndarray = field(init=False, repr=False, compare=False)
     # The broad phase's bounding boxes (xmin, ymin, xmax, ymax) of the wall
     # segments, then the boxes, as a tuple of float tuples.
     obstacle_bounds: tuple = field(init=False, repr=False, compare=False)
@@ -68,16 +66,10 @@ class WorldGeometry:
     def __post_init__(self):
         segments = np.array(self.segments, dtype=float).reshape(-1, 4)
         boxes = np.array(self.boxes, dtype=float).reshape(-1, 4)
-        outlines = np.concatenate([segments, box_edges(boxes).reshape(-1, 4)])
-        starts, edges = segment_columns(outlines)
+        outlines = np.concatenate([segments, box_edges(boxes).reshape(-1, 4)]).T
+        planes = np.concatenate([outlines, outlines[[3, 2]] - outlines[[1, 0]]])
         obstacles = np.concatenate([segments, boxes])
-        derived = {
-            "segments": segments,
-            "boxes": boxes,
-            "outline_planes": np.ascontiguousarray(outlines.T[:, :, None]),
-            "segment_starts": starts[..., None],
-            "segment_edges": edges[..., None],
-        }
+        derived = {"segments": segments, "boxes": boxes, "outline_planes": planes[:, :, None]}
         for name, array in derived.items():
             object.__setattr__(self, name, _read_only(array))
         bounds = np.hstack([np.minimum(obstacles[:, :2], obstacles[:, 2:]),
@@ -226,7 +218,7 @@ def body_query(config: RobotConfig, frames: np.ndarray, world: WorldGeometry,
     i, j = _self_pairs(n)
     # Row r < m is outline r, row m + s is spine s; column s is spine s.
     rows = np.empty((4, m + n, 1))
-    rows[:, :m] = world.outline_planes
+    rows[:, :m] = world.outline_planes[:4]
     rows[:, m:, 0] = spines.T
     d = segment_pairs_distance(spines.T[:, None, :], rows)
     obstacle = d[:m].min(axis=0, initial=np.inf)
@@ -266,15 +258,24 @@ def _beam_offsets(beams: int, fov: float) -> np.ndarray:
     return offsets
 
 
-def _sensor_facing(heading: float, sensor: str) -> float:
-    if sensor not in SENSORS:
-        raise ValueError(f"unknown sensor {sensor!r}")
-    return heading if sensor == "front" else heading + math.pi
-
-
-def beam_angles(config: RobotConfig, heading: float, sensor: str) -> np.ndarray:
-    """World-frame beam directions for one sensor, centered on its facing."""
-    return _sensor_facing(heading, sensor) + _beam_offsets(config.lidar.beams, config.lidar.fov)
+def lidar_rays(config: RobotConfig, base_pose, sensors=SENSORS) -> tuple[list, list, np.ndarray]:
+    """The sensors' rays at base_pose (x, y, heading), on Python floats: the
+    xs and ys of each sensor's origin, its offset mapped out of the base
+    frame, and the (len(sensors), beams) world-frame beam angles, each
+    sensor's centered on its facing."""
+    lidar = config.lidar
+    x, y, heading = base_pose
+    c, s = math.cos(heading), math.sin(heading)
+    xs, ys, facings = [], [], []
+    for sensor in sensors:
+        if sensor not in SENSORS:
+            raise ValueError(f"unknown sensor {sensor!r}")
+        front = sensor == "front"
+        facings.append(heading if front else heading + math.pi)
+        px, py = lidar.front_offset if front else lidar.rear_offset
+        xs.append(x + c * px - s * py)
+        ys.append(y + s * px + c * py)
+    return xs, ys, np.add.outer(facings, _beam_offsets(lidar.beams, lidar.fov))
 
 
 def cast_lidars(
@@ -287,28 +288,18 @@ def cast_lidars(
     its beams share it. A ray that starts inside a box reports where it
     leaves the box.
     """
-    lidar = config.lidar
-    x, y, heading = state.base_pose.tolist()
-    c, s = math.cos(heading), math.sin(heading)
-    facings, xs, ys = [], [], []
-    for sensor in sensors:
-        facings.append(_sensor_facing(heading, sensor))
-        px, py = lidar.front_offset if sensor == "front" else lidar.rear_offset
-        # transform_point's arithmetic, on Python floats.
-        xs.append(x + c * px - s * py)
-        ys.append(y + s * px + c * py)
-    count, beams = len(sensors), lidar.beams
+    xs, ys, angles = lidar_rays(config, state.base_pose.tolist(), sensors)
+    count, beams = angles.shape
     # Ray planes [x, y]: origins (2, 1, sensors, 1), directions (2, 1, sensors, beams).
     origins = np.array((xs, ys)).reshape(2, 1, count, 1)
-    angles = np.add.outer(facings, _beam_offsets(beams, lidar.fov))
     directions = np.empty((2, 1, count, beams))
     np.cos(angles, out=directions[0, 0])
     np.sin(angles, out=directions[1, 0])
+    planes = world.outline_planes[..., None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        hits = rays_segments_hits(origins, directions, world.segment_starts,
-                                  world.segment_edges)
+        hits = rays_segments_hits(origins, directions, planes[0:2], planes[4:6])
     t = hits.min(axis=0, initial=np.inf)
-    return np.minimum(t, lidar.max_range, out=t)
+    return np.minimum(t, config.lidar.max_range, out=t)
 
 
 def cast_lidar(

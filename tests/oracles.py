@@ -14,7 +14,7 @@ from planarwbc import autodiff as ad
 from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
 from planarwbc.policy import (CheckpointError, acceleration_table, bins_to_action, greedy_bins,
                               param_views)
-from planarwbc.robot import RobotConfig, RobotState
+from planarwbc.robot import Action, RobotConfig, RobotState
 from planarwbc.world import WorldGeometry
 
 
@@ -23,6 +23,18 @@ def pose_matrix(pose) -> np.ndarray:
     x, y, theta = pose
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s, x], [s, c, y], [0.0, 0.0, 1.0]])
+
+
+def zero_action(config) -> Action:
+    """No acceleration on the base or any joint."""
+    return Action(np.zeros(3), np.zeros(config.num_joints))
+
+
+def transform_point(pose, p) -> np.ndarray:
+    """Map a point from the pose's local frame into the world frame."""
+    x, y, theta = pose
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([x + c * p[0] - s * p[1], y + s * p[0] + c * p[1]])
 
 
 def inverse_transform_point(pose, p) -> np.ndarray:

@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import oracle_clearances, passage_width_along_path
+from oracles import oracle_clearances, passage_width_along_path, zero_action
 from planarwbc import envs as envs_mod
 from planarwbc import world as world_mod
 from planarwbc.envs import (
@@ -89,7 +89,7 @@ def test_success_at_exact_hold_count():
     # step where accumulated hold first reaches hold_time: ceil(1.0/0.04)=25.
     episode = room_episode(EpisodeConfig(tolerance=0.3))
     assert episode.required_hold_steps == 25
-    zero = Action.zeros(ROBOT)
+    zero = zero_action(ROBOT)
     for k in range(1, 25):
         out = env_step(episode, zero)
         assert out.terminated is None
@@ -107,7 +107,7 @@ def test_hold_restart_after_exit():
     # Leave the tolerance disk for one step: the hold timer must restart
     # from zero and the accumulated hold reward must be refunded exactly.
     episode = room_episode(EpisodeConfig(tolerance=0.05), goal_offset=(0.049, 0.0))
-    zero = Action.zeros(ROBOT)
+    zero = zero_action(ROBOT)
     paid = 0.0
     for _ in range(10):
         out = env_step(episode, zero)
@@ -146,7 +146,7 @@ def test_timeout_at_step_limit():
     config = EpisodeConfig(tolerance=0.05, time_limit=2.0)
     episode = room_episode(config, goal_offset=(2.0, 0.0))
     assert episode.max_steps == 50
-    zero = Action.zeros(ROBOT)
+    zero = zero_action(ROBOT)
     for _ in range(49):
         out = env_step(episode, zero)
         assert out.terminated is None

@@ -6,6 +6,7 @@ the zero controller must score 0%, and repeated runs must emit byte-identical
 reports and traces.
 """
 
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -13,14 +14,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
+from planarwbc import render as render_mod
 from planarwbc.cli import main
 from planarwbc.config import default_config, save_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, new_episode
-from planarwbc.evaluate import EvalReport, episode_seed, eval_success_rate, run_controller
+from planarwbc.evaluate import (EvalReport, episode_seed, eval_episode, eval_success_rate,
+                                run_controller)
 from planarwbc.policy import param_count, save_params
 from planarwbc.ppo import TrainConfig
-from planarwbc.render import render_scene, render_snapshot
-from planarwbc.robot import Action, RobotState, forward_kinematics
+from planarwbc.render import render_scene
+from planarwbc.robot import Action, LidarConfig, RobotConfig, RobotState, forward_kinematics
+from planarwbc.world import cast_lidars
 
 
 @pytest.mark.parametrize("command, flag", [("eval", "--checkpoint"), ("train", "--resume")])
@@ -175,7 +180,7 @@ def scene_with_boxes():
     return run, episode
 
 
-def test_render_scene_svg_structure(tmp_path):
+def test_render_scene_svg_structure():
     run, episode = scene_with_boxes()
     svg = render_scene(run.robot, episode.world, episode.state, episode.goal_pose,
                        episode.config.tolerance, path_points=episode.path.points)
@@ -194,17 +199,58 @@ def test_render_scene_svg_structure(tmp_path):
                               show_lidar=True)
     assert with_lidar.count("<line") >= svg.count("<line") + 2 * run.robot.lidar.beams
 
-    target = tmp_path / "scene.svg"
-    render_snapshot(target, run.robot, episode.world, episode.state,
-                    episode.goal_pose, episode.config.tolerance,
-                    path_points=episode.path.points)
-    assert target.read_text() == svg
-
 
 def test_render_is_deterministic():
     run, episode = scene_with_boxes()
     args = (run.robot, episode.world, episode.state, episode.goal_pose, 0.3)
     assert render_scene(*args) == render_scene(*args)
+
+
+RAY = re.compile(r'<line x1="([-\d.]+)" y1="([-\d.]+)" x2="([-\d.]+)" y2="([-\d.]+)" '
+                 r'stroke="#de2d26"')
+
+
+def test_rendered_lidar_rays_follow_the_cast():
+    # Sensors off the base center at a turned heading: each drawn ray starts
+    # at its sensor's origin and ends at origin + range * (cos, sin) of the
+    # cast, sensor-major, to the SVG's two decimals.
+    run, episode = scene_with_boxes()
+    config = RobotConfig(lidar=LidarConfig(beams=65, front_offset=(0.25, 0.05),
+                                           rear_offset=(-0.25, 0.0)))
+    state = replace(episode.state, base_pose=episode.state.base_pose + (0.0, 0.0, 0.7))
+    svg = render_scene(config, episode.world, state, episode.goal_pose, 0.3, show_lidar=True)
+    drawn = np.array(RAY.findall(svg), dtype=float)
+    origins, directions = oracles.lidar_rays_rows(config, state)
+    ends = origins + cast_lidars(config, state, episode.world).reshape(-1, 1) * directions
+    xmin, ymin, xmax, ymax = episode.world.bounds
+    pad, scale = render_mod._PAD, render_mod._SCALE
+
+    def svg_point(p):
+        return np.stack([(p[:, 0] - xmin + pad) * scale, (ymax - p[:, 1] + pad) * scale], axis=1)
+
+    assert drawn.shape == (2 * 65, 4)
+    np.testing.assert_allclose(drawn, np.hstack([svg_point(origins), svg_point(ends)]),
+                               rtol=0.0, atol=0.005 + 1e-9)
+
+
+# sha256 of `render --lidar --seed 3 --episode 1` on the default corridor and
+# on gap_test scenes; a change to the sensor model or the cast moves them.
+RENDER_LIDAR_SHA256 = {
+    "corridor": "8bd50d40f424586f8b690c60cf9506a20225106bae0beb425eaffd72f7279720",
+    "gap_test": "bc6857f36849d46039c81a8a23e082552a23b8faca8853b15f506888040e23bf",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RENDER_LIDAR_SHA256))
+def test_render_lidar_svg_bytes_are_pinned(kind, tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"env": {"kind": kind}}))
+    out = tmp_path / "render"
+    assert main(["render", "--lidar", "--config", str(config), "--seed", "3", "--episode", "1",
+                 "--out", str(out)]) == 0
+    svg = (out / "scene.svg").read_bytes()
+    assert svg.count(b'stroke="#de2d26"') == 2 * default_config().robot.lidar.beams
+    assert hashlib.sha256(svg).hexdigest() == RENDER_LIDAR_SHA256[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +431,37 @@ def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
 
 
 @pytest.mark.parametrize("seed", [0, 5, 2**40])
-def test_episode_seed_is_the_spawned_child(seed, cli_config, tmp_path):
-    # Eval, render, inspect-env and hpf-dump all derive episode i's scene from it.
+def test_episode_seed_is_the_spawned_child(seed, cli_config, tmp_path, capsys):
+    # Eval, render, inspect-env and hpf-dump all take episode i from
+    # eval_episode, which derives its scene and generator from it.
     for index, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
         ours = episode_seed(seed, index)
         assert ours.generate_state(8).tolist() == child.generate_state(8).tolist()
         assert (np.random.default_rng(ours).random(4).tolist()
                 == np.random.default_rng(child).random(4).tolist())
-    # `hpf-dump` plans episode 0's scene and `render --episode 2` draws
-    # episode 2's, the scenes `eval --seed` runs.
+    # eval_episode is new_episode on that child's generator, and hands the
+    # generator on where the scene left it.
     run = easy_run(time_limit=2.0)
-    first, third = (new_episode(run.env, run.robot, run.reward, run.episode,
-                                np.random.default_rng(episode_seed(seed, i))) for i in (0, 2))
+    scenes = []
+    for index in (0, 2):
+        rng = np.random.default_rng(episode_seed(seed, index))
+        expected = new_episode(run.env, run.robot, run.reward, run.episode, rng)
+        episode, ours = eval_episode(run, seed, index)
+        assert episode.world.outline_planes.tobytes() == expected.world.outline_planes.tobytes()
+        assert episode.state.base_pose.tobytes() == expected.state.base_pose.tobytes()
+        assert episode.goal_pose.tobytes() == expected.goal_pose.tobytes()
+        assert ours.random(4).tolist() == rng.random(4).tolist()
+        scenes.append(expected)
+    first, third = scenes
+    # `hpf-dump` plans episode 0's scene, `render --episode 2` draws episode
+    # 2's and `inspect-env` lists both, the scenes `eval --seed` runs.
     common = ["--config", str(cli_config), "--seed", str(seed)]
+    assert main(["inspect-env", *common, "--count", "3", "--out", str(tmp_path)]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    for line, episode in ((listed[0], first), (listed[2], third)):
+        goal = episode.goal_pose
+        assert f"goal=({goal[0]:.3f}, {goal[1]:.3f}, {goal[2]:.3f})" in line
+        assert f"path_length={episode.path.total_length:.3f}" in line
     assert main(["hpf-dump", *common, "--out", str(tmp_path / "dump")]) == 0
     points = json.loads((tmp_path / "dump" / "path.json").read_text())["points"]
     assert points == first.path.points.tolist()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import inverse_transform_point, pose_matrix
+from oracles import inverse_transform_point, pose_matrix, transform_point
 from planarwbc.geometry import (
     box_edges,
     point_box_distance,
@@ -12,11 +12,10 @@ from planarwbc.geometry import (
     rays_segments_hits,
     rot2d,
     segment_box_distance,
-    segment_columns,
     segment_segment_distance,
-    transform_point,
     wrap_angle,
 )
+from planarwbc.world import WorldGeometry
 
 
 def ray_planes(origins, directions):
@@ -26,9 +25,11 @@ def ray_planes(origins, directions):
 
 
 def segment_hit_rows(origins, directions, segments):
-    # rays_segments_hits with one row per ray, (B, N).
+    # rays_segments_hits with one row per ray, (B, N), against the starts and
+    # edges rows of the segments' obstacle table.
+    planes = WorldGeometry(segments=segments).outline_planes
     with np.errstate(divide="ignore", invalid="ignore"):
-        return rays_segments_hits(*ray_planes(origins, directions), *segment_columns(segments)).T
+        return rays_segments_hits(*ray_planes(origins, directions), planes[0:2], planes[4:6]).T
 
 
 def box_hit_rows(origins, directions, boxes):

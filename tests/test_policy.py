@@ -51,7 +51,7 @@ def small_policy(seed=0):
 def naive_forward(policy, obs_row):
     """Scalar-path re-implementation of the scan-block network."""
     cfg = policy.config
-    v = policy.views
+    v = param_views(cfg, policy.params)
     x = obs_row * np.asarray(cfg.obs_scale)
     nb = cfg.scan_beams
     parts = {}
@@ -318,7 +318,7 @@ def test_param_views_share_storage():
     policy = small_policy()
     name, shape, offset = layout(SMALL)[0]
     policy.params[offset] = 1234.5
-    assert policy.views[name].ravel()[0] == 1234.5
+    assert param_views(SMALL, policy.params)[name].ravel()[0] == 1234.5
     with pytest.raises(ValueError, match="shape"):
         param_views(SMALL, np.zeros(param_count(SMALL) + 1))
 

@@ -232,7 +232,7 @@ def test_batched_head_terms_match_per_dimension_reference():
     # entropy must equal distribution_stats, which works dimension by dimension.
     config = replace(TINY, action_dims=6, bins=7)
     policy = Policy(config, init_params(config, np.random.default_rng(15)))
-    policy.views["heads.w"][:, :-1] *= 300.0  # logits far from uniform
+    param_views(config, policy.params)["heads.w"][:, :-1] *= 300.0  # logits far from uniform
     policy.refresh()
     n = 6
     obs, bins, _, values = self_consistent_batch(policy, n, seed=16)
@@ -364,7 +364,7 @@ def test_gradient_at_saturated_logits_matches_the_tape(entropy_coef):
     # logits keep every ratio at 1, so the surrogate's gradient flows.
     config = replace(TINY, action_dims=2, bins=5)
     policy = Policy(config, init_params(config, np.random.default_rng(20)))
-    heads_b = policy.views["heads.b"]
+    heads_b = param_views(config, policy.params)["heads.b"]
     heads_b[2] += 40.0
     heads_b[5 + 1] += 40.0
     heads_b[5 + 4] += 800.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import zero_action
 from planarwbc.robot import (
     Action,
     LidarConfig,
@@ -88,7 +89,7 @@ def test_clamping_pins_to_margin_bound():
     state.joint_pos[0] = 1.90
     state.joint_vel[0] = 1.0
     # 1.90 + 1.0 * 0.2 would reach 2.10, past the 1.95 margin bound.
-    new, hit = step_dynamics(config, state, Action.zeros(config), 0.2, clamping_enabled=True)
+    new, hit = step_dynamics(config, state, zero_action(config), 0.2, clamping_enabled=True)
     assert new.joint_pos[0] == pytest.approx(1.95, abs=1e-12)
     assert new.joint_vel[0] == 0.0
     assert not hit
@@ -99,7 +100,7 @@ def test_baseline_crosses_raw_limit():
     state = RobotState.zeros(config)
     state.joint_pos[0] = 1.90
     state.joint_vel[0] = 1.0
-    new, hit = step_dynamics(config, state, Action.zeros(config), 0.2, clamping_enabled=False)
+    new, hit = step_dynamics(config, state, zero_action(config), 0.2, clamping_enabled=False)
     assert new.joint_pos[0] == pytest.approx(2.10, abs=1e-12)
     assert hit
 
@@ -109,7 +110,7 @@ def test_zero_action_zero_velocity_fixed_point():
     state = RobotState.zeros(config, base_pose=(0.4, -0.7, 1.1))
     state.joint_pos = np.array([0.5, -0.5, 1.0])
     for tau in (0.01, 0.04, 1.0):
-        new, hit = step_dynamics(config, state, Action.zeros(config), tau)
+        new, hit = step_dynamics(config, state, zero_action(config), tau)
         assert np.array_equal(new.base_pose, state.base_pose)
         assert np.array_equal(new.joint_pos, state.joint_pos)
         assert not hit
@@ -189,7 +190,7 @@ def test_non_finite_inputs_rejected():
     with pytest.raises(ValueError):
         step_dynamics(config, state, bad, 0.04)
     with pytest.raises(ValueError):
-        step_dynamics(config, state, Action.zeros(config), 0.0)
+        step_dynamics(config, state, zero_action(config), 0.0)
 
 
 def test_config_validation():

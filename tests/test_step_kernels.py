@@ -164,8 +164,8 @@ def test_ray_kernels_are_bitwise_the_row_formulas(corpus):
         shared = origins[-1].reshape(2, 1, 1), rays[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             for o, d, row_origins in ((*rays, origins), (*shared, origins[-1])):
-                hits = rays_segments_hits(o, d, world.segment_starts[..., 0],
-                                          world.segment_edges[..., 0])
+                hits = rays_segments_hits(o, d, world.outline_planes[0:2],
+                                          world.outline_planes[4:6])
                 assert same_bytes(hits.T, oracles.rays_segments_hits_rows(
                     row_origins, dirs, oracles.outline_rows(world)))
                 zero_hits += np.count_nonzero(hits[len(world.segments):] == 0.0)
@@ -193,11 +193,11 @@ def test_rays_grouped_by_origin_are_bitwise_the_rays_cast_one_by_one(corpus):
         per_ray_origins = np.repeat(origins, b, axis=0).T[:, None, :]
         per_ray_dirs = fan.reshape(-1, 2).T[:, None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            grouped = rays_segments_hits(grouped_origins, grouped_dirs, world.segment_starts,
-                                         world.segment_edges)
+            planes = world.outline_planes[..., None]
+            grouped = rays_segments_hits(grouped_origins, grouped_dirs, planes[0:2], planes[4:6])
             per_ray = rays_segments_hits(per_ray_origins, per_ray_dirs,
-                                         world.segment_starts[..., 0], world.segment_edges[..., 0])
-        assert grouped.shape == (world.segment_starts.shape[1], s, b)
+                                         world.outline_planes[0:2], world.outline_planes[4:6])
+        assert grouped.shape == (world.outline_planes.shape[1], s, b)
         assert same_bytes(grouped.reshape(len(grouped), -1), per_ray)
         assert same_bytes(per_ray.T, oracles.rays_segments_hits_rows(
             np.repeat(origins, b, axis=0), fan.reshape(-1, 2), oracles.outline_rows(world)))

@@ -12,12 +12,12 @@ from planarwbc.robot import LidarConfig, RobotConfig, RobotState, forward_kinema
 from planarwbc.world import (
     SENSORS,
     WorldGeometry,
-    beam_angles,
     body_obstacle_clearance,
     body_query,
     cast_lidar,
     cast_lidars,
     collision_check,
+    lidar_rays,
     min_clearance_point,
 )
 
@@ -94,9 +94,8 @@ def test_lidar_matches_marching_oracle():
         world = random_box_world(rng)
         pose = free_pose(rng, world)
         state = RobotState.zeros(config, base_pose=pose)
-        for sensor in ("front", "rear"):
+        for sensor, angles in zip(SENSORS, lidar_rays(config, pose)[2]):
             ranges = cast_lidar(config, state, world, sensor)
-            angles = beam_angles(config, pose[2], sensor)
             for rng_got, ang in zip(ranges, angles):
                 ref = boxes_ray_march(pose[:2], ang, world.boxes, config.lidar.max_range)
                 assert abs(rng_got - ref) < 1e-3
@@ -212,6 +211,29 @@ def test_batched_queries_match_loop_oracle_on_state_corpus():
     assert self_only > 100
 
 
+def test_lidar_rays_are_the_sensor_frames():
+    # Each origin is the sensor offset mapped out of the base frame, bit for
+    # bit as transform_point maps it, and each sensor's angles are its facing
+    # plus the beam offsets spread over the fov.
+    rng = np.random.default_rng(11)
+    config = RobotConfig(lidar=LidarConfig(beams=65, front_offset=(0.25, 0.05),
+                                           rear_offset=(-0.25, 0.0)))
+    lidar = config.lidar
+    offsets = np.linspace(-lidar.fov / 2.0, lidar.fov / 2.0, lidar.beams)
+    for pose in [(1.0, 2.0, 0.0), (-0.5, 0.25, -math.pi), *rng.uniform(-3.0, 3.0, (5, 3))]:
+        xs, ys, angles = lidar_rays(config, tuple(float(v) for v in pose))
+        assert angles.shape == (2, lidar.beams)
+        for k, (offset, facing) in enumerate(((lidar.front_offset, pose[2]),
+                                              (lidar.rear_offset, pose[2] + math.pi))):
+            assert (xs[k], ys[k]) == tuple(oracles.transform_point(pose, offset).tolist())
+            assert angles[k].tobytes() == (facing + offsets).tobytes()
+        rear_xs, rear_ys, rear = lidar_rays(config, pose, ("rear",))
+        assert (rear_xs, rear_ys) == (xs[1:], ys[1:])
+        assert rear.tobytes() == angles[1:].tobytes()
+    with pytest.raises(ValueError, match="unknown sensor"):
+        lidar_rays(config, (0.0, 0.0, 0.0), ("side",))
+
+
 def test_two_sensor_cast_equals_single_sensor_casts():
     # One batch of both sensors' rays gives each sensor's own cast exactly:
     # corridor and gap scenes and random box worlds, sensors off the base
@@ -228,8 +250,8 @@ def test_two_sensor_cast_equals_single_sensor_casts():
                                       rear_offset=(-0.25, 0.0))),
         RobotConfig(lidar=LidarConfig(beams=1, rear_offset=(-0.1, 0.1))),
     ]
-    assert beam_angles(configs[1], 0.0, "front")[32] == 0.0
-    assert beam_angles(configs[1], -math.pi, "rear")[32] == 0.0
+    assert lidar_rays(configs[1], (0.0, 0.0, 0.0))[2][0, 32] == 0.0
+    assert lidar_rays(configs[1], (0.0, 0.0, -math.pi))[2][1, 32] == 0.0
     for world in worlds:
         xmin, ymin, xmax, ymax = world.bounds
         for heading in (0.0, -math.pi, math.pi / 2, *rng.uniform(-math.pi, math.pi, 5)):
@@ -261,10 +283,15 @@ def test_world_is_frozen_and_its_arrays_read_only():
     assert world.obstacle_bounds == ((0.0, 0.0, 3.0, 0.0), (1.0, 1.0, 2.0, 2.0))
     moved = dataclasses.replace(world, boxes=[[0.5, 0.5, 1.0, 1.0]])
     edges = box_edges(moved.boxes).reshape(-1, 4)
-    np.testing.assert_array_equal(moved.outline_planes[:, 1:, 0].T, edges)
-    np.testing.assert_array_equal(moved.segment_starts[:, 1:, 0, 0].T, edges[:, 0:2])
-    np.testing.assert_array_equal(moved.segment_edges[:, 1:, 0, 0].T,
+    np.testing.assert_array_equal(moved.outline_planes[:4, 1:, 0].T, edges)
+    np.testing.assert_array_equal(moved.outline_planes[4:, 1:, 0].T,
                                   edges[:, [3, 2]] - edges[:, [1, 0]])
+    # The ray kernel's edge rows [y1 - y0, x1 - x0] are the table's own
+    # differences, bit for bit, and the whole table is read-only.
+    for planes in (world.outline_planes, moved.outline_planes):
+        assert planes.shape == (6, 5, 1)
+        assert planes[4:].tobytes() == (planes[[3, 2]] - planes[[1, 0]]).tobytes()
+        assert not planes.flags.writeable
     assert moved.obstacle_bounds == ((0.0, 0.0, 3.0, 0.0), (0.5, 0.5, 1.0, 1.0))
 
 
