@@ -6,11 +6,11 @@ to a tanh trunk. One linear `heads` layer gives, per action dimension, the
 logits of a categorical distribution over bins (an odd bin count keeps zero
 acceleration representable), and in its last column the value estimate.
 
-All parameters live in one flat float64 master array with a documented
+All parameters live in one flat COMPUTE_DTYPE array with a documented
 (name, shape, offset) layout, which makes checkpoints, optimizer state, and
-gradient checks straightforward. The network arithmetic runs in
-COMPUTE_DTYPE on a copy of that array, which the policy refreshes whenever
-the master changes; the logits and values leave the network as float64.
+gradient checks straightforward. The network reads its layers as views of
+that array and computes in the same dtype; the logits and values leave the
+network as float64.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 from .envs import observation_layout
 from .robot import Action, RobotConfig
 
-# dtype of the network arithmetic; parameters, gradients and losses stay float64.
+# dtype of the parameters, their gradient, Adam's moments and the network arithmetic.
 COMPUTE_DTYPE = np.float32
 
 
@@ -206,14 +206,14 @@ def _dense_backward(h, z, g, layer, grad_layer, tanh: bool, dh=None) -> None:
 
 
 class _Workspace:
-    """The buffers of one network pass over n observations: each layer's
-    activation in the compute dtype, the logits and values in float64, and,
-    with gradients, what backward() writes: the gradients of the activations
-    a later backward step reads, and the flat float64 parameter gradient.
+    """The buffers of one network pass over n observations, in the
+    parameters' dtype but for the float64 logits and values: each layer's
+    activation and, with gradients, what backward() writes, the gradients of
+    the activations a later backward step reads and the flat parameter gradient.
     """
 
     def __init__(self, policy: "Policy", n: int, gradients: bool = False):
-        cfg, dtype = policy.config, policy.compute.dtype
+        cfg, dtype = policy.config, policy.params.dtype
         (h1, h2), (t1, t2) = cfg.scan_hidden, cfg.trunk_hidden
         self.n = n
         self.x = np.empty((n, cfg.observation_size), dtype)
@@ -228,18 +228,17 @@ class _Workspace:
             self.dheads, self.dtrunk1, self.dtrunk0, self.dcat, self.dfront0, self.drear0 = (
                 np.empty_like(a) for a in
                 (self.heads, self.trunk1, self.trunk0, self.cat, self.front0, self.rear0))
-            self.grad = np.empty(policy.params.shape)
+            self.grad = np.empty_like(policy.params)
             self.grad_layers = _layers(cfg, self.grad)
 
 
 class Policy:
-    """Flat float64 master parameters bound to a config, with the network's
+    """Flat COMPUTE_DTYPE parameters bound to a config, with the network's
     forward and its backward.
 
-    The policy owns `params`, a copy of the array it was built from. Both
-    passes read `compute`, a COMPUTE_DTYPE copy of `params`, through
-    `layers`, the layer table bound once: whoever writes `params` calls
-    refresh() before the next forward.
+    The policy owns `params`, a copy of the array it was built from, rounded
+    to COMPUTE_DTYPE. Both passes read it through `layers`, the layer table
+    of views bound once, so a write to `params` reaches the next forward.
     """
 
     def __init__(self, config: PolicyConfig, params: np.ndarray):
@@ -247,18 +246,11 @@ class Policy:
         if issues:
             raise ValueError("; ".join(issues))
         self.config = config
-        self.params = np.array(params, dtype=np.float64)
-        self.compute = np.empty(self.params.shape, COMPUTE_DTYPE)
-        self.layers = _layers(config, self.compute)
+        self.params = np.array(params, dtype=COMPUTE_DTYPE)
+        self.layers = _layers(config, self.params)
         self.obs_scale = np.asarray(config.obs_scale)
         self._graph: _Workspace | None = None  # reused by graph_forward() of its size
         self._pending: _Workspace | None = None  # a graph_forward() backward() has not read
-        self.refresh()
-
-    def refresh(self, block: slice = slice(None)) -> None:
-        """Copy the master parameters (a flat block of them) into the compute
-        copy the forwards read."""
-        self.compute[block] = self.params[block]
 
     def _forward(self, ws: _Workspace, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The network on obs (N, obs) through ws: its logits (N, dims, bins)
@@ -306,8 +298,8 @@ class Policy:
         return out
 
     def backward(self, d_logits: np.ndarray, d_values: np.ndarray) -> np.ndarray:
-        """Flat float64 gradient, in layout order, of a loss whose gradient with
-        respect to the latest graph_forward's logits and values is given.
+        """Flat parameter gradient, in layout order, of a loss whose gradient
+        with respect to the latest graph_forward's logits and values is given.
 
         The walk mirrors _forward layer by layer. The array is the
         workspace's: the next backward() overwrites it.
@@ -392,12 +384,12 @@ def config_hash(config) -> bytes:
 
 
 def save_params(path, config: PolicyConfig, params: np.ndarray) -> None:
-    """Versioned binary checkpoint: header, config hash, flat float64 params, digest."""
+    """Versioned binary checkpoint: header, config hash, flat params, digest."""
     write_checkpoint(path, POLICY_CHECKPOINT, config_hash(config), [params])
 
 
 def load_params(path, config: PolicyConfig) -> np.ndarray:
-    params = np.empty(param_count(config))
+    params = np.empty(param_count(config), COMPUTE_DTYPE)
     read_checkpoint(path, POLICY_CHECKPOINT, config_hash(config), [params])
     return params
 
@@ -407,7 +399,7 @@ class CheckpointFormat:
     """One checkpoint kind in the shared framing.
 
     A file is the magic, <I version, the 32-byte config digest, <Q element
-    count, then `arrays` float64 arrays of that many elements each as <f8,
+    count, then `arrays` arrays of that many elements each in `dtype` (<f4),
     then, with `meta`, a <Q length and that many bytes of metadata, and last
     the SHA-256 digest of all the bytes before it.
     """
@@ -418,9 +410,10 @@ class CheckpointFormat:
     version: int
     arrays: int
     meta: bool
+    dtype: np.dtype = np.dtype(COMPUTE_DTYPE).newbyteorder("<")
 
 
-POLICY_CHECKPOINT = CheckpointFormat("policy", "policy", b"PWBCNET1", 2, arrays=1, meta=False)
+POLICY_CHECKPOINT = CheckpointFormat("policy", "policy", b"PWBCNET1", 3, arrays=1, meta=False)
 
 
 class CheckpointError(ValueError):
@@ -459,13 +452,13 @@ def write_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays,
     """Replace the file at path with a checkpoint in fmt; a crash leaves the
     old or the new file (see replacing).
 
-    The framing goes piece by piece into the temporary file, each float64
-    array as a view of its own buffer, and the same pieces feed the closing
-    SHA-256, so nothing is copied whole.
+    The framing goes piece by piece into the temporary file, each array as a
+    view of its own buffer, and the same pieces feed the closing SHA-256, so
+    nothing is copied whole.
     """
     pieces = [fmt.magic, struct.pack("<I", fmt.version), digest,
               struct.pack("<Q", np.asarray(arrays[0]).size)]
-    pieces += [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    pieces += [np.ascontiguousarray(a, dtype=fmt.dtype) for a in arrays]
     if fmt.meta:
         pieces += [struct.pack("<Q", len(meta)), meta]
     payload = hashlib.sha256()
@@ -478,9 +471,9 @@ def write_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays,
 
 
 def read_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays) -> bytes | None:
-    """Read the checkpoint in fmt at path into arrays, fmt.arrays float64
-    buffers of one size, each straight into its buffer while the payload is
-    hashed; return the metadata bytes, or None for a format without.
+    """Read the checkpoint in fmt at path into arrays, fmt.arrays
+    COMPUTE_DTYPE buffers of one size, each straight into its buffer while
+    the payload is hashed; return the metadata bytes, or None for a format without.
 
     Raises CheckpointError, naming path, for a file that cannot be read, for
     a wrong magic, version, config digest or element count, for a file
@@ -505,7 +498,7 @@ def read_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays) -> bytes
             (got,) = struct.unpack_from("<Q", header, header_size - 8)
             if got != count:
                 raise CheckpointError(f"checkpoint holds {got} params, config needs {count}")
-            body = header_size + 8 * count * fmt.arrays
+            body = header_size + fmt.dtype.itemsize * count * fmt.arrays
             payload = body + 8 if fmt.meta else body
             if fmt.meta and size >= payload:
                 fh.seek(body)
@@ -529,7 +522,7 @@ def read_checkpoint(path, fmt: CheckpointFormat, digest: bytes, arrays) -> bytes
                               f"{exc.strerror or exc}") from None
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    if sys.byteorder != "little":  # the file holds <f8
+    if sys.byteorder != "little":  # the file holds little-endian elements
         for array in arrays:
             array.byteswap(inplace=True)
     return meta[8:] if fmt.meta else None

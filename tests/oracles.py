@@ -1005,8 +1005,12 @@ def step_dynamics_arrays(config, state, action, tau, clamping_enabled=True):
 
 
 def adam_step_flat(m, v, params, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam step t (1-based) over whole arrays, in place on m, v and params."""
-    a, b = np.empty((2, grad.size))
+    """Adam step t (1-based) over whole arrays, in place on m, v and params,
+    with the bias corrections in the step size and epsilon (Kingma & Ba,
+    2015, section 2)."""
+    alpha = lr * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t)
+    eps_hat = eps * math.sqrt(1.0 - beta2**t)
+    a, b = np.empty((2, grad.size), params.dtype)
     np.multiply(m, beta1, out=m)
     np.multiply(grad, 1.0 - beta1, out=a)
     np.add(m, a, out=m)
@@ -1014,11 +1018,9 @@ def adam_step_flat(m, v, params, grad, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     np.multiply(grad, 1.0 - beta2, out=a)
     np.multiply(a, grad, out=a)
     np.add(v, a, out=v)
-    np.divide(m, 1.0 - beta1**t, out=a)
-    np.multiply(a, lr, out=a)
-    np.divide(v, 1.0 - beta2**t, out=b)
-    np.sqrt(b, out=b)
-    np.add(b, eps, out=b)
+    np.multiply(m, alpha, out=a)
+    np.sqrt(v, out=b)
+    np.add(b, eps_hat, out=b)
     np.divide(a, b, out=a)
     np.subtract(params, a, out=params)
 
@@ -1030,21 +1032,21 @@ def taped_forward(policy, obs):
     The network is composed here from autodiff ops: two tanh layers per
     scan, the concatenation with the proprioceptive inputs, two tanh trunk
     layers and the linear heads, whose first dims*bins columns are the
-    logits and last the value. The leaves are the policy's compute-dtype
-    weights; backward() on a loss built from the outputs adds each weight's
-    gradient into its slot of the zeroed float64 flat gradient, in layout
-    order.
+    logits and last the value. The leaves are the policy's weights;
+    backward() on a loss built from the outputs adds each weight's gradient
+    into its slot of a zeroed flat gradient in the parameters' dtype, in
+    layout order.
     """
     cfg = policy.config
     grad = np.zeros_like(policy.params)
     slots = param_views(cfg, grad)
     leaves = {name: ad.Tensor(view, requires_grad=True, grad=slots[name])
-              for name, view in param_views(cfg, policy.compute).items()}
+              for name, view in param_views(cfg, policy.params).items()}
 
     def dense(h, layer, suffix, tanh=True):
         return ad.dense(h, leaves[f"{layer}.w{suffix}"], leaves[f"{layer}.b{suffix}"], tanh)
 
-    x = (obs * policy.obs_scale).astype(policy.compute.dtype)
+    x = (obs * policy.obs_scale).astype(policy.params.dtype)
     nb = cfg.scan_beams
     front = dense(dense(ad.Tensor(x[:, :nb]), "scan_front", 0), "scan_front", 1)
     rear = dense(dense(ad.Tensor(x[:, nb : 2 * nb]), "scan_rear", 0), "scan_rear", 1)
@@ -1090,11 +1092,12 @@ def taped_ppo_loss(policy, obs, bins, old_log_probs, advantages, returns, config
     return float(loss.data), stats, grad, logits.grad
 
 
-def pack_checkpoint(fmt, digest, arrays, meta=None) -> bytes:
-    """The bytes of one checkpoint file in fmt, framed in memory in one piece."""
+def pack_checkpoint(fmt, digest, arrays, meta=None, dtype=None) -> bytes:
+    """The bytes of one checkpoint file in fmt, framed in memory in one piece;
+    the arrays go in as dtype, fmt.dtype unless given."""
     parts = [fmt.magic, struct.pack("<I", fmt.version), digest,
              struct.pack("<Q", np.asarray(arrays[0]).size)]
-    parts += [np.asarray(a, dtype=np.float64).astype("<f8").tobytes() for a in arrays]
+    parts += [np.asarray(a).astype(dtype or fmt.dtype).tobytes() for a in arrays]
     if fmt.meta:
         parts += [struct.pack("<Q", len(meta)), meta]
     payload = b"".join(parts)
@@ -1102,7 +1105,7 @@ def pack_checkpoint(fmt, digest, arrays, meta=None) -> bytes:
 
 
 def unpack_checkpoint(fmt, raw, digest, count):
-    """(float64 arrays, metadata bytes or None) of the bytes of a checkpoint
+    """(native-order arrays, metadata bytes or None) of the bytes of a checkpoint
     file in fmt, checked whole in memory; policy.read_checkpoint streams the
     same checks from a file.
 
@@ -1124,7 +1127,8 @@ def unpack_checkpoint(fmt, raw, digest, count):
     (got,) = struct.unpack_from("<Q", raw, header - 8)
     if got != count:
         raise CheckpointError(f"checkpoint holds {got} params, config needs {count}")
-    body = header + 8 * count * fmt.arrays
+    size = fmt.dtype.itemsize
+    body = header + size * count * fmt.arrays
     payload = body + 8 if fmt.meta else body
     if fmt.meta and len(raw) >= payload:
         payload += struct.unpack_from("<Q", raw, body)[0]
@@ -1134,6 +1138,6 @@ def unpack_checkpoint(fmt, raw, digest, count):
         raise CheckpointError(f"{fmt.kind} checkpoint {problem}: {len(raw)} bytes, expected {end}")
     if hashlib.sha256(raw[:payload]).digest() != raw[payload:]:
         raise CheckpointError(f"{fmt.kind} checkpoint is corrupted: payload digest mismatch")
-    arrays = [np.frombuffer(raw, dtype="<f8", count=count, offset=header + 8 * count * k)
-              .astype(np.float64) for k in range(fmt.arrays)]
+    arrays = [np.frombuffer(raw, dtype=fmt.dtype, count=count, offset=header + size * count * k)
+              .astype(fmt.dtype.newbyteorder("=")) for k in range(fmt.arrays)]
     return arrays, (raw[body + 8 : payload] if fmt.meta else None)

@@ -319,6 +319,17 @@ def test_solve_agrees_with_reference_solver(spec):
         assert hausdorff(path.points, reference_path.points) < 0.1 * cell
 
 
+def test_cycles_carry_on_through_a_five_cycle_stall():
+    # The corridor of seed 82 leaves its best score unbeaten for five cycles
+    # in a row; cycles that carry on converge, where the smoothing finish
+    # ran 5164 sweeps, 27 times a median solve's time.
+    run = default_config()
+    scene = generate_scene(EnvSpec(kind="corridor"), run.robot, np.random.default_rng(82),
+                           run.episode.grid_cell)
+    effort = scene.path_field.effort
+    assert effort.cycles <= 30 and not effort.smoothing_finish
+
+
 def test_converged_stencil_fixed_point():
     rng = np.random.default_rng(2)
     field = None

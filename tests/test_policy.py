@@ -93,7 +93,7 @@ def test_graph_forward_matches_fast_forward():
     fast_logits, fast_values = policy.forward_batch(obs)
     taped_logits, taped_value, _ = taped_forward(policy, obs)
     logits, values = policy.graph_forward(obs)
-    assert policy.compute.dtype == np.float32
+    assert policy.params.dtype == np.float32
     assert fast_logits.dtype == logits.dtype == taped_logits.data.dtype == np.float64
     for a, b in ((logits, fast_logits), (values, fast_values), (taped_logits.data, fast_logits),
                  (taped_value.data, fast_values)):
@@ -388,8 +388,8 @@ def test_checkpoint_rejects_previous_version_and_flipped_bits(tmp_path):
         load_params(path, SMALL)
     # One low mantissa bit of the first, a middle and the last parameter, and
     # one bit of the digest.
-    count = param_count(SMALL)
-    for offset in (52, 52 + 8 * (count // 2), 52 + 8 * count - 8, len(raw) - 1):
+    count, size = param_count(SMALL), POLICY_CHECKPOINT.dtype.itemsize
+    for offset in (52, 52 + size * (count // 2), 52 + size * count - size, len(raw) - 1):
         flipped = bytearray(raw)
         flipped[offset] ^= 1
         path.write_bytes(bytes(flipped))
@@ -397,6 +397,16 @@ def test_checkpoint_rejects_previous_version_and_flipped_bits(tmp_path):
             load_params(path, SMALL)
     path.write_bytes(raw)
     assert np.array_equal(load_params(path, SMALL), small_policy().params)
+
+
+def test_checkpoint_rejects_version_2(tmp_path):
+    # Version 2 framed the parameters as <f8 in the same header and digest.
+    params = small_policy().params
+    path = tmp_path / "policy.bin"
+    path.write_bytes(pack_checkpoint(replace(POLICY_CHECKPOINT, version=2), config_hash(SMALL),
+                                     [params], dtype="<f8"))
+    with pytest.raises(ValueError, match="unsupported policy checkpoint version 2"):
+        load_params(path, SMALL)
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):

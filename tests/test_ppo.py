@@ -34,6 +34,7 @@ from planarwbc import policy as policy_mod
 from planarwbc.config import default_config, save_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, GenerationError
 from planarwbc.policy import (
+    COMPUTE_DTYPE,
     CheckpointError,
     Policy,
     PolicyConfig,
@@ -233,7 +234,6 @@ def test_batched_head_terms_match_per_dimension_reference():
     config = replace(TINY, action_dims=6, bins=7)
     policy = Policy(config, init_params(config, np.random.default_rng(15)))
     param_views(config, policy.params)["heads.w"][:, :-1] *= 300.0  # logits far from uniform
-    policy.refresh()
     n = 6
     obs, bins, _, values = self_consistent_batch(policy, n, seed=16)
     logits, _ = policy.forward_batch(obs)
@@ -256,7 +256,6 @@ def test_entropy_term_pushes_toward_uniform():
     _, before, d_outputs = ppo_loss(policy, obs, bins, old_log_probs, zero_adv, values.copy(),
                                     config)
     policy.params[...] -= 0.05 * policy.backward(*d_outputs)
-    policy.refresh()
     _, after, _ = ppo_loss(policy, obs, bins, old_log_probs, zero_adv, values.copy(), config)
     assert after["entropy"] > before["entropy"]
     assert after["entropy"] <= 2 * math.log(3) + 1e-12  # uniform ceiling
@@ -314,8 +313,8 @@ def test_update_gradient_is_bitwise_the_tapes(corpus, size):
     # with an Adam step after each so later ratios leave 1 and get clipped.
     run, params, samples = corpus
     config = run.train
-    trainer = TrainerState(policy=Policy(run.policy, params), adam_m=np.zeros(params.size),
-                           adam_v=np.zeros(params.size), adam_t=0, update_rng=None,
+    trainer = TrainerState(policy=Policy(run.policy, params), adam_m=np.zeros_like(params),
+                           adam_v=np.zeros_like(params), adam_t=0, update_rng=None,
                            workers=[], adr_state=None)
     rng = np.random.default_rng(size)
     clip_fractions = []
@@ -368,7 +367,6 @@ def test_gradient_at_saturated_logits_matches_the_tape(entropy_coef):
     heads_b[2] += 40.0
     heads_b[5 + 1] += 40.0
     heads_b[5 + 4] += 800.0
-    policy.refresh()
     obs, bins, _, values = self_consistent_batch(policy, 8, seed=21)
     bins[:3] = [2, 4]  # the dominant bins
     bins[3:5] = [0, 1]  # bins of probability about e^-40 and e^-760
@@ -388,12 +386,15 @@ def test_gradient_at_saturated_logits_matches_the_tape(entropy_coef):
 # ---------------------------------------------------------------------------
 
 
-def test_adam_step_matches_reference_recursion():
+def test_adam_step_matches_reference_recursion(float64_network):
+    # The textbook recursion with bias-corrected moments; adam_step folds
+    # the corrections into its step size and epsilon, equal in exact
+    # arithmetic.
     policy = tiny_policy(seed=13)
     trainer = TrainerState(
         policy=policy,
-        adam_m=np.zeros(policy.params.size),
-        adam_v=np.zeros(policy.params.size),
+        adam_m=np.zeros_like(policy.params),
+        adam_v=np.zeros_like(policy.params),
         adam_t=0,
         update_rng=np.random.default_rng(0),
         workers=[],
@@ -415,26 +416,26 @@ def test_adam_step_matches_reference_recursion():
 
 @pytest.mark.parametrize("size", ["tiny", "default"])
 def test_adam_step_is_bitwise_the_flat_formula(size):
-    # Blocked steps equal whole-array steps byte for byte: moments, master
-    # parameters and the compute copy. Neither parameter count is a multiple
-    # of the block, so the last block is a short one.
+    # Blocked steps equal whole-array steps byte for byte: moments and
+    # parameters. Neither parameter count is a multiple of the block, so the
+    # last block is a short one.
     config = TINY if size == "tiny" else default_config().policy
-    params = init_params(config, np.random.default_rng(16))
-    assert params.size % ADAM_BLOCK != 0
-    assert size == "tiny" or params.size > 2 * ADAM_BLOCK
-    trainer = TrainerState(policy=Policy(config, params), adam_m=np.zeros(params.size),
-                           adam_v=np.zeros(params.size), adam_t=0,
+    policy = Policy(config, init_params(config, np.random.default_rng(16)))
+    n = policy.params.size
+    assert n % ADAM_BLOCK != 0
+    assert size == "tiny" or n > 2 * ADAM_BLOCK
+    trainer = TrainerState(policy=policy, adam_m=np.zeros_like(policy.params),
+                           adam_v=np.zeros_like(policy.params), adam_t=0,
                            update_rng=np.random.default_rng(0), workers=[], adr_state=None)
-    m, v, theta = np.zeros(params.size), np.zeros(params.size), params.copy()
+    m, v, theta = np.zeros_like(policy.params), np.zeros_like(policy.params), policy.params.copy()
     rng = np.random.default_rng(17)
     for t in range(1, 4):
-        grad = rng.standard_normal(params.size)
+        grad = rng.standard_normal(n).astype(COMPUTE_DTYPE)
         adam_step(trainer, grad, lr=3e-4)
         adam_step_flat(m, v, theta, grad, t, lr=3e-4)
         assert trainer.adam_m.tobytes() == m.tobytes()
         assert trainer.adam_v.tobytes() == v.tobytes()
         assert trainer.policy.params.tobytes() == theta.tobytes()
-        assert trainer.policy.compute.tobytes() == theta.astype(policy_mod.COMPUTE_DTYPE).tobytes()
 
 
 def test_train_config_validation():
@@ -614,7 +615,7 @@ def test_checkpoint_rejects_truncated_or_padded_files(tmp_path):
     path = tmp_path / "train_state.ckpt"
     save_train_checkpoint(path, run, init_trainer(run))
     raw = path.read_bytes()
-    arrays_end = 52 + 3 * 8 * param_count(run.policy)
+    arrays_end = 52 + 3 * TRAIN_CHECKPOINT.dtype.itemsize * param_count(run.policy)
     # Inside the header, at its end, inside the arrays, before and inside the
     # metadata length, inside the metadata.
     for size in (20, 48, 52, arrays_end - 8, arrays_end, arrays_end + 4, len(raw) - 1):
@@ -638,7 +639,7 @@ def test_checkpoint_rejects_previous_version_and_flipped_bits(tmp_path):
     with pytest.raises(ValueError, match="version 1"):
         load_train_checkpoint(path, run)
     # One bit in the middle of the parameters, each Adam moment and the metadata.
-    size = 8 * param_count(run.policy)
+    size = TRAIN_CHECKPOINT.dtype.itemsize * param_count(run.policy)
     meta_start = 52 + 3 * size + 8
     for offset in (52 + size // 2, 52 + size + size // 2, 52 + 2 * size + size // 2,
                    (meta_start + len(raw) - 32) // 2):
@@ -647,6 +648,22 @@ def test_checkpoint_rejects_previous_version_and_flipped_bits(tmp_path):
         path.write_bytes(bytes(flipped))
         with pytest.raises(ValueError, match="payload digest"):
             load_train_checkpoint(path, run)
+
+
+def test_checkpoint_rejects_version_2(tmp_path):
+    # Version 2 framed the parameters and Adam moments as <f8 in the same
+    # header, metadata and digest.
+    run = smoke_run()
+    trainer = init_trainer(run)
+    path = tmp_path / "train_state.ckpt"
+    save_train_checkpoint(path, run, trainer)
+    count = param_count(run.policy)
+    _, meta = unpack_checkpoint(TRAIN_CHECKPOINT, path.read_bytes(), _run_hash(run), count)
+    arrays = [trainer.policy.params, trainer.adam_m, trainer.adam_v]
+    path.write_bytes(pack_checkpoint(replace(TRAIN_CHECKPOINT, version=2), _run_hash(run), arrays,
+                                     meta, dtype="<f8"))
+    with pytest.raises(ValueError, match="unsupported training checkpoint version 2"):
+        load_train_checkpoint(path, run)
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
@@ -709,7 +726,7 @@ def test_streamed_load_rejects_what_the_whole_file_check_rejects(tmp_path):
     save_train_checkpoint(path, run, trainer)
     raw = path.read_bytes()
     count = param_count(run.policy)
-    arrays_end = 52 + 3 * 8 * count
+    arrays_end = 52 + 3 * TRAIN_CHECKPOINT.dtype.itemsize * count
     mutations = [raw[:size] for size in (0, 5, 8, 20, 51, 52, arrays_end - 8, arrays_end,
                                          arrays_end + 4, len(raw) - 1)]
     # Extra bytes, another kind's magic, version 1, another config, another count.
@@ -737,9 +754,9 @@ def test_streamed_load_rejects_what_the_whole_file_check_rejects(tmp_path):
 def test_train_checkpoint_loads_without_whole_copies(tmp_path):
     # The file's arrays go straight into the policy's parameters and the
     # Adam moments, so the load allocates little beyond the state it
-    # returns: those three arrays, the float32 compute copy and Adam's
-    # scratch, 1.24x the file. Without live episodes, whose rebuild
-    # replans each scene, the load is the file's alone.
+    # returns: those three arrays and Adam's scratch, 1.15x the file.
+    # Without live episodes, whose rebuild replans each scene, the load is
+    # the file's alone.
     run = smoke_run()
     trainer = init_trainer(run)
     trainer.workers = []
@@ -753,8 +770,8 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.policy.params.tobytes() == trainer.policy.params.tobytes()
-    held = sum(a.nbytes for a in (loaded.policy.params, loaded.policy.compute, loaded.adam_m,
-                                  loaded.adam_v, loaded.adam_scratch))
+    held = sum(a.nbytes for a in (loaded.policy.params, loaded.adam_m, loaded.adam_v,
+                                  loaded.adam_scratch))
     size = path.stat().st_size
     assert held < 1.25 * size
     assert peak < held + 0.02 * size
@@ -766,8 +783,8 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
 # also covers the run-configuration digest and the episode snapshot's keys,
 # so it moves with the config schema and the snapshot format.
 TWO_ITERATION_SHA256 = [
-    "d965dea57b3e0167b7939cb64d7c5def210eac6e6018ac74f49bc3cb16c4e58c",
-    "79e06f2a2c624c2af13218a048e0cd54b4a98a2de338327b1195bc0f7a2ca5e0",
+    "003e9b8a82ba7922632390530ae6b7ed60b64e773d9ac0b2f2ec675cfb8ef0aa",
+    "7b250d343972425b1eec7569521229665193a1aa582266a8772ac0ff4a62ab59",
 ]
 
 
@@ -833,42 +850,55 @@ def test_ppo_update_requires_gae():
 
 
 # ---------------------------------------------------------------------------
-# Float32 network arithmetic over float64 master parameters
+# One float32 parameter array
 # ---------------------------------------------------------------------------
 
 
-def assert_compute_copy_fresh(policy, obs):
-    """The forward equals, bit for bit, that of a policy built from its params now."""
+def assert_forward_reads_params(policy, obs):
+    """Every layer view shares memory with the policy's parameters, and the
+    forward equals, bit for bit, that of a policy built from its params now."""
+    assert all(np.shares_memory(view, policy.params) for layer in policy.layers for view in layer)
     logits, values = policy.forward_batch(obs)
     fresh_logits, fresh_values = Policy(policy.config, policy.params.copy()).forward_batch(obs)
     assert np.array_equal(logits, fresh_logits)
     assert np.array_equal(values, fresh_values)
 
 
-def test_compute_copy_follows_every_parameter_change(tmp_path):
+def assert_state_in_compute_dtype(trainer):
+    """The parameters, their gradient, Adam's moments and its scratch share COMPUTE_DTYPE."""
+    policy = trainer.policy
+    logits, values = policy.graph_forward(np.zeros((2, policy.config.observation_size)))
+    grad = policy.backward(np.ones_like(logits), np.ones_like(values))
+    arrays = (policy.params, grad, trainer.adam_m, trainer.adam_v, trainer.adam_scratch)
+    assert {a.dtype for a in arrays} == {np.dtype(COMPUTE_DTYPE)}
+
+
+def test_forward_follows_every_parameter_change(tmp_path):
     run = smoke_run()
     trainer = init_trainer(run)
+    assert_state_in_compute_dtype(trainer)
     obs = np.random.default_rng(30).uniform(-1, 1, (4, run.policy.observation_size))
     before = trainer.policy.params.copy()
     adam_step(trainer, np.random.default_rng(31).standard_normal(before.size), lr=1e-3)
     assert not np.array_equal(trainer.policy.params, before)
-    assert_compute_copy_fresh(trainer.policy, obs)
+    assert_forward_reads_params(trainer.policy, obs)
 
     buffer, _ = collect_rollouts(run, trainer)
     compute_gae(buffer, run.train.gamma, run.train.gae_lambda)
     before = trainer.policy.params.copy()
     ppo_update(run, trainer, buffer)
     assert not np.array_equal(trainer.policy.params, before)
-    assert_compute_copy_fresh(trainer.policy, obs)
+    assert_forward_reads_params(trainer.policy, obs)
 
     save_params(tmp_path / "policy.ckpt", run.policy, trainer.policy.params)
     loaded = Policy(run.policy, load_params(tmp_path / "policy.ckpt", run.policy))
-    assert_compute_copy_fresh(loaded, obs)
+    assert_forward_reads_params(loaded, obs)
     assert np.array_equal(loaded.forward_batch(obs)[0], trainer.policy.forward_batch(obs)[0])
 
     save_train_checkpoint(tmp_path / "train_state.ckpt", run, trainer)
     restored = load_train_checkpoint(tmp_path / "train_state.ckpt", run)
-    assert_compute_copy_fresh(restored.policy, obs)
+    assert_state_in_compute_dtype(restored)
+    assert_forward_reads_params(restored.policy, obs)
     assert np.array_equal(restored.policy.forward_batch(obs)[0],
                           trainer.policy.forward_batch(obs)[0])
 
@@ -907,7 +937,7 @@ def test_float32_network_tracks_float64(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(policy_mod, "COMPUTE_DTYPE", np.float64)
         high = Policy(config, params.copy())
-    assert low.compute.dtype == np.float32 and high.compute.dtype == np.float64
+    assert low.params.dtype == np.float32 and high.params.dtype == np.float64
 
     logits, values = high.forward_batch(obs)
     low_logits, low_values = low.forward_batch(obs)
@@ -932,8 +962,8 @@ def test_float32_network_tracks_float64(monkeypatch):
                                                       epochs=10))
     stats = []
     for policy in (high, low):
-        trainer = TrainerState(policy=policy, adam_m=np.zeros(params.size),
-                               adam_v=np.zeros(params.size), adam_t=0,
+        trainer = TrainerState(policy=policy, adam_m=np.zeros_like(policy.params),
+                               adam_v=np.zeros_like(policy.params), adam_t=0,
                                update_rng=np.random.default_rng(5), workers=[], adr_state=None)
         stats.append(ppo_update(run, trainer, buffer))
     for key in ("policy_loss", "value_loss", "entropy", "ratio_mean"):
