@@ -16,7 +16,7 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from .adr import AdrConfig, AdrState, current_tolerance, fresh_state, record_episode
+from .adr import AdrConfig, AdrState, fresh_state, record_episode
 from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, default_config, load_config, save_config
 from .envs import (
     EnvSpec,
@@ -80,7 +80,6 @@ __all__ = [
     "compute_step_reward",
     "config_from_dict",
     "config_to_dict",
-    "current_tolerance",
     "default_config",
     "env_step",
     "eval_success_rate",

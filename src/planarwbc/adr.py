@@ -52,16 +52,11 @@ class AdrState:
 
     tolerance: float
     outcomes: tuple[bool, ...] = ()
-    episodes: int = 0
 
 
 def fresh_state(config: AdrConfig) -> AdrState:
     """Start at the loosest tolerance: the range's upper bound."""
     return AdrState(tolerance=config.max_tolerance)
-
-
-def current_tolerance(state: AdrState) -> float:
-    return state.tolerance
 
 
 def record_episode(config: AdrConfig, state: AdrState, success: bool) -> AdrState:
@@ -81,14 +76,13 @@ def record_episode(config: AdrConfig, state: AdrState, success: bool) -> AdrStat
         elif rate < config.lower_rate:
             tolerance = min(config.max_tolerance, tolerance + config.step)
             outcomes = ()
-    return AdrState(tolerance=tolerance, outcomes=outcomes, episodes=state.episodes + 1)
+    return AdrState(tolerance=tolerance, outcomes=outcomes)
 
 
 def state_to_dict(state: AdrState) -> dict:
     return {
         "tolerance": state.tolerance,
         "outcomes": [int(v) for v in state.outcomes],
-        "episodes": state.episodes,
     }
 
 
@@ -96,5 +90,4 @@ def state_from_dict(data: dict) -> AdrState:
     return AdrState(
         tolerance=float(data["tolerance"]),
         outcomes=tuple(bool(v) for v in data["outcomes"]),
-        episodes=int(data["episodes"]),
     )

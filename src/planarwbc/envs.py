@@ -9,8 +9,9 @@ single termination reason per episode.
 """
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -517,46 +518,44 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
 # Episode persistence (training checkpoints)
 # ---------------------------------------------------------------------------
 
-def episode_to_dict(episode: Episode) -> dict:
-    """JSON-serializable mid-episode snapshot.
+def scene_digest(episode: Episode) -> str:
+    """SHA-256 of an episode's scene: its world's segments, boxes and bounds, and its goal."""
+    world = episode.world
+    digest = hashlib.sha256()
+    for part in (world.segments, world.boxes, world.bounds, episode.goal_pose):
+        digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
+    return digest.hexdigest()
 
-    The harmonic field and path polyline are not stored; they are re-derived
-    from (world, goal, original plan start) on restore, which is exact because
-    the solve and extraction are deterministic. Of the episode config only
-    the tolerance is stored, the one value the curriculum sets per episode.
+
+def episode_to_dict(episode: Episode) -> dict:
+    """JSON-serializable mid-episode snapshot of a live episode.
+
+    The scene is not stored: whoever started the episode names it and
+    regenerates it on restore, and the digest tells whether that gave the
+    same world and goal. Of the episode config only the tolerance is stored,
+    the one value the curriculum sets per episode.
     """
     st = episode.state
     return {
-        "world": {
-            "segments": episode.world.segments.tolist(),
-            "boxes": episode.world.boxes.tolist(),
-            "bounds": list(episode.world.bounds),
-        },
-        "goal_pose": episode.goal_pose.tolist(),
+        "scene": scene_digest(episode),
         "tolerance": episode.config.tolerance,
         "state": {f.name: getattr(st, f.name).tolist() for f in fields(st)},
-        "plan_start": episode.path.points[0].tolist(),
         "path_state": asdict(episode.path_state),
         "reward_state": asdict(episode.reward_state),
         "step_count": episode.step_count,
-        "terminated": episode.terminated,
     }
 
 
-def episode_from_dict(
-    robot: RobotConfig, params: RewardParams, config: EpisodeConfig, data: dict
-) -> Episode:
-    """Rebuild a mid-episode snapshot written by episode_to_dict under the run's config."""
-    w = data["world"]
-    world = WorldGeometry(segments=w["segments"], boxes=w["boxes"], bounds=tuple(w["bounds"]))
-    config = replace(config, tolerance=data["tolerance"])
-    st = RobotState(**{k: np.asarray(v, dtype=float) for k, v in data["state"].items()})
-    goal = np.asarray(data["goal_pose"], dtype=float)
-    plan_start = np.asarray(data["plan_start"], dtype=float)
-    plan = plan_path(world, robot, config.grid_cell, plan_start, goal[:2])
-    episode = make_episode(robot, params, config, Scene(world, st, goal, *plan))
-    episode.path_state = PathMetricsState(**data["path_state"])
-    episode.reward_state = RewardState(**data["reward_state"])
-    episode.step_count = data["step_count"]
-    episode.terminated = data["terminated"]
-    return episode
+def episode_from_dict(fresh: Episode, data: dict) -> Episode:
+    """Overlay a snapshot written by episode_to_dict on a fresh episode of its scene.
+
+    `fresh` is the reset that started the snapshot's episode, made again at
+    data["tolerance"]; checking its scene_digest against data["scene"] is
+    the caller's part.
+    """
+    fresh.state = RobotState(**{k: np.asarray(v, dtype=float)
+                                for k, v in data["state"].items()})
+    fresh.path_state = PathMetricsState(**data["path_state"])
+    fresh.reward_state = RewardState(**data["reward_state"])
+    fresh.step_count = data["step_count"]
+    return fresh

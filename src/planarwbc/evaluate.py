@@ -1,9 +1,10 @@
 """Fixed-tolerance evaluation: success rates, termination breakdowns, traces.
 
 A controller (the greedy policy by default, a sampled policy or any scripted
-function in tests) is rolled through freshly generated scenes with
-per-episode derived seeds; the aggregate report serializes to canonical JSON
-so identical inputs produce byte-identical report files.
+function in tests) is rolled through the scenes of seeded_episode, the one
+scene function of eval (episode i: spawn key (i,)) and training resets; the
+aggregate report serializes to canonical JSON so identical inputs produce
+byte-identical report files.
 """
 from __future__ import annotations
 
@@ -78,17 +79,23 @@ def episode_seed(seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(index,))
 
 
-def eval_episode(run, seed: int, index: int, spec: EnvSpec | None = None,
-                 config: EpisodeConfig | None = None) -> tuple[Episode, np.random.Generator]:
-    """Episode `index` of master seed `seed` and the generator it goes on with.
+def seeded_episode(run, seed: np.random.SeedSequence, spec: EnvSpec | None = None,
+                   config: EpisodeConfig | None = None) -> tuple[Episode, np.random.Generator]:
+    """The episode `seed` names and the generator it goes on with.
 
     Its scene and every later draw come from one generator seeded with
-    episode_seed(seed, index); spec and config default to the run's.
+    `seed`; spec and config default to the run's.
     """
-    rng = np.random.default_rng(episode_seed(seed, index))
+    rng = np.random.default_rng(seed)
     spec = run.env if spec is None else spec
     config = run.episode if config is None else config
     return new_episode(spec, run.robot, run.reward, config, rng), rng
+
+
+def eval_episode(run, seed: int, index: int, spec: EnvSpec | None = None,
+                 config: EpisodeConfig | None = None) -> tuple[Episode, np.random.Generator]:
+    """Episode `index` of master seed `seed`: seeded_episode of episode_seed(seed, index)."""
+    return seeded_episode(run, episode_seed(seed, index), spec, config)
 
 
 def run_controller(

@@ -18,9 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import adr as adr_mod
-from .envs import Episode, env_step, episode_from_dict, episode_to_dict, new_episode
+from .envs import Episode, env_step, episode_from_dict, episode_to_dict, scene_digest
+from .evaluate import seeded_episode
 from .policy import (
     COMPUTE_DTYPE,
+    CheckpointError,
     CheckpointFormat,
     Policy,
     acceleration_table,
@@ -35,8 +37,13 @@ from .policy import (
     write_checkpoint,
 )
 
-TRAIN_CHECKPOINT = CheckpointFormat("training", "run", b"PWBCTRN1", 3, arrays=3, meta=True)
+TRAIN_CHECKPOINT = CheckpointFormat("training", "run", b"PWBCTRN1", 4, arrays=3, meta=True)
 METRICS_HEADER = "global_step,worker,episode_return,episode_length,termination,tolerance\n"
+# Spawn keys under SeedSequence(train.seed): worker w's k-th scene (SCENES, w, k),
+# its actions (ACTIONS, w), the initial parameters (SETUP, 0) and the minibatch
+# order (SETUP, 1). Eval episode i's key is (i,); none here has one word, so no
+# training stream is an eval episode's, and no scene depends on an action.
+SCENES, ACTIONS, SETUP = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -128,14 +135,14 @@ class EpisodeRecord:
 
 @dataclass
 class Worker:
-    """One rollout worker: its RNG stream, live episode, running tallies."""
+    """One rollout worker: its action stream, live episode k and that episode's return."""
 
     index: int
-    rng: np.random.Generator
+    action_rng: np.random.Generator
     episode: Episode
     obs_vec: np.ndarray
+    k: int = 0  # the live episode's index among the worker's episodes
     episode_return: float = 0.0
-    episode_length: int = 0
 
 
 # Parameters per adam_step block: the block's gradient, moments, parameters
@@ -166,14 +173,17 @@ class TrainerState:
 
 
 def _episode_tolerance(run, adr_state: adr_mod.AdrState) -> float:
-    if run.adr.enabled:
-        return adr_mod.current_tolerance(adr_state)
-    return run.episode.tolerance
+    return adr_state.tolerance if run.adr.enabled else run.episode.tolerance
 
 
-def _start_episode(run, rng: np.random.Generator, tolerance: float) -> Episode:
-    cfg = replace(run.episode, tolerance=tolerance)
-    return new_episode(run.env, run.robot, run.reward, cfg, rng)
+def _stream(run, *key: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(run.train.seed, spawn_key=key)
+
+
+def _worker_episode(run, worker: int, k: int, tolerance: float) -> Episode:
+    """Worker `worker`'s k-th episode, run at `tolerance`."""
+    config = replace(run.episode, tolerance=tolerance)
+    return seeded_episode(run, _stream(run, SCENES, worker, k), config=config)[0]
 
 
 def collect_rollouts(
@@ -205,7 +215,7 @@ def collect_rollouts(
     for wk in trainer.workers:
         for t in range(n):
             out = policy.forward(wk.obs_vec)
-            action, bins, log_prob = sample_action(table, out, wk.rng)
+            action, bins, log_prob = sample_action(table, out, wk.action_rng)
             try:
                 outcome = env_step(wk.episode, action)
             except Exception as exc:
@@ -216,7 +226,6 @@ def collect_rollouts(
             buffer.values[wk.index, t] = out.value
             buffer.rewards[wk.index, t] = outcome.reward
             wk.episode_return += outcome.reward
-            wk.episode_length += 1
             if outcome.terminated is not None:
                 buffer.dones[wk.index, t] = True
                 records.append(
@@ -224,7 +233,7 @@ def collect_rollouts(
                         global_step=base_step + wk.index * n + t + 1,
                         worker=wk.index,
                         episode_return=wk.episode_return,
-                        episode_length=wk.episode_length,
+                        episode_length=wk.episode.step_count,
                         termination=outcome.terminated,
                         tolerance=wk.episode.config.tolerance,
                     )
@@ -233,15 +242,15 @@ def collect_rollouts(
                     trainer.adr_state = adr_mod.record_episode(
                         run.adr, trainer.adr_state, outcome.terminated == "success"
                     )
+                wk.k += 1
                 try:
-                    wk.episode = _start_episode(
-                        run, wk.rng, _episode_tolerance(run, trainer.adr_state)
+                    wk.episode = _worker_episode(
+                        run, wk.index, wk.k, _episode_tolerance(run, trainer.adr_state)
                     )
                 except Exception as exc:
                     raise RuntimeError(f"worker {wk.index}: episode reset failed") from exc
                 wk.obs_vec = wk.episode.observation()
                 wk.episode_return = 0.0
-                wk.episode_length = 0
             else:
                 wk.obs_vec = outcome.observation
         buffer.bootstrap[wk.index] = policy.forward(wk.obs_vec).value
@@ -417,10 +426,10 @@ def save_train_checkpoint(path, run, trainer: TrainerState) -> None:
         "update_rng": trainer.update_rng.bit_generator.state,
         "workers": [
             {
-                "rng": wk.rng.bit_generator.state,
+                "action_rng": wk.action_rng.bit_generator.state,
+                "k": wk.k,
                 "episode": episode_to_dict(wk.episode),
                 "episode_return": wk.episode_return,
-                "episode_length": wk.episode_length,
             }
             for wk in trainer.workers
         ],
@@ -439,19 +448,17 @@ def load_train_checkpoint(path, run) -> TrainerState:
     update_rng.bit_generator.state = meta["update_rng"]
     workers = []
     for index, wmeta in enumerate(meta["workers"]):
-        rng = np.random.default_rng()
-        rng.bit_generator.state = wmeta["rng"]
-        episode = episode_from_dict(run.robot, run.reward, run.episode, wmeta["episode"])
-        workers.append(
-            Worker(
-                index=index,
-                rng=rng,
-                episode=episode,
-                obs_vec=episode.observation(),
-                episode_return=wmeta["episode_return"],
-                episode_length=wmeta["episode_length"],
-            )
-        )
+        action_rng = np.random.default_rng()
+        action_rng.bit_generator.state = wmeta["action_rng"]
+        # The snapshot names its scene by (worker, k); the same reset makes it again.
+        k, snapshot = wmeta["k"], wmeta["episode"]
+        episode = _worker_episode(run, index, k, snapshot["tolerance"])
+        if scene_digest(episode) != snapshot["scene"]:
+            raise CheckpointError(f"{path}: worker {index}'s episode {k} regenerates a "
+                                  "scene other than the one the checkpoint was saved in")
+        episode = episode_from_dict(episode, snapshot)
+        workers.append(Worker(index, action_rng, episode, episode.observation(), k=k,
+                              episode_return=wmeta["episode_return"]))
     return TrainerState(
         policy=policy,
         adam_m=adam_m,
@@ -467,30 +474,20 @@ def load_train_checkpoint(path, run) -> TrainerState:
 
 def init_trainer(run) -> TrainerState:
     """Seed-derived fresh training state: params, RNG streams, live episodes."""
-    tc: TrainConfig = run.train
-    seeds = np.random.SeedSequence(tc.seed).spawn(tc.workers + 2)
-    init_rng = np.random.default_rng(seeds[tc.workers])
-    update_rng = np.random.default_rng(seeds[tc.workers + 1])
+    init_rng = np.random.default_rng(_stream(run, SETUP, 0))
     policy = Policy(run.policy, init_params(run.policy, init_rng))
     adr_state = adr_mod.fresh_state(run.adr)
     workers = []
-    for index in range(tc.workers):
-        rng = np.random.default_rng(seeds[index])
-        episode = _start_episode(run, rng, _episode_tolerance(run, adr_state))
-        workers.append(
-            Worker(
-                index=index,
-                rng=rng,
-                episode=episode,
-                obs_vec=episode.observation(),
-            )
-        )
+    for index in range(run.train.workers):
+        episode = _worker_episode(run, index, 0, _episode_tolerance(run, adr_state))
+        action_rng = np.random.default_rng(_stream(run, ACTIONS, index))
+        workers.append(Worker(index, action_rng, episode, episode.observation()))
     return TrainerState(
         policy=policy,
         adam_m=np.zeros_like(policy.params),
         adam_v=np.zeros_like(policy.params),
         adam_t=0,
-        update_rng=update_rng,
+        update_rng=np.random.default_rng(_stream(run, SETUP, 1)),
         workers=workers,
         adr_state=adr_state,
     )

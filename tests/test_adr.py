@@ -8,7 +8,6 @@ import pytest
 from planarwbc.adr import (
     AdrConfig,
     AdrState,
-    current_tolerance,
     fresh_state,
     record_episode,
     state_from_dict,
@@ -24,39 +23,38 @@ def run(config, state, outcomes):
 
 def test_fresh_state_starts_loose():
     config = AdrConfig()
-    assert current_tolerance(fresh_state(config)) == 0.5
+    assert fresh_state(config).tolerance == 0.5
 
 
 def test_full_success_window_tightens():
     config = AdrConfig()
     state = run(config, fresh_state(config), [True] * config.window)
-    assert current_tolerance(state) == pytest.approx(0.48, abs=1e-12)
+    assert state.tolerance == pytest.approx(0.48, abs=1e-12)
     assert state.outcomes == ()  # adjustment clears the window
-    assert state.episodes == 50
 
 
 def test_success_counts():
     config = AdrConfig()
-    assert current_tolerance(run(config, fresh_state(config), [True] * 60)) \
+    assert run(config, fresh_state(config), [True] * 60).tolerance \
         == pytest.approx(0.48, abs=1e-12)
     # 560 wins: 11 cleared windows of 50, ten left buffered.
     state = run(config, fresh_state(config), [True] * 560)
-    assert current_tolerance(state) == pytest.approx(0.5 - 11 * 0.02, abs=1e-12)
+    assert state.tolerance == pytest.approx(0.5 - 11 * 0.02, abs=1e-12)
     assert len(state.outcomes) == 10
 
 
 def test_failure_clamps_at_ceiling():
     config = AdrConfig()
     state = run(config, fresh_state(config), [False] * 1000)
-    assert current_tolerance(state) == 0.5
+    assert state.tolerance == 0.5
 
 
 def test_success_clamps_at_floor():
     config = AdrConfig()
     state = run(config, fresh_state(config), [True] * 50 * 40)
-    assert current_tolerance(state) == pytest.approx(0.05, abs=1e-12)
+    assert state.tolerance == pytest.approx(0.05, abs=1e-12)
     state = run(config, state, [True] * 200)
-    assert current_tolerance(state) == pytest.approx(0.05, abs=1e-12)
+    assert state.tolerance == pytest.approx(0.05, abs=1e-12)
 
 
 def test_dead_band_keeps_sliding():
@@ -65,7 +63,7 @@ def test_dead_band_keeps_sliding():
     # clearing.
     config = AdrConfig()
     state = run(config, fresh_state(config), [i % 2 == 0 for i in range(75)])
-    assert current_tolerance(state) == 0.5
+    assert state.tolerance == 0.5
     assert len(state.outcomes) == config.window
 
 
@@ -73,17 +71,17 @@ def test_threshold_boundaries_are_strict():
     config = AdrConfig(window=10)
     # Exactly 8/10 = upper_rate: not strictly above, no change.
     state = run(config, fresh_state(config), [True] * 8 + [False] * 2)
-    assert current_tolerance(state) == 0.5
+    assert state.tolerance == 0.5
     # Exactly 5/10 = lower_rate: not strictly below, no change.
     state = run(config, fresh_state(config), [True] * 5 + [False] * 5)
-    assert current_tolerance(state) == 0.5
+    assert state.tolerance == 0.5
     # 9/10 tightens.
     state = run(config, fresh_state(config), [True] * 9 + [False])
-    assert current_tolerance(state) == pytest.approx(0.48, abs=1e-12)
+    assert state.tolerance == pytest.approx(0.48, abs=1e-12)
     # 4/10 relaxes (from a tightened start).
     start = AdrState(tolerance=0.3)
     state = run(config, start, [True] * 4 + [False] * 6)
-    assert current_tolerance(state) == pytest.approx(0.32, abs=1e-12)
+    assert state.tolerance == pytest.approx(0.32, abs=1e-12)
 
 
 def test_monotone_while_rate_stays_extreme():
@@ -120,7 +118,7 @@ def test_state_round_trip():
     data = json.loads(json.dumps(state_to_dict(state)))
     restored = state_from_dict(data)
     assert restored == state
-    assert current_tolerance(restored) == current_tolerance(state)
+    assert restored.tolerance == state.tolerance
 
 
 def test_config_validation():

@@ -33,7 +33,10 @@ from planarwbc.envs import (
     make_episode,
     new_episode,
     plan_path,
+    scene_digest,
 )
+from planarwbc.config import RunConfig
+from planarwbc.evaluate import seeded_episode
 from planarwbc.policy import PolicyConfig
 from planarwbc.reward import RewardParams
 from planarwbc.robot import (
@@ -623,10 +626,12 @@ def test_default_resolution_scenes_are_pinned():
 
 @pytest.mark.parametrize("tolerance", [0.3, 0.17])
 def test_episode_snapshot_round_trip(tolerance):
-    # Restored against the run's EpisodeConfig() (tolerance 0.3): the
-    # snapshot's own tolerance, as the curriculum set it, must win.
-    episode = new_episode(EnvSpec(kind="corridor"), ROBOT, PARAMS,
-                          EpisodeConfig(tolerance=tolerance), np.random.default_rng(5))
+    # The snapshot copies no scene: it is laid over the scene call that
+    # started its episode, made again at the snapshot's tolerance (as the
+    # curriculum set it, here other than the run's 0.3 in one case).
+    run = RunConfig()
+    seed = np.random.SeedSequence(5, spawn_key=(0, 0, 3))
+    episode, _ = seeded_episode(run, seed, config=EpisodeConfig(tolerance=tolerance))
     act_rng = np.random.default_rng(17)
     actions = [
         Action(base_acc=act_rng.uniform(-1, 1, 3), joint_acc=act_rng.uniform(-2, 2, 3))
@@ -635,9 +640,12 @@ def test_episode_snapshot_round_trip(tolerance):
     for action in actions[:7]:
         env_step(episode, action)
 
-    restored = episode_from_dict(
-        ROBOT, PARAMS, EpisodeConfig(), json.loads(json.dumps(episode_to_dict(episode)))
-    )
+    data = json.loads(json.dumps(episode_to_dict(episode)))
+    assert sorted(data) == ["path_state", "reward_state", "scene", "state", "step_count",
+                            "tolerance"]
+    fresh, _ = seeded_episode(run, seed, config=EpisodeConfig(tolerance=data["tolerance"]))
+    assert data["scene"] == scene_digest(fresh) == scene_digest(episode)
+    restored = episode_from_dict(fresh, data)
     assert restored.config == episode.config
     assert np.array_equal(restored.path.points, episode.path.points)
     assert restored.step_count == episode.step_count

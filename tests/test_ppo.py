@@ -30,9 +30,12 @@ from oracles import (
     taped_ppo_loss,
     unpack_checkpoint,
 )
+from planarwbc import ppo as ppo_mod
 from planarwbc import policy as policy_mod
+from planarwbc.cli import main
 from planarwbc.config import default_config, save_config
-from planarwbc.envs import EnvSpec, EpisodeConfig, GenerationError
+from planarwbc.envs import EnvSpec, EpisodeConfig, GenerationError, scene_digest
+from planarwbc.evaluate import episode_seed, eval_episode
 from planarwbc.policy import (
     COMPUTE_DTYPE,
     CheckpointError,
@@ -600,6 +603,156 @@ def test_resume_rewrites_a_stale_policy_checkpoint(tmp_path, monkeypatch):
                           trainer.policy.params)
 
 
+def record_resets(monkeypatch):
+    """Patch the trainer's reset to log (worker, k, scene digest) of each episode it starts."""
+    resets = []
+    original = ppo_mod._worker_episode
+
+    def recorded(run, worker, k, tolerance):
+        episode = original(run, worker, k, tolerance)
+        resets.append((worker, k, scene_digest(episode)))
+        return episode
+
+    monkeypatch.setattr(ppo_mod, "_worker_episode", recorded)
+    return resets
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40])
+def test_training_streams_never_take_an_eval_episode_seed(seed, monkeypatch):
+    # Eval episode i draws from SeedSequence(seed, spawn_key=(i,)). Every
+    # stream of a training run on the same master seed, the scenes, the
+    # actions, the initial parameters and the minibatch order, has a longer
+    # key, and so other states; worker w's first scene is not eval episode w's.
+    run = smoke_run(seed=seed)
+    run = replace(run, train=replace(run.train, workers=2))
+    scene_seeds, init_seeds = [], []
+    seeded = ppo_mod.seeded_episode
+    initialise = ppo_mod.init_params
+
+    def scene_seed(run, seed, spec=None, config=None):
+        scene_seeds.append(seed)
+        return seeded(run, seed, spec, config)
+
+    def init_seed(config, rng):
+        init_seeds.append(rng.bit_generator.seed_seq)
+        return initialise(config, rng)
+
+    monkeypatch.setattr(ppo_mod, "seeded_episode", scene_seed)
+    monkeypatch.setattr(ppo_mod, "init_params", init_seed)
+    trainer = init_trainer(run)
+    first_scenes = [scene_digest(wk.episode) for wk in trainer.workers]
+    collect_rollouts(run, trainer)
+    streams = {
+        "scene": scene_seeds,
+        "action": [wk.action_rng.bit_generator.seed_seq for wk in trainer.workers],
+        "init": init_seeds,
+        "update": [trainer.update_rng.bit_generator.seed_seq],
+    }
+    assert len(scene_seeds) > run.train.workers  # resets after the first scenes too
+    assert [len(streams[name]) for name in ("action", "init", "update")] == [2, 1, 1]
+    eval_keys = [episode_seed(seed, i) for i in range(64)]
+    eval_states = {tuple(e.generate_state(4).tolist()) for e in eval_keys}
+    train_keys = [(name, s) for name, seeds in streams.items() for s in seeds]
+    for name, ours in train_keys:
+        assert ours.entropy == seed, name
+        assert len(ours.spawn_key) >= 2, name
+        assert all(ours.spawn_key != e.spawn_key for e in eval_keys), name
+        assert tuple(ours.generate_state(4).tolist()) not in eval_states, name
+    assert len({s.spawn_key for _, s in train_keys}) == len(train_keys)
+    for w, digest in enumerate(first_scenes):
+        assert digest != scene_digest(eval_episode(run, seed, w)[0])
+
+
+def test_two_policies_meet_the_same_scenes(monkeypatch):
+    # A worker's k-th scene comes from (seed, worker, k) alone, not from the
+    # actions sampled before it: the initial policy and one biased to the top
+    # bin of the base's forward acceleration meet the same first 5 scenes on
+    # each worker of one seed, though their episodes end at other steps.
+    run = smoke_run(steps_per_worker=500)
+    run = replace(run, episode=replace(run.episode, time_limit=4.0),
+                  train=replace(run.train, workers=2))
+    resets = record_resets(monkeypatch)
+    scenes, ends = {}, {}
+    for name in ("initial", "rushing"):
+        resets.clear()
+        trainer = init_trainer(run)
+        if name == "rushing":
+            param_views(run.policy, trainer.policy.params)["heads.b"][run.policy.bins - 1] = 5.0
+        buffer, _ = collect_rollouts(run, trainer)
+        per_worker = [[(k, d) for w, k, d in resets if w == worker][:5] for worker in (0, 1)]
+        assert [[k for k, _ in first] for first in per_worker] == [list(range(5))] * 2
+        scenes[name] = [[d for _, d in first] for first in per_worker]
+        ends[name] = buffer.dones.tolist()
+    assert scenes["initial"] == scenes["rushing"]
+    assert len({d for first in scenes["initial"] for d in first}) == 10
+    assert ends["initial"] != ends["rushing"]
+
+
+def reframed(path, run, edit):
+    """Rewrite the training checkpoint at path with edit(meta) applied, re-framed so that
+    its payload digest holds."""
+    count = param_count(run.policy)
+    arrays, meta = unpack_checkpoint(TRAIN_CHECKPOINT, path.read_bytes(), _run_hash(run), count)
+    meta = json.loads(meta)
+    edit(meta)
+    path.write_bytes(pack_checkpoint(TRAIN_CHECKPOINT, _run_hash(run), arrays,
+                                     json.dumps(meta, sort_keys=True).encode()))
+
+
+def test_snapshot_names_its_scene_and_copies_none(tmp_path):
+    # With the curriculum on, episodes run at its 0.5, not at the run's 0.4:
+    # the load makes each episode again at the snapshot's tolerance.
+    run = smoke_run(total_steps=48)
+    run = replace(run, adr=replace(run.adr, enabled=True))
+    done = train_loop(run, tmp_path / "run")
+    path = Path(done["checkpoint"])
+    seen = []
+    reframed(path, run, seen.append)
+    (worker,) = seen[0]["workers"]
+    assert sorted(worker) == ["action_rng", "episode", "episode_return", "k"]
+    assert worker["k"] >= 2  # time_limit 0.8 ends an episode every <= 20 steps
+    assert sorted(worker["episode"]) == ["path_state", "reward_state", "scene", "state",
+                                         "step_count", "tolerance"]
+    assert not {"world", "goal_pose", "plan_start"} & set(worker["episode"])
+    # The re-framed, unedited file loads, to the live episode of the run.
+    trainer = load_train_checkpoint(path, run)
+    (wk,) = trainer.workers
+    assert wk.k == worker["k"]
+    assert scene_digest(wk.episode) == worker["episode"]["scene"]
+    assert wk.episode.step_count == worker["episode"]["step_count"]
+    assert wk.episode.config.tolerance == worker["episode"]["tolerance"] == run.adr.max_tolerance
+    assert run.episode.tolerance != run.adr.max_tolerance
+
+
+@pytest.mark.parametrize("edit", ["k", "scene"])
+def test_resume_rejects_a_snapshot_of_another_scene(tmp_path, capsys, edit):
+    # A worker's k, or its scene digest, edited and the file re-framed: the
+    # payload digest holds, but the scene the snapshot names regenerates
+    # another world or goal than its digest's.
+    run = smoke_run(total_steps=48)
+    path = Path(train_loop(run, tmp_path / "run")["checkpoint"])
+
+    def tamper(meta):
+        worker = meta["workers"][0]
+        if edit == "k":
+            worker["k"] += 1
+        else:
+            worker["episode"]["scene"] = hashlib.sha256(b"another scene").hexdigest()
+
+    reframed(path, run, tamper)
+    message = f"{path}: worker 0's episode "
+    with pytest.raises(CheckpointError, match="regenerates a scene other than") as exc:
+        load_train_checkpoint(path, run)
+    assert str(exc.value).startswith(message)
+    config = tmp_path / "run.json"
+    save_config(smoke_run(total_steps=96), config)
+    code = main(["train", "--config", str(config), "--resume", str(path),
+                 "--out", str(tmp_path / "resumed")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"checkpoint error: {exc.value}"]
+
+
 def test_checkpoint_rejects_other_run_config(tmp_path):
     run = smoke_run()
     result = train_loop(run, tmp_path / "run")
@@ -663,6 +816,28 @@ def test_checkpoint_rejects_version_2(tmp_path):
     path.write_bytes(pack_checkpoint(replace(TRAIN_CHECKPOINT, version=2), _run_hash(run), arrays,
                                      meta, dtype="<f8"))
     with pytest.raises(ValueError, match="unsupported training checkpoint version 2"):
+        load_train_checkpoint(path, run)
+
+
+def test_checkpoint_rejects_version_3(tmp_path):
+    # Version 3 framed the same arrays; its episode snapshots copied their
+    # world, goal and plan start instead of naming their scene.
+    run = smoke_run()
+    trainer = init_trainer(run)
+    path = tmp_path / "train_state.ckpt"
+    save_train_checkpoint(path, run, trainer)
+    count = param_count(run.policy)
+    arrays, meta = unpack_checkpoint(TRAIN_CHECKPOINT, path.read_bytes(), _run_hash(run), count)
+    meta = json.loads(meta)
+    wk = trainer.workers[0]
+    meta["workers"][0]["episode"].update(
+        world={"segments": wk.episode.world.segments.tolist(),
+               "boxes": wk.episode.world.boxes.tolist(),
+               "bounds": list(wk.episode.world.bounds)},
+        goal_pose=wk.episode.goal_pose.tolist(), plan_start=wk.episode.path.points[0].tolist())
+    path.write_bytes(pack_checkpoint(replace(TRAIN_CHECKPOINT, version=3), _run_hash(run), arrays,
+                                     json.dumps(meta, sort_keys=True).encode()))
+    with pytest.raises(CheckpointError, match="unsupported training checkpoint version 3"):
         load_train_checkpoint(path, run)
 
 
@@ -755,8 +930,8 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
     # The file's arrays go straight into the policy's parameters and the
     # Adam moments, so the load allocates little beyond the state it
     # returns: those three arrays and Adam's scratch, 1.15x the file.
-    # Without live episodes, whose rebuild replans each scene, the load is
-    # the file's alone.
+    # Without live episodes, whose rebuild regenerates each scene, the load
+    # is the file's alone.
     run = smoke_run()
     trainer = init_trainer(run)
     trainer.workers = []
@@ -783,8 +958,8 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
 # also covers the run-configuration digest and the episode snapshot's keys,
 # so it moves with the config schema and the snapshot format.
 TWO_ITERATION_SHA256 = [
-    "003e9b8a82ba7922632390530ae6b7ed60b64e773d9ac0b2f2ec675cfb8ef0aa",
-    "7b250d343972425b1eec7569521229665193a1aa582266a8772ac0ff4a62ab59",
+    "089b77d74b81f537706a7d08d56f060d6aeeaa82d83c20a73e100c27c856d8c8",
+    "59d2aa195a6398f5fdef69035a8ea713723b2c2432aa74c7380dcb071cc490e7",
 ]
 
 
