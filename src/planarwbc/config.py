@@ -54,6 +54,9 @@ class RunConfig:
                 part.validate(self.robot) if section == "env" else part.validate()
             )
             errors += [f"{section}.{msg}" for msg in part_errors]
+        if self.robot.lidar.max_range < self.reward.safety_distance:
+            # Else a scan capped below the safety distance could undercut the body clearance.
+            errors.append("robot.lidar.max_range: must be >= reward.safety_distance")
         if any(msg.startswith("robot.") for msg in errors):
             return errors  # the observation scales divide by the robot's limits
         return errors + [f"policy.{msg}" for msg in self.policy.validate()]

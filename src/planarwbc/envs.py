@@ -5,7 +5,8 @@ obstacles that always leaves a guaranteed passage, and a two-room gap scene
 whose goal sits inside a tunnel too narrow for the base, so only an inserted
 arm can reach it. Episodes advance with clamped (or baseline) dynamics,
 raycast scans, a harmonic-field reference path, the shaped reward, and a
-single termination reason per episode.
+single termination reason per episode. The baseline's safety margin reads
+the body query's clearance, the one obstacle distance of a step.
 """
 from __future__ import annotations
 
@@ -385,7 +386,6 @@ class Episode:
     path: PathPolyline
     path_field: GridField
     path_length_init: float
-    initial_progress: float
     reward_state: RewardState
     path_state: PathMetricsState
     required_hold_steps: int
@@ -408,8 +408,7 @@ def make_episode(
     if scene.path_field.cell_size != config.grid_cell:
         raise ValueError("the scene was planned at another grid_cell than the episode's")
     path_state = init_path_metrics(scene.path, scene.path.points[0])
-    initial_progress = path_state.prev_progress
-    path_length_init = max(scene.path.total_length - initial_progress, 1e-9)
+    path_length_init = max(scene.path.total_length - path_state.prev_progress, 1e-9)
     return Episode(
         robot=robot,
         world=scene.world,
@@ -420,7 +419,6 @@ def make_episode(
         path=scene.path,
         path_field=scene.path_field,
         path_length_init=path_length_init,
-        initial_progress=initial_progress,
         reward_state=RewardState(),
         path_state=path_state,
         required_hold_steps=int(math.ceil(config.hold_time / config.timestep - 1e-9)),
@@ -444,7 +442,9 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
 
     Termination reasons are checked in a fixed priority order (collision,
     timeout, joint limit, success); the terminal bonus is folded into the
-    final step's reward and stepping a finished episode raises.
+    final step's reward and stepping a finished episode raises. info holds
+    the end-effector's goal_distance and the reward's term breakdown,
+    reward_terms.
     """
     if episode.terminated is not None:
         raise RuntimeError(f"episode already terminated: {episode.terminated}")
@@ -460,8 +460,8 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     episode.step_count += 1
 
     frames = forward_kinematics(episode.robot, new_state)
-    # The body clearance is read only under baseline, and only below the
-    # safety distance: at or above it the safety-margin shortfall is 0.0.
+    # The safety margin reads the body clearance, under baseline alone and
+    # only below the safety distance: at or above it the shortfall is 0.0.
     cutoff = episode.params.safety_distance if cfg.variant == "baseline" else 0.0
     collided, body_clearance = body_query(episode.robot, frames, episode.world, cutoff)
     ee_x, ee_y, _ = frames[-1].tolist()
@@ -471,11 +471,6 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
     d_dev, d_prog, episode.path_state = path_metrics(episode.path, episode.path_state, (ee_x, ee_y))
     observation = build_observation(episode.robot, new_state, episode.world, episode.goal_pose,
                                     frames)
-    clearance = math.inf
-    if cfg.variant == "baseline":
-        lidar = episode.robot.lidar
-        scan_min = float(observation[:2 * lidar.beams].min()) * lidar.max_range
-        clearance = min(scan_min, body_clearance)
     step_reward, episode.reward_state, breakdown = reward_mod.compute_step_reward(
         episode.params,
         cfg,
@@ -484,7 +479,7 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
         d_prog,
         episode.path_length_init,
         d_goal,
-        min_obstacle_clearance=clearance,
+        min_obstacle_clearance=body_clearance,
     )
 
     terminated = None
@@ -500,18 +495,8 @@ def env_step(episode: Episode, action: Action) -> StepOutcome:
         step_reward += reward_mod.terminal_reward(episode.params, cfg, terminated)
         episode.terminated = terminated
 
-    info = {
-        "goal_distance": d_goal,
-        "hold_time": episode.reward_state.hold_steps * cfg.timestep,
-        "path_deviation": episode.path_state.prev_deviation,
-        "path_progress_fraction": (
-            (episode.path_state.prev_progress - episode.initial_progress)
-            / episode.path_length_init
-        ),
-        "reward_terms": breakdown,
-    }
     return StepOutcome(observation=observation, reward=step_reward, terminated=terminated,
-                       info=info)
+                       info={"goal_distance": d_goal, "reward_terms": breakdown})
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import point_box_distance, point_segment_distance
-from .world import WorldGeometry
+from .world import WorldGeometry, min_clearance_point
 
 FREE, OBSTACLE, GOAL = 0, 1, 2
 
@@ -80,13 +79,9 @@ def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal
     # per-obstacle kernels on fast unit-stride loops.
     centers = np.moveaxis(np.array(np.meshgrid(xs, ys)), 0, -1)
 
-    obstacle = np.zeros((h, w), dtype=bool)
+    obstacle = min_clearance_point(world, centers) <= inflate
     obstacle[0, :] = obstacle[-1, :] = True
     obstacle[:, 0] = obstacle[:, -1] = True
-    for seg in world.segments:
-        obstacle |= point_segment_distance(centers, seg) <= inflate
-    for box in world.boxes:
-        obstacle |= point_box_distance(centers, box) <= inflate
 
     kind = np.where(obstacle, OBSTACLE, FREE).astype(np.uint8)
     field = GridField(
@@ -607,14 +602,16 @@ def _bilinear_with_gradient(field: GridField, p, v: np.ndarray):
 class PathPolyline:
     """Ordered reference path with cumulative arc length per vertex.
 
-    Also holds the per-segment data project_on_path reads every step.
+    Everything but the points is derived from them, the lengths from the
+    per-segment data project_on_path reads every step.
     """
 
     points: np.ndarray  # (P, 2)
-    cumlen: np.ndarray  # (P,), cumlen[0] == 0
-    total_length: float
-    # Per segment, from points: start and end - start as (2, P - 1) planes
-    # [x, y], squared length (1 where it is 0, as a divisor) and length.
+    # Arc length at each vertex (P,), cumlen[0] == 0, and of the whole path.
+    cumlen: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    total_length: float = dataclasses.field(init=False, repr=False, compare=False)
+    # Per segment: start and end - start as (2, P - 1) planes [x, y],
+    # squared length (1 where it is 0, as a divisor) and length.
     seg_start: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     seg_vec: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     seg_div: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
@@ -627,6 +624,8 @@ class PathPolyline:
         den = square[0] + square[1]
         self.seg_div = np.where(den > 0.0, den, 1.0)
         self.seg_len = np.sqrt(den)
+        self.cumlen = np.concatenate([[0.0], np.cumsum(self.seg_len)])
+        self.total_length = float(self.cumlen[-1])
 
     @classmethod
     def from_points(cls, points) -> "PathPolyline":
@@ -639,9 +638,7 @@ class PathPolyline:
         pts = pts[keep]
         if len(pts) < 2:
             raise ValueError("a path needs at least two distinct points")
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        return cls(points=pts, cumlen=cum, total_length=float(cum[-1]))
+        return cls(points=pts)
 
 
 def extract_path(field: GridField, start, goal) -> PathPolyline:

@@ -521,11 +521,13 @@ def train_loop(run, out_dir, resume: str | None = None) -> dict:
 
     Writes metrics.csv (per finished episode), updates.jsonl (per update),
     adr.csv (tolerance trace), train_state.ckpt (resumable full state), and
-    policy.ckpt (inference-only parameters) under out_dir.
+    policy.ckpt (inference-only parameters) under out_dir, the checkpoints
+    after every checkpoint_interval-th update and after the last.
 
-    A resumed run first rewrites policy.ckpt from the training checkpoint's
-    parameters: a crash between a checkpoint's two writes leaves policy.ckpt
-    one checkpoint behind.
+    A resumed run first writes both checkpoints from the one it resumes:
+    a crash between a checkpoint's two writes leaves policy.ckpt one
+    checkpoint behind, and a resume into another directory, even of a
+    finished run, starts it with a checkpoint that agrees with its logs.
     """
     issues = run.validate()
     if issues:
@@ -540,6 +542,7 @@ def train_loop(run, out_dir, resume: str | None = None) -> dict:
         trainer = init_trainer(run)
     else:
         trainer = load_train_checkpoint(resume, run)
+        save_train_checkpoint(out_dir / "train_state.ckpt", run, trainer)
         save_params(out_dir / "policy.ckpt", run.policy, trainer.policy.params)
     _cut_logs(out_dir, trainer.global_step, trainer.update_count)
 
@@ -564,12 +567,11 @@ def train_loop(run, out_dir, resume: str | None = None) -> dict:
             with adr_path.open("a") as fh:
                 fh.write(f"{trainer.global_step},{tolerance!r}\n")
             last_tolerance = tolerance
-        if trainer.update_count % tc.checkpoint_interval == 0:
+        if (trainer.update_count % tc.checkpoint_interval == 0
+                or trainer.global_step >= tc.total_steps):
             save_train_checkpoint(out_dir / "train_state.ckpt", run, trainer)
             save_params(out_dir / "policy.ckpt", run.policy, trainer.policy.params)
 
-    save_train_checkpoint(out_dir / "train_state.ckpt", run, trainer)
-    save_params(out_dir / "policy.ckpt", run.policy, trainer.policy.params)
     return {
         "global_step": trainer.global_step,
         "updates": trainer.update_count,

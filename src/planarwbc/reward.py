@@ -79,7 +79,10 @@ def compute_step_reward(
 
     Holding bonuses apply only while goal_distance <= config.tolerance; on the
     step the end-effector exits the sphere the whole accumulated holding
-    reward is subtracted. Terminal bonuses are not included here.
+    reward is subtracted. Under baseline, min_obstacle_clearance is the body
+    clearance (world.body_query), inf when known to be >= safety_distance;
+    one at or above it pays a safety margin of +0.0. Terminal bonuses are
+    not included here.
     """
     for name, v in (
         ("delta_deviation", delta_deviation),
@@ -113,8 +116,8 @@ def compute_step_reward(
         accumulator = 0.0
 
     safety_term = 0.0
-    if config.variant == "baseline" and math.isfinite(min_obstacle_clearance):
-        shortfall = max(0.0, 1.0 - min_obstacle_clearance / params.safety_distance)
+    shortfall = 1.0 - min_obstacle_clearance / params.safety_distance
+    if config.variant == "baseline" and shortfall > 0.0:
         safety_term = params.safety_margin_weight * shortfall
 
     reward = time_term + deviation_term + progress_term + hold_term - refund + safety_term

@@ -81,6 +81,10 @@ class RobotConfig:
             errors.append("lidar.fov: must be in (0, 2*pi]")
         if self.lidar.max_range <= 0.0:
             errors.append("lidar.max_range: must be > 0")
+        # A sensor inside the base disk reads no obstacle nearer than the body clearance.
+        for name in ("front_offset", "rear_offset"):
+            if not math.hypot(*getattr(self.lidar, name)) < self.base_radius:
+                errors.append(f"lidar.{name}: must lie inside the base disk (length < base_radius)")
         return errors
 
 

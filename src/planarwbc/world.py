@@ -78,10 +78,15 @@ class WorldGeometry:
 
 
 def min_clearance_point(world: WorldGeometry, p):
-    """Distance from points p (..., 2) to the nearest wall segment or box."""
-    p = np.asarray(p, dtype=float)[..., None, :]
-    return np.minimum(point_segment_distance(p, world.segments).min(axis=-1, initial=np.inf),
-                      point_box_distance(p, world.boxes).min(axis=-1, initial=np.inf))
+    """Distance from points p (..., 2) to the nearest wall segment or box,
+    a running minimum over the obstacles taken one at a time."""
+    p = np.asarray(p, dtype=float)
+    clearance = np.full(p.shape[:-1], np.inf)
+    for segment in world.segments:
+        np.minimum(clearance, point_segment_distance(p, segment), out=clearance)
+    for box in world.boxes:
+        np.minimum(clearance, point_box_distance(p, box), out=clearance)
+    return clearance[()]
 
 
 @functools.cache

@@ -151,6 +151,36 @@ def test_config_that_validates_also_runs(document, field):
     assert field in str(exc.value)
 
 
+@pytest.mark.parametrize("document,field", [
+    ({"robot": {"lidar": {"front_offset": [0.3, 0.0]}}},
+     "robot.lidar.front_offset: must lie inside the base disk"),
+    ({"robot": {"lidar": {"rear_offset": [-0.2, -0.25]}}},
+     "robot.lidar.rear_offset: must lie inside the base disk"),
+    ({"robot": {"base_radius": 0.2, "lidar": {"front_offset": [0.25, 0.05]}}},
+     "robot.lidar.front_offset: must lie inside the base disk"),
+    ({"robot": {"lidar": {"max_range": 0.25}}},
+     "robot.lidar.max_range: must be >= reward.safety_distance"),
+    ({"reward": {"safety_distance": 5.5}},
+     "robot.lidar.max_range: must be >= reward.safety_distance"),
+], ids=["front_on_the_rim", "rear_outside", "base_shrunk_around_it", "short_range",
+        "long_safety_distance"])
+def test_sensors_read_no_obstacle_nearer_than_the_body(document, field):
+    # The safety margin reads the body clearance alone. That is the nearest
+    # obstacle reading only while each sensor sits inside the base disk and
+    # its range reaches the safety distance, so other sensor settings are
+    # rejected.
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(document)
+    assert field in str(exc.value)
+
+
+def test_sensor_limits_admit_their_boundary():
+    config = config_from_dict({"robot": {"lidar": {"max_range": 0.3,
+                                                   "front_offset": [0.29, 0.0],
+                                                   "rear_offset": [-0.25, 0.0]}}})
+    assert config.robot.lidar.max_range == config.reward.safety_distance
+
+
 def test_save_load_round_trip(tmp_path):
     config = config_from_dict(
         {"episode": {"tolerance": 0.25}, "train": {"seed": 7}, "env": {"kind": "gap_test"}}

@@ -35,6 +35,7 @@ from planarwbc.pathfield import (
     _prolong,
     _smooth,
 )
+from planarwbc.geometry import point_box_distance, point_segment_distance
 from planarwbc.robot import forward_kinematics
 from planarwbc.world import WorldGeometry
 
@@ -112,6 +113,31 @@ def test_rasterize_agrees_with_center_tests():
         if got == GOAL:
             continue
         assert got == expect, (r, c, d)
+
+
+def test_rasterize_is_bitwise_the_or_of_obstacle_compares():
+    # The mask compares the running clearance minimum with inflate; it marks
+    # exactly the cells that some obstacle's own distance marks.
+    rng = np.random.default_rng(27)
+    for _ in range(4):
+        lo = rng.uniform(0.0, 3.0, (4, 2))
+        world = WorldGeometry(segments=rng.uniform(0.0, 4.0, (3, 4)),
+                              boxes=np.hstack([lo, lo + rng.uniform(0.05, 1.0, (4, 2))]),
+                              bounds=(0.0, 0.0, 4.0, 4.0))
+        for cell, inflate in ((0.05, 0.05), (0.1, 0.3), (0.07, 0.0)):
+            n = math.ceil(4.0 / cell)
+            xs = (np.arange(n) + 0.5) * cell
+            centers = np.stack(np.meshgrid(xs, xs), axis=-1)
+            expect = np.zeros((n, n), dtype=bool)
+            expect[[0, -1], :] = expect[:, [0, -1]] = True
+            for seg in world.segments:
+                expect |= point_segment_distance(centers, seg) <= inflate
+            for box in world.boxes:
+                expect |= point_box_distance(centers, box) <= inflate
+            goal = centers[tuple(np.argwhere(~expect)[0])]
+            field = rasterize_world(world, cell, inflate, goal=goal)
+            assert np.array_equal(field.kind == OBSTACLE, expect)
+            assert field.kind[field.goal_cell] == GOAL
 
 
 def test_rasterize_goal_in_obstacle_raises():
@@ -433,6 +459,20 @@ def test_polyline_dedupes_and_cumlen():
     assert path.total_length == pytest.approx(2.0)
     with pytest.raises(ValueError):
         PathPolyline.from_points([[0.5, 0.5], [0.5, 0.5]])
+
+
+def test_polyline_lengths_are_bitwise_the_norm_formula():
+    # The lengths come from the per-segment lengths the projection reads;
+    # they keep every bit of a norm over the points' differences.
+    rng = np.random.default_rng(27)
+    walks = [np.cumsum(rng.normal(scale=scale, size=(n, 2)), axis=0)
+             for scale, n in ((0.05, 500), (1.0, 40), (1e-3, 7))]
+    for points in [*walks, [[0, 0], [0, 0], [1, 0], [1, 1]], [[0.1, 0.2], [0.3, 0.7]]]:
+        path = PathPolyline.from_points(points)
+        cumlen = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(path.points, axis=0),
+                                                                 axis=1))])
+        assert path.cumlen.tobytes() == cumlen.tobytes()
+        assert repr(path.total_length) == repr(float(cumlen[-1]))
 
 
 def test_projection_and_tie_break():

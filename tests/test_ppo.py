@@ -515,6 +515,39 @@ def test_train_loop_writes_artifacts_and_advances(tmp_path):
     assert (tmp_path / "run" / "policy.ckpt").exists()
 
 
+def test_each_checkpoint_is_written_once(tmp_path, monkeypatch):
+    # The checkpoints are written after every checkpoint_interval-th update
+    # and after the last, and once when the last lands on the interval: two
+    # updates at interval 1 write each file twice, at interval 5 once, with
+    # the same final parameters (the training checkpoint also holds the
+    # run's config hash, which the interval is part of). A resume writes both
+    # from the checkpoint it resumes, so one into a new directory leaves its
+    # bytes there even when no step is left to run.
+    writes = []
+    for name in ("save_train_checkpoint", "save_params"):
+        def spy(path, *args, save=getattr(ppo_mod, name)):
+            writes.append(Path(path).name)
+            return save(path, *args)
+        monkeypatch.setattr(ppo_mod, name, spy)
+    files = {}
+    for interval, pairs in ((1, 2), (5, 1)):
+        run = smoke_run()
+        run = replace(run, train=replace(run.train, checkpoint_interval=interval))
+        writes.clear()
+        out = tmp_path / str(interval)
+        assert train_loop(run, out)["updates"] == 2
+        assert writes == ["train_state.ckpt", "policy.ckpt"] * pairs
+        trainer = load_train_checkpoint(out / "train_state.ckpt", run)
+        files[interval] = ((out / "policy.ckpt").read_bytes(), trainer.global_step,
+                           trainer.policy.params.tobytes(), trainer.adam_v.tobytes())
+    assert files[1] == files[5]
+    writes.clear()
+    train_loop(run, tmp_path / "resumed", resume=str(out / "train_state.ckpt"))
+    assert writes == ["train_state.ckpt", "policy.ckpt"]
+    for name in ("train_state.ckpt", "policy.ckpt"):
+        assert (tmp_path / "resumed" / name).read_bytes() == (out / name).read_bytes()
+
+
 @pytest.mark.parametrize("curriculum", [False, True])
 def test_logged_tolerance_is_the_one_episodes_run_at(tmp_path, curriculum):
     # With the curriculum off, episodes run at episode.tolerance, not at the

@@ -145,6 +145,11 @@ def test_baseline_safety_margin():
     _, _, free = compute_step_reward(params, BASELINE, state, 0.0, 0.0, 1.0, 1.0,
                                      min_obstacle_clearance=math.inf)
     assert free["safety_margin"] == 0.0
+    # A clearance known exactly and one the broad phase reports as inf give
+    # the same zero, sign included.
+    _, _, far = compute_step_reward(params, BASELINE, state, 0.0, 0.0, 1.0, 1.0,
+                                    min_obstacle_clearance=0.45)
+    assert {repr(terms["safety_margin"]) for terms in (clear, far, free)} == {"0.0"}
     # Touching an obstacle saturates the shortfall at the full weight.
     _, _, touch = compute_step_reward(params, BASELINE, state, 0.0, 0.0, 1.0, 1.0,
                                       min_obstacle_clearance=0.0)

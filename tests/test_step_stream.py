@@ -29,7 +29,7 @@ ROBOT = RobotConfig()
 PARAMS = RewardParams()
 STEPS = 300
 
-STEP_STREAM_SHA256 = "292b326dea31d67ca73d14b4ca1f32daf237060284ecf176344d47567861d1b0"
+STEP_STREAM_SHA256 = "03d11bbe5fd4755aaa250870483020f555de9684b123e5196a5ef91bf3d9f309"
 
 
 def pd_action(episode, target_xy, joint_target=None):
@@ -101,6 +101,7 @@ def test_step_stream_is_pinned(monkeypatch):
         exact_passes.clear()
         while episode.terminated is None and episode.step_count < STEPS:
             outcome = env_step(episode, controller(episode))
+            assert outcome.info.keys() == {"goal_distance", "reward_terms"}
             update(digest, outcome)
             shortfalls += outcome.info["reward_terms"]["safety_margin"] < 0.0
         steps.append((episode.step_count, len(exact_passes)))
