@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, default_config, load_config, save_config
+from .envs import GenerationError
 from .evaluate import eval_episode, eval_success_rate
 from .pathfield import field_to_pgm
 from .policy import CheckpointError
@@ -262,6 +263,12 @@ def main(argv=None) -> int:
         return 2
     except TraceError as exc:
         print(f"trace error: {exc}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # A GenerationError, bare or as the cause of the trainer's failed reset.
+        if not isinstance(exc, GenerationError) and not isinstance(exc.__cause__, GenerationError):
+            raise
+        print(f"scene generation error: {exc}", file=sys.stderr)
         return 2
 
 

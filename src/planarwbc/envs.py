@@ -36,6 +36,10 @@ from .world import WorldGeometry, body_query, cast_lidars, collision_check, min_
 
 ENV_KINDS = ("corridor", "gap_train", "gap_test")
 GRID_CELL = 0.05
+# A corridor box is at least this deep: a corridor is this much wider than its passage.
+CORRIDOR_BOX_DEPTH = 0.3
+# The goal is drawn in a corridor's last third, this far from its end or more.
+CORRIDOR_GOAL_END = 0.5
 # Each gap kind's slot geometry, drawn uniformly from (lo, hi) in metres: the
 # slot's width, its length through the wall and the goal's depth into it.
 GAP_SLOTS = {
@@ -46,7 +50,10 @@ GAP_SLOTS = {
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Scene-family selector plus its generator's settable ranges (gap slots: GAP_SLOTS)."""
+    """Scene-family selector plus its generator's settable ranges (gap slots: GAP_SLOTS).
+
+    validate admits only ranges the draws can honour (see _draw_corridor).
+    """
 
     kind: str = "corridor"
     corridor_length_range: tuple[float, float] = (6.0, 12.0)
@@ -69,10 +76,12 @@ class EnvSpec:
         errors = []
         if self.kind not in ENV_KINDS:
             errors.append(f"kind must be one of {ENV_KINDS}")
-        for name in ("corridor_length_range", "corridor_width_range"):
+        least_width = self.corridor_min_passage + CORRIDOR_BOX_DEPTH
+        for name, least in (("corridor_length_range", 3.0 * CORRIDOR_GOAL_END),
+                            ("corridor_width_range", least_width)):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and 0 < lo <= hi):
-                errors.append(f"{name} must satisfy 0 < lo <= hi")
+            if not (math.isfinite(lo) and math.isfinite(hi) and least <= lo <= hi):
+                errors.append(f"{name} must satisfy {least:g} <= lo <= hi")
         lo, hi = self.corridor_obstacle_count
         if not 0 <= lo <= hi:
             errors.append("corridor_obstacle_count must satisfy 0 <= lo <= hi")
@@ -81,6 +90,9 @@ class EnvSpec:
             errors.append(
                 f"corridor_min_passage must be >= base diameter + 0.1 = {base_diameter + 0.1}"
             )
+        for name in ("gap_goal_lateral_noise", "gap_goal_angle_noise", "gap_joint_noise"):
+            if getattr(self, name) < 0.0:
+                errors.append(f"{name} must be >= 0")
         if self.kind in GAP_SLOTS:
             narrowest = 2.0 * robot.link_capsule_radius + 0.05
             wlo, whi = GAP_SLOTS[self.kind]["width"]
@@ -173,8 +185,8 @@ class GenerationError(RuntimeError):
     """Raised when every attempt is rejected; the message counts them by cause."""
 
 
-# Why an attempt was rejected: its own geometry, a colliding spawn, a base or
-# capsule raster that cuts the goal off, or a failed solve or extraction.
+# Why an attempt was rejected: its own geometry, a colliding spawn, a capsule
+# raster that cuts the goal off, or a failed solve or extraction.
 REJECTION_CAUSES = ("geometry", "collision", "connectivity", "plan")
 ATTEMPTS = 100
 
@@ -205,23 +217,6 @@ def plan_path(
     return raster, extract_path(raster, start_xy, goal=goal_xy)
 
 
-def _base_cell_near_goal_reachable(
-    world: WorldGeometry, robot: RobotConfig, spawn_xy, goal_xy, approach: float
-) -> bool:
-    """Flood fill on the base-radius-inflated grid: spawn connects to the goal area."""
-    try:
-        raster = rasterize_world(world, GRID_CELL, inflate=robot.base_radius, goal=spawn_xy)
-    except pathfield.FieldError:
-        return False
-    # The spawn is the raster's goal cell, so it is open whenever rasterizing succeeds.
-    rows, cols = np.nonzero(pathfield.connected_component(raster.kind != pathfield.OBSTACLE,
-                                                          raster.goal_cell))
-    cx = raster.origin[0] + (cols + 0.5) * raster.cell_size
-    cy = raster.origin[1] + (rows + 0.5) * raster.cell_size
-    d2 = (cx - goal_xy[0]) ** 2 + (cy - goal_xy[1]) ** 2
-    return bool(np.min(d2) <= approach * approach)
-
-
 def _room_walls(length: float, width: float) -> np.ndarray:
     """The four wall segments of a length x width room with a corner at the origin."""
     return np.array([[0.0, 0.0, length, 0.0], [length, 0.0, length, width],
@@ -231,16 +226,18 @@ def _room_walls(length: float, width: float) -> np.ndarray:
 def _draw_corridor(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
     """One corridor attempt: walls, staggered obstacles, near-end spawn, far goal.
 
-    Obstacles alternate between the bottom and top walls with bounded depth
-    and a guaranteed longitudinal gap, so a passage of at least
-    corridor_min_passage always remains. Returns (world, start state, goal
-    pose), or the rejection cause when a check fails.
+    Obstacles alternate between the bottom and top walls. In every spec that
+    EnvSpec.validate admits, the base can drive to the goal: a corridor is at
+    least corridor_min_passage + CORRIDOR_BOX_DEPTH wide, so the passage
+    beside a box is at least corridor_min_passage >= base diameter + 0.1;
+    consecutive boxes are at least corridor_min_passage + 0.1 apart; and the
+    goal's third holds no box. Returns (world, start state, goal pose), or
+    the rejection cause when the goal's clearance or the spawn check fails.
     """
     min_passage = spec.corridor_min_passage
     length = rng.uniform(*spec.corridor_length_range)
     width = rng.uniform(*spec.corridor_width_range)
-    spawn_xy = np.array([0.7, width / 2.0])
-    start = RobotState.zeros(robot, base_pose=(spawn_xy[0], spawn_xy[1], 0.0))
+    start = RobotState.zeros(robot, base_pose=(0.7, width / 2.0, 0.0))
     ee_xy = forward_kinematics(robot, start)[-1, :2]
 
     # Obstacle zone keeps clear of the spawn arm and the goal third.
@@ -258,7 +255,7 @@ def _draw_corridor(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
         center = zone_lo + (k + 0.5) * (zone_hi - zone_lo) / max(count, 1)
         jitter_span = ((zone_hi - zone_lo) / max(count, 1) - w_k - (min_passage + 0.1)) / 2.0
         center += rng.uniform(-1.0, 1.0) * max(0.0, jitter_span)
-        depth = rng.uniform(0.3, max(0.3, max_depth))
+        depth = rng.uniform(CORRIDOR_BOX_DEPTH, max(CORRIDOR_BOX_DEPTH, max_depth))
         x0, x1 = center - w_k / 2.0, center + w_k / 2.0
         if k % 2 == 0:
             boxes.append([x0, 0.0, x1, depth])
@@ -268,14 +265,12 @@ def _draw_corridor(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
                           boxes=np.array(boxes).reshape(-1, 4), bounds=(0.0, 0.0, length, width))
 
     margin = min_passage / 2.0 + 0.01
-    goal = np.array([rng.uniform(2.0 * length / 3.0, length - 0.5),
+    goal = np.array([rng.uniform(2.0 * length / 3.0, length - CORRIDOR_GOAL_END),
                      rng.uniform(margin, width - margin), 0.0])
     if min_clearance_point(world, goal[:2]) < margin:
         return "geometry"
     if collision_check(robot, start, world):
         return "collision"
-    if not _base_cell_near_goal_reachable(world, robot, spawn_xy, goal[:2], approach=0.8):
-        return "connectivity"
     return world, start, goal
 
 
@@ -342,8 +337,9 @@ def generate_scene(
 ) -> Scene:
     """Draw attempts of spec.kind until one passes its checks and plans at grid_cell.
 
-    The plan is each attempt's last test, after the cheap geometry, collision
-    and base checks, so a reset solves once unless a plan fails. A rejected
+    The plan is each attempt's last test, after the cheap geometry and
+    collision checks, so a reset rasterizes and solves once unless a plan
+    fails. A rejected
     attempt moves on to the next draw from the same rng; after ATTEMPTS
     rejections GenerationError reports them by cause.
     """

@@ -248,7 +248,7 @@ def collect_rollouts(
                         run, wk.index, wk.k, _episode_tolerance(run, trainer.adr_state)
                     )
                 except Exception as exc:
-                    raise RuntimeError(f"worker {wk.index}: episode reset failed") from exc
+                    raise RuntimeError(f"worker {wk.index}: episode reset failed: {exc}") from exc
                 wk.obs_vec = wk.episode.observation()
                 wk.episode_return = 0.0
             else:

@@ -11,7 +11,8 @@ import struct
 import numpy as np
 
 from planarwbc import autodiff as ad
-from planarwbc.pathfield import FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField
+from planarwbc.pathfield import (FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField,
+                                 connected_component, rasterize_world)
 from planarwbc.policy import (CheckpointError, acceleration_table, bins_to_action, greedy_bins,
                               param_views)
 from planarwbc.robot import Action, RobotConfig, RobotState
@@ -286,6 +287,27 @@ def segment_box_distance(seg, box) -> float:
         (xmin, ymax, xmin, ymin),
     )
     return min(segment_segment_distance(seg, e) for e in edges)
+
+
+def base_reaches_goal(world, robot: RobotConfig, spawn_xy, goal_xy, approach=0.8,
+                      cell=0.05) -> bool:
+    """Whether the base can drive from spawn_xy to within approach of goal_xy.
+
+    A flood fill from the spawn cell over the package's raster inflated by
+    the base radius: some reached cell center lies within approach of the
+    goal. The corridor generator once ran this on every attempt; its
+    geometry now guarantees it for every admitted spec.
+    """
+    try:
+        raster = rasterize_world(world, cell, inflate=robot.base_radius, goal=spawn_xy)
+    except FieldError:
+        return False
+    # The spawn is the raster's goal cell, so it is open whenever rasterizing succeeds.
+    rows, cols = np.nonzero(connected_component(raster.kind != OBSTACLE, raster.goal_cell))
+    cx = raster.origin[0] + (cols + 0.5) * raster.cell_size
+    cy = raster.origin[1] + (rows + 0.5) * raster.cell_size
+    d2 = (cx - goal_xy[0]) ** 2 + (cy - goal_xy[1]) ** 2
+    return bool(np.min(d2) <= approach * approach)
 
 
 def min_clearance_point(world: WorldGeometry, p) -> float:

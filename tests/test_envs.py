@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import oracle_clearances, passage_width_along_path, zero_action
+from oracles import base_reaches_goal, oracle_clearances, passage_width_along_path, zero_action
 from planarwbc import envs as envs_mod
 from planarwbc import world as world_mod
 from planarwbc.envs import (
@@ -439,6 +439,67 @@ def test_corridor_scene_contract():
         passage = oracle_passage_width(world, episode.path.points)
         assert passage >= spec.corridor_min_passage - 0.03
         assert passage_width_along_path(world, episode.path) >= spec.corridor_min_passage - 0.05
+
+
+def admitted_corridor_pair(rng):
+    """A random (robot, corridor spec) pair EnvSpec.validate admits, or None.
+
+    The minimum passage and the low ends of the width and length ranges are
+    drawn on both sides of validate's bounds, so a looser bound admits pairs
+    a tighter one refuses.
+    """
+    base_radius = rng.uniform(0.15, 0.5)
+    robot = RobotConfig(base_radius=base_radius, link_capsule_radius=rng.uniform(0.01, 0.12))
+    min_passage = 2.0 * base_radius + rng.uniform(0.05, 0.25)
+    width = min_passage + rng.uniform(0.0, 0.6)
+    length = rng.uniform(1.0, 12.0)
+    fewest = int(rng.integers(0, 5))
+    spec = EnvSpec(kind="corridor", corridor_min_passage=min_passage,
+                   corridor_width_range=(width, width + rng.uniform(0.0, 1.0)),
+                   corridor_length_range=(length, length + rng.uniform(0.0, 3.0)),
+                   corridor_obstacle_count=(fewest, fewest + int(rng.integers(0, 4))))
+    return None if robot.validate() or spec.validate(robot) else (robot, spec)
+
+
+def test_every_admitted_corridor_lets_the_base_reach_its_goal():
+    # The corridor draw runs no reachability check of its own: for every
+    # spec validate admits, each attempt that passes the goal-margin and
+    # spawn checks must let the base drive to within 0.8 m of the goal on
+    # the base-inflated raster. The draw must not raise either.
+    rng = np.random.default_rng(29)
+    pairs = accepted = 0
+    while pairs < 1000:
+        pair = admitted_corridor_pair(rng)
+        if pair is None:
+            continue
+        pairs += 1
+        robot, spec = pair
+        drawn = envs_mod._draw_corridor(spec, robot, rng)
+        if isinstance(drawn, str):
+            continue
+        world, start, goal = drawn
+        accepted += 1
+        assert base_reaches_goal(world, robot, start.base_pose[:2], goal[:2], approach=0.8), \
+            (robot, spec)
+    assert accepted >= 500
+
+
+def test_a_corridor_reset_rasterizes_once(monkeypatch):
+    # A corridor reset rasterizes only to plan, at the episode's grid_cell;
+    # none of these resets rejects an attempt after rasterizing it.
+    rasterize = envs_mod.rasterize_world
+    cells = []
+
+    def counting(world, cell_size, inflate, goal):
+        cells.append(cell_size)
+        return rasterize(world, cell_size, inflate, goal)
+
+    monkeypatch.setattr(envs_mod, "rasterize_world", counting)
+    config = EpisodeConfig()
+    for seed in range(30):
+        cells.clear()
+        new_episode(EnvSpec(), ROBOT, PARAMS, config, np.random.default_rng(seed))
+        assert cells == [config.grid_cell], seed
 
 
 def test_passage_width_matches_analytic_chute():

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import oracles
+from planarwbc import ppo as ppo_mod
 from planarwbc import render as render_mod
 from planarwbc.cli import main
-from planarwbc.config import default_config, save_config
+from planarwbc.config import config_from_dict, default_config, save_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, new_episode
 from planarwbc.evaluate import (EvalReport, episode_seed, eval_episode, eval_success_rate,
                                 run_controller)
@@ -367,6 +368,44 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     code = main(["inspect-env", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+# At 0.2 m the inflated slot walls close or pinch the gap_train slot on every
+# draw, so a reset rejects all its attempts.
+UNPLANNABLE = {"env": {"kind": "gap_train"}, "episode": {"grid_cell": 0.2}}
+
+
+@pytest.mark.parametrize("command", ["inspect-env", "train"])
+def test_cli_reports_generation_errors(tmp_path, capsys, command):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(UNPLANNABLE))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("scene generation error: gap_train generation at grid_cell 0.2 "
+                             "rejected all 100 attempts: ")
+
+
+def test_cli_reports_a_failed_training_reset(tmp_path, capsys, monkeypatch):
+    # A reset after the first fails inside the rollout, which names the
+    # worker and keeps the generator's error as its cause.
+    run = easy_run(time_limit=1.6)  # an episode ends within the 48-step rollout
+    unplannable = config_from_dict(UNPLANNABLE)
+    worker_episode = ppo_mod._worker_episode
+
+    def later_resets_fail(run, worker, k, tolerance):
+        if k > 0:
+            run = replace(run, env=unplannable.env, episode=unplannable.episode)
+        return worker_episode(run, worker, k, tolerance)
+
+    monkeypatch.setattr(ppo_mod, "_worker_episode", later_resets_fail)
+    config = tmp_path / "run.json"
+    save_config(run, config)
+    assert main(["train", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("scene generation error: worker 0: episode reset failed: "
+                             "gap_train generation at grid_cell 0.2 rejected all 100 attempts: ")
 
 
 @pytest.mark.parametrize("value", ["5", "nan", "-1", "0.04"])
