@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, default_config, load_config, save_config
 from .envs import GenerationError
 from .evaluate import eval_episode, eval_success_rate
-from .pathfield import field_to_pgm
+from .pathfield import FREE, field_to_pgm
 from .policy import CheckpointError
 from .ppo import train_loop
 from .render import render_scene
@@ -129,10 +129,9 @@ def _cmd_hpf_dump(args) -> int:
     )
     print(f"wrote {args.out / 'field.pgm'} and {args.out / 'path.json'} "
           f"(path length {path.total_length:.3f} m)")
-    effort = raster.effort
-    print(f"solver: levels={effort.levels} cycles={effort.cycles} sweeps={effort.sweeps} "
-          f"smoothing_finish={'yes' if effort.smoothing_finish else 'no'} "
-          f"solve_ms={effort.seconds * 1e3:.1f}")
+    h, w = raster.shape
+    free = int(np.count_nonzero(raster.kind == FREE))
+    print(f"raster: {h}x{w} cells, {free} free")
     return 0
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -66,8 +67,12 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def _coerce(template, value, path: str, errors: list[str]):
-    """Cast a JSON value to the template's python type, or record an error."""
+def _coerce(template, value, path: str, errors: list[str], hint):
+    """Cast a JSON value to the template's python type, or record an error.
+
+    hint is the field's annotation: an array must have the length it
+    declares, which tuple[float, ...] leaves free.
+    """
     if isinstance(template, bool):
         if not isinstance(value, bool):
             errors.append(f"{path}: expected a boolean")
@@ -100,9 +105,12 @@ def _coerce(template, value, path: str, errors: list[str]):
         if not isinstance(value, (list, tuple)):
             errors.append(f"{path}: expected an array")
             return template
-        return tuple(
-            _coerce(template[0], item, f"{path}[{i}]", errors) for i, item in enumerate(value)
-        )
+        items = typing.get_args(hint)
+        if items[-1] is not Ellipsis and len(value) != len(items):
+            errors.append(f"{path}: expected an array of {len(items)}")
+            return template
+        return tuple(_coerce(template[0], item, f"{path}[{i}]", errors, items[0])
+                     for i, item in enumerate(value))
     errors.append(f"{path}: unsupported value")
     return template
 
@@ -112,6 +120,7 @@ def _merge(instance, data: dict, path: str, errors: list[str]):
         errors.append(f"{path or 'config'}: expected an object")
         return instance
     names = {f.metadata.get("key", f.name): f.name for f in fields(instance)}
+    hints = typing.get_type_hints(type(instance))
     updates = {}
     for key, value in data.items():
         here = f"{path}.{key}" if path else key
@@ -123,7 +132,7 @@ def _merge(instance, data: dict, path: str, errors: list[str]):
         if is_dataclass(current):
             updates[name] = _merge(current, value, here, errors)
         else:
-            updates[name] = _coerce(current, value, here, errors)
+            updates[name] = _coerce(current, value, here, errors, hints[name])
     return replace(instance, **updates)
 
 

@@ -40,6 +40,8 @@ GRID_CELL = 0.05
 CORRIDOR_BOX_DEPTH = 0.3
 # The goal is drawn in a corridor's last third, this far from its end or more.
 CORRIDOR_GOAL_END = 0.5
+# The base spawns this far from a corridor's near end, its zero-pose arm along +x.
+CORRIDOR_SPAWN_X = 0.7
 # Each gap kind's slot geometry, drawn uniformly from (lo, hi) in metres: the
 # slot's width, its length through the wall and the goal's depth into it.
 GAP_SLOTS = {
@@ -82,6 +84,10 @@ class EnvSpec:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and least <= lo <= hi):
                 errors.append(f"{name} must satisfy {least:g} <= lo <= hi")
+        reach = CORRIDOR_SPAWN_X + robot.max_reach + robot.link_capsule_radius
+        if self.corridor_length_range[0] <= reach:
+            errors.append(f"corridor_length_range must start beyond {reach:g}, "
+                          "where the spawned arm reaches")
         lo, hi = self.corridor_obstacle_count
         if not 0 <= lo <= hi:
             errors.append("corridor_obstacle_count must satisfy 0 <= lo <= hi")
@@ -237,7 +243,7 @@ def _draw_corridor(spec: EnvSpec, robot: RobotConfig, rng: np.random.Generator):
     min_passage = spec.corridor_min_passage
     length = rng.uniform(*spec.corridor_length_range)
     width = rng.uniform(*spec.corridor_width_range)
-    start = RobotState.zeros(robot, base_pose=(0.7, width / 2.0, 0.0))
+    start = RobotState.zeros(robot, base_pose=(CORRIDOR_SPAWN_X, width / 2.0, 0.0))
     ee_xy = forward_kinematics(robot, start)[-1, :2]
 
     # Obstacle zone keeps clear of the spawn arm and the goal third.

@@ -599,8 +599,8 @@ def reference_solve_harmonic(
     """Relax Laplace's equation over the free cells (obstacle=1, goal=0).
 
     Omega-ladder SOR from a one-way coarse warm start: an independent
-    reference for planarwbc.pathfield.solve_harmonic, which must reach the
-    same fine-level convergence test. Iterates in the log domain (see
+    reference for planarwbc.pathfield.solve_harmonic, which solves the same
+    system exactly. Iterates in the log domain (see
     planarwbc.pathfield.LOG_OBSTACLE) and stores both the raw potential in
     .log_values. warm_start seeds the fine
     grid from a coarsened solve cascade, which cuts the sweep count on large
@@ -692,84 +692,6 @@ def _bilinear_many(field: GridField, arr, px, py):
         + arr[iy + 1, ix] * (1 - fx) * fy
         + arr[iy + 1, ix + 1] * fx * fy
     )
-
-
-def _parity_slices(h, w):
-    """Per color, per parity subgrid: (centre, N, S, W, E, interior) slices.
-
-    Red cells have even row + col; a color's cells depend only on the other
-    color, so sweeping a color subgrid by subgrid is exact Gauss-Seidel.
-    """
-    colors = []
-    for pairs in (((0, 0), (1, 1)), ((0, 1), (1, 0))):
-        subgrids = []
-        for pr, pc in pairs:
-            nr = len(range(1 + pr, h - 1, 2))
-            nc = len(range(1 + pc, w - 1, 2))
-            if nr == 0 or nc == 0:
-                continue
-            rows = slice(1 + pr, 1 + pr + 2 * nr, 2)
-            cols = slice(1 + pc, 1 + pc + 2 * nc, 2)
-            up, down = slice(pr, pr + 2 * nr, 2), slice(2 + pr, 2 + pr + 2 * nr, 2)
-            left, right = slice(pc, pc + 2 * nc, 2), slice(2 + pc, 2 + pc + 2 * nc, 2)
-            subgrids.append(((rows, cols), (up, cols), (down, cols), (rows, left),
-                             (rows, right), (slice(pr, None, 2), slice(pc, None, 2))))
-        colors.append(tuple(subgrids))
-    return tuple(colors)
-
-
-def parity_subgrid_smooth(faces, free, v, f, sweeps, exp_clamp=50.0):
-    """The red-black log-domain smoother on an unpadded (H, W) grid, in place.
-
-    The form the package used before its flat odd-stride layout: neighbour
-    weights a[d] = exp(clip(v - f - ln 4 - v_d)) on the open faces of free
-    cells, then per color the two strided parity subgrids in turn, each cell
-    q = min(sum_d a[d] q_d + fixed, exp(min(v, 700))), and v -= ln q.
-    faces is (4, H-2, W-2) (N, S, W, E), free (H, W), f a scalar or an
-    (H-2, W-2) array.
-    """
-    h, w = v.shape
-    inner_free = free[1:-1, 1:-1]
-    fixed_inner = (~inner_free).astype(float)
-    centre = v[1:-1, 1:-1] - (f + math.log(4.0))
-    nbs = (v[:-2, 1:-1], v[2:, 1:-1], v[1:-1, :-2], v[1:-1, 2:])
-    a = np.empty((4,) + centre.shape)
-    for k, nb in enumerate(nbs):
-        np.subtract(centre, nb, out=a[k])
-    np.clip(a, -exp_clamp, exp_clamp, out=a)
-    np.exp(a, out=a)
-    a *= faces & inner_free
-    q = np.ones_like(v)
-    cap = np.minimum(v, 700.0)
-    np.exp(cap, out=cap)
-    for _ in range(sweeps):
-        for color in _parity_slices(h, w):
-            for centre, north, south, west, east, inner in color:
-                t = a[0][inner] * q[north]
-                t += a[1][inner] * q[south]
-                t += a[2][inner] * q[west]
-                t += a[3][inner] * q[east]
-                t += fixed_inner[inner]
-                np.minimum(t, cap[centre], out=t)
-                q[centre] = t
-    v -= np.log(q)
-
-
-def ix_prolong(fine_shape, weights, values):
-    """Coarse-to-fine interpolation gathered with np.ix_ from an unpadded coarse array.
-
-    weights is (4, H-2, W-2) over the fine interior for the parent, the row
-    neighbour, the column neighbour and the diagonal one, in that order.
-    """
-    i, j = np.arange(fine_shape[0] - 2), np.arange(fine_shape[1] - 2)
-    rows, cols = i // 2 + 1, j // 2 + 1
-    rows_nb = rows + np.where(i % 2 == 0, -1, 1)
-    cols_nb = cols + np.where(j % 2 == 0, -1, 1)
-    sources = ((rows, cols), (rows_nb, cols), (rows, cols_nb), (rows_nb, cols_nb))
-    out = weights[0] * values[np.ix_(*sources[0])]
-    for k in range(1, 4):
-        out += weights[k] * values[np.ix_(*sources[k])]
-    return out
 
 
 def project_on_path_formula(points, cumlen, p):

@@ -134,29 +134,46 @@ def test_semantic_validation_cites_bounds():
     ({"robot": {"max_joint_vel": 0.0}}, "robot.max_joint_vel: must be > 0"),
     ({"robot": {"max_base_vel": [0.5, -0.5, 1.0]}}, "robot.max_base_vel[1]: must be > 0"),
     ({"train": {"seed": -1}}, "train.seed must be >= 0"),
-    ({"policy": {"scan_hidden": [128]}}, "policy.scan_hidden and trunk_hidden must each be"),
+    ({"policy": {"scan_hidden": [128]}}, "policy.scan_hidden: expected an array of 2"),
     ({"env": {"kind": "gap_test"}, "robot": {"base_radius": 0.15}},
      "env.kind: gap_test slot widths [0.25, 0.4] must lie within"),
     ({"env": {"corridor_width_range": [0.9, 1.2]}}, "env.corridor_width_range must satisfy"),
     ({"env": {"corridor_length_range": [1.0, 1.2]}}, "env.corridor_length_range must satisfy"),
+    ({"env": {"corridor_length_range": [1.5, 1.6]}},
+     "env.corridor_length_range must start beyond 1.75, where the spawned arm reaches"),
+    ({"env": {"corridor_width_range": [1.6]}}, "env.corridor_width_range: expected an array of 2"),
+    ({"robot": {"joint_limits": [[-2, 2, 1], [-2, 2], [-2, 2]]}},
+     "robot.joint_limits[0]: expected an array of 2"),
+    ({"robot": {"max_base_vel": [0.5]}}, "robot.max_base_vel: expected an array of 3"),
     ({"env": {"gap_goal_lateral_noise": -0.05}}, "env.gap_goal_lateral_noise must be >= 0"),
     ({"env": {"gap_goal_angle_noise": -0.5}}, "env.gap_goal_angle_noise must be >= 0"),
     ({"env": {"gap_joint_noise": -0.1}}, "env.gap_joint_noise must be >= 0"),
 ], ids=["adr_min_below_range", "adr_max_above_range", "adr_min_above_max", "reward_variant",
         "zero_joint_vel_cap", "negative_base_vel_cap", "negative_seed", "one_scan_layer",
         "base_fits_the_slot", "corridor_too_narrow", "corridor_too_short",
-        "negative_lateral_noise", "negative_angle_noise", "negative_joint_noise"])
+        "corridor_end_within_reach", "short_width_range", "long_limit_pair",
+        "short_velocity_caps", "negative_lateral_noise", "negative_angle_noise",
+        "negative_joint_noise"])
 def test_config_that_validates_also_runs(document, field):
     # Each of these, if accepted, would fail part-way through a run (a
     # tolerance outside the episode's range, observation scales that divide
     # by a velocity cap, a seed SeedSequence refuses, a network layer without
     # a size, a corridor too short for its goal draw or a negative noise
-    # amplitude, both a numpy error at every reset), let the base into a gap
-    # slot or a corridor box block it, or be silently ignored (the variant
-    # is owned by the episode section).
+    # amplitude, both a numpy error at every reset, a corridor whose end wall
+    # the spawned arm reaches, a collision at every attempt, an array of the
+    # wrong length, a bare ValueError or a failed first env_step), let the
+    # base into a gap slot or a corridor box block it, or be silently ignored
+    # (the variant is owned by the episode section).
     with pytest.raises(ConfigError) as exc:
         config_from_dict(document)
     assert field in str(exc.value)
+
+
+def test_open_length_arrays_take_any_length():
+    # tuple[float, ...] leaves the length to the field's own validation.
+    config = config_from_dict({"robot": {"link_lengths": [0.3, 0.3, 0.2, 0.1],
+                                         "joint_limits": [[-2, 2]] * 4}})
+    assert config.robot.num_joints == 4
 
 
 @pytest.mark.parametrize("document,field", [

@@ -484,6 +484,17 @@ def test_every_admitted_corridor_lets_the_base_reach_its_goal():
     assert accepted >= 500
 
 
+def test_a_corridor_just_beyond_the_spawned_arm_plans():
+    # validate refuses a length range starting at or below spawn x + reach +
+    # capsule radius (1.75 m here); one just above it plans every reset.
+    spec = EnvSpec(kind="corridor", corridor_length_range=(1.76, 1.8))
+    assert spec.validate(ROBOT) == []
+    assert EnvSpec(kind="corridor", corridor_length_range=(1.75, 1.8)).validate(ROBOT) != []
+    for seed in range(5):
+        episode = new_episode(spec, ROBOT, PARAMS, EpisodeConfig(), np.random.default_rng(seed))
+        assert episode.world.bounds[2] > 1.75
+
+
 def test_a_corridor_reset_rasterizes_once(monkeypatch):
     # A corridor reset rasterizes only to plan, at the episode's grid_cell;
     # none of these resets rejects an attempt after rasterizing it.
@@ -697,7 +708,7 @@ def test_generation_error_counts_rejections_by_cause():
 # SHA-256 over (world, start state, goal, path points) of seeds 1000-1009 per
 # kind at the default grid_cell. The generators' draws, their checks and the
 # planner all feed it; a change to any of them at 0.05 m shows here.
-DEFAULT_SCENES_SHA256 = "663b51044af1a0366c7f7cf09c85f562c0229c0377914f9f917125e22081b080"
+DEFAULT_SCENES_SHA256 = "b2dbe9ad331ca946856589bea64a9a4a966d67d873cb97780f0b237072d91a11"
 
 
 def test_default_resolution_scenes_are_pinned():

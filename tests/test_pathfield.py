@@ -7,8 +7,6 @@ from oracles import (
     cell_center,
     dense_laplace_solve,
     extract_path_arrays,
-    ix_prolong,
-    parity_subgrid_smooth,
     project_on_path_formula,
     reference_solve_harmonic,
 )
@@ -31,9 +29,6 @@ from planarwbc.pathfield import (
     project_on_path,
     rasterize_world,
     solve_harmonic,
-    _hierarchy,
-    _prolong,
-    _smooth,
 )
 from planarwbc.geometry import point_box_distance, point_segment_distance
 from planarwbc.robot import forward_kinematics
@@ -161,24 +156,37 @@ def test_solve_strip_monotone():
 
 
 def test_solve_matches_dense_oracle():
+    # The line elimination solves the dense oracle's system exactly, cut-off
+    # pockets included (u = 1 there in both).
     rng = np.random.default_rng(1)
     checked = 0
-    while checked < 8:
-        field = random_grid_field(rng)
+    while checked < 30:
+        field = random_grid_field(rng, n=int(rng.integers(12, 41)),
+                                  p_obstacle=rng.uniform(0.1, 0.45))
         if field is None:
             continue
-        try:
-            solve_harmonic(field)
-        except FieldError:
-            continue  # disconnected free regions cannot converge to the stencil everywhere
-        dense = dense_laplace_solve(field)
+        solve_harmonic(field)
         free = field.kind == FREE
-        start = np.argwhere(free)
-        # Compare only cells connected to the goal; isolated pockets have no
-        # boundary data path and the dense system still pins them via walls.
-        err = np.max(np.abs(field.values[free] - dense[free]))
-        assert err < 1e-6
+        assert np.max(np.abs(field.values[free] - dense_laplace_solve(field)[free])) <= 1e-12
         checked += 1
+
+
+@pytest.mark.parametrize("length", [2, 3, 40, 300, 530])
+def test_solve_strip_matches_closed_form(length):
+    # A one-cell strip with the goal at one end and a wall `length` cells on:
+    # w_k = 1 - u_k solves 4 w_k = w_{k-1} + w_{k+1}, so with r = 2 - sqrt(3)
+    # w_k = (r^k - r^(2L-k)) / (1 - r^(2L)), down to about 1e-300 at 530
+    # cells, where v = -ln w keeps full relative precision.
+    kind = np.full((3, length + 2), OBSTACLE, dtype=np.uint8)
+    kind[1, 1:-1] = FREE
+    field = grid_field(kind, (1, 1))
+    solve_harmonic(field)
+    r = 2.0 - math.sqrt(3.0)
+    k = np.arange(length)
+    w = (r ** k - r ** (2 * length - k)) / (1.0 - r ** (2 * length))
+    v = field.log_values[1, 1:-1]
+    assert v[0] == 0.0
+    assert np.max(np.abs(v[1:] + np.log(w[1:])) / -np.log(w[1:])) <= 1e-12
 
 
 def ring_grid(h, w):
@@ -196,9 +204,7 @@ def grid_field(kind, goal):
 
 
 def slot_grid():
-    # A three-cell-thick wall pierced by a one-cell slot on an odd row: a
-    # coarse cell is open if any child is, so the coarse grids keep the slot
-    # open, and closed faces keep the rest of the wall shut.
+    # A three-cell-thick wall pierced by a one-cell slot on an odd row.
     kind = ring_grid(40, 40)
     kind[1:-1, 19:22] = OBSTACLE
     kind[23, 19:22] = FREE
@@ -228,7 +234,7 @@ def pocket_grid():
 
 
 def small_grid():
-    # Interior too small to coarsen: plain smoothing solves it alone.
+    # A short interior with a wall stub between the goal and the rest.
     kind = ring_grid(8, 12)
     kind[3:6, 5] = OBSTACLE
     return grid_field(kind, (4, 9))
@@ -239,80 +245,7 @@ def test_multigrid_hard_cases_match_dense_oracle(make):
     field = make()
     solve_harmonic(field)
     free = field.kind == FREE
-    assert np.max(np.abs(field.values[free] - dense_laplace_solve(field)[free])) < 1e-6
-    effort = field.effort
-    if make is small_grid:
-        assert effort.levels == 1 and effort.cycles == 0 and effort.smoothing_finish
-    else:
-        # A coarse grid that misjudges the fine problem still converges, just
-        # in many more cycles, so the cycle count is part of the contract.
-        assert effort.levels > 1 and 0 < effort.cycles <= 14 and not effort.smoothing_finish
-    assert effort.sweeps > 0
-
-
-def generated_field(spec):
-    run = default_config()
-    scene = generate_scene(spec, run.robot, np.random.default_rng(1000), run.episode.grid_cell)
-    return rasterize_world(scene.world, run.episode.grid_cell,
-                           inflate=run.robot.link_capsule_radius, goal=scene.goal[:2])
-
-
-SOLVER_FIELDS = {
-    "slot_grid": slot_grid,
-    "odd_grid": odd_grid,
-    "border_goal_grid": border_goal_grid,
-    "small_grid": small_grid,
-    "corridor": lambda: generated_field(EnvSpec(kind="corridor")),
-    "gap_train": lambda: generated_field(EnvSpec.gap_train()),
-    "gap_test": lambda: generated_field(EnvSpec.gap_test()),
-}
-
-
-def solver_levels(name):
-    field = SOLVER_FIELDS[name]()
-    return _hierarchy(field.kind, field.goal_cell)
-
-
-def test_solver_cases_cover_odd_and_even_widths():
-    # Even widths run with a pad column, odd ones without.
-    assert {lv.shape[1] % 2 for name in SOLVER_FIELDS for lv in solver_levels(name)} == {0, 1}
-
-
-@pytest.mark.parametrize("name", list(SOLVER_FIELDS))
-def test_smooth_is_bitwise_the_parity_subgrid_smoother(name):
-    # Every level of the hierarchy, from values steep enough that the weight
-    # clamp acts, with f = 0 and with a nonzero f as a coarse level gets it.
-    rng = np.random.default_rng(7)
-    for lv in solver_levels(name):
-        h, w = lv.shape
-        free = lv.free[:, :w]
-        start = np.where(free, rng.uniform(0.0, 60.0, (h, w)),
-                         np.where(lv.open[:, :w], 0.0, LOG_OBSTACLE))
-        f_inner = rng.uniform(-1.0, 1.0, (h - 2, w - 2))
-        f_padded = np.zeros(lv.open.shape)
-        f_padded[lv.inner] = f_inner
-        for f, f_oracle in ((0.0, 0.0), (f_padded, f_inner)):
-            for sweeps in (2, 12):
-                expected = start.copy()
-                parity_subgrid_smooth(lv.faces, free, expected, f_oracle, sweeps)
-                v = np.full(lv.open.shape, LOG_OBSTACLE)
-                v[:, :w] = start
-                _smooth(lv, v, f, sweeps)
-                assert v[:, :w].tobytes() == expected.tobytes(), (lv.shape, sweeps)
-                assert np.all(v[:, w:] == LOG_OBSTACLE)  # the pad column, if any
-
-
-@pytest.mark.parametrize("name", [name for name in SOLVER_FIELDS if name != "small_grid"])
-def test_prolong_is_bitwise_the_ix_gather(name):
-    levels = solver_levels(name)
-    assert len(levels) > 1
-    rng = np.random.default_rng(8)
-    for finer, coarse in zip(levels, levels[1:]):
-        h, w = coarse.shape
-        values = np.full(coarse.open.shape, np.nan)  # a pad column is never read
-        values[:, :w] = rng.uniform(-5.0, 5.0, (h, w))
-        expected = ix_prolong(finer.shape, coarse.prolong[1], values[:, :w])
-        assert _prolong(coarse, values).tobytes() == expected.tobytes()
+    assert np.max(np.abs(field.values[free] - dense_laplace_solve(field)[free])) <= 1e-12
 
 
 def hausdorff(a, b):
@@ -323,12 +256,13 @@ def hausdorff(a, b):
 @pytest.mark.parametrize("spec", [EnvSpec(kind="corridor"), EnvSpec.gap_train(),
                                   EnvSpec.gap_test()], ids=lambda spec: spec.kind)
 def test_solve_agrees_with_reference_solver(spec):
-    # The multigrid solve against the SOR reference on generated scenes:
-    # both stop at the same fine-level test, so fields agree far below the
-    # grid's resolution and the reference paths coincide.
+    # The exact solve against the SOR reference on generated scenes: SOR
+    # stops below a 1e-10 update, so fields agree far below the grid's
+    # resolution and the reference paths coincide. Corridor seed 82 once
+    # stalled an iterative solve.
     run = default_config()
     cell = run.episode.grid_cell
-    for seed in (1000, 1001):
+    for seed in (1000, 1001, 82) if spec.kind == "corridor" else (1000, 1001):
         world, start, goal_pose, *_ = generate_scene(spec, run.robot,
                                                      np.random.default_rng(seed), cell)
         field = rasterize_world(world, cell, inflate=run.robot.link_capsule_radius,
@@ -336,24 +270,12 @@ def test_solve_agrees_with_reference_solver(spec):
         reference = reference_solve_harmonic(rasterize_world(
             world, cell, inflate=run.robot.link_capsule_radius, goal=goal_pose[:2]))
         solve_harmonic(field)
-        assert field.effort.cycles <= 16 and not field.effort.smoothing_finish
         free = field.kind == FREE
         assert np.max(np.abs(field.log_values - reference.log_values)[free]) < 1e-5
         ee_xy = forward_kinematics(run.robot, start)[-1, :2]
         path = extract_path(field, ee_xy, goal=goal_pose[:2])
         reference_path = extract_path(reference, ee_xy, goal=goal_pose[:2])
         assert hausdorff(path.points, reference_path.points) < 0.1 * cell
-
-
-def test_cycles_carry_on_through_a_five_cycle_stall():
-    # The corridor of seed 82 leaves its best score unbeaten for five cycles
-    # in a row; cycles that carry on converge, where the smoothing finish
-    # ran 5164 sweeps, 27 times a median solve's time.
-    run = default_config()
-    scene = generate_scene(EnvSpec(kind="corridor"), run.robot, np.random.default_rng(82),
-                           run.episode.grid_cell)
-    effort = scene.path_field.effort
-    assert effort.cycles <= 30 and not effort.smoothing_finish
 
 
 def test_converged_stencil_fixed_point():

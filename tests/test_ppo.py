@@ -991,8 +991,8 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
 # also covers the run-configuration digest and the episode snapshot's keys,
 # so it moves with the config schema and the snapshot format.
 TWO_ITERATION_SHA256 = [
-    "089b77d74b81f537706a7d08d56f060d6aeeaa82d83c20a73e100c27c856d8c8",
-    "59d2aa195a6398f5fdef69035a8ea713723b2c2432aa74c7380dcb071cc490e7",
+    "2b05e2ee3d5a2fcd84a9cdc8a9bc0bdf5295186a1751412a0d0ed7593e6cd814",
+    "c09a09b2f0d81c46f3b3d40804bf79590d903fa695583ba61a453d9164721ce8",
 ]
 
 

@@ -29,7 +29,7 @@ ROBOT = RobotConfig()
 PARAMS = RewardParams()
 STEPS = 300
 
-STEP_STREAM_SHA256 = "03d11bbe5fd4755aaa250870483020f555de9684b123e5196a5ef91bf3d9f309"
+STEP_STREAM_SHA256 = "44e395e4a9d6e90ce8290b4ff7713d13abe4f119c65997fbb722af12c9a3e18d"
 
 
 def pd_action(episode, target_xy, joint_target=None):
