@@ -23,7 +23,6 @@ from .pathfield import (
     GridField,
     PathMetricsState,
     PathPolyline,
-    cells_connected,
     extract_path,
     init_path_metrics,
     path_metrics,
@@ -213,12 +212,10 @@ def plan_path(
     """Rasterize, solve and extract the end-effector path from start_xy to goal_xy.
 
     The raster has grid_cell cells inflated by the link capsule radius. Raises
-    CutOffError when it closes the goal cell or does not 4-connect the start
-    cell to it, and FieldError when the solve or the extraction fails.
+    CutOffError when it closes the goal cell or the solved w is 0 at the start
+    cell, and FieldError when the solve or the extraction fails.
     """
     raster = rasterize_world(world, grid_cell, inflate=robot.link_capsule_radius, goal=goal_xy)
-    if not cells_connected(raster, raster.cell_of(start_xy)):
-        raise pathfield.CutOffError("the start cell is cut off from the goal cell")
     solve_harmonic(raster)
     return raster, extract_path(raster, start_xy, goal=goal_xy)
 

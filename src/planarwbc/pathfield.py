@@ -1,9 +1,10 @@
 """Harmonic potential field over a rasterized world and path metrics.
 
-The world is rasterized onto a square grid (obstacle cells fixed at 1, the
-goal cell fixed at 0), Laplace's equation over the free cells is solved
-exactly by block elimination along the grid lines, and the reference path
-is the steepest-descent streamline of the potential. Per-step
+The world is rasterized onto a square grid. Laplace's equation over the free
+cells is solved exactly, by block elimination along the grid lines, for
+w = 1 - u: 1 at the goal cell, 0 on obstacle cells. The reference path is the
+steepest-ascent streamline of w. The solve and the ascent use only LAPACK
+and elementwise arithmetic, no transcendental function. Per-step
 deviation/progress differences against that path feed the shaped reward.
 """
 from __future__ import annotations
@@ -18,29 +19,18 @@ from .world import WorldGeometry, min_clearance_point
 
 FREE, OBSTACLE, GOAL = 0, 1, 2
 
-# Potentials are kept in the log domain v = -ln(1 - u). Far from the goal
-# 1 - u decays exponentially, so the raw potential is flat at 1.0 with
-# noise-level gradients; v keeps O(1) slopes everywhere and has the same
-# steepest-descent streamlines. The solve works on w = 1 - u, which keeps its
-# relative precision down to the underflow (see _line_solve). Obstacle cells
-# carry this sentinel (exp(-750) underflows to 0, so u is exactly 1).
-LOG_OBSTACLE = 750.0
-
 
 @dataclass
 class GridField:
-    """Discretized potential: log_values[row, col] with row ~ y, col ~ x."""
+    """Discretized potential: w[row, col] with row ~ y, col ~ x."""
 
     origin: tuple[float, float]
     cell_size: float
     kind: np.ndarray  # uint8 (H, W)
-    log_values: np.ndarray  # float (H, W), v = -ln(1 - u)
+    # float (H, W), w = 1 - u in [0, 1]: 1 at the goal cell, 0 on obstacle
+    # cells and on free cells cut off from the goal.
+    w: np.ndarray
     goal_cell: tuple[int, int]  # (row, col)
-
-    @property
-    def values(self) -> np.ndarray:
-        """The raw potential u = 1 - exp(-v) in [0, 1]."""
-        return -np.expm1(-self.log_values)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -70,10 +60,10 @@ def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal
     if cell_size <= 0.0:
         raise ValueError("cell_size must be > 0")
     xmin, ymin, xmax, ymax = world.bounds
-    w = max(3, int(math.ceil((xmax - xmin) / cell_size)))
-    h = max(3, int(math.ceil((ymax - ymin) / cell_size)))
-    xs = xmin + (np.arange(w) + 0.5) * cell_size
-    ys = ymin + (np.arange(h) + 0.5) * cell_size
+    cols = max(3, int(math.ceil((xmax - xmin) / cell_size)))
+    rows = max(3, int(math.ceil((ymax - ymin) / cell_size)))
+    xs = xmin + (np.arange(cols) + 0.5) * cell_size
+    ys = ymin + (np.arange(rows) + 0.5) * cell_size
     # (H, W, 2) with each coordinate plane contiguous, which keeps the
     # per-obstacle kernels on fast unit-stride loops.
     centers = np.moveaxis(np.array(np.meshgrid(xs, ys)), 0, -1)
@@ -85,57 +75,16 @@ def rasterize_world(world: WorldGeometry, cell_size: float, inflate: float, goal
     kind = np.where(obstacle, OBSTACLE, FREE).astype(np.uint8)
     field = GridField(
         origin=(xmin, ymin), cell_size=cell_size, kind=kind,
-        log_values=np.full((h, w), LOG_OBSTACLE), goal_cell=(-1, -1),
+        w=np.zeros((rows, cols)), goal_cell=(-1, -1),
     )
     grow, gcol = field.cell_of(goal)
-    if not (0 <= grow < h and 0 <= gcol < w):
+    if not (0 <= grow < rows and 0 <= gcol < cols):
         raise CutOffError("goal outside the rasterized domain")
     if kind[grow, gcol] == OBSTACLE:
         raise CutOffError("goal inside an obstacle cell")
     kind[grow, gcol] = GOAL
     field.goal_cell = (grow, gcol)
-    field.log_values[grow, gcol] = 0.0
     return field
-
-
-def cells_connected(field: GridField, start_cell: tuple[int, int]) -> bool:
-    """True if the goal cell is 4-connected to start_cell through free cells."""
-    h, w = field.shape
-    row, col = start_cell
-    if not (0 <= row < h and 0 <= col < w) or field.kind[row, col] == OBSTACLE:
-        return False
-    return bool(connected_component(field.kind != OBSTACLE, (row, col))[field.goal_cell])
-
-
-def _run_ids(mask):
-    """Label of each run of True cells along the rows of mask, 0 off the mask."""
-    starts = mask.copy()
-    starts[:, 1:] &= ~mask[:, :-1]
-    return np.cumsum(starts.ravel()).reshape(mask.shape) * mask
-
-
-def connected_component(open_mask, cell) -> np.ndarray:
-    """Mask of the cells 4-connected to cell through open_mask (cell included).
-
-    Fills whole row and column runs at a time, alternating, until nothing is
-    added: one pass per turn of the longest shortest path, not per cell.
-    """
-    row_ids = _run_ids(open_mask)
-    col_ids = _run_ids(open_mask.T).T
-    reached = np.zeros_like(open_mask)
-    reached[cell] = True
-    total = 1
-    while True:
-        for ids in (row_ids, col_ids):
-            hit = np.zeros(int(ids.max()) + 1, dtype=bool)
-            hit[ids[reached]] = True
-            hit[0] = False
-            reached = hit[ids]
-        reached[cell] = True
-        new_total = int(np.count_nonzero(reached))
-        if new_total == total:
-            return reached
-        total = new_total
 
 
 def _line_solve(free, rhs):
@@ -178,12 +127,13 @@ def _line_solve(free, rhs):
 
 
 def solve_harmonic(field: GridField) -> GridField:
-    """Solve Laplace's equation over the free cells (obstacle=1, goal=0).
+    """Solve Laplace's equation over the free cells (obstacle w=0, goal w=1).
 
     Solves the linear system in w = 1 - u exactly by block elimination over
     the grid lines along the raster's shorter side (see _line_solve) and
-    stores v = min(-ln w, LOG_OBSTACLE) in .log_values. Walls and free cells
-    cut off from the goal come out at w = 0 exactly, so they get u = 1.
+    stores w in .w. Walls and free cells cut off from the goal come out at
+    w = 0 exactly; a connected cell reads 0 only where w underflows, below
+    about 1e-308.
     """
     gr, gc = field.goal_cell
     rows, cols = field.shape
@@ -199,20 +149,20 @@ def solve_harmonic(field: GridField) -> GridField:
     if free[0, :].any() or free[-1, :].any() or free[:, 0].any() or free[:, -1].any():
         raise FieldError("free cells on the grid border; expected an obstacle ring")
 
-    free, rhs = free[1:-1, 1:-1], rhs[1:-1, 1:-1]  # the ring's w is 0
+    free, rhs = free[1:-1, 1:-1], rhs[1:-1, 1:-1]
+    w = np.zeros((rows, cols))  # the ring's w is 0
     if rows < cols:
-        w = _line_solve(free.T, rhs.T).T
+        w[1:-1, 1:-1] = _line_solve(free.T, rhs.T).T
     else:
-        w = _line_solve(free, rhs)
-    v = np.full((rows, cols), LOG_OBSTACLE)
-    with np.errstate(divide="ignore"):  # log(0) on walls and cut-off cells
-        v[1:-1, 1:-1] = np.minimum(-np.log(w), LOG_OBSTACLE)
-    v[gr, gc] = 0.0
-    field.log_values = v
+        w[1:-1, 1:-1] = _line_solve(free, rhs)
+    w[gr, gc] = 1.0
+    field.w = w
     return field
 
 
-def _bilinear_with_gradient(field: GridField, p, v: np.ndarray):
+def _bilinear_with_gradient(field: GridField, p):
+    """Value and (x, y) gradient of the bilinear interpolant of w at p."""
+    v = field.w
     h, w = field.shape
     gx = (p[0] - field.origin[0]) / field.cell_size - 0.5
     gy = (p[1] - field.origin[1]) / field.cell_size - 0.5
@@ -272,18 +222,22 @@ class PathPolyline:
 
 
 def extract_path(field: GridField, start, goal) -> PathPolyline:
-    """Steepest-descent streamline from start to the goal cell.
+    """Steepest-ascent streamline of w from start to the goal cell.
 
-    Steps of half a cell down the bilinear potential until the goal cell is
-    entered; the exact goal point is appended as the final vertex. Descent
-    runs on the log potential, whose streamlines match the raw potential's
-    but whose gradients stay resolvable far from the goal.
-    Raises FieldError on a stalled gradient or an over-long path.
+    Steps of half a cell up the bilinear w until the goal cell is entered;
+    the exact goal point is appended as the final vertex. The step direction
+    is the gradient over its norm, which stays exact where w is near 1e-300.
+    A step that would return to the vertex before turns a quarter turn: the
+    ascent straddles a saddle on its line of symmetry there, where the
+    streamline itself ends. Raises CutOffError when w is 0 at the start cell
+    (outside the raster, an obstacle, cut off from the goal, or so far that
+    w underflows), and FieldError on an exactly zero gradient or an
+    over-long path.
     """
     row, col = field.cell_of(start)
     h, w = field.shape
-    if not (0 <= row < h and 0 <= col < w) or field.kind[row, col] == OBSTACLE:
-        raise FieldError("path start is not in a free cell")
+    if not (0 <= row < h and 0 <= col < w) or field.w[row, col] == 0.0:
+        raise CutOffError("the start cell is cut off from the goal cell")
     step = field.cell_size / 2.0
     span_x = w * field.cell_size
     span_y = h * field.cell_size
@@ -294,11 +248,14 @@ def extract_path(field: GridField, start, goal) -> PathPolyline:
         if field.cell_of((x, y)) == field.goal_cell:
             points.append((float(goal[0]), float(goal[1])))
             return PathPolyline.from_points(points)
-        _, dx, dy = _bilinear_with_gradient(field, (x, y), field.log_values)
+        _, dx, dy = _bilinear_with_gradient(field, (x, y))
         norm = math.hypot(dx, dy)
-        if norm < 1e-12:
-            raise FieldError("descent stalled on a flat potential")
-        x, y = x - step / norm * dx, y - step / norm * dy
+        if norm == 0.0:
+            raise FieldError("ascent stalled on a flat potential")
+        ux, uy = dx / norm * step, dy / norm * step
+        if len(points) > 1 and (x + ux, y + uy) == points[-2]:
+            ux, uy = -uy, ux
+        x, y = x + ux, y + uy
         points.append((x, y))
     raise FieldError("path length cap exceeded before reaching the goal cell")
 
@@ -354,10 +311,9 @@ def path_metrics(
 
 
 def field_to_pgm(field: GridField) -> bytes:
-    """Render the potential as a binary PGM (dark = low potential)."""
+    """Render w as a binary PGM (white at the goal, black on walls)."""
     h, w = field.shape
-    img = np.clip(field.values, 0.0, 1.0)
-    gray = np.round(img * 255.0).astype(np.uint8)
+    gray = np.round(field.w * 255.0).astype(np.uint8)
     # Flip so +y points up in the image.
     gray = gray[::-1, :]
     header = f"P5\n{w} {h}\n255\n".encode()

@@ -14,7 +14,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from planarwbc import policy  # noqa: E402
+from planarwbc import envs, policy  # noqa: E402
 
 
 @pytest.fixture
@@ -25,3 +25,13 @@ def float64_network(monkeypatch):
     policy the test builds.
     """
     monkeypatch.setattr(policy, "COMPUTE_DTYPE", np.float64)
+
+
+@pytest.fixture
+def gap_draws_rejected(monkeypatch):
+    """Reject every gap scene attempt, so a gap reset raises GenerationError.
+
+    Every attempt fails its geometry check, whatever the grid cell; corridor
+    attempts are drawn as before.
+    """
+    monkeypatch.setattr(envs, "_draw_gap", lambda spec, robot, rng: "geometry")

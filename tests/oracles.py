@@ -11,8 +11,8 @@ import struct
 import numpy as np
 
 from planarwbc import autodiff as ad
-from planarwbc.pathfield import (FREE, GOAL, LOG_OBSTACLE, OBSTACLE, FieldError, GridField,
-                                 connected_component, rasterize_world)
+from planarwbc.pathfield import (FREE, GOAL, OBSTACLE, FieldError, GridField,
+                                 rasterize_world)
 from planarwbc.policy import (CheckpointError, acceleration_table, bins_to_action, greedy_bins,
                               param_views)
 from planarwbc.robot import Action, RobotConfig, RobotState
@@ -74,15 +74,16 @@ def cell_center(field: GridField, row: int, col: int) -> np.ndarray:
 def extract_path_arrays(field: GridField, start, goal) -> np.ndarray:
     """The (P, 2) vertices of pathfield.extract_path, stepped on numpy arrays.
 
-    Half-cell steps down the bilinear gradient of the log potential, each
-    position a fresh 2-vector and each corner value a numpy scalar, then the
-    goal point; a vertex within 1e-12 of the last kept one is dropped. Raises
-    FieldError where extract_path does.
+    Half-cell steps up the bilinear gradient of w, turned a quarter turn
+    where a step would return to the vertex before, each position a fresh
+    2-vector and each corner value a numpy scalar, then the goal point; a
+    vertex within 1e-12 of the last kept one is dropped. Raises FieldError
+    where extract_path's ascent does.
     """
     h, w = field.shape
     step = field.cell_size / 2.0
     max_steps = int(4.0 * 2.0 * (w * field.cell_size + h * field.cell_size) / step)
-    v = field.log_values
+    v = field.w
     p = np.array([float(start[0]), float(start[1])])
     points = [p.copy()]
     for _ in range(max_steps):
@@ -104,9 +105,12 @@ def extract_path_arrays(field: GridField, start, goal) -> np.ndarray:
         dx = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / field.cell_size
         dy = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / field.cell_size
         norm = math.hypot(dx, dy)
-        if norm < 1e-12:
-            raise FieldError("descent stalled")
-        p = p - (step / norm) * np.array([dx, dy])
+        if norm == 0.0:
+            raise FieldError("ascent stalled")
+        u = np.array([dx, dy]) / norm * step
+        if len(points) > 1 and np.array_equal(p + u, points[-2]):
+            u = np.array([-u[1], u[0]])  # a saddle's 2-cycle: a quarter turn
+        p = p + u
         points.append(p.copy())
     raise FieldError("path length cap exceeded")
 
@@ -287,6 +291,37 @@ def segment_box_distance(seg, box) -> float:
         (xmin, ymax, xmin, ymin),
     )
     return min(segment_segment_distance(seg, e) for e in edges)
+
+
+def _run_ids(mask):
+    """Label of each run of True cells along the rows of mask, 0 off the mask."""
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    return np.cumsum(starts.ravel()).reshape(mask.shape) * mask
+
+
+def connected_component(open_mask, cell) -> np.ndarray:
+    """Mask of the cells 4-connected to cell through open_mask (cell included).
+
+    Fills whole row and column runs at a time, alternating, until nothing is
+    added: one pass per turn of the longest shortest path, not per cell.
+    """
+    row_ids = _run_ids(open_mask)
+    col_ids = _run_ids(open_mask.T).T
+    reached = np.zeros_like(open_mask)
+    reached[cell] = True
+    total = 1
+    while True:
+        for ids in (row_ids, col_ids):
+            hit = np.zeros(int(ids.max()) + 1, dtype=bool)
+            hit[ids[reached]] = True
+            hit[0] = False
+            reached = hit[ids]
+        reached[cell] = True
+        new_total = int(np.count_nonzero(reached))
+        if new_total == total:
+            return reached
+        total = new_total
 
 
 def base_reaches_goal(world, robot: RobotConfig, spawn_xy, goal_xy, approach=0.8,
@@ -481,6 +516,11 @@ def dense_laplace_solve(field):
     return out
 
 
+# The SOR reference iterates on v = -ln w. Obstacle cells carry this
+# sentinel (exp(-750) underflows to 0, so w is exactly 0 there).
+SOR_LOG_OBSTACLE = 750.0
+
+
 def sor_relax(log_values, free, omega, tol, max_iters, check_every=4):
     """Red-black SOR sweeps in the log domain until residuals drop below tol.
 
@@ -556,16 +596,16 @@ def sor_relax(log_values, free, omega, tol, max_iters, check_every=4):
         oscillating = 0
         while total_sweeps < max_iters:
             # Over-relaxed iterates are projected back into the physical
-            # range [0, LOG_OBSTACLE] (w in [exp(-LOG_OBSTACLE), 1]); without
+            # range [0, SOR_LOG_OBSTACLE] (w in [exp(-SOR_LOG_OBSTACLE), 1]); without
             # the projection omega > 1 overshoots unboundedly.
             np.copyto(
                 log_values,
-                np.clip(log_values + om * (stencil() - log_values), 0.0, LOG_OBSTACLE),
+                np.clip(log_values + om * (stencil() - log_values), 0.0, SOR_LOG_OBSTACLE),
                 where=red,
             )
             np.copyto(
                 log_values,
-                np.clip(log_values + om * (stencil() - log_values), 0.0, LOG_OBSTACLE),
+                np.clip(log_values + om * (stencil() - log_values), 0.0, SOR_LOG_OBSTACLE),
                 where=black,
             )
             total_sweeps += 1
@@ -595,16 +635,16 @@ def reference_solve_harmonic(
     tol: float = 1e-10,
     max_iters: int = 200_000,
     warm_start: bool = True,
-) -> GridField:
+) -> np.ndarray:
     """Relax Laplace's equation over the free cells (obstacle=1, goal=0).
 
     Omega-ladder SOR from a one-way coarse warm start: an independent
     reference for planarwbc.pathfield.solve_harmonic, which solves the same
-    system exactly. Iterates in the log domain (see
-    planarwbc.pathfield.LOG_OBSTACLE) and stores both the raw potential in
-    .log_values. warm_start seeds the fine
-    grid from a coarsened solve cascade, which cuts the sweep count on large
-    grids; the convergence criterion at the full resolution is unchanged.
+    system exactly. Iterates in the log domain and returns v = -ln w, with
+    obstacle and cut-off cells at SOR_LOG_OBSTACLE; the field is not changed.
+    warm_start seeds the fine grid from a coarsened solve cascade, which cuts
+    the sweep count on large grids; the convergence criterion at the full
+    resolution is unchanged.
     """
     gr, gc = field.goal_cell
     h, w = field.shape
@@ -616,7 +656,7 @@ def reference_solve_harmonic(
         raise FieldError("no free cell adjacent to the goal cell")
 
     free = field.kind == FREE
-    log_values = np.full((h, w), LOG_OBSTACLE)
+    log_values = np.full((h, w), SOR_LOG_OBSTACLE)
     log_values[free] = 0.0
     log_values[gr, gc] = 0.0
 
@@ -625,8 +665,7 @@ def reference_solve_harmonic(
         if coarse is not None:
             log_values[free] = coarse[free]
     sor_relax(log_values, free, omega, tol, max_iters)
-    field.log_values = log_values
-    return field
+    return log_values
 
 
 def _reference_coarse_solution(field: GridField, omega, tol, max_iters):
@@ -656,21 +695,21 @@ def _reference_coarse_solution(field: GridField, omega, tol, max_iters):
         origin=field.origin,
         cell_size=field.cell_size * 2.0,
         kind=coarse_kind,
-        log_values=np.zeros((ch, cw)),
+        w=np.zeros((ch, cw)),
         goal_cell=(cgr, cgc),
     )
     try:
-        reference_solve_harmonic(coarse, omega=omega, tol=max(tol, 1e-8), max_iters=max_iters,
-                       warm_start=min(ch, cw) >= 16)
+        coarse_v = reference_solve_harmonic(coarse, omega=omega, tol=max(tol, 1e-8),
+                                            max_iters=max_iters, warm_start=min(ch, cw) >= 16)
     except FieldError:
         return None
     # Prolong by sampling the coarse bilinear log surface at fine centers.
-    out = np.full((h, w), LOG_OBSTACLE)
+    out = np.full((h, w), SOR_LOG_OBSTACLE)
     rows, cols = np.nonzero(kind != OBSTACLE)
     px = field.origin[0] + (cols + 0.5) * field.cell_size
     py = field.origin[1] + (rows + 0.5) * field.cell_size
     out[rows, cols] = np.clip(
-        _bilinear_many(coarse, coarse.log_values, px, py), 0.0, LOG_OBSTACLE
+        _bilinear_many(coarse, coarse_v, px, py), 0.0, SOR_LOG_OBSTACLE
     )
     out[gr, gc] = 0.0
     return out

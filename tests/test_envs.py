@@ -12,7 +12,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from planarwbc.envs import (
 )
 from planarwbc.config import RunConfig
 from planarwbc.evaluate import seeded_episode
+from planarwbc.pathfield import OBSTACLE, CutOffError, FieldError
 from planarwbc.policy import PolicyConfig
 from planarwbc.reward import RewardParams
 from planarwbc.robot import (
@@ -674,11 +679,24 @@ def rejection_counts(error: GenerationError) -> dict[str, int]:
 
 @pytest.mark.parametrize("grid_cell", GRID_SIZES)
 @pytest.mark.parametrize("spec", KINDS, ids=lambda spec: spec.kind)
-def test_every_reset_plans_or_raises_generation_error(spec, grid_cell):
+def test_every_reset_plans_or_raises_generation_error(spec, grid_cell, monkeypatch):
     # A reset plans at grid_cell or raises GenerationError; a FieldError
-    # escaping new_episode fails the test. gap_train draws one slot geometry,
-    # so a size where it never plans costs 100 solves per seed and one seed
-    # shows it; the other kinds vary.
+    # escaping new_episode fails the test. No attempt is rejected for `plan`:
+    # every start the raster connects to the goal plans. gap_train draws one
+    # slot geometry, so one seed shows a size; the other kinds vary. No
+    # vertex of a planned path lies in an obstacle cell.
+    plan_failures = []
+
+    def recording_plan_path(*args):
+        try:
+            return plan_path(*args)
+        except CutOffError:
+            raise
+        except FieldError as exc:
+            plan_failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(envs_mod, "plan_path", recording_plan_path)
     config = EpisodeConfig(grid_cell=grid_cell)
     for seed in range(1 if spec.kind == "gap_train" else 3):
         try:
@@ -690,11 +708,11 @@ def test_every_reset_plans_or_raises_generation_error(spec, grid_cell):
         assert field.cell_size == grid_cell
         assert field.cell_of(episode.path.points[-2]) == field.goal_cell
         assert np.array_equal(episode.path.points[-1], episode.goal_pose[:2])
+        assert all(field.kind[field.cell_of(p)] != OBSTACLE for p in episode.path.points)
+    assert plan_failures == []
 
 
-def test_generation_error_counts_rejections_by_cause():
-    # At 0.2 m the inflated slot walls close or pinch the gap_train slot on
-    # every draw: each attempt is rasterized, and most are solved.
+def test_generation_error_counts_rejections_by_cause(gap_draws_rejected):
     with pytest.raises(GenerationError) as exc:
         new_episode(EnvSpec.gap_train(), ROBOT, PARAMS, EpisodeConfig(grid_cell=0.2),
                     np.random.default_rng(0))
@@ -708,10 +726,10 @@ def test_generation_error_counts_rejections_by_cause():
 # SHA-256 over (world, start state, goal, path points) of seeds 1000-1009 per
 # kind at the default grid_cell. The generators' draws, their checks and the
 # planner all feed it; a change to any of them at 0.05 m shows here.
-DEFAULT_SCENES_SHA256 = "b2dbe9ad331ca946856589bea64a9a4a966d67d873cb97780f0b237072d91a11"
+DEFAULT_SCENES_SHA256 = "7d913c96a3457dd71d57763a5f1c04615dd3641f2d5e58fe776921fa5feb9f69"
 
 
-def test_default_resolution_scenes_are_pinned():
+def default_scenes_digest() -> str:
     digest = hashlib.sha256()
     for spec in KINDS:
         for seed in range(1000, 1010):
@@ -722,7 +740,26 @@ def test_default_resolution_scenes_are_pinned():
                          state.base_vel, state.joint_pos, state.joint_vel, episode.goal_pose,
                          episode.path.points):
                 digest.update(np.ascontiguousarray(part, dtype=float).tobytes())
-    assert digest.hexdigest() == DEFAULT_SCENES_SHA256
+    return digest.hexdigest()
+
+
+def test_default_resolution_scenes_are_pinned():
+    assert default_scenes_digest() == DEFAULT_SCENES_SHA256
+
+
+def test_scene_pin_holds_without_avx512_dispatch():
+    # The planner's arithmetic is LAPACK and elementwise IEEE operations, so
+    # numpy's SIMD dispatch does not move the scenes. On a host without
+    # AVX-512 numpy may warn about the variable; the digest must still hold.
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    done = subprocess.run([sys.executable, "-c",
+                           "from test_envs import default_scenes_digest; "
+                           "print(default_scenes_digest())"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [DEFAULT_SCENES_SHA256]
 
 
 # ---------------------------------------------------------------------------

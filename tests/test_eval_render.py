@@ -238,8 +238,8 @@ def test_rendered_lidar_rays_follow_the_cast():
 # sha256 of `render --lidar --seed 3 --episode 1` on the default corridor and
 # on gap_test scenes; a change to the sensor model or the cast moves them.
 RENDER_LIDAR_SHA256 = {
-    "corridor": "8bd50d40f424586f8b690c60cf9506a20225106bae0beb425eaffd72f7279720",
-    "gap_test": "bc6857f36849d46039c81a8a23e082552a23b8faca8853b15f506888040e23bf",
+    "corridor": "f344997f63b52ed0abf8188f4c0c514a17453b3fc1f2a9e43b8fcac5c86177d5",
+    "gap_test": "cd3ef20e5fc3a6e6faa6d79d618c8cfbcb23f96cc31d511d6b963709db8def79",
 }
 
 
@@ -372,15 +372,15 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-# At 0.2 m the inflated slot walls close or pinch the gap_train slot on every
-# draw, so a reset rejects all its attempts.
-UNPLANNABLE = {"env": {"kind": "gap_train"}, "episode": {"grid_cell": 0.2}}
+# A gap_train run; under the gap_draws_rejected fixture its resets reject
+# all their attempts.
+GAP_TRAIN_RUN = {"env": {"kind": "gap_train"}, "episode": {"grid_cell": 0.2}}
 
 
 @pytest.mark.parametrize("command", ["inspect-env", "train"])
-def test_cli_reports_generation_errors(tmp_path, capsys, command):
+def test_cli_reports_generation_errors(tmp_path, capsys, command, gap_draws_rejected):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(UNPLANNABLE))
+    config.write_text(json.dumps(GAP_TRAIN_RUN))
     assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
@@ -388,16 +388,16 @@ def test_cli_reports_generation_errors(tmp_path, capsys, command):
                              "rejected all 100 attempts: ")
 
 
-def test_cli_reports_a_failed_training_reset(tmp_path, capsys, monkeypatch):
+def test_cli_reports_a_failed_training_reset(tmp_path, capsys, monkeypatch, gap_draws_rejected):
     # A reset after the first fails inside the rollout, which names the
     # worker and keeps the generator's error as its cause.
     run = easy_run(time_limit=1.6)  # an episode ends within the 48-step rollout
-    unplannable = config_from_dict(UNPLANNABLE)
+    gap_train = config_from_dict(GAP_TRAIN_RUN)
     worker_episode = ppo_mod._worker_episode
 
     def later_resets_fail(run, worker, k, tolerance):
         if k > 0:
-            run = replace(run, env=unplannable.env, episode=unplannable.episode)
+            run = replace(run, env=gap_train.env, episode=gap_train.episode)
         return worker_episode(run, worker, k, tolerance)
 
     monkeypatch.setattr(ppo_mod, "_worker_episode", later_resets_fail)

@@ -4,24 +4,25 @@ import numpy as np
 import pytest
 
 from oracles import (
+    SOR_LOG_OBSTACLE,
     cell_center,
+    connected_component,
     dense_laplace_solve,
     extract_path_arrays,
     project_on_path_formula,
     reference_solve_harmonic,
 )
 from planarwbc.config import default_config
-from planarwbc.envs import EnvSpec, generate_scene
+from planarwbc.envs import EnvSpec, generate_scene, plan_path
 from planarwbc.pathfield import (
     FREE,
     GOAL,
-    LOG_OBSTACLE,
     OBSTACLE,
+    CutOffError,
     FieldError,
     GridField,
     PathMetricsState,
     PathPolyline,
-    cells_connected,
     extract_path,
     field_to_pgm,
     init_path_metrics,
@@ -63,7 +64,7 @@ def random_grid_field(rng, n=20, p_obstacle=0.25):
         return None
     kind[gr, gc] = GOAL
     field = GridField(origin=(0.0, 0.0), cell_size=0.1, kind=kind,
-                      log_values=np.zeros((n, n)), goal_cell=(int(gr), int(gc)))
+                      w=np.zeros((n, n)), goal_cell=(int(gr), int(gc)))
     return field
 
 
@@ -142,22 +143,22 @@ def test_rasterize_goal_in_obstacle_raises():
 
 
 def test_solve_strip_monotone():
-    # 1xN free strip: values decrease strictly toward the goal at the end.
+    # 1xN free strip: w falls strictly away from the goal at one end.
     n = 12
     kind = np.full((3, n), OBSTACLE, dtype=np.uint8)
     kind[1, 1:-1] = FREE
     kind[1, 1] = GOAL
     field = GridField(origin=(0, 0), cell_size=0.1, kind=kind,
-                      log_values=np.zeros((3, n)), goal_cell=(1, 1))
+                      w=np.zeros((3, n)), goal_cell=(1, 1))
     solve_harmonic(field)
-    row = field.values[1, 1:-1]
-    assert np.all(np.diff(row) > 0.0)
-    assert row[0] == 0.0
+    row = field.w[1, 1:-1]
+    assert np.all(np.diff(row) < 0.0)
+    assert row[0] == 1.0
 
 
 def test_solve_matches_dense_oracle():
     # The line elimination solves the dense oracle's system exactly, cut-off
-    # pockets included (u = 1 there in both).
+    # pockets included (w = 0 there in both).
     rng = np.random.default_rng(1)
     checked = 0
     while checked < 30:
@@ -167,7 +168,7 @@ def test_solve_matches_dense_oracle():
             continue
         solve_harmonic(field)
         free = field.kind == FREE
-        assert np.max(np.abs(field.values[free] - dense_laplace_solve(field)[free])) <= 1e-12
+        assert np.max(np.abs(field.w[free] - (1.0 - dense_laplace_solve(field))[free])) <= 1e-12
         checked += 1
 
 
@@ -176,7 +177,7 @@ def test_solve_strip_matches_closed_form(length):
     # A one-cell strip with the goal at one end and a wall `length` cells on:
     # w_k = 1 - u_k solves 4 w_k = w_{k-1} + w_{k+1}, so with r = 2 - sqrt(3)
     # w_k = (r^k - r^(2L-k)) / (1 - r^(2L)), down to about 1e-300 at 530
-    # cells, where v = -ln w keeps full relative precision.
+    # cells, where the solve keeps w's full relative precision.
     kind = np.full((3, length + 2), OBSTACLE, dtype=np.uint8)
     kind[1, 1:-1] = FREE
     field = grid_field(kind, (1, 1))
@@ -184,9 +185,9 @@ def test_solve_strip_matches_closed_form(length):
     r = 2.0 - math.sqrt(3.0)
     k = np.arange(length)
     w = (r ** k - r ** (2 * length - k)) / (1.0 - r ** (2 * length))
-    v = field.log_values[1, 1:-1]
-    assert v[0] == 0.0
-    assert np.max(np.abs(v[1:] + np.log(w[1:])) / -np.log(w[1:])) <= 1e-12
+    solved = field.w[1, 1:-1]
+    assert solved[0] == 1.0
+    assert np.max(np.abs(solved[1:] - w[1:]) / w[1:]) <= 1e-12
 
 
 def ring_grid(h, w):
@@ -200,7 +201,7 @@ def grid_field(kind, goal):
     kind = kind.copy()
     kind[goal] = GOAL
     return GridField(origin=(0.0, 0.0), cell_size=0.1, kind=kind,
-                     log_values=np.zeros(kind.shape), goal_cell=goal)
+                     w=np.zeros(kind.shape), goal_cell=goal)
 
 
 def slot_grid():
@@ -226,7 +227,7 @@ def odd_grid():
 
 def pocket_grid():
     # A walled room in the middle holds free cells no path reaches; their
-    # exact potential is u = 1.
+    # exact potential is w = 0.
     kind = ring_grid(32, 32)
     kind[10:22, 10] = kind[10:22, 21] = OBSTACLE
     kind[10, 10:22] = kind[21, 10:22] = OBSTACLE
@@ -245,7 +246,12 @@ def test_multigrid_hard_cases_match_dense_oracle(make):
     field = make()
     solve_harmonic(field)
     free = field.kind == FREE
-    assert np.max(np.abs(field.values[free] - dense_laplace_solve(field)[free])) <= 1e-12
+    assert np.max(np.abs(field.w[free] - (1.0 - dense_laplace_solve(field))[free])) <= 1e-12
+
+
+def vertices_in_obstacles(field, points):
+    """The indices of the points that lie in an obstacle cell of field."""
+    return [i for i, p in enumerate(points) if field.kind[field.cell_of(p)] == OBSTACLE]
 
 
 def hausdorff(a, b):
@@ -257,9 +263,9 @@ def hausdorff(a, b):
                                   EnvSpec.gap_test()], ids=lambda spec: spec.kind)
 def test_solve_agrees_with_reference_solver(spec):
     # The exact solve against the SOR reference on generated scenes: SOR
-    # stops below a 1e-10 update, so fields agree far below the grid's
-    # resolution and the reference paths coincide. Corridor seed 82 once
-    # stalled an iterative solve.
+    # stops below a 1e-10 update of v = -ln w, so fields agree far below the
+    # grid's resolution and the reference paths coincide. Corridor seed 82
+    # once stalled an iterative solve.
     run = default_config()
     cell = run.episode.grid_cell
     for seed in (1000, 1001, 82) if spec.kind == "corridor" else (1000, 1001):
@@ -267,11 +273,15 @@ def test_solve_agrees_with_reference_solver(spec):
                                                      np.random.default_rng(seed), cell)
         field = rasterize_world(world, cell, inflate=run.robot.link_capsule_radius,
                                 goal=goal_pose[:2])
-        reference = reference_solve_harmonic(rasterize_world(
-            world, cell, inflate=run.robot.link_capsule_radius, goal=goal_pose[:2]))
+        reference = rasterize_world(world, cell, inflate=run.robot.link_capsule_radius,
+                                    goal=goal_pose[:2])
+        reference_v = reference_solve_harmonic(reference)
+        reference.w = np.exp(-reference_v)
         solve_harmonic(field)
         free = field.kind == FREE
-        assert np.max(np.abs(field.log_values - reference.log_values)[free]) < 1e-5
+        with np.errstate(divide="ignore"):  # -ln 0 on cut-off cells
+            v = np.minimum(-np.log(field.w), SOR_LOG_OBSTACLE)
+        assert np.max(np.abs(v - reference_v)[free]) < 1e-5
         ee_xy = forward_kinematics(run.robot, start)[-1, :2]
         path = extract_path(field, ee_xy, goal=goal_pose[:2])
         reference_path = extract_path(reference, ee_xy, goal=goal_pose[:2])
@@ -284,7 +294,7 @@ def test_converged_stencil_fixed_point():
     while field is None:
         field = random_grid_field(rng, n=16, p_obstacle=0.2)
     solve_harmonic(field)
-    v = field.values
+    v = field.w
     free = field.kind == FREE
     nb = 0.25 * (v[:-2, 1:-1] + v[2:, 1:-1] + v[1:-1, :-2] + v[1:-1, 2:])
     resid = np.abs(nb - v[1:-1, 1:-1])[free[1:-1, 1:-1]]
@@ -298,10 +308,8 @@ def test_maximum_principle():
         field = random_grid_field(rng, n=18, p_obstacle=0.15)
     solve_harmonic(field)
     free = field.kind == FREE
-    connected = np.array([
-        cells_connected(field, tuple(cell)) for cell in np.argwhere(free)
-    ])
-    vals = field.values[free][connected]
+    connected = connected_component(field.kind != OBSTACLE, field.goal_cell)
+    vals = field.w[free & connected]
     assert np.all(vals > 0.0)
     assert np.all(vals < 1.0)
 
@@ -310,13 +318,15 @@ def test_maximum_principle():
                                   EnvSpec.gap_test()], ids=lambda spec: spec.kind)
 def test_extract_path_is_bitwise_the_array_loop(spec):
     # Stepping on Python floats keeps the IEEE operations of the loop over
-    # numpy 2-vectors: every generated scene's path is the same bytes.
+    # numpy 2-vectors: every generated scene's path is the same bytes. No
+    # vertex of a planned path lies in an obstacle cell.
     run = default_config()
     for seed in range(1000, 1030):
         scene = generate_scene(spec, run.robot, np.random.default_rng(seed), run.episode.grid_cell)
         ee_xy = forward_kinematics(run.robot, scene.start)[-1, :2]
         expected = extract_path_arrays(scene.path_field, ee_xy, goal=scene.goal[:2])
         assert scene.path.points.tobytes() == expected.tobytes(), seed
+        assert not vertices_in_obstacles(scene.path_field, scene.path.points), seed
 
 
 def test_extract_path_straight_corridor():
@@ -329,30 +339,85 @@ def test_extract_path_straight_corridor():
     assert np.allclose(path.points[-1], goal)
     # Start and goal sit on the centerline; the streamline stays within 2h.
     assert np.max(np.abs(path.points[:, 1] - 0.5)) < 2 * 0.05
-    # Potential decreases along the streamline.
+    # w rises along the streamline.
     from planarwbc.pathfield import _bilinear_with_gradient
 
-    vals = [_bilinear_with_gradient(field, p, field.values)[0] for p in path.points[:-1]]
-    assert np.all(np.diff(vals) <= 1e-12)
+    vals = [_bilinear_with_gradient(field, p)[0] for p in path.points[:-1]]
+    assert np.all(np.diff(vals) >= -1e-12)
 
 
-def test_extract_from_every_free_cell():
-    rng = np.random.default_rng(4)
+def two_box_field():
     world = WorldGeometry(
         segments=np.array([[0, 0, 4, 0], [4, 0, 4, 3], [4, 3, 0, 3], [0, 3, 0, 0]],
                           dtype=float),
         boxes=np.array([[1.2, 0.0, 1.5, 2.0], [2.5, 1.0, 2.8, 3.0]]),
         bounds=(0, 0, 4, 3),
     )
-    goal = (3.6, 2.6)
-    field = rasterize_world(world, 0.1, inflate=0.08, goal=goal)
-    solve_harmonic(field)
-    free_cells = np.argwhere(field.kind == FREE)
-    for r, c in free_cells:
-        if not cells_connected(field, (int(r), int(c))):
+    return rasterize_world(world, 0.1, inflate=0.08, goal=(3.6, 2.6))
+
+
+def random_maze_field(seed):
+    """A depth-first maze with corridors 1-3 cells wide, some walls knocked
+    through into loops and some corridor cells blocked into cut-off pockets."""
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(3, 8)), int(rng.integers(3, 10))
+    kind = np.full((2 * rows + 1, 2 * cols + 1), OBSTACLE, dtype=np.uint8)
+    seen = np.zeros((rows, cols), dtype=bool)
+    stack = [(int(rng.integers(rows)), int(rng.integers(cols)))]
+    seen[stack[0]] = True
+    kind[2 * stack[0][0] + 1, 2 * stack[0][1] + 1] = FREE
+    while stack:
+        r, c = stack[-1]
+        steps = [(r + dr, c + dc) for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                 if 0 <= r + dr < rows and 0 <= c + dc < cols and not seen[r + dr, c + dc]]
+        if not steps:
+            stack.pop()
             continue
-        path = extract_path(field, cell_center(field, r, c), goal=goal)
-        assert np.allclose(path.points[-1], goal)
+        nr, nc = steps[rng.integers(len(steps))]
+        seen[nr, nc] = True
+        kind[r + nr + 1, c + nc + 1] = kind[2 * nr + 1, 2 * nc + 1] = FREE
+        stack.append((nr, nc))
+    for mark, share in ((FREE, 0.1), (OBSTACLE, 0.04)):
+        cells = np.argwhere(kind[1:-1, 1:-1] != mark) + 1
+        picked = cells[rng.choice(len(cells), size=int(share * len(cells)), replace=False)]
+        kind[picked[:, 0], picked[:, 1]] = mark
+    width = int(rng.integers(1, 4))
+    kind = np.pad(np.kron(kind, np.ones((width, width), dtype=np.uint8)), 1,
+                  constant_values=OBSTACLE)
+    free = np.argwhere(kind == FREE)
+    return grid_field(kind, tuple(int(i) for i in free[rng.integers(len(free))]))
+
+
+def test_extract_from_every_free_cell():
+    # Every free cell 4-connected to the goal plans to it; every other one
+    # reads w = 0 and raises CutOffError.
+    for case, field in enumerate([two_box_field(), *map(random_maze_field, range(8))]):
+        solve_harmonic(field)
+        connected = connected_component(field.kind != OBSTACLE, field.goal_cell)
+        goal = cell_center(field, *field.goal_cell)
+        for r, c in np.argwhere(field.kind == FREE):
+            start = cell_center(field, r, c)
+            if not connected[r, c]:
+                with pytest.raises(CutOffError):
+                    extract_path(field, start, goal=goal)
+                continue
+            path = extract_path(field, start, goal=goal)
+            assert np.allclose(path.points[-1], goal), (case, r, c)
+
+
+def test_start_in_a_walled_room_is_cut_off():
+    # pocket_grid's room as a world: the room's cells are free, and the solve
+    # leaves them at w = 0.
+    world = WorldGeometry(segments=np.array([[1.05, 1.05, 2.15, 1.05], [2.15, 1.05, 2.15, 2.15],
+                                             [2.15, 2.15, 1.05, 2.15], [1.05, 2.15, 1.05, 1.05]]),
+                          bounds=(0.0, 0.0, 3.2, 3.2))
+    robot = default_config().robot
+    with pytest.raises(CutOffError):
+        plan_path(world, robot, 0.1, (1.6, 1.6), (2.85, 0.35))
+    field = pocket_grid()
+    solve_harmonic(field)
+    with pytest.raises(CutOffError):
+        extract_path(field, cell_center(field, 15, 15), goal=cell_center(field, *field.goal_cell))
 
 
 def test_extract_start_adjacent_to_goal():

@@ -488,15 +488,15 @@ def test_collect_rollouts_accounting():
         assert record.episode_length <= 20
 
 
-def test_failed_reset_names_its_worker():
-    # A scene set that never plans must end the rollout with an error that
+def test_failed_reset_names_its_worker(gap_draws_rejected):
+    # A scene set that never generates must end the rollout with an error that
     # names the worker and keeps the generator's rejection counts as its cause.
     run = smoke_run()
     trainer = init_trainer(run)
-    unplannable = replace(run, env=EnvSpec.gap_train(),
+    gap_run = replace(run, env=EnvSpec.gap_train(),
                           episode=replace(run.episode, grid_cell=0.2))
     with pytest.raises(RuntimeError, match="worker 0: episode reset failed") as exc:
-        collect_rollouts(unplannable, trainer)
+        collect_rollouts(gap_run, trainer)
     assert isinstance(exc.value.__cause__, GenerationError)
     assert "rejected all 100 attempts" in str(exc.value.__cause__)
 
@@ -991,8 +991,8 @@ def test_train_checkpoint_loads_without_whole_copies(tmp_path):
 # also covers the run-configuration digest and the episode snapshot's keys,
 # so it moves with the config schema and the snapshot format.
 TWO_ITERATION_SHA256 = [
-    "2b05e2ee3d5a2fcd84a9cdc8a9bc0bdf5295186a1751412a0d0ed7593e6cd814",
-    "c09a09b2f0d81c46f3b3d40804bf79590d903fa695583ba61a453d9164721ce8",
+    "4c32c304c2dc88fd7ba28531e9fd8c79305d362a93ad65bf1208981d964519dd",
+    "22b33639e80ded2c98bf6802dcc014e24c15ef29983d5af1fa19e5d644ff0e9d",
 ]
 
 

@@ -29,7 +29,7 @@ ROBOT = RobotConfig()
 PARAMS = RewardParams()
 STEPS = 300
 
-STEP_STREAM_SHA256 = "44e395e4a9d6e90ce8290b4ff7713d13abe4f119c65997fbb722af12c9a3e18d"
+STEP_STREAM_SHA256 = "90eb1453db52f269cc34a5ab3802954ba468cbc329966659b220cb3719b5575e"
 
 
 def pd_action(episode, target_xy, joint_target=None):
