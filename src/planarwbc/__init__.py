@@ -44,7 +44,7 @@ from .ppo import TrainConfig, TrainerState, compute_gae, init_trainer, ppo_updat
 from .render import render_scene
 from .reward import RewardParams, RewardState, compute_step_reward, terminal_reward
 from .robot import Action, LidarConfig, RobotConfig, RobotState, forward_kinematics, step_dynamics
-from .world import WorldGeometry, cast_lidar, collision_check
+from .world import WorldGeometry
 
 __version__ = "0.1.0"
 
@@ -74,8 +74,6 @@ __all__ = [
     "TrainConfig",
     "TrainerState",
     "WorldGeometry",
-    "cast_lidar",
-    "collision_check",
     "compute_gae",
     "compute_step_reward",
     "config_from_dict",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .adr import AdrConfig
 from .envs import EnvSpec, EpisodeConfig
-from .policy import NetworkConfig, PolicyConfig
+from .policy import NetworkConfig, PolicyConfig, replacing
 from .ppo import TrainConfig
 from .reward import RewardParams
 from .robot import RobotConfig
@@ -169,4 +169,7 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def save_config(config: RunConfig, path) -> None:
-    Path(path).write_text(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")
+    """Replace the file at path with the config's JSON; a crash leaves the
+    old or the new file (see policy.replacing)."""
+    with replacing(path, "w") as fh:
+        fh.write(json.dumps(config_to_dict(config), indent=2, sort_keys=True) + "\n")

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .envs import EnvSpec, Episode, EpisodeConfig, env_step, new_episode
-from .policy import (Policy, acceleration_table, bins_to_action, greedy_bins, load_params,
-                     sample_bins)
+from .policy import Policy, acceleration_table, bins_to_action, load_params, sample_action
 from .reward import TERMINATIONS
 from .robot import Action
 
@@ -64,38 +63,28 @@ def policy_controller(policy: Policy, robot, sample: bool = False):
     table = acceleration_table(robot, policy.config.bins)
 
     def controller(episode: Episode, obs: np.ndarray, rng: np.random.Generator) -> Action:
-        out = policy.forward(obs)
+        logits = policy.forward(obs[None])[0][0]
         if sample:
-            bins, _ = sample_bins(out, rng)
-        else:
-            bins = greedy_bins(out)
-        return bins_to_action(table, bins)
+            return sample_action(table, logits, rng)[0]
+        return bins_to_action(table, logits.argmax(-1))
 
     return controller
 
 
-def episode_seed(seed: int, index: int) -> np.random.SeedSequence:
-    """Scene seed of episode `index`: SeedSequence(seed).spawn(n)[index] for any n > index."""
-    return np.random.SeedSequence(seed, spawn_key=(index,))
-
-
-def seeded_episode(run, seed: np.random.SeedSequence, spec: EnvSpec | None = None,
+def seeded_episode(run, seed: int, key: tuple[int, ...], spec: EnvSpec | None = None,
                    config: EpisodeConfig | None = None) -> tuple[Episode, np.random.Generator]:
-    """The episode `seed` names and the generator it goes on with.
+    """The episode of spawn key `key` under master seed `seed`, and the
+    generator it goes on with.
 
     Its scene and every later draw come from one generator seeded with
-    `seed`; spec and config default to the run's.
+    SeedSequence(seed, spawn_key=key): eval episode i has key (i,), the
+    i-th child SeedSequence(seed).spawn(n)[i] for any n > i. spec and config
+    default to the run's.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
     spec = run.env if spec is None else spec
     config = run.episode if config is None else config
     return new_episode(spec, run.robot, run.reward, config, rng), rng
-
-
-def eval_episode(run, seed: int, index: int, spec: EnvSpec | None = None,
-                 config: EpisodeConfig | None = None) -> tuple[Episode, np.random.Generator]:
-    """Episode `index` of master seed `seed`: seeded_episode of episode_seed(seed, index)."""
-    return seeded_episode(run, episode_seed(seed, index), spec, config)
 
 
 def run_controller(
@@ -121,7 +110,7 @@ def run_controller(
     trace_fh = Path(trace_path).open("w") if trace_path is not None else None
     try:
         for i in range(episodes):
-            episode, rng = eval_episode(run, seed, i, spec, cfg)
+            episode, rng = seeded_episode(run, seed, (i,), spec, cfg)
             obs = episode.observation()
             total = 0.0
             outcome = None

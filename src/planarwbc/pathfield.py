@@ -229,10 +229,12 @@ def extract_path(field: GridField, start, goal) -> PathPolyline:
     is the gradient over its norm, which stays exact where w is near 1e-300.
     A step that would return to the vertex before turns a quarter turn: the
     ascent straddles a saddle on its line of symmetry there, where the
-    streamline itself ends. Raises CutOffError when w is 0 at the start cell
-    (outside the raster, an obstacle, cut off from the goal, or so far that
-    w underflows), and FieldError on an exactly zero gradient or an
-    over-long path.
+    streamline itself ends. A step that would land in an obstacle cell (a
+    half cell can cross a one-cell pillar or a corner two obstacle cells
+    share) is halved until it does not, so no vertex lies in one. Raises
+    CutOffError when w is 0 at the start cell (outside the raster, an
+    obstacle, cut off from the goal, or so far that w underflows), and
+    FieldError on an exactly zero gradient or an over-long path.
     """
     row, col = field.cell_of(start)
     h, w = field.shape
@@ -244,8 +246,9 @@ def extract_path(field: GridField, start, goal) -> PathPolyline:
     max_steps = int(4.0 * 2.0 * (span_x + span_y) / step)
     x, y = float(start[0]), float(start[1])
     points = [(x, y)]
+    cell = (row, col)
     for _ in range(max_steps):
-        if field.cell_of((x, y)) == field.goal_cell:
+        if cell == field.goal_cell:
             points.append((float(goal[0]), float(goal[1])))
             return PathPolyline.from_points(points)
         _, dx, dy = _bilinear_with_gradient(field, (x, y))
@@ -255,6 +258,10 @@ def extract_path(field: GridField, start, goal) -> PathPolyline:
         ux, uy = dx / norm * step, dy / norm * step
         if len(points) > 1 and (x + ux, y + uy) == points[-2]:
             ux, uy = -uy, ux
+        cell = field.cell_of((x + ux, y + uy))
+        while field.kind.item(cell) == OBSTACLE:
+            ux, uy = ux / 2.0, uy / 2.0
+            cell = field.cell_of((x + ux, y + uy))
         x, y = x + ux, y + uy
         points.append((x, y))
     raise FieldError("path length cap exceeded before reaching the goal cell")

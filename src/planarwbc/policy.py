@@ -91,14 +91,6 @@ class PolicyConfig:
         return errors
 
 
-@dataclass
-class PolicyOutput:
-    """Per-dimension bin logits and the value estimate for one observation."""
-
-    logits: np.ndarray  # (action_dims, bins)
-    value: float
-
-
 def layout(config: PolicyConfig) -> list[tuple[str, tuple[int, ...], int]]:
     """(name, shape, offset) table of the flat parameter array."""
     h1, h2 = config.scan_hidden
@@ -271,7 +263,7 @@ class Policy:
         np.copyto(ws.values, ws.heads[:, k])
         return ws.logits, ws.values
 
-    def forward_batch(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(N, obs) -> logits (N, dims, bins) and values (N,), both the caller's."""
         cfg = self.config
         if obs.ndim != 2 or obs.shape[1] != cfg.observation_size:
@@ -280,15 +272,11 @@ class Policy:
             )
         return self._forward(_Workspace(self, len(obs)), obs)
 
-    def forward(self, obs: np.ndarray) -> PolicyOutput:
-        logits, values = self.forward_batch(obs.reshape(1, -1))
-        return PolicyOutput(logits=logits[0], value=float(values[0]))
-
     def graph_forward(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """forward_batch into the workspace for len(obs), kept for backward().
+        """forward into the workspace for len(obs), kept for backward().
 
         The returned logits (N, dims, bins) and values (N,) equal
-        forward_batch's bit for bit; they live in the workspace until the
+        forward's bit for bit; they live in the workspace until the
         next graph_forward of the same batch size.
         """
         if self._graph is None or self._graph.n != len(obs):
@@ -337,22 +325,6 @@ def log_softmax_np(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def sample_bins(output: PolicyOutput, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """(bins, log_prob): one bin index per action dimension via inverse-CDF
-    sampling, and the summed log-probability of the chosen bins."""
-    logp = log_softmax_np(output.logits)
-    probs = np.exp(logp)
-    u = rng.random(probs.shape[0])
-    cum = np.cumsum(probs, axis=-1)
-    bins = np.minimum((u[:, None] > cum).sum(axis=-1), probs.shape[-1] - 1).astype(np.int64)
-    taken = np.take_along_axis(logp, bins[:, None], axis=-1)[:, 0]
-    return bins, float(taken.sum())
-
-
-def greedy_bins(output: PolicyOutput) -> np.ndarray:
-    return output.logits.argmax(axis=-1).astype(np.int64)
-
-
 def acceleration_table(robot: RobotConfig, n_bins: int) -> np.ndarray:
     """(action dims, n_bins) accelerations of the bins: an affine map from
     -limit to +limit per dimension whose center bin is exactly zero."""
@@ -368,11 +340,19 @@ def bins_to_action(table: np.ndarray, bins: np.ndarray) -> Action:
     return Action(base_acc=acc[:3], joint_acc=acc[3:])
 
 
-def sample_action(table: np.ndarray, output: PolicyOutput,
+def sample_action(table: np.ndarray, logits: np.ndarray,
                   rng: np.random.Generator) -> tuple[Action, np.ndarray, float]:
-    """(Action, bins, log_prob) sampled from the policy output; table is an acceleration_table."""
-    bins, log_prob = sample_bins(output, rng)
-    return bins_to_action(table, bins), bins, log_prob
+    """(Action, bins, log_prob) of one observation's logits (dims, bins):
+    one bin per action dimension by inverse-CDF sampling, the Action read
+    from table (an acceleration_table), and the summed log-probability of
+    the chosen bins."""
+    logp = log_softmax_np(logits)
+    probs = np.exp(logp)
+    u = rng.random(probs.shape[0])
+    cum = np.cumsum(probs, axis=-1)
+    bins = np.minimum((u[:, None] > cum).sum(axis=-1), probs.shape[-1] - 1).astype(np.int64)
+    taken = np.take_along_axis(logp, bins[:, None], axis=-1)[:, 0]
+    return bins_to_action(table, bins), bins, float(taken.sum())
 
 
 # -- checkpointing -------------------------------------------------------------

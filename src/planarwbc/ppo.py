@@ -183,7 +183,7 @@ def _stream(run, *key: int) -> np.random.SeedSequence:
 def _worker_episode(run, worker: int, k: int, tolerance: float) -> Episode:
     """Worker `worker`'s k-th episode, run at `tolerance`."""
     config = replace(run.episode, tolerance=tolerance)
-    return seeded_episode(run, _stream(run, SCENES, worker, k), config=config)[0]
+    return seeded_episode(run, run.train.seed, (SCENES, worker, k), config=config)[0]
 
 
 def collect_rollouts(
@@ -214,8 +214,8 @@ def collect_rollouts(
     base_step = trainer.global_step
     for wk in trainer.workers:
         for t in range(n):
-            out = policy.forward(wk.obs_vec)
-            action, bins, log_prob = sample_action(table, out, wk.action_rng)
+            logits, values = policy.forward(wk.obs_vec[None])
+            action, bins, log_prob = sample_action(table, logits[0], wk.action_rng)
             try:
                 outcome = env_step(wk.episode, action)
             except Exception as exc:
@@ -223,7 +223,7 @@ def collect_rollouts(
             buffer.obs[wk.index, t] = wk.obs_vec
             buffer.bins[wk.index, t] = bins
             buffer.log_probs[wk.index, t] = log_prob
-            buffer.values[wk.index, t] = out.value
+            buffer.values[wk.index, t] = values[0]
             buffer.rewards[wk.index, t] = outcome.reward
             wk.episode_return += outcome.reward
             if outcome.terminated is not None:
@@ -253,7 +253,7 @@ def collect_rollouts(
                 wk.episode_return = 0.0
             else:
                 wk.obs_vec = outcome.observation
-        buffer.bootstrap[wk.index] = policy.forward(wk.obs_vec).value
+        buffer.bootstrap[wk.index] = policy.forward(wk.obs_vec[None])[1][0]
     trainer.global_step += w * n
     return buffer, records
 

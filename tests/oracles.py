@@ -13,8 +13,7 @@ import numpy as np
 from planarwbc import autodiff as ad
 from planarwbc.pathfield import (FREE, GOAL, OBSTACLE, FieldError, GridField,
                                  rasterize_world)
-from planarwbc.policy import (CheckpointError, acceleration_table, bins_to_action, greedy_bins,
-                              param_views)
+from planarwbc.policy import CheckpointError, acceleration_table, bins_to_action, param_views
 from planarwbc.robot import Action, RobotConfig, RobotState
 from planarwbc.world import WorldGeometry
 
@@ -46,17 +45,18 @@ def inverse_transform_point(pose, p) -> np.ndarray:
     return np.array([c * dx + s * dy, -s * dx + c * dy])
 
 
-def greedy_action(robot, output):
-    """(Action, bins) of the most likely bin per action dimension."""
-    bins = greedy_bins(output)
-    return bins_to_action(acceleration_table(robot, output.logits.shape[-1]), bins), bins
+def greedy_action(robot, logits):
+    """(Action, bins) of the most likely bin per action dimension of logits
+    (dims, bins), the first of equal ones."""
+    bins = np.array([list(row).index(max(row)) for row in logits], dtype=np.int64)
+    return bins_to_action(acceleration_table(robot, logits.shape[-1]), bins), bins
 
 
 def distribution_stats(logits, bins):
     """(log_prob, entropy) of chosen bins under logits (..., dims, bins).
 
     log_prob takes the same operations, in the same order, as
-    policy.sample_bins, so the two agree bit for bit.
+    policy.sample_action, so the two agree bit for bit.
     """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -75,10 +75,11 @@ def extract_path_arrays(field: GridField, start, goal) -> np.ndarray:
     """The (P, 2) vertices of pathfield.extract_path, stepped on numpy arrays.
 
     Half-cell steps up the bilinear gradient of w, turned a quarter turn
-    where a step would return to the vertex before, each position a fresh
-    2-vector and each corner value a numpy scalar, then the goal point; a
-    vertex within 1e-12 of the last kept one is dropped. Raises FieldError
-    where extract_path's ascent does.
+    where a step would return to the vertex before and halved while one
+    would land in an obstacle cell, each position a fresh 2-vector and each
+    corner value a numpy scalar, then the goal point; a vertex within 1e-12
+    of the last kept one is dropped. Raises FieldError where extract_path's
+    ascent does.
     """
     h, w = field.shape
     step = field.cell_size / 2.0
@@ -110,6 +111,8 @@ def extract_path_arrays(field: GridField, start, goal) -> np.ndarray:
         u = np.array([dx, dy]) / norm * step
         if len(points) > 1 and np.array_equal(p + u, points[-2]):
             u = np.array([-u[1], u[0]])  # a saddle's 2-cycle: a quarter turn
+        while field.kind[field.cell_of(p + u)] == OBSTACLE:
+            u = u / 2.0  # no vertex in an obstacle cell
         p = p + u
         points.append(p.copy())
     raise FieldError("path length cap exceeded")

@@ -2,6 +2,8 @@
 
 import json
 import re
+import resource
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +219,28 @@ def test_save_load_round_trip(tmp_path):
     # Saved form is canonical: saving the loaded config is byte-identical.
     save_config(loaded, tmp_path / "run2.json")
     assert path.read_bytes() == (tmp_path / "run2.json").read_bytes()
+
+
+def test_save_keeps_the_old_config_when_a_rewrite_fails(tmp_path):
+    # A rewrite whose write fails part way (here at a 16-byte file-size
+    # limit, as on a full disk) leaves the old file and no temporary file.
+    path = tmp_path / "config.json"
+    save_config(default_config(), path)
+    before = path.read_bytes()
+    changed = config_from_dict({"train": {"seed": 7}})
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (16, hard))
+    try:
+        with pytest.raises(OSError):
+            save_config(changed, path)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        signal.signal(signal.SIGXFSZ, handler)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    assert path.read_bytes() == before
+    save_config(changed, path)
+    assert load_config(path) == changed
 
 
 def test_load_rejects_malformed_documents(tmp_path):

@@ -773,8 +773,7 @@ def test_episode_snapshot_round_trip(tolerance):
     # started its episode, made again at the snapshot's tolerance (as the
     # curriculum set it, here other than the run's 0.3 in one case).
     run = RunConfig()
-    seed = np.random.SeedSequence(5, spawn_key=(0, 0, 3))
-    episode, _ = seeded_episode(run, seed, config=EpisodeConfig(tolerance=tolerance))
+    episode, _ = seeded_episode(run, 5, (0, 0, 3), config=EpisodeConfig(tolerance=tolerance))
     act_rng = np.random.default_rng(17)
     actions = [
         Action(base_acc=act_rng.uniform(-1, 1, 3), joint_acc=act_rng.uniform(-2, 2, 3))
@@ -786,7 +785,8 @@ def test_episode_snapshot_round_trip(tolerance):
     data = json.loads(json.dumps(episode_to_dict(episode)))
     assert sorted(data) == ["path_state", "reward_state", "scene", "state", "step_count",
                             "tolerance"]
-    fresh, _ = seeded_episode(run, seed, config=EpisodeConfig(tolerance=data["tolerance"]))
+    fresh, _ = seeded_episode(run, 5, (0, 0, 3),
+                              config=EpisodeConfig(tolerance=data["tolerance"]))
     assert data["scene"] == scene_digest(fresh) == scene_digest(episode)
     restored = episode_from_dict(fresh, data)
     assert restored.config == episode.config

@@ -19,9 +19,8 @@ from planarwbc import ppo as ppo_mod
 from planarwbc import render as render_mod
 from planarwbc.cli import main
 from planarwbc.config import config_from_dict, default_config, save_config
-from planarwbc.envs import EnvSpec, EpisodeConfig, generate_scene, new_episode
-from planarwbc.evaluate import (EvalReport, episode_seed, eval_episode, eval_success_rate,
-                                run_controller)
+from planarwbc.envs import EnvSpec, EpisodeConfig, new_episode
+from planarwbc.evaluate import EvalReport, eval_success_rate, run_controller, seeded_episode
 from planarwbc.pathfield import FREE
 from planarwbc.policy import param_count, save_params
 from planarwbc.ppo import TrainConfig
@@ -284,8 +283,7 @@ def test_cli_hpf_dump(cli_config, tmp_path, capsys):
     # The planning resolution is the config's episode.grid_cell (0.1 m here).
     run = easy_run(time_limit=2.0)
     assert run.episode.grid_cell == 0.1
-    raster = generate_scene(run.env, run.robot, np.random.default_rng(episode_seed(1, 0)),
-                            run.episode.grid_cell).path_field
+    raster = seeded_episode(run, 1, (0,))[0].path_field
     h, w = raster.shape
     assert (out / "field.pgm").read_bytes().startswith(f"P5\n{w} {h}\n255\n".encode())
     payload = json.loads((out / "path.json").read_text())
@@ -474,26 +472,24 @@ def test_cli_reports_unreadable_inputs(cli_config, tmp_path, capsys, problem):
 @pytest.mark.parametrize("seed", [0, 5, 2**40])
 def test_episode_seed_is_the_spawned_child(seed, cli_config, tmp_path, capsys):
     # Eval, render, inspect-env and hpf-dump all take episode i from
-    # eval_episode, which derives its scene and generator from it.
-    for index, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
-        ours = episode_seed(seed, index)
-        assert ours.generate_state(8).tolist() == child.generate_state(8).tolist()
-        assert (np.random.default_rng(ours).random(4).tolist()
-                == np.random.default_rng(child).random(4).tolist())
-    # eval_episode is new_episode on that child's generator, and hands the
-    # generator on where the scene left it.
+    # seeded_episode with key (i,), whose generator is seeded with the i-th
+    # spawned child of the master seed.
     run = easy_run(time_limit=2.0)
     scenes = []
-    for index in (0, 2):
-        rng = np.random.default_rng(episode_seed(seed, index))
+    for index, child in enumerate(np.random.SeedSequence(seed).spawn(5)):
+        episode, ours = seeded_episode(run, seed, (index,))
+        ours_seed = ours.bit_generator.seed_seq
+        assert ours_seed.generate_state(8).tolist() == child.generate_state(8).tolist()
+        # The episode is new_episode on that child's generator, and the
+        # generator goes on where the scene left it.
+        rng = np.random.default_rng(child)
         expected = new_episode(run.env, run.robot, run.reward, run.episode, rng)
-        episode, ours = eval_episode(run, seed, index)
         assert episode.world.outline_planes.tobytes() == expected.world.outline_planes.tobytes()
         assert episode.state.base_pose.tobytes() == expected.state.base_pose.tobytes()
         assert episode.goal_pose.tobytes() == expected.goal_pose.tobytes()
         assert ours.random(4).tolist() == rng.random(4).tolist()
         scenes.append(expected)
-    first, third = scenes
+    first, third = scenes[0], scenes[2]
     # `hpf-dump` plans episode 0's scene, `render --episode 2` draws episode
     # 2's and `inspect-env` lists both, the scenes `eval --seed` runs.
     common = ["--config", str(cli_config), "--seed", str(seed)]

@@ -242,7 +242,7 @@ def small_grid():
 
 
 @pytest.mark.parametrize("make", [slot_grid, border_goal_grid, odd_grid, pocket_grid, small_grid])
-def test_multigrid_hard_cases_match_dense_oracle(make):
+def test_line_solve_hard_cases_match_dense_oracle(make):
     field = make()
     solve_harmonic(field)
     free = field.kind == FREE
@@ -389,9 +389,13 @@ def random_maze_field(seed):
 
 
 def test_extract_from_every_free_cell():
-    # Every free cell 4-connected to the goal plans to it; every other one
-    # reads w = 0 and raises CutOffError.
-    for case, field in enumerate([two_box_field(), *map(random_maze_field, range(8))]):
+    # Every free cell 4-connected to the goal plans to it with no vertex in
+    # an obstacle cell; every other one reads w = 0 and raises CutOffError.
+    # A half-cell step from maze 143's cell (14, 6) crossed a one-cell
+    # pillar, and from maze 66's cell (27, 40) landed on the corner two
+    # diagonal obstacle cells share.
+    mazes = map(random_maze_field, [*range(8), 66, 143])
+    for case, field in enumerate([two_box_field(), *mazes]):
         solve_harmonic(field)
         connected = connected_component(field.kind != OBSTACLE, field.goal_cell)
         goal = cell_center(field, *field.goal_cell)
@@ -403,6 +407,7 @@ def test_extract_from_every_free_cell():
                 continue
             path = extract_path(field, start, goal=goal)
             assert np.allclose(path.points[-1], goal), (case, r, c)
+            assert not vertices_in_obstacles(field, path.points), (case, r, c)
 
 
 def test_start_in_a_walled_room_is_cut_off():

@@ -14,21 +14,20 @@ import pytest
 from oracles import distribution_stats, greedy_action, pack_checkpoint, taped_forward
 from planarwbc import autodiff as ad
 from planarwbc import policy as policy_mod
+from planarwbc.evaluate import policy_controller
 from planarwbc.policy import (
     POLICY_CHECKPOINT,
     Policy,
     PolicyConfig,
-    PolicyOutput,
     acceleration_table,
     bins_to_action,
     config_hash,
-    greedy_bins,
     init_params,
     layout,
     load_params,
     param_count,
     param_views,
-    sample_bins,
+    sample_action,
     save_params,
 )
 from planarwbc.robot import RobotConfig
@@ -76,21 +75,22 @@ def test_default_robot_policy_size():
 def test_forward_matches_naive_oracle(float64_network):
     policy = small_policy()
     obs = np.random.default_rng(1).uniform(-1, 1, (6, SMALL.observation_size))
-    logits, values = policy.forward_batch(obs)
+    logits, values = policy.forward(obs)
     assert logits.shape == (6, SMALL.action_dims, SMALL.bins)
     for i in range(len(obs)):
         ref_logits, ref_value = naive_forward(policy, obs[i])
         assert np.allclose(logits[i], ref_logits, atol=1e-10)
         assert values[i] == pytest.approx(ref_value, abs=1e-10)
-    single = policy.forward(obs[2])
-    assert np.allclose(single.logits, logits[2], atol=1e-12)
-    assert single.value == pytest.approx(values[2], abs=1e-12)
+    single_logits, single_values = policy.forward(obs[2:3])
+    assert single_logits.shape == (1, SMALL.action_dims, SMALL.bins)
+    assert np.allclose(single_logits[0], logits[2], atol=1e-12)
+    assert single_values[0] == pytest.approx(values[2], abs=1e-12)
 
 
 def test_graph_forward_matches_fast_forward():
     policy = small_policy(seed=4)
     obs = np.random.default_rng(2).uniform(-1, 1, (5, SMALL.observation_size))
-    fast_logits, fast_values = policy.forward_batch(obs)
+    fast_logits, fast_values = policy.forward(obs)
     taped_logits, taped_value, _ = taped_forward(policy, obs)
     logits, values = policy.graph_forward(obs)
     assert policy.params.dtype == np.float32
@@ -101,15 +101,17 @@ def test_graph_forward_matches_fast_forward():
         assert a.tobytes() == b.tobytes()
 
 
-def test_forward_of_one_observation_is_bitwise_forward_batch():
+def test_forward_of_one_observation_is_bitwise_graph_forward():
+    # The rollout's one-row pass, a view of one row, against the update's
+    # pass over a one-row batch of its own.
     config = PolicyConfig.for_robot(RobotConfig())
     policy = Policy(config, init_params(config, np.random.default_rng(8)))
     obs = np.random.default_rng(9).uniform(-1, 1, (4, config.observation_size))
     for row in obs:
-        out = policy.forward(row)
-        logits, values = policy.forward_batch(row[None])
-        assert out.logits.tobytes() == logits[0].tobytes()
-        assert out.value == values[0]
+        logits, values = policy.forward(row[None])
+        graph_logits, graph_values = policy.graph_forward(row.reshape(1, -1).copy())
+        assert logits.tobytes() == graph_logits.tobytes()
+        assert values.tobytes() == graph_values.tobytes()
 
 
 @pytest.mark.parametrize("size", ["small", "default"])
@@ -150,10 +152,7 @@ def test_forward_between_graph_forward_and_backward_leaves_the_gradient(between)
     expected = policy.backward(d_logits, d_values).copy()
     logits, values = policy.graph_forward(obs)
     kept = logits.tobytes(), values.tobytes()
-    if between == 1:
-        policy.forward(other[0])
-    else:
-        policy.forward_batch(other)
+    policy.forward(other)
     assert (logits.tobytes(), values.tobytes()) == kept
     assert policy.backward(d_logits, d_values).tobytes() == expected.tobytes()
 
@@ -163,16 +162,13 @@ def test_forward_outputs_are_the_callers_own():
     # graph pass of that size.
     policy = small_policy(seed=14)
     obs = np.random.default_rng(15).uniform(-1, 1, (4, SMALL.observation_size))
-    single = policy.forward(obs[0])
-    kept = single.logits.copy()
-    policy.forward(obs[1])
-    policy.graph_forward(obs[1:2])
-    assert single.logits.tobytes() == kept.tobytes()
-    logits, values = policy.forward_batch(obs)
-    kept = logits.copy(), values.copy()
-    policy.forward_batch(obs[::-1].copy())
-    policy.graph_forward(obs[::-1].copy())
-    assert (logits.tobytes(), values.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
+    for n in (1, 4):
+        logits, values = policy.forward(obs[:n])
+        kept = logits.copy(), values.copy()
+        other = obs[::-1][:n].copy()
+        policy.forward(other)
+        policy.graph_forward(other)
+        assert (logits.tobytes(), values.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
 
 
 def test_gradient_spot_checked_by_finite_differences(float64_network):
@@ -183,7 +179,7 @@ def test_gradient_spot_checked_by_finite_differences(float64_network):
     )
 
     def numpy_loss(params):
-        logits, values = Policy(SMALL, params).forward_batch(obs)
+        logits, values = Policy(SMALL, params).forward(obs)
         return float((logits * weights).sum() + (values**2).sum())
 
     _, values = policy.graph_forward(obs)
@@ -222,7 +218,7 @@ def test_zero_params_give_uniform_policy():
     config = PolicyConfig.for_robot(RobotConfig())
     policy = Policy(config, np.zeros(param_count(config)))
     obs = np.random.default_rng(0).uniform(0, 1, (3, config.observation_size))
-    logits, values = policy.forward_batch(obs)
+    logits, values = policy.forward(obs)
     assert np.array_equal(logits, np.zeros_like(logits))
     assert np.array_equal(values, np.zeros(3))
     # Uniform over 7 bins in each of 6 dimensions: entropy 6*ln(7).
@@ -234,13 +230,15 @@ def test_zero_params_give_uniform_policy():
 
 def test_sampling_frequencies_match_probabilities():
     probs = np.array([0.7, 0.2, 0.1])
-    output = PolicyOutput(logits=np.log(probs)[None, :], value=0.0)
+    logits = np.log(probs)[None, :]
+    table = np.arange(3.0)[None, :]
     rng = np.random.default_rng(12)
     n = 20_000
     counts = np.zeros(3)
     for _ in range(n):
-        bins, log_prob = sample_bins(output, rng)
+        action, bins, log_prob = sample_action(table, logits, rng)
         counts[bins[0]] += 1
+        assert action.base_acc.tolist() == [float(bins[0])]
         assert log_prob == pytest.approx(math.log(probs[bins[0]]), abs=1e-12)
     for k in range(3):
         sigma = math.sqrt(probs[k] * (1 - probs[k]) / n)
@@ -249,10 +247,13 @@ def test_sampling_frequencies_match_probabilities():
 
 def test_sampled_bin_stats_equal_distribution_stats():
     logits = np.random.default_rng(3).normal(0.0, 3.0, (6, 7))
-    output = PolicyOutput(logits=logits, value=0.0)
+    table = acceleration_table(RobotConfig(), 7)
     for seed in range(20):
-        bins, log_prob = sample_bins(output, np.random.default_rng(seed))
+        action, bins, log_prob = sample_action(table, logits, np.random.default_rng(seed))
         assert log_prob == float(distribution_stats(logits, bins)[0])
+        expected = bins_to_action(table, bins)
+        assert action.base_acc.tobytes() == expected.base_acc.tobytes()
+        assert action.joint_acc.tobytes() == expected.joint_acc.tobytes()
 
 
 def test_bin_acceleration_map_is_affine_with_zero_center():
@@ -291,11 +292,19 @@ def test_table_actions_are_bitwise_the_affine_formula():
 
 def test_greedy_picks_argmax():
     logits = np.array([[0.1, 2.0, -1.0], [5.0, -2.0, 4.9]])
-    output = PolicyOutput(logits=logits, value=0.0)
-    assert np.array_equal(greedy_bins(output), [1, 0])
     robot = RobotConfig(link_lengths=(0.3,), joint_limits=((-2, 2),))
-    action, bins = greedy_action(robot, PolicyOutput(logits=logits[:1], value=0.0))
-    assert np.array_equal(bins, [1])
+    _, bins = greedy_action(robot, logits)
+    assert np.array_equal(bins, [1, 0])
+    # Eval's greedy controller takes the oracle's action on the policy's logits.
+    robot = RobotConfig()
+    config = PolicyConfig.for_robot(robot)
+    policy = Policy(config, init_params(config, np.random.default_rng(16)))
+    controller = policy_controller(policy, robot)
+    for obs in np.random.default_rng(17).uniform(-1, 1, (5, config.observation_size)):
+        action = controller(None, obs, None)
+        expected, _ = greedy_action(robot, policy.forward(obs[None])[0][0])
+        assert action.base_acc.tobytes() == expected.base_acc.tobytes()
+        assert action.joint_acc.tobytes() == expected.joint_acc.tobytes()
 
 
 def test_init_params_deterministic_and_orthogonal():

@@ -35,7 +35,7 @@ from planarwbc import policy as policy_mod
 from planarwbc.cli import main
 from planarwbc.config import default_config, save_config
 from planarwbc.envs import EnvSpec, EpisodeConfig, GenerationError, scene_digest
-from planarwbc.evaluate import episode_seed, eval_episode
+from planarwbc.evaluate import seeded_episode
 from planarwbc.policy import (
     COMPUTE_DTYPE,
     CheckpointError,
@@ -152,7 +152,7 @@ def self_consistent_batch(policy, n, seed):
     """Minibatch whose old log-probs come from the policy itself (ratio 1)."""
     rng = np.random.default_rng(seed)
     obs = rng.uniform(-1, 1, (n, policy.config.observation_size))
-    logits, values = policy.forward_batch(obs)
+    logits, values = policy.forward(obs)
     bins = np.stack(
         [rng.integers(0, policy.config.bins, n) for _ in range(policy.config.action_dims)],
         axis=1,
@@ -239,7 +239,7 @@ def test_batched_head_terms_match_per_dimension_reference():
     param_views(config, policy.params)["heads.w"][:, :-1] *= 300.0  # logits far from uniform
     n = 6
     obs, bins, _, values = self_consistent_batch(policy, n, seed=16)
-    logits, _ = policy.forward_batch(obs)
+    logits, _ = policy.forward(obs)
     for i in range(n):
         one = slice(i, i + 1)
         _, stats, _ = ppo_loss(policy, obs[one], bins[one], np.zeros(1), np.zeros(1),
@@ -373,7 +373,7 @@ def test_gradient_at_saturated_logits_matches_the_tape(entropy_coef):
     obs, bins, _, values = self_consistent_batch(policy, 8, seed=21)
     bins[:3] = [2, 4]  # the dominant bins
     bins[3:5] = [0, 1]  # bins of probability about e^-40 and e^-760
-    logits, _ = policy.forward_batch(obs)
+    logits, _ = policy.forward(obs)
     probs = np.exp(log_softmax_np(logits))
     assert np.all(probs[:, 0, 2] == 1.0)
     assert np.all((probs[:, 1] == 0.0) | (probs[:, 1] == 1.0))
@@ -662,9 +662,10 @@ def test_training_streams_never_take_an_eval_episode_seed(seed, monkeypatch):
     seeded = ppo_mod.seeded_episode
     initialise = ppo_mod.init_params
 
-    def scene_seed(run, seed, spec=None, config=None):
-        scene_seeds.append(seed)
-        return seeded(run, seed, spec, config)
+    def scene_seed(run, seed, key, spec=None, config=None):
+        episode, rng = seeded(run, seed, key, spec, config)
+        scene_seeds.append(rng.bit_generator.seed_seq)
+        return episode, rng
 
     def init_seed(config, rng):
         init_seeds.append(rng.bit_generator.seed_seq)
@@ -683,7 +684,7 @@ def test_training_streams_never_take_an_eval_episode_seed(seed, monkeypatch):
     }
     assert len(scene_seeds) > run.train.workers  # resets after the first scenes too
     assert [len(streams[name]) for name in ("action", "init", "update")] == [2, 1, 1]
-    eval_keys = [episode_seed(seed, i) for i in range(64)]
+    eval_keys = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(64)]
     eval_states = {tuple(e.generate_state(4).tolist()) for e in eval_keys}
     train_keys = [(name, s) for name, seeds in streams.items() for s in seeds]
     for name, ours in train_keys:
@@ -693,7 +694,7 @@ def test_training_streams_never_take_an_eval_episode_seed(seed, monkeypatch):
         assert tuple(ours.generate_state(4).tolist()) not in eval_states, name
     assert len({s.spawn_key for _, s in train_keys}) == len(train_keys)
     for w, digest in enumerate(first_scenes):
-        assert digest != scene_digest(eval_episode(run, seed, w)[0])
+        assert digest != scene_digest(seeded_episode(run, seed, (w,))[0])
 
 
 def test_two_policies_meet_the_same_scenes(monkeypatch):
@@ -1066,8 +1067,8 @@ def assert_forward_reads_params(policy, obs):
     """Every layer view shares memory with the policy's parameters, and the
     forward equals, bit for bit, that of a policy built from its params now."""
     assert all(np.shares_memory(view, policy.params) for layer in policy.layers for view in layer)
-    logits, values = policy.forward_batch(obs)
-    fresh_logits, fresh_values = Policy(policy.config, policy.params.copy()).forward_batch(obs)
+    logits, values = policy.forward(obs)
+    fresh_logits, fresh_values = Policy(policy.config, policy.params.copy()).forward(obs)
     assert np.array_equal(logits, fresh_logits)
     assert np.array_equal(values, fresh_values)
 
@@ -1101,14 +1102,14 @@ def test_forward_follows_every_parameter_change(tmp_path):
     save_params(tmp_path / "policy.ckpt", run.policy, trainer.policy.params)
     loaded = Policy(run.policy, load_params(tmp_path / "policy.ckpt", run.policy))
     assert_forward_reads_params(loaded, obs)
-    assert np.array_equal(loaded.forward_batch(obs)[0], trainer.policy.forward_batch(obs)[0])
+    assert np.array_equal(loaded.forward(obs)[0], trainer.policy.forward(obs)[0])
 
     save_train_checkpoint(tmp_path / "train_state.ckpt", run, trainer)
     restored = load_train_checkpoint(tmp_path / "train_state.ckpt", run)
     assert_state_in_compute_dtype(restored)
     assert_forward_reads_params(restored.policy, obs)
-    assert np.array_equal(restored.policy.forward_batch(obs)[0],
-                          trainer.policy.forward_batch(obs)[0])
+    assert np.array_equal(restored.policy.forward(obs)[0],
+                          trainer.policy.forward(obs)[0])
 
 
 def test_policies_built_from_one_array_keep_their_own_parameters():
@@ -1119,12 +1120,12 @@ def test_policies_built_from_one_array_keep_their_own_parameters():
     trainer.policy = Policy(run.policy, shared)
     other = Policy(run.policy, shared)
     obs = np.random.default_rng(32).uniform(-1, 1, (4, run.policy.observation_size))
-    logits, values = other.forward_batch(obs)
+    logits, values = other.forward(obs)
     adam_step(trainer, np.random.default_rng(33).standard_normal(before.size), lr=1e-3)
     assert not np.array_equal(trainer.policy.params, before)
     assert np.array_equal(shared, before)
     assert np.array_equal(other.params, before)
-    other_logits, other_values = other.forward_batch(obs)
+    other_logits, other_values = other.forward(obs)
     assert np.array_equal(other_logits, logits)
     assert np.array_equal(other_values, values)
 
@@ -1147,8 +1148,8 @@ def test_float32_network_tracks_float64(monkeypatch):
         high = Policy(config, params.copy())
     assert low.params.dtype == np.float32 and high.params.dtype == np.float64
 
-    logits, values = high.forward_batch(obs)
-    low_logits, low_values = low.forward_batch(obs)
+    logits, values = high.forward(obs)
+    low_logits, low_values = low.forward(obs)
     assert np.abs(low_logits - logits).max() <= 5e-6 * np.abs(logits).max()
     assert np.abs(low_values - values).max() <= 5e-6 * np.abs(values).max()
 
